@@ -18,9 +18,9 @@ from ._version import __version__
 from .entanglement import concurrence, d_max, nu_extremum, opposite_sides_terminal_l, sweep
 from .errors import DivergentOverlap, InvalidParameter, UnknownPreset
 from .geometry import Alignment, ConeParameter, PairConfig, f_arguments, radial_pair
-from .presets import FIGURES, build_figure
+from .presets import FIGURES, _materialize_dmax, build_figure
 from .quadrature import Bracket
-from .serialize import csv_text, sweep_to_csv, sweep_to_dict
+from .serialize import sweep_to_csv, sweep_to_dict
 from .special import aux_f
 from .verification import run_verification
 
@@ -268,7 +268,6 @@ _DMAX_SCHEMA.update({
     "l_lo": (float, None),
     "l_hi": (float, None),
     "l_n": (int, None),
-    "threads": (int, 1),
     "terminal": (_boolish, False),
 })
 
@@ -300,29 +299,33 @@ def dmax_cmd(config, **flags):
 
     curve_mode = params["l_lo"] is not None or params["l_hi"] is not None
     if curve_mode:
-        if params["l_lo"] is None or params["l_hi"] is None or not params["l_n"]:
+        if params["l_lo"] is None or params["l_hi"] is None or (params["l_n"] or 0) < 1:
             raise click.UsageError("curve mode needs --l-lo, --l-hi and --l-n")
-        rows = []
-        for l in np.linspace(params["l_lo"], params["l_hi"], params["l_n"]):
-            result = d_max(alignment, cone, l=float(l), gap=params["gap"],
-                           d_hi=params["d_hi"], grid_n=params["grid_n"],
-                           tol=params["scan_tol"], quad_tol=params["tol"])
-            rows.append((float(l), result.value, len(result.skipped)))
-        _emit(csv_text(("param", "d_max_per_sigma", "skipped_points"), rows), params["out"])
+        curve = {"lo": params["l_lo"], "hi": params["l_hi"], "n": params["l_n"],
+                 "alignment": alignment.value, "nu": cone.nu, "gap": params["gap"]}
+        try:
+            text = _materialize_dmax(curve, params["tol"], d_hi=params["d_hi"],
+                                     grid_n=params["grid_n"], scan_tol=params["scan_tol"])
+        except InvalidParameter as exc:
+            raise click.UsageError(str(exc)) from exc
+        _emit(text, params["out"])
         return
 
     payload = {"version": __version__, "alignment": alignment.value, "nu": cone.nu,
                "gap": params["gap"], "l": params["l"]}
-    result = d_max(alignment, cone, l=params["l"], gap=params["gap"],
-                   d_hi=params["d_hi"], grid_n=params["grid_n"],
-                   tol=params["scan_tol"], quad_tol=params["tol"])
-    payload["d_max_per_sigma"] = result.value
-    payload["skipped_points"] = list(result.skipped)
-    if params["terminal"]:
-        if alignment is not Alignment.ORTHOGONAL_OPPOSITE_SIDES:
-            raise click.UsageError("--terminal applies to the opposite alignment only")
-        payload["terminal_l_per_sigma"] = opposite_sides_terminal_l(
-            cone, params["gap"], quad_tol=params["tol"])
+    if params["terminal"] and alignment is not Alignment.ORTHOGONAL_OPPOSITE_SIDES:
+        raise click.UsageError("--terminal applies to the opposite alignment only")
+    try:
+        result = d_max(alignment, cone, l=params["l"], gap=params["gap"],
+                       d_hi=params["d_hi"], grid_n=params["grid_n"],
+                       tol=params["scan_tol"], quad_tol=params["tol"])
+        payload["d_max_per_sigma"] = result.value
+        payload["skipped_points"] = list(result.skipped)
+        if params["terminal"]:
+            payload["terminal_l_per_sigma"] = opposite_sides_terminal_l(
+                cone, params["gap"], quad_tol=params["tol"])
+    except InvalidParameter as exc:
+        raise click.UsageError(str(exc)) from exc
     _emit(_json_text(payload), params["out"])
 
 

@@ -16,6 +16,7 @@ from .geometry import (
     Alignment,
     BOUNDARY_ALIGNMENTS,
     ConeParameter,
+    FArguments,
     PairConfig,
     f_arguments,
 )
@@ -70,15 +71,37 @@ def x_string(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL) 
         except DivergentArgument as exc:
             raise DivergentOverlap(argument=exc.z, image_index=m) from exc
 
-    integral = 0.0 + 0.0j
-    if not geo.zeta_vanishes:
-        def integrand(zeta):
-            return geo.zeta_coefficient(zeta) * aux_f(geo.zeta_argument(zeta), config.gap)
+    return CorrelationBreakdown(x_flat=flat, x_images=images,
+                                x_integral=x_integral(geo, config.gap, cone, tol))
 
-        integral, _, _ = integrate_semi_infinite_complex(
-            integrand, tail_rate=cone.nu, tol=tol, breakpoints=geo.zeta_breakpoints)
 
-    return CorrelationBreakdown(x_flat=flat, x_images=images, x_integral=integral)
+def x_integral(geo: FArguments, gap: float, cone: ConeParameter,
+               tol: float = DEFAULT_TOL) -> complex:
+    """X_integral of one configuration from its f_arguments.
+
+    Exactly zero when the coefficient vanishes; otherwise two real
+    integrations share one adaptive subdivision.
+    """
+    if geo.zeta_vanishes:
+        return 0.0 + 0.0j
+
+    def integrand(zeta):
+        return geo.zeta_coefficient(zeta) * aux_f(geo.zeta_argument(zeta), gap)
+
+    integral, _, _ = integrate_semi_infinite_complex(
+        integrand, tail_rate=cone.nu, tol=tol, breakpoints=geo.zeta_breakpoints)
+    return integral
+
+
+def reflected_argument(alignment: Alignment, l, d):
+    """f-argument of the reflected image near a boundary; l, d scalars or arrays.
+
+    parallel     sqrt(d^2/4 + l^2)
+    orthogonal   d/2 + l
+    """
+    if alignment is Alignment.BOUNDARY_PARALLEL:
+        return np.sqrt(d * d / 4.0 + l * l)
+    return d / 2.0 + l
 
 
 def x_boundary(config: PairConfig) -> complex:
@@ -90,10 +113,7 @@ def x_boundary(config: PairConfig) -> complex:
     if config.alignment not in BOUNDARY_ALIGNMENTS:
         raise InvalidParameter(f"x_boundary requires a boundary alignment, not {config.alignment}")
     flat = x_flat(config.d, config.gap)
-    if config.alignment is Alignment.BOUNDARY_PARALLEL:
-        argument = np.sqrt(config.d * config.d / 4.0 + config.l * config.l)
-    else:
-        argument = config.d / 2.0 + config.l
+    argument = reflected_argument(config.alignment, config.l, config.d)
     try:
         return flat - aux_f(argument, config.gap)
     except DivergentArgument as exc:

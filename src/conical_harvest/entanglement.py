@@ -14,18 +14,37 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.special import erfc as _erfc_real
 
-from .correlation import CorrelationBreakdown, correlation_for
+from .correlation import CorrelationBreakdown, correlation_for, reflected_argument, x_integral
 from .errors import DivergentOverlap, InvalidParameter
-from .geometry import Alignment, BOUNDARY_ALIGNMENTS, ConeParameter, PairConfig, radial_pair
+from .geometry import (
+    Alignment,
+    BOUNDARY_ALIGNMENTS,
+    ConeParameter,
+    PairConfig,
+    f_arguments,
+    image_radicands,
+    radial_distances,
+    radial_pair,
+    zeta_integral_vanishes,
+)
 from .quadrature import (
     Bracket,
     DEFAULT_TOL,
+    check_root_tolerance,
     find_last_sign_change,
     find_root_bracketed,
     minimize_scalar,
 )
-from .response import ResponseBreakdown, p_boundary, p_flat, p_string
-from .special import EPS_DIV, SQRT_PI, faddeeva_w
+from .response import (
+    ResponseBreakdown,
+    boundary_response,
+    image_sum,
+    p_boundary,
+    p_flat,
+    p_integral,
+    p_string,
+)
+from .special import EPS_DIV, SQRT_PI, aux_f, faddeeva_w
 
 MAX_SWEEP_POINTS = 100_000
 
@@ -119,6 +138,94 @@ def _entanglement_margin(config: PairConfig, cone: ConeParameter, tol: float) ->
     return result.abs_x - result.geo_mean_p
 
 
+def _response_totals(alignment: Alignment, cone: ConeParameter, rho: np.ndarray, gap: float,
+                     tol: float) -> np.ndarray:
+    """P at each radial distance, split and summed as response_pair does.
+
+    Each distinct rho is evaluated once, so a response that does not depend
+    on d (parallel, flat, boundary-parallel) costs one evaluation per scan.
+    """
+    distinct, inverse = np.unique(rho, return_inverse=True)
+    flat = p_flat(gap)
+    if alignment in BOUNDARY_ALIGNMENTS:
+        images = boundary_response(distinct, gap) - flat
+        integral = 0.0
+    else:
+        images = image_sum(distinct, cone, gap)
+        integral = 0.0 if cone.is_integer else np.array(
+            [p_integral(float(r), cone, gap, tol) for r in distinct])
+    return np.broadcast_to(flat + images + integral, distinct.shape)[inverse]
+
+
+def _scan_margins(alignment: Alignment, cone: ConeParameter, l: np.ndarray, d: np.ndarray,
+                  gap: float, tol: float):
+    """Margins |X| - sqrt(P_A P_B) at equal-shape arrays l, d in one array pass.
+
+    Runs the expressions of concurrence() on whole arrays; only non-integer-nu
+    zeta integrals still run once per point, through the scalar quadrature.
+    The caller validates the parameters.  Points where d/2 or an image
+    argument is at or below EPS_DIV (the DivergentOverlap cases of
+    concurrence) get margin None; their d values are returned as skipped.
+    """
+    if alignment is Alignment.FLAT:
+        cone = ConeParameter(1.0)
+    if alignment in BOUNDARY_ALIGNMENTS:
+        image_args = ()
+        arguments = [reflected_argument(alignment, l, d)]
+    else:
+        image_args = [(weight, np.sqrt(radicand))
+                      for _, weight, radicand in image_radicands(alignment, cone, l, d)]
+        arguments = [z for _, z in image_args]
+    ok = d / 2.0 > EPS_DIV
+    for z in arguments:
+        ok &= z > EPS_DIV
+    l_ok, d_ok = l[ok], d[ok]
+
+    rho_a, rho_b = radial_distances(alignment, l_ok, d_ok)
+    p_a = _response_totals(alignment, cone, rho_a, gap, tol)
+    p_b = (p_a if np.array_equal(rho_a, rho_b)
+           else _response_totals(alignment, cone, rho_b, gap, tol))
+
+    flat = aux_f(d_ok / 2.0, gap)
+    if alignment in BOUNDARY_ALIGNMENTS:
+        # correlation_for stores X_bd - X0 as the image part
+        images = flat - aux_f(arguments[0][ok], gap) - flat
+        integral = 0.0 + 0.0j
+    else:
+        images = 0.0 + 0.0j
+        for weight, z in image_args:
+            images += 2.0 * weight * aux_f(z[ok], gap)
+        integral = 0.0 + 0.0j
+        if not zeta_integral_vanishes(alignment, cone):
+            integral = np.array([
+                x_integral(f_arguments(PairConfig(alignment, l=float(li), d=float(di), gap=gap),
+                                            cone), gap, cone, tol)
+                for li, di in zip(l_ok, d_ok)])
+    x_total = flat + images + integral
+    # np.hypot is the libm hypot behind Python's abs(complex); np.abs on a
+    # complex array may take a SIMD path that differs in the last bit
+    margin_ok = np.hypot(x_total.real, x_total.imag) - np.sqrt(p_a * p_b)
+
+    margins = np.full(d.shape, None, dtype=object)
+    margins[ok] = margin_ok.tolist()
+    return list(margins), d[~ok].tolist()
+
+
+def _last_crossing(margins, grid: np.ndarray, margin_at, tol: float) -> Optional[float]:
+    """Brent root of the last sign change of scanned margins (None at skipped points).
+
+    ``margin_at`` is the scalar concurrence margin Brent refines with, so the
+    root does not depend on how the scan was evaluated.  Without a sign
+    change: grid[-1] when the last valid margin is still positive, else None.
+    """
+    last = find_last_sign_change(margins, grid)
+    if last is None:
+        valid = [m for m in margins if m is not None]
+        return float(grid[-1]) if valid and valid[-1] > 0.0 else None
+    bracket = Bracket(float(grid[last]), float(grid[last + 1]))
+    return find_root_bracketed(margin_at, bracket, tol=tol)
+
+
 def d_max(alignment: Alignment, cone: ConeParameter, l: float, gap: float,
           d_hi: float = 8.0, grid_n: int = 512, tol: float = 1e-6,
           d_lo: Optional[float] = None, quad_tol: float = DEFAULT_TOL) -> DmaxResult:
@@ -130,37 +237,23 @@ def d_max(alignment: Alignment, cone: ConeParameter, l: float, gap: float,
     skipped and reported.  Returns d_hi itself when the margin is still
     positive at the scan ceiling.
     """
-    if d_hi <= 0 or grid_n < 2:
-        raise InvalidParameter("d_hi must be > 0 and grid_n >= 2")
+    if not (math.isfinite(d_hi) and d_hi > 0) or grid_n < 2:
+        raise InvalidParameter("d_hi must be finite and > 0 and grid_n >= 2")
+    check_root_tolerance(tol)
     if d_lo is None:
         d_lo = 2.0 * l if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES else d_hi / grid_n
     if d_lo >= d_hi:
         raise InvalidParameter(f"scan start {d_lo} is not below d_hi {d_hi}")
+    # d grows from a validated d_lo to a finite d_hi, so this validates every scan point
+    PairConfig(alignment, l=l, d=d_lo, gap=gap)
 
     grid = np.linspace(d_lo, d_hi, grid_n)
-    margins = []
-    skipped = []
-    for d in grid:
-        try:
-            margins.append(_entanglement_margin(
-                PairConfig(alignment, l=l, d=float(d), gap=gap), cone, quad_tol))
-        except DivergentOverlap:
-            margins.append(None)
-            skipped.append(float(d))
+    margins, skipped = _scan_margins(alignment, cone, np.full_like(grid, l), grid, gap, quad_tol)
 
-    last = find_last_sign_change(margins, grid)
-    if last is None:
-        valid = [m for m in margins if m is not None]
-        if valid and valid[-1] > 0.0:
-            return DmaxResult(value=float(grid[-1]), skipped=tuple(skipped))
-        return DmaxResult(value=None, skipped=tuple(skipped))
+    def margin_at(d):
+        return _entanglement_margin(PairConfig(alignment, l=l, d=float(d), gap=gap), cone, quad_tol)
 
-    def margin(d):
-        return _entanglement_margin(PairConfig(alignment, l=l, d=float(d), gap=gap),
-                                    cone, quad_tol)
-
-    root = find_root_bracketed(margin, Bracket(float(grid[last]), float(grid[last + 1])), tol=tol)
-    return DmaxResult(value=root, skipped=tuple(skipped))
+    return DmaxResult(value=_last_crossing(margins, grid, margin_at, tol), skipped=tuple(skipped))
 
 
 def opposite_sides_terminal_l(cone: ConeParameter, gap: float, l_hi: float = 4.0,
@@ -174,29 +267,17 @@ def opposite_sides_terminal_l(cone: ConeParameter, gap: float, l_hi: float = 4.0
     the smallest scanned l cannot harvest, or when every symmetric point
     diverges (even integer nu).
     """
+    check_root_tolerance(tol)
+    alignment = Alignment.ORTHOGONAL_OPPOSITE_SIDES
     grid = np.linspace(l_hi / grid_n, l_hi, grid_n)
-    margins = []
-    for l in grid:
-        try:
-            margins.append(_entanglement_margin(
-                PairConfig(Alignment.ORTHOGONAL_OPPOSITE_SIDES, l=float(l), d=2.0 * float(l), gap=gap),
-                cone, quad_tol))
-        except DivergentOverlap:
-            margins.append(None)
+    PairConfig(alignment, l=float(grid[0]), d=2.0 * float(grid[0]), gap=gap)
+    margins, _ = _scan_margins(alignment, cone, grid, 2.0 * grid, gap, quad_tol)
 
-    last = find_last_sign_change(margins, grid)
-    if last is None:
-        valid = [m for m in margins if m is not None]
-        if valid and valid[-1] > 0.0:
-            return float(grid[-1])
-        return None
+    def margin_at(l):
+        return _entanglement_margin(PairConfig(alignment, l=float(l), d=2.0 * float(l), gap=gap),
+                                    cone, quad_tol)
 
-    def margin(l):
-        return _entanglement_margin(
-            PairConfig(Alignment.ORTHOGONAL_OPPOSITE_SIDES, l=float(l), d=2.0 * float(l), gap=gap),
-            cone, quad_tol)
-
-    return find_root_bracketed(margin, Bracket(float(grid[last]), float(grid[last + 1])), tol=tol)
+    return _last_crossing(margins, grid, margin_at, tol)
 
 
 # --- nu scans ----------------------------------------------------------------

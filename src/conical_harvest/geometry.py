@@ -140,14 +140,50 @@ def image_terms(cone: ConeParameter) -> Tuple[ImageTerm, ...]:
     return tuple(terms)
 
 
+def radial_distances(alignment: Alignment, l, d):
+    """Radial distances (rho_A, rho_B) from the defect line / boundary; l, d scalars or arrays."""
+    if alignment in (Alignment.ORTHOGONAL_SAME_SIDE, Alignment.BOUNDARY_ORTHOGONAL):
+        return l, l + d
+    if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES:
+        return l, d - l
+    # parallel, boundary-parallel, flat: both detectors share one distance
+    return l, l
+
+
 def radial_pair(config: PairConfig) -> Tuple[float, float]:
     """Radial distances (rho_A, rho_B) from the defect line / boundary."""
-    if config.alignment in (Alignment.ORTHOGONAL_SAME_SIDE, Alignment.BOUNDARY_ORTHOGONAL):
-        return config.l, config.l + config.d
-    if config.alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES:
-        return config.l, config.d - config.l
-    # parallel, boundary-parallel, flat: both detectors share one distance
-    return config.l, config.l
+    return radial_distances(config.alignment, config.l, config.d)
+
+
+def image_radicands(alignment: Alignment, cone: ConeParameter, l, d):
+    """(m, weight, z_m^2) for each conical image of the correlation term.
+
+    ``l`` and ``d`` are scalars or equal-shape arrays (radicands follow their
+    shape).  Same side:  z_m^2 = d^2/4 + rho_A rho_B sin^2(m pi / nu).
+    Opposite sides:      z_m^2 = d^2/4 - rho_A rho_B sin^2(m pi / nu), in the
+    stable nonnegative form (d/2 - l)^2 + rho_A rho_B cos^2(m pi / nu).
+    """
+    rho_a, rho_b = radial_distances(alignment, l, d)
+    product = rho_a * rho_b
+    out = []
+    for term in image_terms(cone):
+        if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES:
+            cos_term = math.cos(term.m * math.pi / cone.nu)
+            radicand = (d / 2.0 - l) ** 2 + product * cos_term * cos_term
+        else:
+            radicand = d * d / 4.0 + product * term.sin_term * term.sin_term
+        out.append((term.m, term.weight, radicand))
+    return tuple(out)
+
+
+def zeta_integral_vanishes(alignment: Alignment, cone: ConeParameter) -> bool:
+    """Whether the correlation term's zeta coefficient is identically zero.
+
+    Same side: at integer nu; opposite sides: at integer and half-integer nu.
+    """
+    if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES:
+        return cone.is_half_integer
+    return cone.is_integer
 
 
 @dataclass(frozen=True)
@@ -218,35 +254,25 @@ def f_arguments(config: PairConfig, cone: ConeParameter) -> FArguments:
     rho_a, rho_b = radial_pair(config)
     product = rho_a * rho_b
     quarter_d2 = config.d * config.d / 4.0
-    opposite = config.alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES
+    images = tuple((m, weight, math.sqrt(radicand)) for m, weight, radicand
+                   in image_radicands(config.alignment, cone, config.l, config.d))
+    vanishes = zeta_integral_vanishes(config.alignment, cone)
 
-    images = []
-    for term in image_terms(cone):
-        if opposite:
-            # stable nonnegative form of d^2/4 - rho_A rho_B sin^2
-            cos_term = math.cos(term.m * math.pi / cone.nu)
-            radicand = (config.d / 2.0 - config.l) ** 2 + product * cos_term * cos_term
-        else:
-            radicand = quarter_d2 + product * term.sin_term * term.sin_term
-        images.append((term.m, term.weight, math.sqrt(radicand)))
-
-    if opposite:
+    if config.alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES:
         coefficient = opposite_sides_coefficient(cone.nu)
-        vanishes = cone.is_half_integer
         breakpoints = coefficient_breakpoints(cone.nu, 2.0 * cone.nu * math.pi)
 
         def argument(zeta):
             return np.sqrt(quarter_d2 + product * (np.cosh(np.asarray(zeta)) - 1.0) / 2.0)
     else:
         coefficient = same_side_coefficient(cone.nu)
-        vanishes = cone.is_integer
         breakpoints = coefficient_breakpoints(cone.nu, cone.nu * math.pi)
 
         def argument(zeta):
             return np.sqrt(quarter_d2 + product * (1.0 + np.cosh(np.asarray(zeta))) / 2.0)
 
     return FArguments(
-        image_args=tuple(images),
+        image_args=images,
         zeta_argument=argument,
         zeta_coefficient=coefficient,
         zeta_vanishes=vanishes,

@@ -160,13 +160,15 @@ def _materialize_response(params: dict, tol: float) -> str:
     return csv_text(("param", "P_per_lambda2"), rows)
 
 
-def _materialize_dmax(params: dict, tol: float) -> str:
+def _materialize_dmax(params: dict, tol: float, d_hi: float = 8.0, grid_n: int = 512,
+                      scan_tol: float = 1e-6) -> str:
     values = np.linspace(params["lo"], params["hi"], params["n"])
     alignment = Alignment.from_string(params["alignment"])
     cone = ConeParameter(params["nu"])
     rows = []
     for v in values:
-        result = d_max(alignment, cone, l=float(v), gap=params["gap"], quad_tol=tol)
+        result = d_max(alignment, cone, l=float(v), gap=params["gap"], d_hi=d_hi,
+                       grid_n=grid_n, tol=scan_tol, quad_tol=tol)
         rows.append((float(v), result.value, len(result.skipped)))
     return csv_text(("param", "d_max_per_sigma", "skipped_points"), rows)
 

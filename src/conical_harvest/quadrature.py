@@ -9,10 +9,10 @@ u -> 1/u.
 """
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq as _brentq, minimize_scalar as _minimize_scalar
 
 from .errors import InvalidParameter, NoSignChange, NotUnimodal, PolesTooClose, ToleranceNotMet
 
@@ -324,11 +324,66 @@ def integrate_pv(numerator, poles, domain=SEMI_INFINITE, tol=DEFAULT_PV_TOL, wei
 # --- root finding and minimization ----------------------------------------
 
 
+_BRENT_RTOL = 8.881784197001252e-16   # 4 * machine epsilon, SciPy's floor for rtol
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xpre, xcur, fpre, fcur, xtol):
+    """Brent's root search (Brent 1973, ch. 4) on a bracket whose end values are known.
+
+    A line-for-line port of SciPy's ``brentq`` C routine, so it returns the
+    same abscissa bit for bit; it takes f(xpre) and f(xcur) instead of
+    evaluating them again.  The caller has checked that they straddle zero.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)               # interpolate
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)                      # extrapolate
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry                                     # good short step
+            else:
+                spre = scur = sbis                                          # bisect
+        else:
+            spre = scur = sbis                                              # bisect
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise InvalidParameter(f"root objective is NaN at {xcur!r}")
+    raise ToleranceNotMet(xcur, abs(xblk - xcur), xtol, _BRENT_MAXITER + 2)
+
+
+def check_root_tolerance(tol):
+    """Raise InvalidParameter unless the root location tolerance is finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidParameter(f"root tolerance tol must be finite and > 0, got {tol!r}")
+
+
 def find_root_bracketed(objective, bracket, tol=1e-12):
     """Root of a continuous objective inside a sign-changing bracket (Brent).
 
-    Raises NoSignChange when the endpoints do not straddle zero.
+    Raises InvalidParameter unless tol is finite and > 0, and NoSignChange
+    when the endpoints do not straddle zero.
     """
+    check_root_tolerance(tol)
     if not isinstance(bracket, Bracket):
         bracket = Bracket(*bracket)
     f_lo = objective(bracket.lo)
@@ -337,9 +392,9 @@ def find_root_bracketed(objective, bracket, tol=1e-12):
         return bracket.lo
     if f_hi == 0.0:
         return bracket.hi
-    if np.sign(f_lo) == np.sign(f_hi):
+    if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
         raise NoSignChange(f"objective has the same sign at both ends of [{bracket.lo}, {bracket.hi}]")
-    return float(_brentq(objective, bracket.lo, bracket.hi, xtol=tol, rtol=8.881784197001252e-16))
+    return float(_brentq(objective, bracket.lo, bracket.hi, f_lo, f_hi, xtol=tol))
 
 
 def find_last_sign_change(values, grid):
@@ -347,14 +402,13 @@ def find_last_sign_change(values, grid):
 
     Entries that are None (skipped points) never participate in a pair.
     """
-    last = None
-    for i in range(len(grid) - 1):
-        a, b = values[i], values[i + 1]
-        if a is None or b is None:
-            continue
-        if a == 0.0 or np.sign(a) != np.sign(b):
-            last = i
-    return last
+    n = len(grid)
+    present = np.array([v is not None for v in values[:n]], dtype=bool)
+    v = np.array([0.0 if v is None else v for v in values[:n]], dtype=float)
+    a, b = v[:-1], v[1:]
+    change = present[:-1] & present[1:] & ((a == 0.0) | (np.sign(a) != np.sign(b)))
+    hits = np.flatnonzero(change)
+    return int(hits[-1]) if hits.size else None
 
 
 def minimize_scalar(objective, bracket, tol=1e-8, unimodality_samples=33):
@@ -364,6 +418,10 @@ def minimize_scalar(objective, bracket, tol=1e-8, unimodality_samples=33):
     shows a second distinct local minimum the unimodality precondition was
     violated and NotUnimodal is raised.
     """
+    # imported here, not at module level: scipy.optimize adds ~23 MB of memory
+    # and ~0.15 s to every import of the CLI, and nothing else needs it
+    from scipy.optimize import minimize_scalar as _minimize_scalar
+
     if not isinstance(bracket, Bracket):
         bracket = Bracket(*bracket)
     res = _minimize_scalar(objective, bounds=(bracket.lo, bracket.hi), method="bounded",

@@ -63,6 +63,37 @@ def _kernel_over_argument(a, gap):
     return float(out) if out.ndim == 0 else out
 
 
+def image_sum(rho, cone: ConeParameter, gap: float):
+    """P_images at radial distance(s) rho (scalar or array; validated by the caller).
+
+    Honours the FAULT_ENV verification hook.
+    """
+    images = 0.0
+    for term in image_terms(cone):
+        images += term.weight * _kernel_over_argument(rho * term.sin_term, gap)
+    images /= 4.0 * SQRT_PI
+
+    fault = os.environ.get(FAULT_ENV)
+    if fault is not None:
+        images *= float(fault)
+    return images
+
+
+def p_integral(rho: float, cone: ConeParameter, gap: float, tol: float = DEFAULT_TOL) -> float:
+    """P_integral at one radial distance; exactly zero at integer nu."""
+    if cone.is_integer:
+        return 0.0
+    coefficient = same_side_coefficient(cone.nu)
+
+    def integrand(zeta):
+        b = rho * np.cosh(np.asarray(zeta) / 2.0)
+        return coefficient(zeta) * _kernel_over_argument(b, gap) / (8.0 * SQRT_PI)
+
+    breakpoints = coefficient_breakpoints(cone.nu, cone.nu * math.pi)
+    return integrate_semi_infinite(integrand, tail_rate=cone.nu, tol=tol,
+                                   breakpoints=breakpoints).value
+
+
 def p_string(rho: float, cone: ConeParameter, gap: float, tol: float = DEFAULT_TOL) -> ResponseBreakdown:
     """Response of a static detector at radial distance rho from the string.
 
@@ -72,30 +103,18 @@ def p_string(rho: float, cone: ConeParameter, gap: float, tol: float = DEFAULT_T
     """
     if rho < 0 or not math.isfinite(rho):
         raise InvalidParameter("rho must be finite and >= 0")
-    flat = p_flat(gap)
+    return ResponseBreakdown(p_flat=p_flat(gap), p_images=image_sum(rho, cone, gap),
+                             p_integral=p_integral(rho, cone, gap, tol))
 
-    images = 0.0
-    for term in image_terms(cone):
-        images += term.weight * _kernel_over_argument(rho * term.sin_term, gap)
-    images /= 4.0 * SQRT_PI
 
-    fault = os.environ.get(FAULT_ENV)
-    if fault is not None:
-        images *= float(fault)
+def _reflected_image(l, gap: float):
+    """Reflected-image term (1/8 sqrt(pi)) K(l, g)/l of P_bd; l scalar or array."""
+    return _kernel_over_argument(l, gap) / (8.0 * SQRT_PI)
 
-    integral = 0.0
-    if not cone.is_integer:
-        coefficient = same_side_coefficient(cone.nu)
 
-        def integrand(zeta):
-            b = rho * np.cosh(np.asarray(zeta) / 2.0)
-            return coefficient(zeta) * _kernel_over_argument(b, gap) / (8.0 * SQRT_PI)
-
-        breakpoints = coefficient_breakpoints(cone.nu, cone.nu * math.pi)
-        integral = integrate_semi_infinite(integrand, tail_rate=cone.nu, tol=tol,
-                                           breakpoints=breakpoints).value
-
-    return ResponseBreakdown(p_flat=flat, p_images=images, p_integral=integral)
+def boundary_response(l: np.ndarray, gap: float) -> np.ndarray:
+    """P_bd at each distance of an array l (validated by the caller); see p_boundary."""
+    return np.where(l < SMALL_ARGUMENT, 0.0, p_flat(gap) - _reflected_image(l, gap))
 
 
 def p_boundary(l: float, gap: float) -> float:
@@ -111,4 +130,4 @@ def p_boundary(l: float, gap: float) -> float:
         raise InvalidParameter("l must be finite and >= 0")
     if l < SMALL_ARGUMENT:
         return 0.0
-    return p_flat(gap) - _kernel_over_argument(l, gap) / (8.0 * SQRT_PI)
+    return p_flat(gap) - _reflected_image(l, gap)

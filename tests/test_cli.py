@@ -218,3 +218,27 @@ def test_verify_json_report(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["all_passed"] is True
     assert all("quantity" in check for check in payload["checks"])
+
+
+def test_dmax_bad_input_is_a_usage_error():
+    base = ["dmax", "--alignment", "flat", "--gap", "0.1", "--l", "0"]
+    for extra, word in ((["--scan-tol", "0"], "tol"), (["--scan-tol", "-1"], "tol"),
+                        (["--scan-tol", "nan"], "tol"), (["--l", "-1"], "l must be"),
+                        (["--l-lo", "-1", "--l-hi", "1", "--l-n", "2"], "l must be")):
+        result = runner.invoke(main, base + extra)
+        assert result.exit_code == 2, (extra, result.output)
+        assert word in result.output, (extra, result.output)
+    opposite = ["dmax", "--alignment", "opposite", "--nu", "3", "--gap", "0.1", "--l", "0.5"]
+    for d_hi in ("nan", "inf"):
+        result = runner.invoke(main, opposite + ["--d-hi", d_hi])
+        assert result.exit_code == 2, (d_hi, result.output)
+        assert "d_hi must be finite" in result.output, (d_hi, result.output)
+
+
+def test_dmax_config_rejects_threads(tmp_path):
+    cfg = tmp_path / "dmax.cfg"
+    cfg.write_text("threads = 2\n", encoding="utf-8")
+    result = runner.invoke(main, ["dmax", "--config", str(cfg), "--alignment", "flat",
+                                  "--gap", "0.1", "--l", "0"])
+    assert result.exit_code == 2
+    assert "threads" in result.output

@@ -5,6 +5,7 @@ import pytest
 
 from conical_harvest.correlation import x_flat
 from conical_harvest.entanglement import (
+    _scan_margins,
     concurrence,
     concurrence_flat,
     d_max,
@@ -15,7 +16,7 @@ from conical_harvest.entanglement import (
 )
 from conical_harvest.errors import DivergentOverlap, InvalidParameter, NotUnimodal
 from conical_harvest.geometry import Alignment, ConeParameter, PairConfig
-from conical_harvest.quadrature import Bracket
+from conical_harvest.quadrature import DEFAULT_TOL, Bracket, find_root_bracketed
 from conical_harvest.response import p_flat
 
 GAP = 0.1
@@ -199,3 +200,93 @@ def test_sweep_validation():
 def test_divergence_propagates_from_concurrence():
     with pytest.raises(DivergentOverlap):
         concurrence(config(Alignment.ORTHOGONAL_OPPOSITE_SIDES, 1.0, 2.0), ConeParameter(4.0))
+
+
+# --- the batched d_max scan -----------------------------------------------------
+
+
+def _scalar_margin(alignment, cone, l, d):
+    """concurrence's margin |X| - sqrt(P_A P_B), or None at a detector/image overlap."""
+    try:
+        result = concurrence(config(alignment, l, d), cone)
+    except DivergentOverlap:
+        return None
+    return result.abs_x - result.geo_mean_p
+
+
+@pytest.mark.parametrize("nu", [3.0, 4.0, 2.5])
+@pytest.mark.parametrize("alignment", list(Alignment))
+def test_batched_scan_margins_match_scalar_concurrence(alignment, nu):
+    cone = ConeParameter(nu)
+    # a d axis at fixed l (the d_max scan), then an l axis at d = 2l (the terminal-l scan)
+    ls = np.linspace(0.1, 1.2, 5)
+    l = np.concatenate([np.full(7, 0.4), ls])
+    d = np.concatenate([np.linspace(0.8, 4.0, 7), 2.0 * ls])
+    margins, skipped = _scan_margins(alignment, cone, l, d, GAP, DEFAULT_TOL)
+    assert len(margins) == len(d)
+    expected_skipped = []
+    for li, di, got in zip(l, d, margins):
+        want = _scalar_margin(alignment, cone, float(li), float(di))
+        if want is None:
+            expected_skipped.append(float(di))
+            assert got is None
+        else:
+            assert got is not None and abs(got - want) <= 1e-14, (li, di, got, want)
+    assert skipped == expected_skipped
+
+
+def test_batched_scan_reports_overlap_points_as_skipped():
+    # opposite sides at nu = 4: the symmetric point d = 2l sits on the m = 2 image
+    d = np.array([1.2, 1.5, 2.0])
+    margins, skipped = _scan_margins(Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(4.0),
+                                     np.full(3, 0.6), d, GAP, DEFAULT_TOL)
+    assert margins[0] is None and all(m is not None for m in margins[1:])
+    assert skipped == [1.2]
+
+
+def _reference_root(margin, grid, tol):
+    """Scalar scan over the grid, then Brent on its last sign-changing pair."""
+    values = [margin(float(x)) for x in grid]
+    pairs = [i for i in range(len(grid) - 1)
+             if values[i] is not None and values[i + 1] is not None
+             and (values[i] == 0.0 or np.sign(values[i]) != np.sign(values[i + 1]))]
+    assert pairs, "the reference scan must bracket a root"
+    i = pairs[-1]
+    return find_root_bracketed(margin, Bracket(float(grid[i]), float(grid[i + 1])), tol=tol)
+
+
+@pytest.mark.parametrize("alignment, nu, l", [
+    (Alignment.PARALLEL, 3.0, 0.5),
+    (Alignment.ORTHOGONAL_SAME_SIDE, 2.5, 0.3),
+    (Alignment.ORTHOGONAL_OPPOSITE_SIDES, 4.0, 0.6),
+    (Alignment.BOUNDARY_ORTHOGONAL, 1.0, 0.4),
+])
+def test_d_max_equals_brent_on_a_scalar_reference_scan(alignment, nu, l):
+    cone = ConeParameter(nu)
+    grid_n, d_hi = 48, 8.0
+    d_lo = 2.0 * l if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES else d_hi / grid_n
+    result = d_max(alignment, cone, l=l, gap=GAP, d_hi=d_hi, grid_n=grid_n)
+
+    def margin(d):
+        return _scalar_margin(alignment, cone, l, d)
+
+    assert result.value == _reference_root(margin, np.linspace(d_lo, d_hi, grid_n), 1e-6)
+
+
+def test_terminal_l_equals_brent_on_a_scalar_reference_scan():
+    cone = ConeParameter(3.0)
+    grid_n, l_hi = 64, 4.0
+
+    def margin(l):
+        return _scalar_margin(Alignment.ORTHOGONAL_OPPOSITE_SIDES, cone, l, 2.0 * l)
+
+    expected = _reference_root(margin, np.linspace(l_hi / grid_n, l_hi, grid_n), 1e-6)
+    assert opposite_sides_terminal_l(cone, GAP, l_hi=l_hi, grid_n=grid_n) == expected
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_d_max_rejects_a_bad_root_tolerance(tol):
+    with pytest.raises(InvalidParameter, match="tol"):
+        d_max(Alignment.FLAT, ConeParameter(1.0), l=0.0, gap=GAP, tol=tol)
+    with pytest.raises(InvalidParameter, match="tol"):
+        opposite_sides_terminal_l(ConeParameter(3.0), GAP, tol=tol)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,3 +219,65 @@ def test_minimize_not_unimodal():
 def test_bracket_validation():
     with pytest.raises(InvalidParameter):
         Bracket(2.0, 1.0)
+
+
+def _seeded_brackets(seed=11, count=300):
+    """(objective, lo, hi, tol) with a sign change, from a fixed family of smooth functions."""
+    family = (lambda x, c: math.cos(x) - c,
+              lambda x, c: x ** 3 - c,
+              lambda x, c: math.expm1(x) - c,
+              lambda x, c: math.atan(x - c) * x * x + 1e-3 * (x - c),
+              lambda x, c: math.tanh(20.0 * (x - c)))
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        f = family[len(out) % len(family)]
+        c = float(rng.uniform(-0.5, 0.5))
+        lo, hi = float(rng.uniform(-3.0, c)), float(rng.uniform(c, 3.0))
+        if f(lo, c) * f(hi, c) < 0.0:
+            out.append((lambda x, _f=f, _c=c: _f(x, _c), lo, hi, float(10.0 ** rng.uniform(-14, -3))))
+    return out
+
+
+def test_brent_port_matches_scipy_brentq_with_two_fewer_calls():
+    from scipy.optimize import brentq
+
+    from conical_harvest.quadrature import _brentq
+
+    for f, lo, hi, tol in _seeded_brackets():
+        expected, info = brentq(f, lo, hi, xtol=tol, rtol=8.881784197001252e-16, full_output=True)
+        calls = []
+
+        def counted(x, _f=f):
+            calls.append(x)
+            return _f(x)
+
+        assert _brentq(counted, lo, hi, f(lo), f(hi), xtol=tol) == expected
+        assert len(calls) == info.function_calls - 2
+        # the public wrapper evaluates the two ends once, then runs the port
+        calls.clear()
+        assert find_root_bracketed(counted, Bracket(lo, hi), tol=tol) == expected
+        assert len(calls) == info.function_calls
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
+def test_root_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(InvalidParameter, match="tol"):
+        find_root_bracketed(math.cos, Bracket(1.0, 2.0), tol=tol)
+
+
+def test_dmax_path_leaves_scipy_optimize_unimported():
+    import conical_harvest
+
+    src = str(Path(conical_harvest.__file__).resolve().parents[1])
+    code = ("import sys, conical_harvest.cli\n"
+            "from conical_harvest.entanglement import d_max\n"
+            "from conical_harvest.geometry import Alignment, ConeParameter\n"
+            "result = d_max(Alignment.PARALLEL, ConeParameter(3.0), l=0.5, gap=0.1, grid_n=32)\n"
+            "assert result.value is not None\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
