@@ -160,13 +160,10 @@ def compute(config, **flags):
         sys.exit(1)
 
     terms = []
-    if pair.alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL_SAME_SIDE,
-                          Alignment.ORTHOGONAL_OPPOSITE_SIDES):
-        geo = f_arguments(pair, cone)
-        for m, weight, z in geo.image_args:
-            x_term = 2.0 * weight * aux_f(z, pair.gap)
-            terms.append({"m": m, "weight": weight, "f_argument": z,
-                          "x_term_re": x_term.real, "x_term_im": x_term.imag})
+    for m, weight, z in f_arguments(pair, cone).image_args:
+        x_term = 2.0 * weight * aux_f(z, pair.gap)
+        terms.append({"m": m, "weight": weight, "f_argument": z,
+                      "x_term_re": x_term.real, "x_term_im": x_term.imag})
 
     rho_a, rho_b = radial_pair(pair)
     payload = {
@@ -323,7 +320,8 @@ def dmax_cmd(config, **flags):
         payload["skipped_points"] = list(result.skipped)
         if params["terminal"]:
             payload["terminal_l_per_sigma"] = opposite_sides_terminal_l(
-                cone, params["gap"], quad_tol=params["tol"])
+                cone, params["gap"], grid_n=params["grid_n"], tol=params["scan_tol"],
+                quad_tol=params["tol"])
     except InvalidParameter as exc:
         raise click.UsageError(str(exc)) from exc
     _emit(_json_text(payload), params["out"])

@@ -1,20 +1,19 @@
 """Nonlocal correlation term X for every alignment, assembled from aux_f.
 
-String geometries take X = X0 + X_images + X_integral with X0 = f(d/2),
+Every alignment takes X = X0 + X_images + X_integral with X0 = f(d/2),
 X_images = 2 sum_m' w_m f(z_m), and X_integral the zeta-integral of
 coef(zeta) f(z(zeta)); the geometry module supplies z_m, z(zeta), and the
-coefficient per alignment.  Boundary geometries subtract a single reflected
-image from X0 instead of adding conical ones.
+coefficient per alignment.  A reflecting boundary is the subtracted nu = 2
+image (weight -1/2, so X_images = -f(z_1)), and flat spacetime is nu = 1 with
+no images; both have a vanishing zeta coefficient.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DivergentArgument, DivergentOverlap, InvalidParameter
 from .geometry import (
-    Alignment,
     BOUNDARY_ALIGNMENTS,
+    BOUNDARY_CONE,
     ConeParameter,
     FArguments,
     PairConfig,
@@ -53,7 +52,7 @@ def x_flat(d: float, gap: float) -> complex:
 
 
 def x_string(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL) -> CorrelationBreakdown:
-    """Correlation term for the parallel / orthogonal / opposite-sides alignments.
+    """Correlation term of any alignment, from the images it sees (geometry.image_set).
 
     The zeta integral runs as two real integrations sharing one adaptive
     subdivision; it is skipped (exact zero) whenever the coefficient vanishes
@@ -93,43 +92,17 @@ def x_integral(geo: FArguments, gap: float, cone: ConeParameter,
     return integral
 
 
-def reflected_argument(alignment: Alignment, l, d):
-    """f-argument of the reflected image near a boundary; l, d scalars or arrays.
-
-    parallel     sqrt(d^2/4 + l^2)
-    orthogonal   d/2 + l
-    """
-    if alignment is Alignment.BOUNDARY_PARALLEL:
-        return np.sqrt(d * d / 4.0 + l * l)
-    return d / 2.0 + l
-
-
 def x_boundary(config: PairConfig) -> complex:
-    """Correlation term near a reflecting boundary: the image is subtracted.
+    """Correlation term near a reflecting boundary: the nu = 2 image is subtracted.
 
     parallel     X_bd = X0 - f(sqrt(d^2/4 + l^2))
-    orthogonal   X_bd = X0 - f(d/2 + l)
+    orthogonal   X_bd = X0 - f(sqrt(d^2/4 + l (l + d)))   (= X0 - f(d/2 + l))
     """
     if config.alignment not in BOUNDARY_ALIGNMENTS:
         raise InvalidParameter(f"x_boundary requires a boundary alignment, not {config.alignment}")
-    flat = x_flat(config.d, config.gap)
-    argument = reflected_argument(config.alignment, config.l, config.d)
-    try:
-        return flat - aux_f(argument, config.gap)
-    except DivergentArgument as exc:
-        raise DivergentOverlap(argument=exc.z, image_index=None) from exc
+    return x_string(config, BOUNDARY_CONE).total
 
 
 def correlation_for(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL) -> CorrelationBreakdown:
-    """Dispatch to the alignment's correlation, as a uniform breakdown.
-
-    Flat uses the string path at nu = 1 (empty image sum, vanishing
-    coefficient), so the flat reduction is shared code, not a special case.
-    """
-    if config.alignment is Alignment.FLAT:
-        return x_string(config, ConeParameter(1.0), tol=tol)
-    if config.alignment in BOUNDARY_ALIGNMENTS:
-        total = x_boundary(config)
-        flat = x_flat(config.d, config.gap)
-        return CorrelationBreakdown(x_flat=flat, x_images=total - flat, x_integral=0.0 + 0.0j)
+    """The alignment's correlation as a uniform breakdown; one path for all six."""
     return x_string(config, cone, tol=tol)

@@ -14,15 +14,15 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.special import erfc as _erfc_real
 
-from .correlation import CorrelationBreakdown, correlation_for, reflected_argument, x_integral
+from .correlation import CorrelationBreakdown, correlation_for, x_integral
 from .errors import DivergentOverlap, InvalidParameter
 from .geometry import (
     Alignment,
-    BOUNDARY_ALIGNMENTS,
     ConeParameter,
     PairConfig,
     f_arguments,
     image_radicands,
+    image_set,
     radial_distances,
     radial_pair,
     zeta_integral_vanishes,
@@ -35,15 +35,7 @@ from .quadrature import (
     find_root_bracketed,
     minimize_scalar,
 )
-from .response import (
-    ResponseBreakdown,
-    boundary_response,
-    image_sum,
-    p_boundary,
-    p_flat,
-    p_integral,
-    p_string,
-)
+from .response import ResponseBreakdown, image_response, image_sum, p_flat, p_integral
 from .special import EPS_DIV, SQRT_PI, aux_f, faddeeva_w
 
 MAX_SWEEP_POINTS = 100_000
@@ -65,26 +57,15 @@ class ConcurrenceResult:
 def response_pair(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL):
     """(ResponseBreakdown_A, ResponseBreakdown_B) for any alignment.
 
-    Flat runs the string path at nu = 1; boundary responses are wrapped so the
-    flat part is P0 and the (negative) reflected-image part sits in p_images.
+    Each detector responds to the images its pair sees (geometry.image_set):
+    a boundary's subtracted image sits in p_images, flat has none.
     """
+    seen, terms = image_set(config.alignment, cone)
     rho_a, rho_b = radial_pair(config)
-    if config.alignment is Alignment.FLAT:
-        effective = ConeParameter(1.0)
-        return (p_string(rho_a, effective, config.gap, tol=tol),
-                p_string(rho_b, effective, config.gap, tol=tol))
-    if config.alignment in BOUNDARY_ALIGNMENTS:
-        flat = p_flat(config.gap)
-        out = []
-        for rho in (rho_a, rho_b):
-            total = p_boundary(rho, config.gap)
-            out.append(ResponseBreakdown(p_flat=flat, p_images=total - flat, p_integral=0.0))
-        return tuple(out)
+    response_a = image_response(rho_a, seen, terms, config.gap, tol=tol)
     if rho_a == rho_b:
-        one = p_string(rho_a, cone, config.gap, tol=tol)
-        return one, one
-    return (p_string(rho_a, cone, config.gap, tol=tol),
-            p_string(rho_b, cone, config.gap, tol=tol))
+        return response_a, response_a
+    return response_a, image_response(rho_b, seen, terms, config.gap, tol=tol)
 
 
 def concurrence(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL) -> ConcurrenceResult:
@@ -145,16 +126,14 @@ def _response_totals(alignment: Alignment, cone: ConeParameter, rho: np.ndarray,
     Each distinct rho is evaluated once, so a response that does not depend
     on d (parallel, flat, boundary-parallel) costs one evaluation per scan.
     """
+    seen, terms = image_set(alignment, cone)
     distinct, inverse = np.unique(rho, return_inverse=True)
-    flat = p_flat(gap)
-    if alignment in BOUNDARY_ALIGNMENTS:
-        images = boundary_response(distinct, gap) - flat
-        integral = 0.0
-    else:
-        images = image_sum(distinct, cone, gap)
-        integral = 0.0 if cone.is_integer else np.array(
-            [p_integral(float(r), cone, gap, tol) for r in distinct])
-    return np.broadcast_to(flat + images + integral, distinct.shape)[inverse]
+    images = image_sum(distinct, terms, gap)
+    integral = 0.0 if seen.is_integer else np.array(
+        [p_integral(float(r), seen, gap, tol) for r in distinct])
+    # clamped at zero as ResponseBreakdown.total is
+    totals = np.maximum(p_flat(gap) + images + integral, 0.0)
+    return np.broadcast_to(totals, distinct.shape)[inverse]
 
 
 def _scan_margins(alignment: Alignment, cone: ConeParameter, l: np.ndarray, d: np.ndarray,
@@ -167,17 +146,10 @@ def _scan_margins(alignment: Alignment, cone: ConeParameter, l: np.ndarray, d: n
     argument is at or below EPS_DIV (the DivergentOverlap cases of
     concurrence) get margin None; their d values are returned as skipped.
     """
-    if alignment is Alignment.FLAT:
-        cone = ConeParameter(1.0)
-    if alignment in BOUNDARY_ALIGNMENTS:
-        image_args = ()
-        arguments = [reflected_argument(alignment, l, d)]
-    else:
-        image_args = [(weight, np.sqrt(radicand))
-                      for _, weight, radicand in image_radicands(alignment, cone, l, d)]
-        arguments = [z for _, z in image_args]
+    image_args = [(weight, np.sqrt(radicand))
+                  for _, weight, radicand in image_radicands(alignment, cone, l, d)]
     ok = d / 2.0 > EPS_DIV
-    for z in arguments:
+    for _, z in image_args:
         ok &= z > EPS_DIV
     l_ok, d_ok = l[ok], d[ok]
 
@@ -187,20 +159,15 @@ def _scan_margins(alignment: Alignment, cone: ConeParameter, l: np.ndarray, d: n
            else _response_totals(alignment, cone, rho_b, gap, tol))
 
     flat = aux_f(d_ok / 2.0, gap)
-    if alignment in BOUNDARY_ALIGNMENTS:
-        # correlation_for stores X_bd - X0 as the image part
-        images = flat - aux_f(arguments[0][ok], gap) - flat
-        integral = 0.0 + 0.0j
-    else:
-        images = 0.0 + 0.0j
-        for weight, z in image_args:
-            images += 2.0 * weight * aux_f(z[ok], gap)
-        integral = 0.0 + 0.0j
-        if not zeta_integral_vanishes(alignment, cone):
-            integral = np.array([
-                x_integral(f_arguments(PairConfig(alignment, l=float(li), d=float(di), gap=gap),
-                                            cone), gap, cone, tol)
-                for li, di in zip(l_ok, d_ok)])
+    images = 0.0 + 0.0j
+    for weight, z in image_args:
+        images += 2.0 * weight * aux_f(z[ok], gap)
+    integral = 0.0 + 0.0j
+    if not zeta_integral_vanishes(alignment, cone):
+        integral = np.array([
+            x_integral(f_arguments(PairConfig(alignment, l=float(li), d=float(di), gap=gap),
+                                   cone), gap, cone, tol)
+            for li, di in zip(l_ok, d_ok)])
     x_total = flat + images + integral
     # np.hypot is the libm hypot behind Python's abs(complex); np.abs on a
     # complex array may take a SIMD path that differs in the last bit

@@ -6,12 +6,17 @@ splits into the flat term, a sum over floor(nu/2) rotated images (the m = nu/2
 term carrying weight 1/2 exactly at even integer nu), and a residual integral
 over zeta whose coefficient vanishes identically at integer nu (same-side
 geometries) or at integer and half-integer nu (opposite-sides geometry).
+
+By the method of images every alignment is one of these image sets
+(``image_set``): flat spacetime is nu = 1, which has no images, and a
+perfectly reflecting plane is the nu = 2 cone (deficit angle pi) with its one
+image subtracted instead of added.
 """
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -83,8 +88,6 @@ class Alignment(enum.Enum):
                                f"choose from {', '.join(m.value for m in cls)}")
 
 
-STRING_ALIGNMENTS = (Alignment.PARALLEL, Alignment.ORTHOGONAL_SAME_SIDE,
-                     Alignment.ORTHOGONAL_OPPOSITE_SIDES)
 BOUNDARY_ALIGNMENTS = (Alignment.BOUNDARY_PARALLEL, Alignment.BOUNDARY_ORTHOGONAL)
 
 
@@ -140,6 +143,26 @@ def image_terms(cone: ConeParameter) -> Tuple[ImageTerm, ...]:
     return tuple(terms)
 
 
+FLAT_CONE = ConeParameter(1.0)
+BOUNDARY_CONE = ConeParameter(2.0)
+# The reflecting plane's single image: the nu = 2 image with weight -1/2, not +1/2.
+BOUNDARY_IMAGES = tuple(replace(term, weight=-term.weight) for term in image_terms(BOUNDARY_CONE))
+
+
+def image_set(alignment: Alignment, cone: ConeParameter) -> Tuple[ConeParameter, Tuple[ImageTerm, ...]]:
+    """The cone whose images and zeta integral a pair sees, and its image terms.
+
+    A string alignment sees its own cone, flat sees nu = 1 (no images), and a
+    boundary alignment sees nu = 2 with the image subtracted (BOUNDARY_IMAGES),
+    whatever ``cone`` is.
+    """
+    if alignment in BOUNDARY_ALIGNMENTS:
+        return BOUNDARY_CONE, BOUNDARY_IMAGES
+    if alignment is Alignment.FLAT:
+        cone = FLAT_CONE
+    return cone, image_terms(cone)
+
+
 def radial_distances(alignment: Alignment, l, d):
     """Radial distances (rho_A, rho_B) from the defect line / boundary; l, d scalars or arrays."""
     if alignment in (Alignment.ORTHOGONAL_SAME_SIDE, Alignment.BOUNDARY_ORTHOGONAL):
@@ -156,17 +179,18 @@ def radial_pair(config: PairConfig) -> Tuple[float, float]:
 
 
 def image_radicands(alignment: Alignment, cone: ConeParameter, l, d):
-    """(m, weight, z_m^2) for each conical image of the correlation term.
+    """(m, weight, z_m^2) for each image the pair sees (image_set) in the correlation term.
 
     ``l`` and ``d`` are scalars or equal-shape arrays (radicands follow their
     shape).  Same side:  z_m^2 = d^2/4 + rho_A rho_B sin^2(m pi / nu).
     Opposite sides:      z_m^2 = d^2/4 - rho_A rho_B sin^2(m pi / nu), in the
     stable nonnegative form (d/2 - l)^2 + rho_A rho_B cos^2(m pi / nu).
     """
+    cone, terms = image_set(alignment, cone)
     rho_a, rho_b = radial_distances(alignment, l, d)
     product = rho_a * rho_b
     out = []
-    for term in image_terms(cone):
+    for term in terms:
         if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES:
             cos_term = math.cos(term.m * math.pi / cone.nu)
             radicand = (d / 2.0 - l) ** 2 + product * cos_term * cos_term
@@ -180,7 +204,9 @@ def zeta_integral_vanishes(alignment: Alignment, cone: ConeParameter) -> bool:
     """Whether the correlation term's zeta coefficient is identically zero.
 
     Same side: at integer nu; opposite sides: at integer and half-integer nu.
+    Always for flat and boundary pairs, whose image_set cone is nu = 1 or 2.
     """
+    cone, _ = image_set(alignment, cone)
     if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES:
         return cone.is_half_integer
     return cone.is_integer
@@ -202,7 +228,6 @@ class FArguments:
     zeta_coefficient: Callable[[np.ndarray], np.ndarray]
     zeta_vanishes: bool
     zeta_breakpoints: Tuple[float, ...]
-    rho_product: float
 
 
 def same_side_coefficient(nu: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -241,6 +266,7 @@ def coefficient_breakpoints(nu: float, angle: float) -> Tuple[float, ...]:
 def f_arguments(config: PairConfig, cone: ConeParameter) -> FArguments:
     """Image arguments and zeta-integral pieces for the correlation term X.
 
+    Every alignment is served through the images it sees (image_set).
     Same-side geometries (parallel / orthogonal):
         z_m    = sqrt(d^2/4 + rho_A rho_B sin^2(m pi / nu))
         z(zeta) = sqrt(d^2/4 + rho_A rho_B (1 + cosh zeta)/2)
@@ -249,8 +275,7 @@ def f_arguments(config: PairConfig, cone: ConeParameter) -> FArguments:
                  (radicand = (d/2 - l)^2 + rho_A rho_B cos^2 >= 0 given d >= 2l)
         z(zeta) = sqrt(d^2/4 + rho_A rho_B (cosh zeta - 1)/2)
     """
-    if config.alignment not in STRING_ALIGNMENTS and config.alignment is not Alignment.FLAT:
-        raise InvalidParameter(f"f_arguments applies to string alignments, not {config.alignment}")
+    cone, _ = image_set(config.alignment, cone)
     rho_a, rho_b = radial_pair(config)
     product = rho_a * rho_b
     quarter_d2 = config.d * config.d / 4.0
@@ -277,5 +302,4 @@ def f_arguments(config: PairConfig, cone: ConeParameter) -> FArguments:
         zeta_coefficient=coefficient,
         zeta_vanishes=vanishes,
         zeta_breakpoints=breakpoints,
-        rho_product=product,
     )

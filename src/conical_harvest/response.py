@@ -1,4 +1,4 @@
-"""Transition probability of a static detector: flat, conical, and boundary cases.
+"""Transition probability of a static detector near a string or a reflecting boundary.
 
 In sigma units and per lambda^2 the conical-spacetime response of a detector at
 radial distance rho splits as P = P0 + P_images + P_integral with
@@ -11,18 +11,29 @@ radial distance rho splits as P = P0 + P_images + P_integral with
 where K is the response kernel, coef the same-side zeta-coefficient (identically
 zero at integer nu), and the primed sum applies the even-integer half-weight
 rule.  At vanishing kernel argument the finite limit K/a -> klim(g) is
-substituted, which makes P(rho=0) = nu * P0 exact.
+substituted, which makes P(rho=0) = nu * P0 exact.  A reflecting boundary is
+the nu = 2 image set with the image weight -1/2 (geometry.image_set), and flat
+spacetime is nu = 1, so every alignment runs this one sum.
 """
 
 import math
 import os
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 from scipy.special import erfc as _erfc_real
 
 from .errors import InvalidParameter
-from .geometry import ConeParameter, coefficient_breakpoints, image_terms, same_side_coefficient
+from .geometry import (
+    BOUNDARY_CONE,
+    BOUNDARY_IMAGES,
+    ConeParameter,
+    ImageTerm,
+    coefficient_breakpoints,
+    image_terms,
+    same_side_coefficient,
+)
 from .quadrature import DEFAULT_TOL, integrate_semi_infinite
 from .special import SQRT_PI, response_kernel, response_kernel_limit
 
@@ -44,7 +55,9 @@ class ResponseBreakdown:
 
     @property
     def total(self) -> float:
-        return self.p_flat + self.p_images + self.p_integral
+        # near a reflecting boundary P0 and the subtracted image cancel, and
+        # their sum may round below zero
+        return max(self.p_flat + self.p_images + self.p_integral, 0.0)
 
 
 def p_flat(gap: float) -> float:
@@ -63,13 +76,14 @@ def _kernel_over_argument(a, gap):
     return float(out) if out.ndim == 0 else out
 
 
-def image_sum(rho, cone: ConeParameter, gap: float):
-    """P_images at radial distance(s) rho (scalar or array; validated by the caller).
+def image_sum(rho, terms: Tuple[ImageTerm, ...], gap: float):
+    """P_images of the given image terms at radial distance(s) rho.
 
-    Honours the FAULT_ENV verification hook.
+    ``rho`` is a scalar or an array, validated by the caller.  Honours the
+    FAULT_ENV verification hook.
     """
     images = 0.0
-    for term in image_terms(cone):
+    for term in terms:
         images += term.weight * _kernel_over_argument(rho * term.sin_term, gap)
     images /= 4.0 * SQRT_PI
 
@@ -94,6 +108,13 @@ def p_integral(rho: float, cone: ConeParameter, gap: float, tol: float = DEFAULT
                                    breakpoints=breakpoints).value
 
 
+def image_response(rho: float, cone: ConeParameter, terms: Tuple[ImageTerm, ...], gap: float,
+                   tol: float = DEFAULT_TOL) -> ResponseBreakdown:
+    """Response at radial distance rho to a cone's image set (geometry.image_set)."""
+    return ResponseBreakdown(p_flat=p_flat(gap), p_images=image_sum(rho, terms, gap),
+                             p_integral=p_integral(rho, cone, gap, tol))
+
+
 def p_string(rho: float, cone: ConeParameter, gap: float, tol: float = DEFAULT_TOL) -> ResponseBreakdown:
     """Response of a static detector at radial distance rho from the string.
 
@@ -103,23 +124,13 @@ def p_string(rho: float, cone: ConeParameter, gap: float, tol: float = DEFAULT_T
     """
     if rho < 0 or not math.isfinite(rho):
         raise InvalidParameter("rho must be finite and >= 0")
-    return ResponseBreakdown(p_flat=p_flat(gap), p_images=image_sum(rho, cone, gap),
-                             p_integral=p_integral(rho, cone, gap, tol))
-
-
-def _reflected_image(l, gap: float):
-    """Reflected-image term (1/8 sqrt(pi)) K(l, g)/l of P_bd; l scalar or array."""
-    return _kernel_over_argument(l, gap) / (8.0 * SQRT_PI)
-
-
-def boundary_response(l: np.ndarray, gap: float) -> np.ndarray:
-    """P_bd at each distance of an array l (validated by the caller); see p_boundary."""
-    return np.where(l < SMALL_ARGUMENT, 0.0, p_flat(gap) - _reflected_image(l, gap))
+    return image_response(rho, cone, image_terms(cone), gap, tol)
 
 
 def p_boundary(l: float, gap: float) -> float:
     """Response at distance l from a perfectly reflecting plane boundary.
 
+    The boundary is the nu = 2 cone with its one image subtracted:
     P_bd = P0 - (1/8 sqrt(pi)) K(l, g)/l, vanishing as the detector reaches
     the boundary (as l^2 for small l; below SMALL_ARGUMENT the exact 0.0 is
     returned, which the kernel limit P0 - klim(g)/(8 sqrt(pi)) equals to
@@ -130,4 +141,4 @@ def p_boundary(l: float, gap: float) -> float:
         raise InvalidParameter("l must be finite and >= 0")
     if l < SMALL_ARGUMENT:
         return 0.0
-    return p_flat(gap) - _reflected_image(l, gap)
+    return image_response(l, BOUNDARY_CONE, BOUNDARY_IMAGES, gap).total

@@ -4,7 +4,8 @@ from click.testing import CliRunner
 
 from conical_harvest._version import __version__
 from conical_harvest.cli import main
-from conical_harvest.entanglement import concurrence_flat
+from conical_harvest.entanglement import concurrence_flat, opposite_sides_terminal_l
+from conical_harvest.geometry import ConeParameter
 from conical_harvest.serialize import SWEEP_COLUMNS
 
 runner = CliRunner()
@@ -31,6 +32,17 @@ def test_compute_flat_matches_closed_form():
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert abs(payload["concurrence_per_lambda2"] - concurrence_flat(0.5, 0.1)) < 1e-12
+
+
+def test_compute_lists_image_terms_for_every_alignment():
+    args = ("--nu", "3", "--l", "0.5", "--d", "0.5", "--gap", "0.1")
+    payload = json.loads(invoke("compute", "--alignment", "boundary-parallel", *args).output)
+    (term,) = payload["image_terms"]
+    assert (term["m"], term["weight"]) == (1, -0.5)
+    x = payload["breakdowns"]["X"]
+    assert (term["x_term_re"], term["x_term_im"]) == (x["images_re"], x["images_im"])
+    payload = json.loads(invoke("compute", "--alignment", "flat", *args).output)
+    assert payload["image_terms"] == []
 
 
 def test_usage_error_nu_below_one():
@@ -188,6 +200,18 @@ def test_dmax_terminal_requires_opposite():
     result = runner.invoke(main, ["dmax", "--alignment", "parallel", "--nu", "3",
                                   "--gap", "0.1", "--l", "0.5", "--terminal"])
     assert result.exit_code == 2
+
+
+def test_dmax_terminal_follows_scan_tol():
+    result = invoke("dmax", "--alignment", "opposite", "--nu", "3", "--gap", "0.1",
+                    "--l", "0.5", "--terminal", "--scan-tol", "1e-2")
+    assert result.exit_code == 0
+    expected = opposite_sides_terminal_l(ConeParameter(3.0), 0.1, tol=1e-2)
+    assert json.loads(result.output)["terminal_l_per_sigma"] == expected
+    coarse = invoke("dmax", "--alignment", "opposite", "--nu", "3", "--gap", "0.1",
+                    "--l", "0.5", "--terminal", "--grid-n", "64")
+    expected = opposite_sides_terminal_l(ConeParameter(3.0), 0.1, grid_n=64)
+    assert json.loads(coarse.output)["terminal_l_per_sigma"] == expected
 
 
 def test_nuscan_finds_minimum_gap():

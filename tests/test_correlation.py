@@ -154,3 +154,16 @@ def test_correlation_dispatch_uniform_breakdowns():
     assert bd.total == pytest.approx(
         x_boundary(PairConfig(Alignment.BOUNDARY_PARALLEL, l=0.5, d=0.5, gap=GAP)), rel=1e-15)
     assert bd.x_flat == x_flat(0.5, GAP)
+
+
+@pytest.mark.parametrize("boundary, twin", [
+    (Alignment.BOUNDARY_PARALLEL, Alignment.PARALLEL),
+    (Alignment.BOUNDARY_ORTHOGONAL, Alignment.ORTHOGONAL_SAME_SIDE),
+])
+@pytest.mark.parametrize("l, d, gap", [(0.5, 0.5, GAP), (0.05, 1.7, 1.5), (3.0, 0.2, 0.0)])
+def test_boundary_is_the_subtracted_nu2_image(boundary, twin, l, d, gap):
+    bd = correlation_for(PairConfig(boundary, l=l, d=d, gap=gap), ConeParameter(3.0))
+    string = correlation_for(PairConfig(twin, l=l, d=d, gap=gap), ConeParameter(2.0))
+    assert bd.x_images == -string.x_images != 0.0
+    assert bd.x_flat == string.x_flat
+    assert bd.x_integral == string.x_integral == 0.0

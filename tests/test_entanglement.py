@@ -77,6 +77,43 @@ def test_response_pair_dispatch():
     assert a.total == pytest.approx(p_flat(GAP), rel=1e-15)
 
 
+@pytest.mark.parametrize("boundary, twin", [
+    (Alignment.BOUNDARY_PARALLEL, Alignment.PARALLEL),
+    (Alignment.BOUNDARY_ORTHOGONAL, Alignment.ORTHOGONAL_SAME_SIDE),
+])
+@pytest.mark.parametrize("l, d, gap", [(0.5, 0.5, GAP), (0.05, 1.7, 1.5), (3.0, 0.2, 0.0)])
+def test_boundary_response_is_the_subtracted_nu2_image(boundary, twin, l, d, gap):
+    bd = response_pair(config(boundary, l, d, gap), ConeParameter(3.0))
+    string = response_pair(config(twin, l, d, gap), ConeParameter(2.0))
+    for b, s in zip(bd, string):
+        assert b.p_images == -s.p_images != 0.0
+        assert b.p_flat == s.p_flat
+        assert b.p_integral == s.p_integral == 0.0
+
+
+@pytest.mark.parametrize("alignment", [Alignment.BOUNDARY_PARALLEL, Alignment.BOUNDARY_ORTHOGONAL])
+def test_boundary_ignores_nu(alignment):
+    results = [(concurrence(config(alignment, 0.4, 0.7), ConeParameter(nu)),
+                d_max(alignment, ConeParameter(nu), l=0.4, gap=GAP))
+               for nu in (1.0, 2.5, 7.3)]
+    for result, dmax in results[1:]:
+        assert result == results[0][0]
+        assert dmax == results[0][1]
+
+
+@pytest.mark.parametrize("l", [0.0, 1e-9, 1e-8, 3e-8, 1e-7])
+@pytest.mark.parametrize("gap", [0.05, 1.0, 3.0])
+def test_boundary_response_at_the_wall_is_never_negative(l, gap):
+    # P0 and the subtracted image cancel at the wall; their sum may round
+    # below zero, which sqrt(P_A P_B) must never see
+    result = concurrence(config(Alignment.BOUNDARY_ORTHOGONAL, l, 0.5, gap), ConeParameter(1.0))
+    assert 0.0 <= result.response_a.total <= 1e-15
+    assert math.isfinite(result.concurrence)
+    margins, _ = _scan_margins(Alignment.BOUNDARY_ORTHOGONAL, ConeParameter(1.0),
+                               np.full(2, l), np.array([0.5, 1.0]), gap, DEFAULT_TOL)
+    assert all(math.isfinite(m) for m in margins)
+
+
 def test_d_max_flat_against_dense_scan():
     result = d_max(Alignment.FLAT, ConeParameter(1.0), l=0.0, gap=GAP)
     grid = np.linspace(1e-3, 8.0, 4096)

@@ -9,8 +9,10 @@ from conical_harvest.geometry import (
     ConeParameter,
     PairConfig,
     f_arguments,
+    image_set,
     image_terms,
     radial_pair,
+    zeta_integral_vanishes,
 )
 
 
@@ -76,6 +78,34 @@ def test_one_sided_branches_at_even_integer():
     at_four = image_terms(ConeParameter(4.0))
     assert len(at_four) == 2 and at_four[-1].weight == 0.5
     assert image_terms(ConeParameter(4.0 + 1e-6))[-1].weight == 1.0
+
+
+@pytest.mark.parametrize("nu", [1.0, 2.5, 3.0, 7.3])
+def test_image_set_per_alignment(nu):
+    cone = ConeParameter(nu)
+    for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL_SAME_SIDE,
+                      Alignment.ORTHOGONAL_OPPOSITE_SIDES):
+        assert image_set(alignment, cone) == (cone, image_terms(cone))
+    assert image_set(Alignment.FLAT, cone) == (ConeParameter(1.0), ())
+    assert zeta_integral_vanishes(Alignment.FLAT, cone)
+    # a reflecting plane is the nu = 2 cone with its half-weight image subtracted
+    (string_image,) = image_terms(ConeParameter(2.0))
+    for alignment in (Alignment.BOUNDARY_PARALLEL, Alignment.BOUNDARY_ORTHOGONAL):
+        seen, (image,) = image_set(alignment, cone)
+        assert seen == ConeParameter(2.0)
+        assert (image.m, image.weight, image.sin_term) == (1, -string_image.weight, 1.0)
+        assert zeta_integral_vanishes(alignment, cone)
+
+
+def test_f_arguments_boundary_reflected_image():
+    par = f_arguments(PairConfig(Alignment.BOUNDARY_PARALLEL, l=0.3, d=0.8, gap=0.1),
+                      ConeParameter(2.5))
+    assert par.image_args == ((1, -0.5, math.sqrt(0.16 + 0.09)),) and par.zeta_vanishes
+    orth = f_arguments(PairConfig(Alignment.BOUNDARY_ORTHOGONAL, l=0.3, d=0.8, gap=0.1),
+                       ConeParameter(2.5))
+    ((m, weight, z),) = orth.image_args
+    assert (m, weight) == (1, -0.5) and z == pytest.approx(0.4 + 0.3, rel=1e-15)
+    assert orth.zeta_vanishes
 
 
 def test_radial_pair():
