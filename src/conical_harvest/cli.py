@@ -17,11 +17,10 @@ import numpy as np
 from ._version import __version__
 from .entanglement import concurrence, d_max, nu_extremum, opposite_sides_terminal_l, sweep
 from .errors import DivergentOverlap, InvalidParameter, UnknownPreset
-from .geometry import Alignment, ConeParameter, PairConfig, f_arguments, radial_pair
+from .geometry import Alignment, ConeParameter, PairConfig, radial_pair
 from .presets import FIGURES, _materialize_dmax, build_figure
 from .quadrature import Bracket
 from .serialize import sweep_to_csv, sweep_to_dict
-from .special import aux_f
 from .verification import run_verification
 
 THREADS_ENV = "CONICAL_HARVEST_THREADS"
@@ -159,11 +158,9 @@ def compute(config, **flags):
         }}), params["out"])
         sys.exit(1)
 
-    terms = []
-    for m, weight, z in f_arguments(pair, cone).image_args:
-        x_term = 2.0 * weight * aux_f(z, pair.gap)
-        terms.append({"m": m, "weight": weight, "f_argument": z,
-                      "x_term_re": x_term.real, "x_term_im": x_term.imag})
+    terms = [{"m": m, "weight": weight, "f_argument": z,
+              "x_term_re": x_term.real, "x_term_im": x_term.imag}
+             for m, weight, z, x_term in result.correlation.image_terms]
 
     rho_a, rho_b = radial_pair(pair)
     payload = {

@@ -9,6 +9,7 @@ no images; both have a vanishing zeta coefficient.
 """
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from .errors import DivergentArgument, DivergentOverlap, InvalidParameter
 from .geometry import (
@@ -30,6 +31,8 @@ class CorrelationBreakdown:
     x_flat: complex
     x_images: complex
     x_integral: complex
+    # (m, weight, f-argument z_m, term 2 w_m f(z_m)) per image; the terms sum to x_images
+    image_terms: Tuple[Tuple[int, float, float, complex], ...] = ()
 
     @property
     def total(self) -> complex:
@@ -64,22 +67,26 @@ def x_string(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL) 
     flat = x_flat(config.d, config.gap)
 
     images = 0.0 + 0.0j
+    terms = []
     for m, weight, z in geo.image_args:
         try:
-            images += 2.0 * weight * aux_f(z, config.gap)
+            term = 2.0 * weight * aux_f(z, config.gap)
         except DivergentArgument as exc:
             raise DivergentOverlap(argument=exc.z, image_index=m) from exc
+        images += term
+        terms.append((m, weight, z, term))
 
     return CorrelationBreakdown(x_flat=flat, x_images=images,
-                                x_integral=x_integral(geo, config.gap, cone, tol))
+                                x_integral=x_integral(geo, config.gap, cone, tol),
+                                image_terms=tuple(terms))
 
 
-def x_integral(geo: FArguments, gap: float, cone: ConeParameter,
-               tol: float = DEFAULT_TOL) -> complex:
-    """X_integral of one configuration from its f_arguments.
+def x_integral(geo: FArguments, gap: float, cone: ConeParameter, tol: float = DEFAULT_TOL):
+    """X_integral from f_arguments of one pair (complex) or of an array of pairs.
 
-    Exactly zero when the coefficient vanishes; otherwise two real
-    integrations share one adaptive subdivision.
+    Exactly zero when the coefficient vanishes; otherwise the real and
+    imaginary parts of every pair are integrated on one shared adaptive
+    subdivision, each within ``tol``, and a batch returns a complex array.
     """
     if geo.zeta_vanishes:
         return 0.0 + 0.0j

@@ -20,12 +20,10 @@ from .geometry import (
     Alignment,
     ConeParameter,
     PairConfig,
-    f_arguments,
-    image_radicands,
     image_set,
+    pair_f_arguments,
     radial_distances,
     radial_pair,
-    zeta_integral_vanishes,
 )
 from .quadrature import (
     Bracket,
@@ -129,8 +127,7 @@ def _response_totals(alignment: Alignment, cone: ConeParameter, rho: np.ndarray,
     seen, terms = image_set(alignment, cone)
     distinct, inverse = np.unique(rho, return_inverse=True)
     images = image_sum(distinct, terms, gap)
-    integral = 0.0 if seen.is_integer else np.array(
-        [p_integral(float(r), seen, gap, tol) for r in distinct])
+    integral = p_integral(distinct, seen, gap, tol)
     # clamped at zero as ResponseBreakdown.total is
     totals = np.maximum(p_flat(gap) + images + integral, 0.0)
     return np.broadcast_to(totals, distinct.shape)[inverse]
@@ -140,18 +137,22 @@ def _scan_margins(alignment: Alignment, cone: ConeParameter, l: np.ndarray, d: n
                   gap: float, tol: float):
     """Margins |X| - sqrt(P_A P_B) at equal-shape arrays l, d in one array pass.
 
-    Runs the expressions of concurrence() on whole arrays; only non-integer-nu
-    zeta integrals still run once per point, through the scalar quadrature.
-    The caller validates the parameters.  Points where d/2 or an image
-    argument is at or below EPS_DIV (the DivergentOverlap cases of
-    concurrence) get margin None; their d values are returned as skipped.
+    Runs the expressions of concurrence() on whole arrays; at non-integer nu
+    each zeta integral (P per distinct rho, X per point) runs once for the
+    whole scan, its points sharing one adaptive subdivision.  The caller
+    validates the parameters.  Points where d/2 or an image argument is at or
+    below EPS_DIV (the DivergentOverlap cases of concurrence) get margin
+    None; their d values are returned as skipped.
     """
-    image_args = [(weight, np.sqrt(radicand))
-                  for _, weight, radicand in image_radicands(alignment, cone, l, d)]
+    geo = pair_f_arguments(alignment, cone, l, d)
     ok = d / 2.0 > EPS_DIV
-    for _, z in image_args:
+    for _, _, z in geo.image_args:
         ok &= z > EPS_DIV
     l_ok, d_ok = l[ok], d[ok]
+    if not ok.all():
+        if not ok.any():
+            return [None] * d.size, d.tolist()
+        geo = pair_f_arguments(alignment, cone, l_ok, d_ok)
 
     rho_a, rho_b = radial_distances(alignment, l_ok, d_ok)
     p_a = _response_totals(alignment, cone, rho_a, gap, tol)
@@ -160,15 +161,9 @@ def _scan_margins(alignment: Alignment, cone: ConeParameter, l: np.ndarray, d: n
 
     flat = aux_f(d_ok / 2.0, gap)
     images = 0.0 + 0.0j
-    for weight, z in image_args:
-        images += 2.0 * weight * aux_f(z[ok], gap)
-    integral = 0.0 + 0.0j
-    if not zeta_integral_vanishes(alignment, cone):
-        integral = np.array([
-            x_integral(f_arguments(PairConfig(alignment, l=float(li), d=float(di), gap=gap),
-                                   cone), gap, cone, tol)
-            for li, di in zip(l_ok, d_ok)])
-    x_total = flat + images + integral
+    for _, weight, z in geo.image_args:
+        images += 2.0 * weight * aux_f(z, gap)
+    x_total = flat + images + x_integral(geo, gap, cone, tol)
     # np.hypot is the libm hypot behind Python's abs(complex); np.abs on a
     # complex array may take a SIMD path that differs in the last bit
     margin_ok = np.hypot(x_total.real, x_total.imag) - np.sqrt(p_a * p_b)

@@ -14,6 +14,7 @@ image subtracted instead of added.
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Tuple
@@ -129,6 +130,9 @@ class ImageTerm:
     sin_term: float
 
 
+# image_set, image_radicands and zeta_integral_vanishes each ask for a cone's
+# terms, several times per concurrence; the tuple is immutable, so share it
+@functools.lru_cache(maxsize=256)
 def image_terms(cone: ConeParameter) -> Tuple[ImageTerm, ...]:
     """The floor(nu/2) conical image terms with the even-integer half-weight rule.
 
@@ -217,8 +221,9 @@ class FArguments:
     """Correlation-term geometry: image f-arguments and the zeta-integral pieces.
 
     image_args holds (m, weight, z_m).  zeta_argument maps an array of zeta to
-    the f-argument z(zeta); zeta_coefficient maps zeta to the integral
-    coefficient.  zeta_vanishes marks coefficients that are identically zero
+    the f-argument z(zeta), one row per point for a batch of points;
+    zeta_coefficient maps zeta to the integral coefficient.  zeta_vanishes
+    marks coefficients that are identically zero
     (integer nu same-side, integer or half-integer nu opposite-sides).
     zeta_breakpoints force subdivision across the near-zero coefficient peak.
     """
@@ -263,9 +268,28 @@ def coefficient_breakpoints(nu: float, angle: float) -> Tuple[float, ...]:
     return ()
 
 
+def point_rows(x):
+    """A scalar unchanged, an array of points as a column.
+
+    Broadcast against a node array, the column gives one row per point, while
+    a scalar keeps the node array's shape (how one point and a batch of
+    points share one integrand).
+    """
+    # getattr, not np.ndim: this runs on every scalar concurrence, where np.ndim costs more
+    return np.asarray(x, dtype=float)[:, None] if getattr(x, "ndim", 0) else x
+
+
 def f_arguments(config: PairConfig, cone: ConeParameter) -> FArguments:
+    """Image arguments and zeta-integral pieces for the correlation term X of one pair."""
+    return pair_f_arguments(config.alignment, cone, config.l, config.d)
+
+
+def pair_f_arguments(alignment: Alignment, cone: ConeParameter, l, d) -> FArguments:
     """Image arguments and zeta-integral pieces for the correlation term X.
 
+    ``l`` and ``d`` are scalars or equal-shape 1-D arrays of validated points.
+    For arrays each image argument z_m is an array, and zeta_argument maps a
+    node array of zeta to one row per point (see point_rows).
     Every alignment is served through the images it sees (image_set).
     Same-side geometries (parallel / orthogonal):
         z_m    = sqrt(d^2/4 + rho_A rho_B sin^2(m pi / nu))
@@ -275,15 +299,16 @@ def f_arguments(config: PairConfig, cone: ConeParameter) -> FArguments:
                  (radicand = (d/2 - l)^2 + rho_A rho_B cos^2 >= 0 given d >= 2l)
         z(zeta) = sqrt(d^2/4 + rho_A rho_B (cosh zeta - 1)/2)
     """
-    cone, _ = image_set(config.alignment, cone)
-    rho_a, rho_b = radial_pair(config)
-    product = rho_a * rho_b
-    quarter_d2 = config.d * config.d / 4.0
-    images = tuple((m, weight, math.sqrt(radicand)) for m, weight, radicand
-                   in image_radicands(config.alignment, cone, config.l, config.d))
-    vanishes = zeta_integral_vanishes(config.alignment, cone)
+    cone, _ = image_set(alignment, cone)
+    rho_a, rho_b = radial_distances(alignment, l, d)
+    product = point_rows(rho_a * rho_b)
+    quarter_d2 = point_rows(d * d / 4.0)
+    sqrt = np.sqrt if getattr(d, "ndim", 0) else math.sqrt
+    images = tuple((m, weight, sqrt(radicand)) for m, weight, radicand
+                   in image_radicands(alignment, cone, l, d))
+    vanishes = zeta_integral_vanishes(alignment, cone)
 
-    if config.alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES:
+    if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES:
         coefficient = opposite_sides_coefficient(cone.nu)
         breakpoints = coefficient_breakpoints(cone.nu, 2.0 * cone.nu * math.pi)
 

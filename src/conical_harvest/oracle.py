@@ -6,7 +6,21 @@ principal-value part (numerical, pole-subtracted) plus delta terms (analytic),
 exactly as the distribution-theoretic derivation prescribes.  No closed-form
 error-function path from the production modules is used: this module depends
 only on the quadrature engine, the geometry enumeration, and elementary
-functions, so an oracle/production match validates the closed forms.
+functions.  That independence is the point of an oracle: production P and X
+come from the response kernel and aux_f (Faddeeva closed forms), so a match
+between the two routes validates those closed forms, whereas an oracle that
+called them would only compare the code with itself.
+
+The nested P2 and non-integer X_P integrals take a PV s-integral at every
+node of an outer zeta integral, with a pole c(zeta) that moves from node to
+node.  Rescaling s = c t,
+
+    PV int_0^inf n(s)/(s^2 - c^2) ds = (1/c) PV int_0^inf n(c t)/(t^2 - 1) dt,
+
+puts every node's pole at t = 1, so the 15 inner integrals of one outer GK15
+panel run as one integrate_pv call with a components axis (one row n(c_i t)
+per node).  The t-tolerance is _PV_TOL * min(c): after the division by c_i
+each inner s-integral still meets _PV_TOL.
 
 All values per lambda^2, lengths in sigma units, gap g = Omega*sigma.
 """
@@ -153,13 +167,10 @@ def p2_oracle(rho: float, cone: ConeParameter, gap: float, tol: float = _OUTER_T
     coefficient = _same_side_raw_coefficient(cone.nu)
     numerator = _gaussian_cos(gap)
 
-    def inner(zeta):
-        c = 2.0 * rho * math.cosh(zeta / 2.0)
-        pv = integrate_pv(numerator, [c], tol=_PV_TOL).value
-        return 2.0 * pv + math.pi / c * math.exp(-c * c / 4.0) * math.sin(gap * c)
-
     def outer(zetas):
-        return np.array([coefficient(z) * inner(float(z)) for z in np.atleast_1d(zetas)])
+        c = 2.0 * rho * np.cosh(zetas / 2.0)
+        delta = np.pi / c * np.exp(-c * c / 4.0) * np.sin(gap * c)
+        return coefficient(zetas) * (2.0 * _rescaled_pv(numerator, c) + delta)
 
     zmax = tail_cutoff(cone.nu, tol)
     breakpoints = coefficient_breakpoints(cone.nu, cone.nu * math.pi)
@@ -187,11 +198,18 @@ def x0_oracle(d: float, gap: float, tol: float = _PV_TOL) -> complex:
     return complex(real, imag)
 
 
-def _pv_plus_delta(numerator, pole, tol):
-    """PV int_0^inf n(u)/(u^2 - D^2) du - i pi n(D)/(2D) for one pole pair."""
-    pv = integrate_pv(numerator, [pole], tol=tol).value
-    n_at = float(np.asarray(numerator(np.array([pole])))[0])
-    return complex(pv, -math.pi * n_at / (2.0 * pole))
+def _rescaled_pv(numerator, poles):
+    """PV int_0^inf n(s)/(s^2 - c^2) ds for every c in ``poles``, in one integrate_pv call.
+
+    Each integral is rescaled by s = c t to the shared pole t = 1 (see the
+    module docstring); the t-tolerance _PV_TOL * min(c) keeps every s-integral
+    within _PV_TOL.
+    """
+    def rows(t):
+        return numerator(np.multiply.outer(poles, t))
+
+    pv = integrate_pv(rows, [1.0], tol=_PV_TOL * float(poles.min())).value
+    return pv / poles
 
 
 def xp_oracle(config: PairConfig, cone: ConeParameter, tol: float = _OUTER_TOL) -> complex:
@@ -228,12 +246,9 @@ def xp_oracle(config: PairConfig, cone: ConeParameter, tol: float = _OUTER_TOL) 
         coefficient = _same_side_raw_coefficient(cone.nu)
 
         def outer(zetas):
-            rows = []
-            for z in np.atleast_1d(zetas):
-                big_d = math.sqrt(d * d + 2.0 * l * l * (1.0 + math.cosh(float(z))))
-                inner = _pv_plus_delta(numerator, big_d, _PV_TOL)
-                rows.append(coefficient(z) * np.array([inner.real, inner.imag]))
-            return np.array(rows).T
+            big_d = np.sqrt(d * d + 2.0 * l * l * (1.0 + np.cosh(zetas)))
+            delta = -np.pi * numerator(big_d) / (2.0 * big_d)
+            return coefficient(zetas) * np.stack([_rescaled_pv(numerator, big_d), delta])
 
         zmax = tail_cutoff(cone.nu, tol)
         breakpoints = coefficient_breakpoints(cone.nu, cone.nu * math.pi)

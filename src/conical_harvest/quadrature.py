@@ -5,12 +5,16 @@ subdivision.  Semi-infinite integrals are truncated at a point where the
 caller-supplied exponential tail bound drops below tol/10.  Principal-value
 integrals use pole-symmetric subtraction inside a finite excision window plus
 an exact log term, with the power-law far tail mapped to a finite interval by
-u -> 1/u.
+u -> 1/u.  Every integrator takes a components axis: an integrand returning
+(k, n) instead of (n,) integrates k functions on one shared subdivision, which
+is how a batch of points (a scan axis, an oracle panel's nodes) costs one
+adaptive pass instead of k.
 """
 
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -58,8 +62,11 @@ _MIN_WIDTH_FACTOR = 1e-14
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float
-    error_estimate: float
+    """Value and error estimate: floats for one integrand, length-k arrays for a
+    components axis of k integrands sharing one subdivision."""
+
+    value: Union[float, np.ndarray]
+    error_estimate: Union[float, np.ndarray]
     evaluations: int
 
 
@@ -143,32 +150,53 @@ def integrate_semi_infinite(integrand, tail_rate, tol=DEFAULT_TOL, breakpoints=(
     The domain is truncated at z_max = (ln(1/tol) + 5)/tail_rate, where the
     analytic tail bound is below tol/10, then subdivided adaptively.
     ``breakpoints`` force initial subdivision (sharp features near z = 0).
+    An integrand returning (n,) gives a float value and error; one returning
+    (k, n) gives length-k arrays, all k integrals sharing one subdivision.
     """
     if tail_rate <= 0:
         raise InvalidParameter("tail_rate must be > 0")
     if tol <= 0:
         raise InvalidParameter("tol must be > 0")
     zmax = tail_cutoff(tail_rate, tol)
-    vals, errs, evals = integrate_adaptive(integrand, 0.0, zmax, tol, breakpoints=breakpoints)
-    return QuadratureResult(float(vals[0]), float(errs[0]), evals)
+    one_row = []
+
+    def rows(z):
+        y = integrand(z)
+        if not one_row:
+            one_row.append(np.ndim(y) == 1)
+        return y
+
+    vals, errs, evals = integrate_adaptive(rows, 0.0, zmax, tol, breakpoints=breakpoints)
+    if one_row[0]:
+        return QuadratureResult(float(vals[0]), float(errs[0]), evals)
+    return QuadratureResult(vals, errs, evals)
 
 
 def integrate_semi_infinite_complex(integrand, tail_rate, tol=DEFAULT_TOL, breakpoints=()):
-    """Complex variant: two real integrations sharing one adaptive subdivision.
+    """Complex variant: real and imaginary parts integrated on one adaptive subdivision.
 
     ``integrand`` maps a node array to a complex array; returns
-    (complex value, QuadratureResult-like error info as (err_re, err_im), evals).
+    (complex value, (err_re, err_im), evals).  An integrand returning (k, n)
+    gives a length-k complex array and length-k error arrays instead, all 2k
+    real integrals sharing the subdivision.
     """
     if tail_rate <= 0:
         raise InvalidParameter("tail_rate must be > 0")
     zmax = tail_cutoff(tail_rate, tol)
+    one_row = []
 
     def two_rows(z):
         w = np.asarray(integrand(z), dtype=complex)
-        return np.stack([w.real, w.imag])
+        if not one_row:
+            one_row.append(w.ndim == 1)
+        # real parts of every component first, then the imaginary parts
+        return np.stack([w.real, w.imag]).reshape(-1, w.shape[-1])
 
     vals, errs, evals = integrate_adaptive(two_rows, 0.0, zmax, tol, breakpoints=breakpoints)
-    return complex(vals[0], vals[1]), (float(errs[0]), float(errs[1])), evals
+    if one_row[0]:
+        return complex(vals[0], vals[1]), (float(errs[0]), float(errs[1])), evals
+    k = vals.size // 2
+    return vals[:k] + 1j * vals[k:], (errs[:k], errs[k:]), evals
 
 
 # --- principal value -------------------------------------------------------
@@ -194,6 +222,12 @@ def _excision_widths(poles, lo_edge):
 
 def integrate_pv(numerator, poles, domain=SEMI_INFINITE, tol=DEFAULT_PV_TOL, weights=None):
     """PV integral of numerator(s) * sum_j q_j / (s^2 - c_j^2) over the domain.
+
+    ``numerator`` maps a node array of shape (n,) to (n,) for one integral or
+    to (k, n) for k numerators sharing the poles (a components axis): all k
+    integrals then run on one adaptive subdivision, the error test applies to
+    the worst component, and the result's value and error are length-k arrays
+    instead of floats.
 
     Each simple pole pair +-c_j is handled by pole-symmetric subtraction inside
     a window [c-w, c+w]: the smooth remainder (n(s) - n(c)) q/(s^2 - c^2) is
@@ -283,28 +317,29 @@ def integrate_pv(numerator, poles, domain=SEMI_INFINITE, tol=DEFAULT_PV_TOL, wei
     # The window is split at the pole so no quadrature node lands on the
     # removable 0/0 of the subtracted integrand.
     for j, (c, w, q) in enumerate(zip(poles, widths, weights)):
-        n_c = float(np.asarray(n_func(np.array([c])))[0])
+        n_c = np.asarray(n_func(np.array([c])), dtype=float)[..., 0]
 
-        def window(s, _j=j, _c=c, _nc=n_c, _q=q):
+        def window(s, _j=j, _c=c, _nc=n_c[..., None], _q=q):
             s = np.asarray(s, dtype=float)
             sub = (np.asarray(n_func(s)) - _nc) * _q / (s * s - _c * _c)
             return sub + np.asarray(n_func(s)) * rational(s, skip=_j)
 
         pieces.append((window, c - w, c + w, (c,)))
         analytic += q * n_c / (2.0 * c) * np.log((2.0 * c - w) / (2.0 * c + w))
+    components = n_c.shape      # () for one numerator, (k,) for a components axis
 
     # Far tail via inversion u -> 1/u (exact for constant numerators).
     if hi is None:
         def far(v):
             v = np.asarray(v, dtype=float)
-            out = np.zeros_like(v)
+            out = np.zeros(components + v.shape)
             pos = v > 0
             if np.any(pos):
                 s = 1.0 / v[pos]
                 total = np.zeros_like(s)
                 for c, q in zip(poles, weights):
                     total += q / (1.0 - (c * v[pos]) ** 2)
-                out[pos] = np.asarray(n_func(s)) * total
+                out[..., pos] = np.asarray(n_func(s)) * total
             return out
 
         pieces.append((far, 0.0, 1.0 / far_lo, ()))
@@ -315,9 +350,11 @@ def integrate_pv(numerator, poles, domain=SEMI_INFINITE, tol=DEFAULT_PV_TOL, wei
     evals = 0
     for func, a, b, forced in pieces:
         vals, errs, n = integrate_adaptive(func, a, b, tol_piece, breakpoints=forced)
-        value += float(vals[0])
-        err += float(errs[0])
+        value = value + vals
+        err = err + errs
         evals += n
+    if not components:
+        value, err = float(value[0]), float(err[0])
     return QuadratureResult(fold * value, fold * err, evals)
 
 

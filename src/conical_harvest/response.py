@@ -32,6 +32,7 @@ from .geometry import (
     ImageTerm,
     coefficient_breakpoints,
     image_terms,
+    point_rows,
     same_side_coefficient,
 )
 from .quadrature import DEFAULT_TOL, integrate_semi_infinite
@@ -93,11 +94,17 @@ def image_sum(rho, terms: Tuple[ImageTerm, ...], gap: float):
     return images
 
 
-def p_integral(rho: float, cone: ConeParameter, gap: float, tol: float = DEFAULT_TOL) -> float:
-    """P_integral at one radial distance; exactly zero at integer nu."""
+def p_integral(rho, cone: ConeParameter, gap: float, tol: float = DEFAULT_TOL):
+    """P_integral at radial distance(s) rho; exactly zero at integer nu.
+
+    ``rho`` is a scalar (float result) or a 1-D array of validated distances
+    (array result); an array runs as one integral whose points share one
+    adaptive subdivision, each within ``tol``.
+    """
     if cone.is_integer:
         return 0.0
     coefficient = same_side_coefficient(cone.nu)
+    rho = point_rows(rho)
 
     def integrand(zeta):
         b = rho * np.cosh(np.asarray(zeta) / 2.0)

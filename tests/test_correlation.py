@@ -5,8 +5,8 @@ import pytest
 
 from conical_harvest.correlation import correlation_for, x_boundary, x_flat, x_string
 from conical_harvest.errors import DivergentOverlap, InvalidParameter
-from conical_harvest.geometry import Alignment, ConeParameter, PairConfig
-from conical_harvest.special import erfc_complex
+from conical_harvest.geometry import Alignment, ConeParameter, PairConfig, f_arguments
+from conical_harvest.special import aux_f, erfc_complex
 
 GAP = 0.1
 
@@ -167,3 +167,23 @@ def test_boundary_is_the_subtracted_nu2_image(boundary, twin, l, d, gap):
     assert bd.x_images == -string.x_images != 0.0
     assert bd.x_flat == string.x_flat
     assert bd.x_integral == string.x_integral == 0.0
+
+
+@pytest.mark.parametrize("alignment, nu", [
+    (Alignment.PARALLEL, 4.0),
+    (Alignment.ORTHOGONAL_SAME_SIDE, 5.5),
+    (Alignment.ORTHOGONAL_OPPOSITE_SIDES, 3.7),
+    (Alignment.BOUNDARY_ORTHOGONAL, 1.0),
+    (Alignment.FLAT, 3.0),
+])
+def test_x_string_lists_its_image_terms(alignment, nu):
+    config = PairConfig(alignment, l=0.4, d=1.1, gap=GAP)
+    breakdown = x_string(config, ConeParameter(nu))
+    images = 0.0 + 0.0j
+    for (m, weight, z, term), (m_geo, weight_geo, z_geo) in zip(
+            breakdown.image_terms, f_arguments(config, ConeParameter(nu)).image_args):
+        assert (m, weight, z) == (m_geo, weight_geo, z_geo)
+        assert term == 2.0 * weight * aux_f(z, GAP)
+        images += term
+    assert len(breakdown.image_terms) == len(f_arguments(config, ConeParameter(nu)).image_args)
+    assert images == breakdown.x_images

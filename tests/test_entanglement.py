@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conical_harvest import quadrature
 from conical_harvest.correlation import x_flat
 from conical_harvest.entanglement import (
     _scan_margins,
@@ -313,6 +314,53 @@ def test_d_max_equals_brent_on_a_scalar_reference_scan(alignment, nu, l):
 def test_terminal_l_equals_brent_on_a_scalar_reference_scan():
     cone = ConeParameter(3.0)
     grid_n, l_hi = 64, 4.0
+
+    def margin(l):
+        return _scalar_margin(Alignment.ORTHOGONAL_OPPOSITE_SIDES, cone, l, 2.0 * l)
+
+    expected = _reference_root(margin, np.linspace(l_hi / grid_n, l_hi, grid_n), 1e-6)
+    assert opposite_sides_terminal_l(cone, GAP, l_hi=l_hi, grid_n=grid_n) == expected
+
+
+SCAN_ALIGNMENTS = [Alignment.PARALLEL, Alignment.ORTHOGONAL_SAME_SIDE,
+                   Alignment.ORTHOGONAL_OPPOSITE_SIDES]
+
+
+@pytest.mark.parametrize("alignment", SCAN_ALIGNMENTS)
+def test_d_max_zeta_integrals_do_not_grow_with_the_grid(alignment, monkeypatch):
+    # at non-integer nu the scan's zeta integrals run once per scan, not once per point
+    calls = [0]
+    integrate_adaptive = quadrature.integrate_adaptive
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return integrate_adaptive(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_adaptive", counting)
+    counts = {}
+    for grid_n in (64, 512):
+        calls[0] = 0
+        d_max(alignment, ConeParameter(2.5), l=0.5, gap=GAP, grid_n=grid_n)
+        counts[grid_n] = calls[0]
+    assert 0 < counts[512] <= counts[64] < 64, counts
+
+
+@pytest.mark.parametrize("alignment", SCAN_ALIGNMENTS)
+def test_d_max_at_non_integer_nu_equals_brent_on_a_scalar_reference_scan(alignment):
+    cone = ConeParameter(3.7)
+    l, grid_n, d_hi = 0.5, 48, 8.0
+    d_lo = 2.0 * l if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES else d_hi / grid_n
+    result = d_max(alignment, cone, l=l, gap=GAP, d_hi=d_hi, grid_n=grid_n)
+
+    def margin(d):
+        return _scalar_margin(alignment, cone, l, d)
+
+    assert result.value == _reference_root(margin, np.linspace(d_lo, d_hi, grid_n), 1e-6)
+
+
+def test_terminal_l_at_non_integer_nu_equals_brent_on_a_scalar_reference_scan():
+    cone = ConeParameter(3.7)
+    grid_n, l_hi = 48, 4.0
 
     def margin(l):
         return _scalar_margin(Alignment.ORTHOGONAL_OPPOSITE_SIDES, cone, l, 2.0 * l)

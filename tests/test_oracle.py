@@ -2,11 +2,19 @@ import ast
 import inspect
 import math
 
+import numpy as np
 import pytest
 
 from conical_harvest import oracle
 from conical_harvest.correlation import x_flat, x_string
-from conical_harvest.geometry import Alignment, ConeParameter, PairConfig
+from conical_harvest.geometry import (
+    Alignment,
+    ConeParameter,
+    PairConfig,
+    coefficient_breakpoints,
+    image_terms,
+)
+from conical_harvest.quadrature import integrate_adaptive, integrate_pv, tail_cutoff
 from conical_harvest.response import p_flat, p_string
 
 
@@ -122,3 +130,93 @@ def test_compare_absolute_fallback():
     assert report.passed  # absolute fallback below 1e-12
     report = oracle.compare("off", 1.0, 2.0, 1e-6)
     assert not report.passed
+
+
+# --- the nested oracles' batched inner integrals ---------------------------------
+
+
+def _per_node_nested(nu, inner, rows):
+    """Outer zeta integral of sin(nu pi)/(cosh(nu zeta) - cos(nu pi)) * inner(zeta),
+    with one scalar inner integral per node: the unbatched reference."""
+    s, c = math.sin(nu * math.pi), math.cos(nu * math.pi)
+
+    def outer(zetas):
+        return np.array([s / (math.cosh(nu * z) - c) * np.asarray(inner(float(z)))
+                         for z in zetas]).reshape(len(zetas), rows).T
+
+    vals, _, _ = integrate_adaptive(outer, 0.0, tail_cutoff(nu, 1e-8), 1e-8,
+                                    breakpoints=coefficient_breakpoints(nu, nu * math.pi))
+    return vals
+
+
+def _per_node_p2(rho, nu, gap):
+    def numerator(s):
+        s = np.asarray(s, dtype=float)
+        return np.cos(gap * s) * np.exp(-s * s / 4.0)
+
+    def inner(zeta):
+        c = 2.0 * rho * math.cosh(zeta / 2.0)
+        pv = integrate_pv(numerator, [c], tol=1e-10).value
+        return 2.0 * pv + math.pi / c * math.exp(-c * c / 4.0) * math.sin(gap * c)
+
+    return nu / (4.0 * math.pi ** 2.5) * float(_per_node_nested(nu, inner, 1)[0])
+
+
+def _per_node_xp(l, d, nu, gap):
+    def numerator(u):
+        return np.exp(-np.asarray(u, dtype=float) ** 2 / 4.0)
+
+    def inner(zeta):
+        big_d = math.sqrt(d * d + 2.0 * l * l * (1.0 + math.cosh(zeta)))
+        pv = integrate_pv(numerator, [big_d], tol=1e-10).value
+        return [pv, -math.pi * math.exp(-big_d * big_d / 4.0) / (2.0 * big_d)]
+
+    prefactor = math.exp(-gap * gap)
+    total = oracle.x0_oracle(d, gap)
+    terms = image_terms(ConeParameter(nu))
+    if terms:
+        poles = [math.sqrt(d * d + 4.0 * l * l * t.sin_term ** 2) for t in terms]
+        weights = [t.weight for t in terms]
+        pv = integrate_pv(numerator, poles, tol=1e-10, weights=weights).value
+        delta = sum(-math.pi * w * math.exp(-p * p / 4.0) / (2.0 * p)
+                    for w, p in zip(weights, poles))
+        total += prefactor / math.pi ** 1.5 * complex(pv, delta)
+    re, im = _per_node_nested(nu, inner, 2)
+    return total - nu / (2.0 * math.pi ** 2.5) * prefactor * complex(re, im)
+
+
+@pytest.mark.parametrize("nu", [1.15, 1.5, 2.5, 3.7])
+@pytest.mark.parametrize("rho", [0.3, 1.0, 2.0])
+def test_batched_nested_oracles_match_the_per_node_loop(nu, rho):
+    gap, d = 0.1, 1.0
+    cone = ConeParameter(nu)
+    want = _per_node_p2(rho, nu, gap)
+    assert abs(oracle.p2_oracle(rho, cone, gap) - want) <= 1e-12 * abs(want)
+    want = _per_node_xp(rho, d, nu, gap)
+    got = oracle.xp_oracle(PairConfig(Alignment.PARALLEL, l=rho, d=d, gap=gap), cone)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("nu", [1.5, 3.7])
+def test_nested_oracles_run_one_pv_call_per_outer_panel(nu, monkeypatch):
+    pv_calls, panels = [0], [0]
+
+    def counting_pv(*args, **kwargs):
+        pv_calls[0] += 1
+        return integrate_pv(*args, **kwargs)
+
+    def counting_outer(*args, **kwargs):
+        values, errors, evals = integrate_adaptive(*args, **kwargs)
+        panels[0] += evals // 15
+        return values, errors, evals
+
+    monkeypatch.setattr(oracle, "integrate_pv", counting_pv)
+    monkeypatch.setattr(oracle, "integrate_adaptive", counting_outer)
+    cone = ConeParameter(nu)
+    oracle.p2_oracle(0.7, cone, 0.1)
+    assert panels[0] > 1 and pv_calls[0] == panels[0]
+
+    pv_calls[0] = panels[0] = 0
+    oracle.xp_oracle(PairConfig(Alignment.PARALLEL, l=0.7, d=1.0, gap=0.1), cone)
+    # beside the panels: X0's pole and, from nu = 2 on, the image poles
+    assert pv_calls[0] == panels[0] + 1 + (nu >= 2.0)

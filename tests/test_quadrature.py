@@ -151,6 +151,70 @@ def test_pv_bracket_domain():
     assert res.value == pytest.approx(0.5 * math.log(1.0 / 3.0), abs=1e-11)
 
 
+# --- the components axis -------------------------------------------------------
+
+
+def _gaussian_rows(widths, freqs):
+    """Numerator with one row cos(b_i s) e^{-s^2/a_i} per (a_i, b_i)."""
+    widths = np.asarray(widths, dtype=float)[:, None]
+    freqs = np.asarray(freqs, dtype=float)[:, None]
+
+    def rows(s):
+        s = np.asarray(s, dtype=float)
+        return np.cos(freqs * s) * np.exp(-s * s / widths)
+
+    return rows
+
+
+@pytest.mark.parametrize("domain", ["semi-infinite", REAL_LINE, Bracket(0.2, 5.0)])
+def test_pv_components_match_scalar_calls(domain):
+    widths, freqs = (4.0, 1.0, 9.0, 0.5), (0.0, 0.3, 2.0, 1.1)
+    poles, weights, tol = [0.7, 2.0], [1.0, 0.5], 1e-10
+    batch = integrate_pv(_gaussian_rows(widths, freqs), poles, domain=domain, tol=tol,
+                         weights=weights)
+    assert batch.value.shape == batch.error_estimate.shape == (len(widths),)
+    assert np.all(batch.error_estimate <= tol)
+    for i, (a, b) in enumerate(zip(widths, freqs)):
+        single = integrate_pv(lambda s: _gaussian_rows([a], [b])(s)[0], poles, domain=domain,
+                              tol=tol, weights=weights)
+        assert abs(batch.value[i] - single.value) <= tol
+        assert single.error_estimate <= tol
+
+
+def test_pv_one_row_numerator_still_returns_floats():
+    res = integrate_pv(lambda u: np.exp(-np.asarray(u, dtype=float) ** 2 / 4.0), [1.0], tol=1e-10)
+    assert type(res.value) is float and type(res.error_estimate) is float
+    # a (1, n) numerator is a batch of one: arrays, with the same value
+    batch = integrate_pv(_gaussian_rows([4.0], [0.0]), [1.0], tol=1e-10)
+    assert batch.value.shape == (1,) and abs(batch.value[0] - res.value) <= 1e-10
+
+
+def test_pv_components_raise_as_one_row_does():
+    rows = _gaussian_rows((1.0, 2.0), (0.0, 0.0))
+    with pytest.raises(PolesTooClose):
+        integrate_pv(rows, [1.0, 1.0 + 1e-9], tol=1e-8)
+    with pytest.raises(InvalidParameter):
+        integrate_pv(rows, [-1.0], tol=1e-8)
+    with pytest.raises(InvalidParameter):
+        integrate_pv(rows, [5.0], domain=Bracket(0.0, 1.0), tol=1e-8)
+    with pytest.raises(InvalidParameter):
+        integrate_pv(rows, [], tol=1e-8)
+    with pytest.raises(InvalidParameter):
+        integrate_pv(rows, [1.0], tol=1e-8, weights=[1.0, 2.0])
+
+
+def test_semi_infinite_components_match_scalar_calls():
+    rates = np.array([0.5, 1.0, 3.0])
+    res = integrate_semi_infinite(lambda z: np.exp(-np.multiply.outer(rates, z)),
+                                  tail_rate=0.5, tol=1e-10)
+    assert res.value.shape == (3,) and np.all(res.error_estimate <= 1e-10)
+    assert np.allclose(res.value, 1.0 / rates, rtol=0.0, atol=1e-10)
+    value, (err_re, err_im), _ = integrate_semi_infinite_complex(
+        lambda z: np.exp(-np.multiply.outer(rates, z)) * (1.0 + 2.0j), tail_rate=0.5, tol=1e-10)
+    assert value.shape == err_re.shape == err_im.shape == (3,)
+    assert np.allclose(value, (1.0 + 2.0j) / rates, rtol=0.0, atol=1e-10)
+
+
 def test_tolerance_not_met():
     def needs_many(x):
         x = np.asarray(x, dtype=float)

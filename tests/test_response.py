@@ -5,7 +5,7 @@ import pytest
 
 from conical_harvest.errors import InvalidParameter
 from conical_harvest.geometry import ConeParameter
-from conical_harvest.response import FAULT_ENV, p_boundary, p_flat, p_string
+from conical_harvest.response import FAULT_ENV, p_boundary, p_flat, p_integral, p_string
 from conical_harvest.special import erfc_complex
 
 GAP = 0.1
@@ -124,3 +124,15 @@ def test_invalid_rho():
         p_string(-1.0, ConeParameter(2.0), GAP)
     with pytest.raises(InvalidParameter):
         p_boundary(-1.0, GAP)
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.5, 3.7])
+def test_p_integral_of_an_array_matches_one_call_per_point(nu):
+    cone = ConeParameter(nu)
+    rho = np.array([0.0, 0.05, 0.4, 1.3, 6.0])
+    batch = p_integral(rho, cone, GAP, tol=1e-10)
+    assert batch.shape == rho.shape
+    for r, got in zip(rho, batch):
+        one = p_integral(float(r), cone, GAP, tol=1e-10)
+        assert type(one) is float and abs(got - one) <= 1e-10
+    assert p_integral(rho, ConeParameter(3.0), GAP) == 0.0
