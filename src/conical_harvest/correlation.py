@@ -5,7 +5,9 @@ X_images = 2 sum_m' w_m f(z_m), and X_integral the zeta-integral of
 coef(zeta) f(z(zeta)); the geometry module supplies z_m, z(zeta), and the
 coefficient per alignment.  A reflecting boundary is the subtracted nu = 2
 image (weight -1/2, so X_images = -f(z_1)), and flat spacetime is nu = 1 with
-no images; both have a vanishing zeta coefficient.
+no images; both have a vanishing zeta coefficient.  One assembly
+(``_x_breakdown``) serves x_string's single pair and the d_max scan's batch of
+points.
 """
 
 from dataclasses import dataclass
@@ -39,13 +41,14 @@ class CorrelationBreakdown:
         return self.x_flat + self.x_images + self.x_integral
 
 
-def x_flat(d: float, gap: float) -> complex:
+def x_flat(d, gap: float):
     """Flat-spacetime correlation X0 = f(d/2) per lambda^2.
 
     |X0| decreases monotonically in d and diverges as d -> 0; separations at
-    or below the cutoff raise DivergentOverlap (point-model breakdown).
+    or below the cutoff raise DivergentOverlap (point-model breakdown).  An
+    array of separations gives an array.
     """
-    if d <= EPS_DIV:
+    if not getattr(d, "ndim", 0) and d <= EPS_DIV:
         raise DivergentOverlap(argument=d / 2.0, image_index=None,
                                message=f"flat correlation diverges as d -> 0 (d={d!r})")
     try:
@@ -63,21 +66,29 @@ def x_string(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL) 
     cutoff, e.g. the symmetric opposite-sides case at even integer nu) raises
     DivergentOverlap carrying the offending image index.
     """
-    geo = f_arguments(config, cone)
-    flat = x_flat(config.d, config.gap)
+    return _x_breakdown(f_arguments(config, cone), config.d, config.gap, cone, tol)
 
+
+def _x_breakdown(geo: FArguments, d, gap: float, cone: ConeParameter,
+                 tol: float) -> CorrelationBreakdown:
+    """X0 + 2 sum_m' w_m f(z_m) + X_integral from pair_f_arguments and separation d.
+
+    One pair gives complex parts; equal-shape arrays (a batch of validated,
+    overlap-free points, as the d_max scan hands over) give complex arrays.
+    """
+    flat = x_flat(d, gap)
     images = 0.0 + 0.0j
     terms = []
     for m, weight, z in geo.image_args:
         try:
-            term = 2.0 * weight * aux_f(z, config.gap)
+            term = 2.0 * weight * aux_f(z, gap)
         except DivergentArgument as exc:
             raise DivergentOverlap(argument=exc.z, image_index=m) from exc
         images += term
         terms.append((m, weight, z, term))
 
     return CorrelationBreakdown(x_flat=flat, x_images=images,
-                                x_integral=x_integral(geo, config.gap, cone, tol),
+                                x_integral=x_integral(geo, gap, cone, tol),
                                 image_terms=tuple(terms))
 
 

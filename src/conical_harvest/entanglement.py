@@ -4,6 +4,9 @@ At leading perturbative order the two-detector concurrence is
 2 max(0, |X| - sqrt(P_A P_B)) per lambda^2; everything here assembles that
 from the response and correlation modules and searches it (largest
 harvesting-achievable separation d_max, extremal deficit-angle parameter).
+One evaluator serves a pair and a scan: the responses (``_responses``) and
+the X assembly (``correlation._x_breakdown``) that ``concurrence`` runs on one
+point are what the d_max scan runs on its whole grid at once.
 """
 
 import math
@@ -14,7 +17,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.special import erfc as _erfc_real
 
-from .correlation import CorrelationBreakdown, correlation_for, x_integral
+from .correlation import CorrelationBreakdown, _x_breakdown, correlation_for
 from .errors import DivergentOverlap, InvalidParameter
 from .geometry import (
     Alignment,
@@ -23,7 +26,6 @@ from .geometry import (
     image_set,
     pair_f_arguments,
     radial_distances,
-    radial_pair,
 )
 from .quadrature import (
     Bracket,
@@ -33,8 +35,8 @@ from .quadrature import (
     find_root_bracketed,
     minimize_scalar,
 )
-from .response import ResponseBreakdown, image_response, image_sum, p_flat, p_integral
-from .special import EPS_DIV, SQRT_PI, aux_f, faddeeva_w
+from .response import ResponseBreakdown, image_response
+from .special import EPS_DIV, SQRT_PI, faddeeva_w
 
 MAX_SWEEP_POINTS = 100_000
 
@@ -58,12 +60,21 @@ def response_pair(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_
     Each detector responds to the images its pair sees (geometry.image_set):
     a boundary's subtracted image sits in p_images, flat has none.
     """
-    seen, terms = image_set(config.alignment, cone)
-    rho_a, rho_b = radial_pair(config)
-    response_a = image_response(rho_a, seen, terms, config.gap, tol=tol)
-    if rho_a == rho_b:
+    return _responses(config.alignment, cone, config.l, config.d, config.gap, tol)
+
+
+def _responses(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: float):
+    """response_pair at scalars l, d or at equal-shape arrays of validated points.
+
+    Array breakdown parts are arrays, or scalars where a part is the same at
+    every point; B reuses A's breakdown where their radial distances agree.
+    """
+    seen, terms = image_set(alignment, cone)
+    rho_a, rho_b = radial_distances(alignment, l, d)
+    response_a = image_response(rho_a, seen, terms, gap, tol=tol)
+    if np.array_equal(rho_a, rho_b) if getattr(rho_a, "ndim", 0) else rho_a == rho_b:
         return response_a, response_a
-    return response_a, image_response(rho_b, seen, terms, config.gap, tol=tol)
+    return response_a, image_response(rho_b, seen, terms, gap, tol=tol)
 
 
 def concurrence(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL) -> ConcurrenceResult:
@@ -117,32 +128,17 @@ def _entanglement_margin(config: PairConfig, cone: ConeParameter, tol: float) ->
     return result.abs_x - result.geo_mean_p
 
 
-def _response_totals(alignment: Alignment, cone: ConeParameter, rho: np.ndarray, gap: float,
-                     tol: float) -> np.ndarray:
-    """P at each radial distance, split and summed as response_pair does.
-
-    Each distinct rho is evaluated once, so a response that does not depend
-    on d (parallel, flat, boundary-parallel) costs one evaluation per scan.
-    """
-    seen, terms = image_set(alignment, cone)
-    distinct, inverse = np.unique(rho, return_inverse=True)
-    images = image_sum(distinct, terms, gap)
-    integral = p_integral(distinct, seen, gap, tol)
-    # clamped at zero as ResponseBreakdown.total is
-    totals = np.maximum(p_flat(gap) + images + integral, 0.0)
-    return np.broadcast_to(totals, distinct.shape)[inverse]
-
-
 def _scan_margins(alignment: Alignment, cone: ConeParameter, l: np.ndarray, d: np.ndarray,
                   gap: float, tol: float):
     """Margins |X| - sqrt(P_A P_B) at equal-shape arrays l, d in one array pass.
 
-    Runs the expressions of concurrence() on whole arrays; at non-integer nu
-    each zeta integral (P per distinct rho, X per point) runs once for the
-    whole scan, its points sharing one adaptive subdivision.  The caller
-    validates the parameters.  Points where d/2 or an image argument is at or
-    below EPS_DIV (the DivergentOverlap cases of concurrence) get margin
-    None; their d values are returned as skipped.
+    Masks the points where d/2 or an image argument is at or below EPS_DIV
+    (the DivergentOverlap cases of concurrence), then runs the response and
+    X-assembly code of concurrence once on the remaining batch, so at
+    non-integer nu each zeta integral (P per distinct rho, X per point) runs
+    once for the whole scan, its points sharing one adaptive subdivision.
+    The caller validates the parameters.  Masked points get margin None;
+    their d values are returned as skipped.
     """
     geo = pair_f_arguments(alignment, cone, l, d)
     ok = d / 2.0 > EPS_DIV
@@ -154,19 +150,11 @@ def _scan_margins(alignment: Alignment, cone: ConeParameter, l: np.ndarray, d: n
             return [None] * d.size, d.tolist()
         geo = pair_f_arguments(alignment, cone, l_ok, d_ok)
 
-    rho_a, rho_b = radial_distances(alignment, l_ok, d_ok)
-    p_a = _response_totals(alignment, cone, rho_a, gap, tol)
-    p_b = (p_a if np.array_equal(rho_a, rho_b)
-           else _response_totals(alignment, cone, rho_b, gap, tol))
-
-    flat = aux_f(d_ok / 2.0, gap)
-    images = 0.0 + 0.0j
-    for _, weight, z in geo.image_args:
-        images += 2.0 * weight * aux_f(z, gap)
-    x_total = flat + images + x_integral(geo, gap, cone, tol)
+    p_a, p_b = _responses(alignment, cone, l_ok, d_ok, gap, tol)
+    x_total = _x_breakdown(geo, d_ok, gap, cone, tol).total
     # np.hypot is the libm hypot behind Python's abs(complex); np.abs on a
     # complex array may take a SIMD path that differs in the last bit
-    margin_ok = np.hypot(x_total.real, x_total.imag) - np.sqrt(p_a * p_b)
+    margin_ok = np.hypot(x_total.real, x_total.imag) - np.sqrt(p_a.total * p_b.total)
 
     margins = np.full(d.shape, None, dtype=object)
     margins[ok] = margin_ok.tolist()
@@ -229,6 +217,10 @@ def opposite_sides_terminal_l(cone: ConeParameter, gap: float, l_hi: float = 4.0
     the smallest scanned l cannot harvest, or when every symmetric point
     diverges (even integer nu).
     """
+    if not (math.isfinite(l_hi) and l_hi > 0):
+        raise InvalidParameter("l_hi must be finite and > 0")
+    if grid_n < 2:
+        raise InvalidParameter("grid_n must be >= 2")
     check_root_tolerance(tol)
     alignment = Alignment.ORTHOGONAL_OPPOSITE_SIDES
     grid = np.linspace(l_hi / grid_n, l_hi, grid_n)

@@ -130,8 +130,8 @@ class ImageTerm:
     sin_term: float
 
 
-# image_set, image_radicands and zeta_integral_vanishes each ask for a cone's
-# terms, several times per concurrence; the tuple is immutable, so share it
+# image_set and zeta_integral_vanishes ask for a cone's terms several times
+# per concurrence (responses and correlation); the tuple is immutable, so share it
 @functools.lru_cache(maxsize=256)
 def image_terms(cone: ConeParameter) -> Tuple[ImageTerm, ...]:
     """The floor(nu/2) conical image terms with the even-integer half-weight rule.
@@ -180,28 +180,6 @@ def radial_distances(alignment: Alignment, l, d):
 def radial_pair(config: PairConfig) -> Tuple[float, float]:
     """Radial distances (rho_A, rho_B) from the defect line / boundary."""
     return radial_distances(config.alignment, config.l, config.d)
-
-
-def image_radicands(alignment: Alignment, cone: ConeParameter, l, d):
-    """(m, weight, z_m^2) for each image the pair sees (image_set) in the correlation term.
-
-    ``l`` and ``d`` are scalars or equal-shape arrays (radicands follow their
-    shape).  Same side:  z_m^2 = d^2/4 + rho_A rho_B sin^2(m pi / nu).
-    Opposite sides:      z_m^2 = d^2/4 - rho_A rho_B sin^2(m pi / nu), in the
-    stable nonnegative form (d/2 - l)^2 + rho_A rho_B cos^2(m pi / nu).
-    """
-    cone, terms = image_set(alignment, cone)
-    rho_a, rho_b = radial_distances(alignment, l, d)
-    product = rho_a * rho_b
-    out = []
-    for term in terms:
-        if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES:
-            cos_term = math.cos(term.m * math.pi / cone.nu)
-            radicand = (d / 2.0 - l) ** 2 + product * cos_term * cos_term
-        else:
-            radicand = d * d / 4.0 + product * term.sin_term * term.sin_term
-        out.append((term.m, term.weight, radicand))
-    return tuple(out)
 
 
 def zeta_integral_vanishes(alignment: Alignment, cone: ConeParameter) -> bool:
@@ -299,30 +277,36 @@ def pair_f_arguments(alignment: Alignment, cone: ConeParameter, l, d) -> FArgume
                  (radicand = (d/2 - l)^2 + rho_A rho_B cos^2 >= 0 given d >= 2l)
         z(zeta) = sqrt(d^2/4 + rho_A rho_B (cosh zeta - 1)/2)
     """
-    cone, _ = image_set(alignment, cone)
+    cone, terms = image_set(alignment, cone)
     rho_a, rho_b = radial_distances(alignment, l, d)
-    product = point_rows(rho_a * rho_b)
+    product = rho_a * rho_b
+    product_rows = point_rows(product)
     quarter_d2 = point_rows(d * d / 4.0)
     sqrt = np.sqrt if getattr(d, "ndim", 0) else math.sqrt
-    images = tuple((m, weight, sqrt(radicand)) for m, weight, radicand
-                   in image_radicands(alignment, cone, l, d))
     vanishes = zeta_integral_vanishes(alignment, cone)
 
     if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES:
         coefficient = opposite_sides_coefficient(cone.nu)
         breakpoints = coefficient_breakpoints(cone.nu, 2.0 * cone.nu * math.pi)
 
+        def radicand(term):
+            cos_term = math.cos(term.m * math.pi / cone.nu)
+            return (d / 2.0 - l) ** 2 + product * cos_term * cos_term
+
         def argument(zeta):
-            return np.sqrt(quarter_d2 + product * (np.cosh(np.asarray(zeta)) - 1.0) / 2.0)
+            return np.sqrt(quarter_d2 + product_rows * (np.cosh(np.asarray(zeta)) - 1.0) / 2.0)
     else:
         coefficient = same_side_coefficient(cone.nu)
         breakpoints = coefficient_breakpoints(cone.nu, cone.nu * math.pi)
 
+        def radicand(term):
+            return d * d / 4.0 + product * term.sin_term * term.sin_term
+
         def argument(zeta):
-            return np.sqrt(quarter_d2 + product * (1.0 + np.cosh(np.asarray(zeta))) / 2.0)
+            return np.sqrt(quarter_d2 + product_rows * (1.0 + np.cosh(np.asarray(zeta))) / 2.0)
 
     return FArguments(
-        image_args=images,
+        image_args=tuple((term.m, term.weight, sqrt(radicand(term))) for term in terms),
         zeta_argument=argument,
         zeta_coefficient=coefficient,
         zeta_vanishes=vanishes,

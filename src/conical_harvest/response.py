@@ -55,10 +55,11 @@ class ResponseBreakdown:
     p_integral: float
 
     @property
-    def total(self) -> float:
+    def total(self):
         # near a reflecting boundary P0 and the subtracted image cancel, and
-        # their sum may round below zero
-        return max(self.p_flat + self.p_images + self.p_integral, 0.0)
+        # their sum may round below zero; a batch's parts give an array
+        total = self.p_flat + self.p_images + self.p_integral
+        return np.maximum(total, 0.0) if getattr(total, "ndim", 0) else max(total, 0.0)
 
 
 def p_flat(gap: float) -> float:
@@ -98,11 +99,15 @@ def p_integral(rho, cone: ConeParameter, gap: float, tol: float = DEFAULT_TOL):
     """P_integral at radial distance(s) rho; exactly zero at integer nu.
 
     ``rho`` is a scalar (float result) or a 1-D array of validated distances
-    (array result); an array runs as one integral whose points share one
-    adaptive subdivision, each within ``tol``.
+    (array result).  An array runs as one integral over its distinct values,
+    which share one adaptive subdivision, each within ``tol``; so a batch of
+    equal distances (a parallel d axis) costs one point.
     """
     if cone.is_integer:
         return 0.0
+    inverse = None
+    if getattr(rho, "ndim", 0):
+        rho, inverse = np.unique(rho, return_inverse=True)
     coefficient = same_side_coefficient(cone.nu)
     rho = point_rows(rho)
 
@@ -111,8 +116,9 @@ def p_integral(rho, cone: ConeParameter, gap: float, tol: float = DEFAULT_TOL):
         return coefficient(zeta) * _kernel_over_argument(b, gap) / (8.0 * SQRT_PI)
 
     breakpoints = coefficient_breakpoints(cone.nu, cone.nu * math.pi)
-    return integrate_semi_infinite(integrand, tail_rate=cone.nu, tol=tol,
-                                   breakpoints=breakpoints).value
+    value = integrate_semi_infinite(integrand, tail_rate=cone.nu, tol=tol,
+                                    breakpoints=breakpoints).value
+    return value if inverse is None else value[inverse]
 
 
 def image_response(rho: float, cone: ConeParameter, terms: Tuple[ImageTerm, ...], gap: float,

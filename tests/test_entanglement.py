@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conical_harvest import quadrature
-from conical_harvest.correlation import x_flat
+from conical_harvest.correlation import _x_breakdown, x_flat, x_string
 from conical_harvest.entanglement import (
+    _responses,
     _scan_margins,
     concurrence,
     concurrence_flat,
@@ -16,7 +17,13 @@ from conical_harvest.entanglement import (
     sweep,
 )
 from conical_harvest.errors import DivergentOverlap, InvalidParameter, NotUnimodal
-from conical_harvest.geometry import Alignment, ConeParameter, PairConfig
+from conical_harvest.geometry import (
+    Alignment,
+    ConeParameter,
+    PairConfig,
+    pair_f_arguments,
+    radial_distances,
+)
 from conical_harvest.quadrature import DEFAULT_TOL, Bracket, find_root_bracketed
 from conical_harvest.response import p_flat
 
@@ -375,3 +382,64 @@ def test_d_max_rejects_a_bad_root_tolerance(tol):
         d_max(Alignment.FLAT, ConeParameter(1.0), l=0.0, gap=GAP, tol=tol)
     with pytest.raises(InvalidParameter, match="tol"):
         opposite_sides_terminal_l(ConeParameter(3.0), GAP, tol=tol)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"grid_n": 0}, "grid_n"),
+    ({"grid_n": -3}, "grid_n"),
+    ({"grid_n": 1}, "grid_n"),
+    ({"l_hi": 0.0}, "l_hi"),
+    ({"l_hi": -1.0}, "l_hi"),
+    ({"l_hi": float("inf")}, "l_hi"),
+    ({"l_hi": float("nan")}, "l_hi"),
+])
+def test_terminal_l_rejects_a_bad_scan(kwargs, name):
+    with pytest.raises(InvalidParameter, match=name) as info:
+        opposite_sides_terminal_l(ConeParameter(3.0), GAP, **kwargs)
+    other = "l_hi" if name == "grid_n" else "grid_n"
+    assert other not in str(info.value)
+
+
+# --- one evaluator for a pair and for a batch -----------------------------------
+
+
+@pytest.mark.parametrize("axis", ["d", "l"])
+@pytest.mark.parametrize("nu", [3.0, 2.5])
+@pytest.mark.parametrize("alignment", list(Alignment))
+def test_batch_breakdowns_equal_one_point_breakdowns(alignment, nu, axis):
+    # the d_max scan's d axis at fixed l (parallel: every rho equal; opposite
+    # sides: starting at d = 2l) and the terminal-l scan's l axis at d = 2l
+    cone = ConeParameter(nu)
+    if axis == "d":
+        l, d = np.full(4, 0.4), np.linspace(0.8, 4.0, 4)
+    else:
+        l = np.linspace(0.2, 1.1, 4)
+        d = 2.0 * l
+    batch_a, batch_b = _responses(alignment, cone, l, d, GAP, DEFAULT_TOL)
+    batch_x = _x_breakdown(pair_f_arguments(alignment, cone, l, d), d, GAP, cone, DEFAULT_TOL)
+    rho_a, rho_b = radial_distances(alignment, l, d)
+
+    def at(value, i):
+        return np.broadcast_to(value, d.shape)[i]
+
+    def same_integral(batch, one, i, rows):
+        # an integral over one distinct point (or a vanishing one) is the
+        # one-point integral; several points share one subdivision, refined
+        # for the worst of them, so each agrees with its own to rounding
+        if rows == 1 or np.ndim(batch) == 0:
+            return at(batch, i) == one
+        return abs(at(batch, i) - one) <= 1e-14
+
+    for i, (li, di) in enumerate(zip(l, d)):
+        pair = config(alignment, float(li), float(di))
+        one_x = x_string(pair, cone)
+        for batch, one, rho in zip((batch_a, batch_b), response_pair(pair, cone), (rho_a, rho_b)):
+            assert at(batch.p_flat, i) == one.p_flat
+            assert at(batch.p_images, i) == one.p_images
+            assert same_integral(batch.p_integral, one.p_integral, i, np.unique(rho).size)
+        assert at(batch_x.x_flat, i) == one_x.x_flat
+        assert at(batch_x.x_images, i) == one_x.x_images
+        assert same_integral(batch_x.x_integral, one_x.x_integral, i, d.size)
+        assert len(batch_x.image_terms) == len(one_x.image_terms)
+        for (m, weight, z, term), want in zip(batch_x.image_terms, one_x.image_terms):
+            assert (m, weight, z[i], term[i]) == want

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conical_harvest import response
 from conical_harvest.errors import InvalidParameter
 from conical_harvest.geometry import ConeParameter
 from conical_harvest.response import FAULT_ENV, p_boundary, p_flat, p_integral, p_string
@@ -127,7 +128,7 @@ def test_invalid_rho():
 
 
 @pytest.mark.parametrize("nu", [1.5, 2.5, 3.7])
-def test_p_integral_of_an_array_matches_one_call_per_point(nu):
+def test_p_integral_of_an_array_matches_one_call_per_point(nu, monkeypatch):
     cone = ConeParameter(nu)
     rho = np.array([0.0, 0.05, 0.4, 1.3, 6.0])
     batch = p_integral(rho, cone, GAP, tol=1e-10)
@@ -136,3 +137,20 @@ def test_p_integral_of_an_array_matches_one_call_per_point(nu):
         one = p_integral(float(r), cone, GAP, tol=1e-10)
         assert type(one) is float and abs(got - one) <= 1e-10
     assert p_integral(rho, ConeParameter(3.0), GAP) == 0.0
+
+    # repeated distances (a parallel d axis repeats one rho) are integrated once each
+    rows = []
+    integrate = response.integrate_semi_infinite
+
+    def counting(integrand, **kwargs):
+        def recorded(zeta):
+            values = integrand(zeta)
+            rows.append(values.shape[0])
+            return values
+        return integrate(recorded, **kwargs)
+
+    monkeypatch.setattr(response, "integrate_semi_infinite", counting)
+    repeated = np.concatenate([rho, rho[::-1], np.full(7, 0.4)])
+    assert np.array_equal(p_integral(repeated, cone, GAP, tol=1e-10),
+                          np.concatenate([batch, batch[::-1], np.full(7, batch[2])]))
+    assert rows and set(rows) == {rho.size}
