@@ -1,21 +1,26 @@
 """Command-line front end: compute | sweep | dmax | nuscan | figure | verify.
 
-Lengths are in sigma units, energies in 1/sigma, results per lambda^2.  A
-line-oriented `key = value` config file (UTF-8, `#` comments) supplies
-defaults; flags override it; unknown keys are rejected.  Exit codes: 0 on
+Lengths are in sigma units, energies in 1/sigma, results per lambda^2.  Each
+subcommand's click options are the only declaration of its keys, types,
+defaults and required flags.  ``--config FILE`` reads line-oriented
+``key = value`` defaults (UTF-8, ``#`` comments) whose keys are the command's
+long option names; click checks file values exactly like flags, a flag
+overrides the file, and any other key is rejected by name.  Exit codes: 0 on
 success, 1 on computation/verification failure, 2 on usage errors.
 """
 
 import json
-import os
+import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 import numpy as np
 
 from ._version import __version__
-from .entanglement import concurrence, d_max, nu_extremum, opposite_sides_terminal_l, sweep
+from .entanglement import (MAX_SWEEP_POINTS, concurrence, d_max, nu_extremum,
+                           opposite_sides_terminal_l, sweep)
 from .errors import DivergentOverlap, InvalidParameter, UnknownPreset
 from .geometry import Alignment, ConeParameter, PairConfig, radial_pair
 from .presets import FIGURES, _materialize_dmax, build_figure
@@ -23,9 +28,26 @@ from .quadrature import Bracket
 from .serialize import sweep_to_csv, sweep_to_dict
 from .verification import run_verification
 
-THREADS_ENV = "CONICAL_HARVEST_THREADS"
-
 ALIGNMENT_NAMES = [m.value for m in Alignment]
+
+
+class FiniteFloat(click.ParamType):
+    """A finite float, and > 0 when ``positive``; click's FloatRange lets NaN and inf through."""
+
+    name = "float"
+
+    def __init__(self, positive=False):
+        self.positive = positive
+
+    def convert(self, value, param, ctx):
+        number = click.FLOAT.convert(value, param, ctx)
+        if not math.isfinite(number) or (self.positive and number <= 0):
+            self.fail(f"{value!r} is not a finite{' positive' if self.positive else ''} number",
+                      param, ctx)
+        return number
+
+
+TOLERANCE = FiniteFloat(positive=True)
 
 
 def _parse_config_file(path):
@@ -41,67 +63,25 @@ def _parse_config_file(path):
     return values
 
 
-def _merge_config(flags, config_path, schema, required=()):
-    """flags (non-None) > config file > schema defaults; unknown keys rejected."""
-    merged = dict(flags)
-    if config_path is not None:
-        file_values = _parse_config_file(config_path)
-        for key, raw in file_values.items():
-            if key not in schema:
-                raise click.UsageError(f"unknown config key '{key}' in {config_path}")
-            caster = schema[key][0]
-            try:
-                value = caster(raw)
-            except (TypeError, ValueError) as exc:
-                raise click.UsageError(f"config key '{key}': {exc}") from exc
-            if merged.get(key) is None:
-                merged[key] = value
-    for key, (_, default) in schema.items():
-        if merged.get(key) is None:
-            merged[key] = default
-    for key in required:
-        if merged.get(key) is None:
-            raise click.UsageError(f"missing required option --{key.replace('_', '-')}")
-    return merged
+def _load_config(ctx, param, path):
+    """Eager --config callback: the file's keys become the command's option defaults."""
+    if path is None:
+        return
+    values = _parse_config_file(path)
+    options = {p.name for p in ctx.command.params if p is not param}
+    for key in values:
+        if key not in options:
+            raise click.UsageError(f"unknown config key '{key}' in {path}")
+    ctx.default_map = values
 
 
-def _boolish(raw):
-    if isinstance(raw, bool):
-        return raw
-    lowered = str(raw).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
-def _alignment(raw):
+@contextmanager
+def _usage_errors():
+    """Report an InvalidParameter raised in the block as a usage error (exit 2)."""
     try:
-        return Alignment.from_string(str(raw)).value
-    except InvalidParameter as exc:
-        raise ValueError(str(exc)) from None
-
-
-def _validated_pair(params):
-    """Build (PairConfig, ConeParameter) from merged CLI params, as usage errors."""
-    try:
-        cone = ConeParameter(params["nu"])
-        config = PairConfig(Alignment.from_string(params["alignment"]),
-                            l=params["l"], d=params["d"], gap=params["gap"])
+        yield
     except InvalidParameter as exc:
         raise click.UsageError(str(exc)) from exc
-    return config, cone
-
-
-def _threads(params):
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise click.UsageError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    return max(1, int(params.get("threads") or 1))
 
 
 def _emit(text, out_path):
@@ -115,47 +95,48 @@ def _json_text(payload):
     return json.dumps(payload, indent=2) + "\n"
 
 
+config_option = click.option(
+    "--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
+    expose_value=False, callback=_load_config, help="key = value defaults file")
+alignment_option = click.option("--alignment", type=click.Choice(ALIGNMENT_NAMES), required=True)
+nu_option = click.option("--nu", type=float, default=1.0, help="deficit-angle parameter (>= 1)")
+l_option = click.option("--l", type=float, default=0.0,
+                        help="detector-to-string distance (sigma units)")
+tol_option = click.option("--tol", type=TOLERANCE, default=1e-10, help="quadrature tolerance")
+threads_option = click.option("--threads", type=int, default=1, expose_value=False,
+                              help="accepted for compatibility; has no effect")
+out_option = click.option("--out", type=click.Path(writable=True), default=None)
+
+
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(version=__version__, prog_name="conical-harvest")
 def main():
     """Entanglement-harvesting observables near a cosmic string."""
 
 
-_COMMON_SCHEMA = {
-    "alignment": (_alignment, None),
-    "nu": (float, 1.0),
-    "l": (float, 0.0),
-    "d": (float, None),
-    "gap": (float, None),
-    "tol": (float, 1e-10),
-    "out": (str, None),
-    "format": (str, "json"),
-}
-
-
 @main.command()
-@click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="key = value defaults file")
-@click.option("--alignment", type=click.Choice(ALIGNMENT_NAMES), default=None)
-@click.option("--nu", type=float, default=None, help="deficit-angle parameter (>= 1)")
-@click.option("--l", type=float, default=None, help="detector-to-string distance (sigma units)")
-@click.option("--d", type=float, default=None, help="interdetector separation (sigma units)")
-@click.option("--gap", type=float, default=None, help="energy gap Omega*sigma")
-@click.option("--tol", type=float, default=None, help="quadrature tolerance")
-@click.option("--out", type=click.Path(writable=True), default=None)
-def compute(config, **flags):
+@config_option
+@alignment_option
+@nu_option
+@l_option
+@click.option("--d", type=float, required=True, help="interdetector separation (sigma units)")
+@click.option("--gap", type=float, required=True, help="energy gap Omega*sigma")
+@tol_option
+@out_option
+def compute(alignment, nu, l, d, gap, tol, out):
     """Single-point P_A, P_B, |X|, concurrence with full term-level breakdowns."""
-    params = _merge_config(flags, config, _COMMON_SCHEMA, required=("alignment", "d", "gap"))
-    pair, cone = _validated_pair(params)
+    with _usage_errors():
+        cone = ConeParameter(nu)
+        pair = PairConfig(Alignment.from_string(alignment), l=l, d=d, gap=gap)
     try:
-        result = concurrence(pair, cone, tol=params["tol"])
+        result = concurrence(pair, cone, tol=tol)
     except DivergentOverlap as exc:
         _emit(_json_text({"error": {
             "kind": "divergent_overlap",
             "message": str(exc),
             "image_index": exc.image_index,
             "argument": exc.argument,
-        }}), params["out"])
+        }}), out)
         sys.exit(1)
 
     terms = [{"m": m, "weight": weight, "f_argument": z,
@@ -188,193 +169,136 @@ def compute(config, **flags):
         },
         "image_terms": terms,
     }
-    _emit(_json_text(payload), params["out"])
-
-
-_SWEEP_SCHEMA = dict(_COMMON_SCHEMA)
-_SWEEP_SCHEMA.update({
-    "axis": (str, None),
-    "lo": (float, None),
-    "hi": (float, None),
-    "n": (int, 101),
-    "log": (_boolish, False),
-    "d_over_l": (float, None),
-    "threads": (int, 1),
-    "format": (str, "csv"),
-})
+    _emit(_json_text(payload), out)
 
 
 @main.command(name="sweep")
-@click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--alignment", type=click.Choice(ALIGNMENT_NAMES), default=None)
-@click.option("--nu", type=float, default=None)
-@click.option("--l", type=float, default=None)
+@config_option
+@alignment_option
+@nu_option
+@l_option
 @click.option("--d", type=float, default=None)
-@click.option("--gap", type=float, default=None)
-@click.option("--axis", type=click.Choice(["d", "l", "nu", "gap"]), default=None)
-@click.option("--lo", type=float, default=None, help="axis lower bound")
-@click.option("--hi", type=float, default=None, help="axis upper bound")
-@click.option("--n", type=int, default=None, help="axis point count (2..100000)")
-@click.option("--log", is_flag=True, default=None, help="logarithmic axis spacing")
+@click.option("--gap", type=float, default=None, help="required unless it is the axis")
+@click.option("--axis", type=click.Choice(["d", "l", "nu", "gap"]), required=True)
+@click.option("--lo", type=FiniteFloat(), required=True, help="axis lower bound")
+@click.option("--hi", type=FiniteFloat(), required=True, help="axis upper bound")
+@click.option("--n", type=click.IntRange(2, MAX_SWEEP_POINTS), default=101,
+              help="axis point count")
+@click.option("--log", is_flag=True, default=False, help="logarithmic axis spacing")
 @click.option("--d-over-l", "d_over_l", type=float, default=None,
               help="couple d = ratio * l to an l axis")
-@click.option("--tol", type=float, default=None)
-@click.option("--threads", type=int, default=None)
-@click.option("--format", "format", type=click.Choice(["csv", "json"]), default=None)
-@click.option("--out", type=click.Path(writable=True), default=None)
-def sweep_cmd(config, **flags):
+@tol_option
+@threads_option
+@click.option("--format", "format", type=click.Choice(["csv", "json"]), default="csv")
+@out_option
+def sweep_cmd(alignment, nu, l, d, gap, axis, lo, hi, n, log, d_over_l, tol, format, out):
     """Sweep one axis, emitting the standard concurrence table."""
-    params = _merge_config(flags, config, _SWEEP_SCHEMA,
-                           required=("alignment", "axis", "lo", "hi"))
-    if params["axis"] != "gap" and params["gap"] is None:
+    if axis != "gap" and gap is None:
         raise click.UsageError("missing required option --gap")
-    if params["lo"] >= params["hi"]:
+    if lo >= hi:
         raise click.UsageError("--lo must be below --hi")
-    if not 2 <= params["n"] <= 100_000:
-        raise click.UsageError("--n must be in [2, 100000]")
-    if params["log"]:
-        if params["lo"] <= 0:
+    if log:
+        if lo <= 0:
             raise click.UsageError("--log requires positive bounds")
-        values = np.geomspace(params["lo"], params["hi"], params["n"])
+        values = np.geomspace(lo, hi, n)
     else:
-        values = np.linspace(params["lo"], params["hi"], params["n"])
+        values = np.linspace(lo, hi, n)
 
-    try:
-        cone = ConeParameter(params["nu"])
-        alignment = Alignment.from_string(params["alignment"])
-        table = sweep(alignment, cone, params["axis"], values,
-                      l=params["l"], d=params["d"], gap=params["gap"],
-                      d_over_l=params["d_over_l"], tol=params["tol"],
-                      threads=_threads(params))
-    except InvalidParameter as exc:
-        raise click.UsageError(str(exc)) from exc
-    if params["format"] == "json":
-        _emit(_json_text(sweep_to_dict(table)), params["out"])
+    with _usage_errors():
+        table = sweep(Alignment.from_string(alignment), ConeParameter(nu), axis, values,
+                      l=l, d=d, gap=gap, d_over_l=d_over_l, tol=tol)
+    if format == "json":
+        _emit(_json_text(sweep_to_dict(table)), out)
     else:
-        _emit(sweep_to_csv(table), params["out"])
-
-
-_DMAX_SCHEMA = dict(_COMMON_SCHEMA)
-_DMAX_SCHEMA.update({
-    "d_hi": (float, 8.0),
-    "grid_n": (int, 512),
-    "scan_tol": (float, 1e-6),
-    "l_lo": (float, None),
-    "l_hi": (float, None),
-    "l_n": (int, None),
-    "terminal": (_boolish, False),
-})
+        _emit(sweep_to_csv(table), out)
 
 
 @main.command(name="dmax")
-@click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--alignment", type=click.Choice(ALIGNMENT_NAMES), default=None)
-@click.option("--nu", type=float, default=None)
-@click.option("--l", type=float, default=None)
-@click.option("--gap", type=float, default=None)
-@click.option("--d-hi", "d_hi", type=float, default=None, help="scan ceiling")
-@click.option("--grid-n", "grid_n", type=int, default=None, help="scan grid points")
-@click.option("--scan-tol", "scan_tol", type=float, default=None, help="root location tolerance")
+@config_option
+@alignment_option
+@nu_option
+@l_option
+@click.option("--gap", type=float, required=True)
+@click.option("--d-hi", "d_hi", type=float, default=8.0, help="scan ceiling")
+@click.option("--grid-n", "grid_n", type=int, default=512, help="scan grid points")
+@click.option("--scan-tol", "scan_tol", type=TOLERANCE, default=1e-6,
+              help="root location tolerance")
 @click.option("--l-lo", "l_lo", type=float, default=None, help="curve mode: l lower bound")
 @click.option("--l-hi", "l_hi", type=float, default=None, help="curve mode: l upper bound")
 @click.option("--l-n", "l_n", type=int, default=None, help="curve mode: number of l points")
-@click.option("--terminal", is_flag=True, default=None,
+@click.option("--terminal", is_flag=True, default=False,
               help="opposite-sides: also report the terminal l where d_max meets 2l")
-@click.option("--tol", type=float, default=None)
-@click.option("--out", type=click.Path(writable=True), default=None)
-def dmax_cmd(config, **flags):
+@tol_option
+@out_option
+def dmax_cmd(alignment, nu, l, gap, d_hi, grid_n, scan_tol, l_lo, l_hi, l_n, terminal, tol, out):
     """Maximum harvesting-achievable separation (single l, or a curve over l)."""
-    params = _merge_config(flags, config, _DMAX_SCHEMA, required=("alignment", "gap"))
-    try:
-        cone = ConeParameter(params["nu"])
-        alignment = Alignment.from_string(params["alignment"])
-    except InvalidParameter as exc:
-        raise click.UsageError(str(exc)) from exc
+    with _usage_errors():
+        cone = ConeParameter(nu)
+        alignment = Alignment.from_string(alignment)
 
-    curve_mode = params["l_lo"] is not None or params["l_hi"] is not None
-    if curve_mode:
-        if params["l_lo"] is None or params["l_hi"] is None or (params["l_n"] or 0) < 1:
+    if l_lo is not None or l_hi is not None:
+        if l_lo is None or l_hi is None or (l_n or 0) < 1:
             raise click.UsageError("curve mode needs --l-lo, --l-hi and --l-n")
-        curve = {"lo": params["l_lo"], "hi": params["l_hi"], "n": params["l_n"],
-                 "alignment": alignment.value, "nu": cone.nu, "gap": params["gap"]}
-        try:
-            text = _materialize_dmax(curve, params["tol"], d_hi=params["d_hi"],
-                                     grid_n=params["grid_n"], scan_tol=params["scan_tol"])
-        except InvalidParameter as exc:
-            raise click.UsageError(str(exc)) from exc
-        _emit(text, params["out"])
+        curve = {"lo": l_lo, "hi": l_hi, "n": l_n,
+                 "alignment": alignment.value, "nu": cone.nu, "gap": gap}
+        with _usage_errors():
+            text = _materialize_dmax(curve, tol, d_hi=d_hi, grid_n=grid_n, scan_tol=scan_tol)
+        _emit(text, out)
         return
 
     payload = {"version": __version__, "alignment": alignment.value, "nu": cone.nu,
-               "gap": params["gap"], "l": params["l"]}
-    if params["terminal"] and alignment is not Alignment.ORTHOGONAL_OPPOSITE_SIDES:
+               "gap": gap, "l": l}
+    if terminal and alignment is not Alignment.ORTHOGONAL_OPPOSITE_SIDES:
         raise click.UsageError("--terminal applies to the opposite alignment only")
-    try:
-        result = d_max(alignment, cone, l=params["l"], gap=params["gap"],
-                       d_hi=params["d_hi"], grid_n=params["grid_n"],
-                       tol=params["scan_tol"], quad_tol=params["tol"])
+    with _usage_errors():
+        result = d_max(alignment, cone, l=l, gap=gap, d_hi=d_hi, grid_n=grid_n,
+                       tol=scan_tol, quad_tol=tol)
         payload["d_max_per_sigma"] = result.value
         payload["skipped_points"] = list(result.skipped)
-        if params["terminal"]:
+        if terminal:
             payload["terminal_l_per_sigma"] = opposite_sides_terminal_l(
-                cone, params["gap"], grid_n=params["grid_n"], tol=params["scan_tol"],
-                quad_tol=params["tol"])
-    except InvalidParameter as exc:
-        raise click.UsageError(str(exc)) from exc
-    _emit(_json_text(payload), params["out"])
-
-
-_NUSCAN_SCHEMA = dict(_COMMON_SCHEMA)
-_NUSCAN_SCHEMA.update({
-    "objective": (str, "response_correlation_gap"),
-    "nu_lo": (float, None),
-    "nu_hi": (float, None),
-    "scan_tol": (float, 1e-4),
-})
+                cone, gap, grid_n=grid_n, tol=scan_tol, quad_tol=tol)
+    _emit(_json_text(payload), out)
 
 
 @main.command(name="nuscan")
-@click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
+@config_option
 @click.option("--objective", type=click.Choice(["response_correlation_gap", "concurrence"]),
-              default=None)
-@click.option("--alignment", type=click.Choice(ALIGNMENT_NAMES), default=None)
-@click.option("--l", type=float, default=None)
-@click.option("--d", type=float, default=None)
-@click.option("--gap", type=float, default=None)
-@click.option("--nu-lo", "nu_lo", type=float, default=None)
-@click.option("--nu-hi", "nu_hi", type=float, default=None)
-@click.option("--scan-tol", "scan_tol", type=float, default=None)
-@click.option("--tol", type=float, default=None)
-@click.option("--out", type=click.Path(writable=True), default=None)
-def nuscan_cmd(config, **flags):
+              default="response_correlation_gap")
+@alignment_option
+@l_option
+@click.option("--d", type=float, required=True)
+@click.option("--gap", type=float, required=True)
+@click.option("--nu-lo", "nu_lo", type=float, required=True)
+@click.option("--nu-hi", "nu_hi", type=float, required=True)
+@click.option("--scan-tol", "scan_tol", type=TOLERANCE, default=1e-4)
+@tol_option
+@out_option
+def nuscan_cmd(objective, alignment, l, d, gap, nu_lo, nu_hi, scan_tol, tol, out):
     """Extremal deficit-angle parameter for an objective over a nu bracket."""
-    params = _merge_config(flags, config, _NUSCAN_SCHEMA,
-                           required=("alignment", "d", "gap", "nu_lo", "nu_hi"))
-    params["nu"] = params["nu_lo"]  # placeholder for pair validation
-    pair, _ = _validated_pair(params)
-    if not (1.0 <= params["nu_lo"] < params["nu_hi"] <= 64.0):
+    with _usage_errors():
+        pair = PairConfig(Alignment.from_string(alignment), l=l, d=d, gap=gap)
+    if not (1.0 <= nu_lo < nu_hi <= 64.0):
         raise click.UsageError("nu bracket must satisfy 1 <= lo < hi <= 64")
-    nu_star = nu_extremum(params["objective"], pair,
-                          Bracket(params["nu_lo"], params["nu_hi"]),
-                          tol=params["scan_tol"], quad_tol=params["tol"])
-    result = concurrence(pair, ConeParameter(nu_star), tol=params["tol"])
+    nu_star = nu_extremum(objective, pair, Bracket(nu_lo, nu_hi), tol=scan_tol, quad_tol=tol)
+    result = concurrence(pair, ConeParameter(nu_star), tol=tol)
     _emit(_json_text({
         "version": __version__,
-        "objective": params["objective"],
+        "objective": objective,
         "nu_star": nu_star,
         "P_geo_mean_per_lambda2": result.geo_mean_p,
         "abs_X_per_lambda2": result.abs_x,
         "concurrence_per_lambda2": result.concurrence,
-    }), params["out"])
+    }), out)
 
 
 @main.command(name="figure")
 @click.argument("name", required=False, default=None)
 @click.option("--list", "list_presets", is_flag=True, help="list available presets")
-@click.option("--tol", type=float, default=1e-10)
-@click.option("--threads", type=int, default=1)
+@tol_option
+@threads_option
 @click.option("--out", type=click.Path(file_okay=False), default=".")
-def figure_cmd(name, list_presets, tol, threads, out):
+def figure_cmd(name, list_presets, tol, out):
     """Write the CSV dataset(s) behind a named figure preset (fig3a..fig11)."""
     if list_presets:
         for preset in sorted(FIGURES):
@@ -383,7 +307,7 @@ def figure_cmd(name, list_presets, tol, threads, out):
     if name is None:
         raise click.UsageError("missing preset NAME (or use --list)")
     try:
-        files = build_figure(name, tol=tol, threads=_threads({"threads": threads}))
+        files = build_figure(name, tol=tol)
     except UnknownPreset as exc:
         raise click.UsageError(str(exc)) from exc
     out_dir = Path(out)
@@ -396,7 +320,7 @@ def figure_cmd(name, list_presets, tol, threads, out):
 @main.command(name="verify")
 @click.option("--profile", type=click.Choice(["default", "fast"]), default="default")
 @click.option("--json", "as_json", is_flag=True, help="emit the report as JSON")
-@click.option("--out", type=click.Path(writable=True), default=None)
+@out_option
 def verify_cmd(profile, as_json, out):
     """Run the oracle grid and analytic-identity suite; exit 0 iff all pass."""
     reports, ok = run_verification(profile)

@@ -10,7 +10,6 @@ point are what the d_max scan runs on its whole grid at once.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -30,7 +29,7 @@ from .geometry import (
 from .quadrature import (
     Bracket,
     DEFAULT_TOL,
-    check_root_tolerance,
+    check_tolerance,
     find_last_sign_change,
     find_root_bracketed,
     minimize_scalar,
@@ -189,7 +188,7 @@ def d_max(alignment: Alignment, cone: ConeParameter, l: float, gap: float,
     """
     if not (math.isfinite(d_hi) and d_hi > 0) or grid_n < 2:
         raise InvalidParameter("d_hi must be finite and > 0 and grid_n >= 2")
-    check_root_tolerance(tol)
+    check_tolerance(tol, "root")
     if d_lo is None:
         d_lo = 2.0 * l if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES else d_hi / grid_n
     if d_lo >= d_hi:
@@ -221,7 +220,7 @@ def opposite_sides_terminal_l(cone: ConeParameter, gap: float, l_hi: float = 4.0
         raise InvalidParameter("l_hi must be finite and > 0")
     if grid_n < 2:
         raise InvalidParameter("grid_n must be >= 2")
-    check_root_tolerance(tol)
+    check_tolerance(tol, "root")
     alignment = Alignment.ORTHOGONAL_OPPOSITE_SIDES
     grid = np.linspace(l_hi / grid_n, l_hi, grid_n)
     PairConfig(alignment, l=float(grid[0]), d=2.0 * float(grid[0]), gap=gap)
@@ -321,17 +320,18 @@ def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence
           l: Optional[float] = None, d: Optional[float] = None, gap: Optional[float] = None,
           d_over_l: Optional[float] = None, tol: float = DEFAULT_TOL,
           threads: int = 1) -> SweepTable:
-    """Evaluate the concurrence observables along one axis.
+    """Evaluate the concurrence observables along one axis, in axis order.
 
     ``axis`` is one of "d", "l", "nu", "gap"; the remaining parameters are
     fixed (``d_over_l`` couples d = ratio * l to an l-axis, for the
     opposite-sides family).  Per-row failures (detector/image overlap,
     constraint violations such as d < 2l) are flagged, never aborting the
-    sweep.  Rows are computed concurrently when threads > 1 and assembled in
-    axis order regardless of schedule.
+    sweep; a bad ``tol`` raises InvalidParameter before any row.  ``threads``
+    is accepted for compatibility and has no effect.
     """
     if axis not in SWEEP_AXES:
         raise InvalidParameter(f"axis must be one of {SWEEP_AXES}")
+    check_tolerance(tol, "quadrature")
     values = [float(v) for v in values]
     if not 2 <= len(values) <= MAX_SWEEP_POINTS:
         raise InvalidParameter(f"sweep needs between 2 and {MAX_SWEEP_POINTS} points")
@@ -340,15 +340,7 @@ def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence
     if d is None and axis != "d" and not (axis == "l" and d_over_l is not None):
         raise InvalidParameter("d must be fixed, the sweep axis, or coupled via d_over_l")
 
-    def row(value):
-        return _sweep_row(alignment, cone, axis, value, l, d, gap, d_over_l, tol)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(row, values))
-    else:
-        rows = tuple(row(v) for v in values)
-
+    rows = tuple(_sweep_row(alignment, cone, axis, v, l, d, gap, d_over_l, tol) for v in values)
     fixed = {k: v for k, v in (("l", l), ("d", d), ("gap", gap), ("d_over_l", d_over_l))
              if v is not None and k != axis}
     return SweepTable(axis=axis, alignment=alignment, nu=cone.nu, fixed=fixed, rows=rows)

@@ -139,12 +139,11 @@ def _build_figures() -> Dict[str, FigurePreset]:
 FIGURES = _build_figures()
 
 
-def _materialize_sweep(params: dict, tol: float, threads: int) -> str:
+def _materialize_sweep(params: dict, tol: float) -> str:
     values = np.linspace(params["lo"], params["hi"], params["n"])
     table = sweep(Alignment.from_string(params["alignment"]), ConeParameter(params["nu"]),
                   params["axis"], values, l=params.get("l"), d=params.get("d"),
-                  gap=params.get("gap"), d_over_l=params.get("d_over_l"),
-                  tol=tol, threads=threads)
+                  gap=params.get("gap"), d_over_l=params.get("d_over_l"), tol=tol)
     return sweep_to_csv(table)
 
 
@@ -185,7 +184,7 @@ def _materialize_pd_absx(params: dict, tol: float) -> str:
     return csv_text(("param", "P_D_per_lambda2", "abs_X_P_per_lambda2"), rows)
 
 
-def build_figure(name: str, tol: float = 1e-10, threads: int = 1) -> List[Tuple[str, str]]:
+def build_figure(name: str, tol: float = 1e-10) -> List[Tuple[str, str]]:
     """Materialize a preset into [(filename, csv text), ...].
 
     Raises UnknownPreset for names outside the manifest.
@@ -196,7 +195,7 @@ def build_figure(name: str, tol: float = 1e-10, threads: int = 1) -> List[Tuple[
     out = []
     for curve in preset.curves:
         if curve.kind == "sweep":
-            text = _materialize_sweep(curve.params, tol, threads)
+            text = _materialize_sweep(curve.params, tol)
         elif curve.kind == "response":
             text = _materialize_response(curve.params, tol)
         elif curve.kind == "dmax":

@@ -155,8 +155,7 @@ def integrate_semi_infinite(integrand, tail_rate, tol=DEFAULT_TOL, breakpoints=(
     """
     if tail_rate <= 0:
         raise InvalidParameter("tail_rate must be > 0")
-    if tol <= 0:
-        raise InvalidParameter("tol must be > 0")
+    check_tolerance(tol, "quadrature")
     zmax = tail_cutoff(tail_rate, tol)
     one_row = []
 
@@ -182,6 +181,7 @@ def integrate_semi_infinite_complex(integrand, tail_rate, tol=DEFAULT_TOL, break
     """
     if tail_rate <= 0:
         raise InvalidParameter("tail_rate must be > 0")
+    check_tolerance(tol, "quadrature")
     zmax = tail_cutoff(tail_rate, tol)
     one_row = []
 
@@ -408,10 +408,10 @@ def _brentq(f, xpre, xcur, fpre, fcur, xtol):
     raise ToleranceNotMet(xcur, abs(xblk - xcur), xtol, _BRENT_MAXITER + 2)
 
 
-def check_root_tolerance(tol):
-    """Raise InvalidParameter unless the root location tolerance is finite and > 0."""
+def check_tolerance(tol, kind):
+    """Raise InvalidParameter unless a ``kind`` ("root", "quadrature") tolerance is finite and > 0."""
     if not (math.isfinite(tol) and tol > 0.0):
-        raise InvalidParameter(f"root tolerance tol must be finite and > 0, got {tol!r}")
+        raise InvalidParameter(f"{kind} tolerance tol must be finite and > 0, got {tol!r}")
 
 
 def find_root_bracketed(objective, bracket, tol=1e-12):
@@ -420,7 +420,7 @@ def find_root_bracketed(objective, bracket, tol=1e-12):
     Raises InvalidParameter unless tol is finite and > 0, and NoSignChange
     when the endpoints do not straddle zero.
     """
-    check_root_tolerance(tol)
+    check_tolerance(tol, "root")
     if not isinstance(bracket, Bracket):
         bracket = Bracket(*bracket)
     f_lo = objective(bracket.lo)

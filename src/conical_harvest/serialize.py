@@ -2,7 +2,7 @@
 
 Every CSV starts with `# conical-harvest v<version>` followed by a header row;
 numeric fields carry 12 significant digits, so identical inputs and version
-produce byte-identical output regardless of thread count.
+produce byte-identical output.
 """
 
 from typing import Iterable, Optional, Sequence

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from conical_harvest._version import __version__
@@ -266,3 +267,109 @@ def test_dmax_config_rejects_threads(tmp_path):
                                   "--gap", "0.1", "--l", "0"])
     assert result.exit_code == 2
     assert "threads" in result.output
+
+
+COMPUTE = ["compute", "--alignment", "parallel", "--nu", "3", "--l", "0.1", "--d", "0.5",
+           "--gap", "0.1"]
+DMAX = ["dmax", "--alignment", "flat", "--gap", "0.1", "--l", "0"]
+NUSCAN = ["nuscan", "--alignment", "parallel", "--l", "3", "--d", "0.1", "--gap", "0.1",
+          "--nu-lo", "8.8", "--nu-hi", "9.7"]
+
+
+def write_config(tmp_path, text):
+    path = tmp_path / "run.conf"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("args, key", [
+    (COMPUTE, "format"), (DMAX, "d"), (DMAX, "format"), (NUSCAN, "nu"), (NUSCAN, "format"),
+])
+def test_config_key_without_a_flag_is_rejected_by_name(tmp_path, args, key):
+    config = write_config(tmp_path, f"{key} = 1\n")
+    result = runner.invoke(main, [args[0], "--config", config, *args[1:]])
+    assert result.exit_code == 2, result.output
+    assert f"'{key}'" in result.output
+
+
+@pytest.mark.parametrize("args, file_text, flag", [
+    (COMPUTE[:-4], "d = 0.5\ngap = 0.1\n", ["--d", "0.7", "--gap", "0.1"]),
+    (DMAX[:-2], "l = 0.5\n", ["--l", "0.2"]),
+    (NUSCAN[:-2], "nu-hi = 9.7\n", ["--nu-hi", "9.6"]),
+])
+def test_flag_overrides_config_file(tmp_path, args, file_text, flag):
+    config = write_config(tmp_path, file_text)
+    overridden = invoke(args[0], "--config", config, *args[1:], *flag)
+    assert overridden.exit_code == 0
+    assert overridden.output == invoke(*args, *flag).output
+
+
+@pytest.mark.parametrize("file_text, flags", [
+    ("log = yes\nd-over-l = 2\n", ["--log", "--d-over-l", "2"]),
+    ("d_over_l = 2.5\n", ["--d-over-l", "2.5"]),
+])
+def test_sweep_config_values_convert_like_flags(tmp_path, file_text, flags):
+    base = ["--alignment", "opposite", "--nu", "3", "--gap", "0.1", "--axis", "l",
+            "--lo", "0.05", "--hi", "3", "--n", "4"]
+    from_file = invoke("sweep", "--config", write_config(tmp_path, file_text), *base)
+    assert from_file.exit_code == 0
+    assert from_file.output == invoke("sweep", *base, *flags).output
+
+
+def test_dmax_config_terminal_is_a_boolean(tmp_path):
+    args = ["--alignment", "opposite", "--nu", "3", "--gap", "0.1", "--l", "0.5"]
+    from_file = invoke("dmax", "--config", write_config(tmp_path, "terminal = true\n"), *args)
+    assert from_file.exit_code == 0
+    assert from_file.output == invoke("dmax", *args, "--terminal").output
+    assert "terminal_l_per_sigma" in json.loads(from_file.output)
+
+
+@pytest.mark.parametrize("file_text, word", [
+    ("alignment = bogus\n", "alignment"),
+    ("alignment = parallel\nn = abc\n", "--n"),
+    ("alignment = parallel\nlog = maybe\n", "--log"),
+])
+def test_bad_config_value_is_a_usage_error(tmp_path, file_text, word):
+    args = ["--nu", "2", "--l", "0.1", "--gap", "0.1", "--axis", "d", "--lo", "0.1", "--hi", "1.5"]
+    result = runner.invoke(main, ["sweep", "--config", write_config(tmp_path, file_text), *args])
+    assert result.exit_code == 2, result.output
+    assert word in result.output
+
+
+def test_figure_threads_is_accepted_and_changes_nothing(tmp_path):
+    plain, threaded = tmp_path / "plain", tmp_path / "threaded"
+    assert invoke("figure", "fig4a", "--out", str(plain)).exit_code == 0
+    assert invoke("figure", "fig4a", "--threads", "2", "--out", str(threaded)).exit_code == 0
+    names = sorted(p.name for p in plain.iterdir())
+    assert names == sorted(p.name for p in threaded.iterdir()) and len(names) == 3
+    for name in names:
+        assert (plain / name).read_bytes() == (threaded / name).read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", *sweep_args(nu="2.5")[1:], "--tol", "0"],
+    ["figure", "fig6a", "--tol", "0"],
+    ["compute", "--alignment", "parallel", "--nu", "2.5", "--l", "0.3", "--d", "0.5",
+     "--gap", "0.1", "--tol", "0"],
+    ["nuscan", "--alignment", "parallel", "--l", "0.3", "--d", "0.5", "--gap", "0.1",
+     "--nu-lo", "2.2", "--nu-hi", "2.8", "--tol", "0"],
+    ["nuscan", *NUSCAN[1:], "--scan-tol", "0"],
+    ["compute", *COMPUTE[1:], "--tol", "nan"],
+    ["compute", *COMPUTE[1:], "--tol", "inf"],
+    ["compute", *COMPUTE[1:], "--tol", "-1"],
+])
+def test_bad_tolerance_is_a_usage_error(tmp_path, args):
+    if args[0] == "figure":
+        args = args + ["--out", str(tmp_path)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "tol" in result.output
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("bounds", [("nan", "1.5"), ("0.1", "inf"), ("-inf", "1.5")])
+def test_sweep_rejects_non_finite_bounds(bounds):
+    lo, hi = bounds
+    result = runner.invoke(main, sweep_args(nu="2.5", lo=lo, hi=hi))
+    assert result.exit_code == 2, result.output
+    assert "finite" in result.output

@@ -187,3 +187,9 @@ def test_x_string_lists_its_image_terms(alignment, nu):
         images += term
     assert len(breakdown.image_terms) == len(f_arguments(config, ConeParameter(nu)).image_args)
     assert images == breakdown.x_images
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_x_string_rejects_a_bad_tolerance_by_name(tol):
+    with pytest.raises(InvalidParameter, match="tol must be finite and > 0"):
+        x_string(parallel(0.3, 0.5), ConeParameter(2.5), tol=tol)

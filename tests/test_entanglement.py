@@ -443,3 +443,13 @@ def test_batch_breakdowns_equal_one_point_breakdowns(alignment, nu, axis):
         assert len(batch_x.image_terms) == len(one_x.image_terms)
         for (m, weight, z, term), want in zip(batch_x.image_terms, one_x.image_terms):
             assert (m, weight, z[i], term[i]) == want
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_sweep_rejects_a_bad_tolerance_before_its_rows(tol, monkeypatch):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr("conical_harvest.entanglement._sweep_row", no_rows)
+    with pytest.raises(InvalidParameter, match="tol must be finite and > 0"):
+        sweep(Alignment.PARALLEL, ConeParameter(2.5), "d", [0.1, 0.2], l=0.1, gap=GAP, tol=tol)

@@ -345,3 +345,10 @@ def test_dmax_path_leaves_scipy_optimize_unimported():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
+@pytest.mark.parametrize("integrate", [integrate_semi_infinite, integrate_semi_infinite_complex])
+def test_semi_infinite_tolerance_must_be_finite_and_positive(integrate, tol):
+    with pytest.raises(InvalidParameter, match="tol must be finite and > 0"):
+        integrate(lambda z: np.exp(-z), tail_rate=1.0, tol=tol)
