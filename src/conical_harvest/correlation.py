@@ -22,7 +22,7 @@ from .geometry import (
     PairConfig,
     f_arguments,
 )
-from .quadrature import DEFAULT_TOL, integrate_semi_infinite_complex
+from .quadrature import DEFAULT_TOL, integrate_semi_infinite
 from .special import EPS_DIV, aux_f
 
 
@@ -105,9 +105,8 @@ def x_integral(geo: FArguments, gap: float, cone: ConeParameter, tol: float = DE
     def integrand(zeta):
         return geo.zeta_coefficient(zeta) * aux_f(geo.zeta_argument(zeta), gap)
 
-    integral, _, _ = integrate_semi_infinite_complex(
-        integrand, tail_rate=cone.nu, tol=tol, breakpoints=geo.zeta_breakpoints)
-    return integral
+    return integrate_semi_infinite(integrand, tail_rate=cone.nu, tol=tol,
+                                   breakpoints=geo.zeta_breakpoints).value
 
 
 def x_boundary(config: PairConfig) -> complex:

@@ -326,8 +326,10 @@ def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence
     fixed (``d_over_l`` couples d = ratio * l to an l-axis, for the
     opposite-sides family).  Per-row failures (detector/image overlap,
     constraint violations such as d < 2l) are flagged, never aborting the
-    sweep; a bad ``tol`` raises InvalidParameter before any row.  ``threads``
-    is accepted for compatibility and has no effect.
+    sweep.  A bad ``tol``, a fixed parameter that is not finite or breaks
+    PairConfig's sign rules (l, gap >= 0; d, d_over_l > 0) and a non-finite
+    axis value raise InvalidParameter before any row.  ``threads`` is accepted
+    for compatibility and has no effect.
     """
     if axis not in SWEEP_AXES:
         raise InvalidParameter(f"axis must be one of {SWEEP_AXES}")
@@ -339,6 +341,15 @@ def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence
         raise InvalidParameter("gap must be fixed unless it is the sweep axis")
     if d is None and axis != "d" and not (axis == "l" and d_over_l is not None):
         raise InvalidParameter("d must be fixed, the sweep axis, or coupled via d_over_l")
+    for name, value in (("l", l), ("d", d), ("gap", gap), ("d_over_l", d_over_l)):
+        if value is None or name == axis:
+            continue
+        positive = name in ("d", "d_over_l")
+        if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+            raise InvalidParameter(
+                f"{name} must be finite and {'> 0' if positive else '>= 0'}, got {value!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidParameter(f"{axis} axis values must be finite")
 
     rows = tuple(_sweep_row(alignment, cone, axis, v, l, d, gap, d_over_l, tol) for v in values)
     fixed = {k: v for k, v in (("l", l), ("d", d), ("gap", gap), ("d_over_l", d_over_l))

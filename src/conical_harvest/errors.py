@@ -55,7 +55,7 @@ class ToleranceNotMet(QuadratureFailure):
 
 
 class PolesTooClose(QuadratureFailure):
-    """Principal-value poles too close together (or to the domain edge) to excise."""
+    """Principal-value poles too close together to excise."""
 
 
 class NoSignChange(ConicalHarvestError):

@@ -373,3 +373,11 @@ def test_sweep_rejects_non_finite_bounds(bounds):
     result = runner.invoke(main, sweep_args(nu="2.5", lo=lo, hi=hi))
     assert result.exit_code == 2, result.output
     assert "finite" in result.output
+
+
+@pytest.mark.parametrize("overrides", [{"gap": "nan"}, {"l": "inf"}, {"l": "-0.1"},
+                                       {"axis": "l", "d_over_l": "nan", "alignment": "opposite"}])
+def test_sweep_invalid_fixed_parameter_is_a_usage_error(overrides):
+    result = runner.invoke(main, sweep_args(nu="3", **overrides))
+    assert result.exit_code == 2, result.output
+    assert "must be finite" in result.output

@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conical_harvest.correlation import correlation_for, x_boundary, x_flat, x_string
+from conical_harvest.correlation import correlation_for, x_boundary, x_flat, x_integral, x_string
 from conical_harvest.errors import DivergentOverlap, InvalidParameter
-from conical_harvest.geometry import Alignment, ConeParameter, PairConfig, f_arguments
+from conical_harvest.geometry import (
+    Alignment,
+    ConeParameter,
+    PairConfig,
+    f_arguments,
+    pair_f_arguments,
+)
+from conical_harvest.quadrature import DEFAULT_TOL, integrate_adaptive, tail_cutoff
 from conical_harvest.special import aux_f, erfc_complex
 
 GAP = 0.1
@@ -193,3 +200,33 @@ def test_x_string_lists_its_image_terms(alignment, nu):
 def test_x_string_rejects_a_bad_tolerance_by_name(tol):
     with pytest.raises(InvalidParameter, match="tol must be finite and > 0"):
         x_string(parallel(0.3, 0.5), ConeParameter(2.5), tol=tol)
+
+
+def _two_row_x_integral(geo, gap, cone, tol=DEFAULT_TOL):
+    """X_integral with real and imaginary parts stacked as rows of one adaptive pass."""
+    if geo.zeta_vanishes:
+        return 0.0 + 0.0j
+
+    def two_rows(zeta):
+        w = np.asarray(geo.zeta_coefficient(zeta) * aux_f(geo.zeta_argument(zeta), gap),
+                       dtype=complex)
+        return np.stack([w.real, w.imag]).reshape(-1, w.shape[-1])
+
+    vals, _, _ = integrate_adaptive(two_rows, 0.0, tail_cutoff(cone.nu, tol), tol,
+                                    breakpoints=geo.zeta_breakpoints)
+    if vals.size == 2:
+        return complex(vals[0], vals[1])
+    k = vals.size // 2
+    return vals[:k] + 1j * vals[k:]
+
+
+@pytest.mark.parametrize("nu", [2.5, 3.7])
+@pytest.mark.parametrize("alignment", [Alignment.PARALLEL, Alignment.ORTHOGONAL_SAME_SIDE,
+                                       Alignment.ORTHOGONAL_OPPOSITE_SIDES])
+def test_x_integral_is_the_two_row_integral_bit_for_bit(alignment, nu):
+    cone = ConeParameter(nu)
+    geo = f_arguments(PairConfig(alignment, l=0.5, d=1.3, gap=GAP), cone)
+    one = x_integral(geo, GAP, cone)
+    assert type(one) is complex and one == _two_row_x_integral(geo, GAP, cone)
+    batch = pair_f_arguments(alignment, cone, np.array([0.4, 0.5, 0.7]), np.array([1.1, 1.3, 2.0]))
+    assert np.array_equal(x_integral(batch, GAP, cone), _two_row_x_integral(batch, GAP, cone))

@@ -453,3 +453,48 @@ def test_sweep_rejects_a_bad_tolerance_before_its_rows(tol, monkeypatch):
     monkeypatch.setattr("conical_harvest.entanglement._sweep_row", no_rows)
     with pytest.raises(InvalidParameter, match="tol must be finite and > 0"):
         sweep(Alignment.PARALLEL, ConeParameter(2.5), "d", [0.1, 0.2], l=0.1, gap=GAP, tol=tol)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("alignment, axis, values, fixed, message", [
+    (Alignment.PARALLEL, "d", [0.1, 0.5], {"l": INF, "gap": GAP}, "^l must be finite and >= 0"),
+    (Alignment.PARALLEL, "d", [0.1, 0.5], {"l": -0.1, "gap": GAP}, "^l must be finite and >= 0"),
+    (Alignment.PARALLEL, "d", [0.1, 0.5], {"l": 0.1, "gap": NAN}, "^gap must be finite and >= 0"),
+    (Alignment.PARALLEL, "d", [0.1, 0.5], {"l": 0.1, "gap": -0.1}, "^gap must be finite and >= 0"),
+    (Alignment.PARALLEL, "nu", [2.5, 3.5], {"l": 0.1, "d": NAN, "gap": GAP},
+     "^d must be finite and > 0"),
+    (Alignment.PARALLEL, "nu", [2.5, 3.5], {"l": 0.1, "d": 0.0, "gap": GAP},
+     "^d must be finite and > 0"),
+    (Alignment.ORTHOGONAL_OPPOSITE_SIDES, "l", [0.1, 0.5], {"gap": GAP, "d_over_l": NAN},
+     "^d_over_l must be finite and > 0"),
+    (Alignment.ORTHOGONAL_OPPOSITE_SIDES, "l", [0.1, 0.5], {"gap": GAP, "d_over_l": INF},
+     "^d_over_l must be finite and > 0"),
+    (Alignment.ORTHOGONAL_OPPOSITE_SIDES, "l", [0.1, 0.5], {"gap": GAP, "d_over_l": 0.0},
+     "^d_over_l must be finite and > 0"),
+    (Alignment.PARALLEL, "d", [NAN, 0.5], {"l": 0.1, "gap": GAP}, "^d axis values must be finite"),
+    (Alignment.PARALLEL, "d", [0.1, INF], {"l": 0.1, "gap": GAP}, "^d axis values must be finite"),
+])
+def test_sweep_refuses_invalid_input_before_its_rows(alignment, axis, values, fixed, message,
+                                                     monkeypatch):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr("conical_harvest.entanglement._sweep_row", no_rows)
+    with pytest.raises(InvalidParameter, match=message):
+        sweep(alignment, ConeParameter(3.0), axis, values, **fixed)
+
+
+def test_sweep_still_flags_rows_that_break_d_at_least_2l():
+    # the fixed parameters are valid; only the rows with d < 2l break the constraint
+    table = sweep(Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(2.5), "d", [0.5, 1.5],
+                  l=0.5, gap=GAP)
+    assert [row.diverged for row in table.rows] == [True, False]
+
+
+def test_sweep_ignores_the_fixed_value_of_its_own_axis():
+    # the CLI always passes --l (default 0); on an l axis that value is not used
+    table = sweep(Alignment.PARALLEL, ConeParameter(3.0), "l", [0.1, 0.5], l=NAN,
+                  d=0.5, gap=GAP)
+    assert not any(row.diverged for row in table.rows)

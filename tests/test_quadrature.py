@@ -17,7 +17,7 @@ from conical_harvest.errors import (
 )
 from conical_harvest.quadrature import (
     Bracket,
-    REAL_LINE,
+    QuadratureResult,
     find_last_sign_change,
     find_root_bracketed,
     integrate_adaptive,
@@ -111,14 +111,14 @@ def epsilon_excision_reference(c, eps):
 
 def test_pv_full_line_against_epsilon_excision_richardson():
     # PV int_-inf^inf e^{-s^2}/(s^2 - 4) ds; symmetric excision has an error
-    # expansion in odd powers of eps, so a ratio-2 ladder cancels eps then eps^3
-    res = integrate_pv(lambda s: np.exp(-np.asarray(s, dtype=float) ** 2), [2.0],
-                       domain=REAL_LINE, tol=1e-10)
+    # expansion in odd powers of eps, so a ratio-2 ladder cancels eps then eps^3;
+    # the integrand is even, so the full line is twice the half-line PV
+    res = integrate_pv(lambda s: np.exp(-np.asarray(s, dtype=float) ** 2), [2.0], tol=1e-10)
     i0, i1, i2 = (epsilon_excision_reference(2.0, e) for e in (2e-2, 1e-2, 5e-3))
     r0 = 2 * i1 - i0
     r1 = 2 * i2 - i1
     richardson = (8 * r1 - r0) / 7
-    assert res.value == pytest.approx(richardson, abs=1e-8)
+    assert 2 * res.value == pytest.approx(richardson, abs=1e-8)
 
 
 def test_pv_multi_pole_matches_sum_of_single_poles():
@@ -139,16 +139,7 @@ def test_pv_validation():
     with pytest.raises(InvalidParameter):
         integrate_pv(lambda u: np.ones_like(u), [-1.0], tol=1e-8)
     with pytest.raises(InvalidParameter):
-        integrate_pv(lambda u: np.ones_like(u), [5.0], domain=Bracket(0.0, 1.0), tol=1e-8)
-    with pytest.raises(InvalidParameter):
         integrate_pv(lambda u: np.ones_like(u), [], tol=1e-8)
-
-
-def test_pv_bracket_domain():
-    # PV int_0^2 du/(u^2-1) = 0.5 [ln|(u-1)/(u+1)|]_0^2 = 0.5 ln(1/3)
-    res = integrate_pv(lambda u: np.ones_like(np.asarray(u, dtype=float)), [1.0],
-                       domain=Bracket(0.0, 2.0), tol=1e-12)
-    assert res.value == pytest.approx(0.5 * math.log(1.0 / 3.0), abs=1e-11)
 
 
 # --- the components axis -------------------------------------------------------
@@ -166,17 +157,15 @@ def _gaussian_rows(widths, freqs):
     return rows
 
 
-@pytest.mark.parametrize("domain", ["semi-infinite", REAL_LINE, Bracket(0.2, 5.0)])
-def test_pv_components_match_scalar_calls(domain):
+def test_pv_components_match_scalar_calls():
     widths, freqs = (4.0, 1.0, 9.0, 0.5), (0.0, 0.3, 2.0, 1.1)
     poles, weights, tol = [0.7, 2.0], [1.0, 0.5], 1e-10
-    batch = integrate_pv(_gaussian_rows(widths, freqs), poles, domain=domain, tol=tol,
-                         weights=weights)
+    batch = integrate_pv(_gaussian_rows(widths, freqs), poles, tol=tol, weights=weights)
     assert batch.value.shape == batch.error_estimate.shape == (len(widths),)
     assert np.all(batch.error_estimate <= tol)
     for i, (a, b) in enumerate(zip(widths, freqs)):
-        single = integrate_pv(lambda s: _gaussian_rows([a], [b])(s)[0], poles, domain=domain,
-                              tol=tol, weights=weights)
+        single = integrate_pv(lambda s: _gaussian_rows([a], [b])(s)[0], poles, tol=tol,
+                              weights=weights)
         assert abs(batch.value[i] - single.value) <= tol
         assert single.error_estimate <= tol
 
@@ -196,8 +185,6 @@ def test_pv_components_raise_as_one_row_does():
     with pytest.raises(InvalidParameter):
         integrate_pv(rows, [-1.0], tol=1e-8)
     with pytest.raises(InvalidParameter):
-        integrate_pv(rows, [5.0], domain=Bracket(0.0, 1.0), tol=1e-8)
-    with pytest.raises(InvalidParameter):
         integrate_pv(rows, [], tol=1e-8)
     with pytest.raises(InvalidParameter):
         integrate_pv(rows, [1.0], tol=1e-8, weights=[1.0, 2.0])
@@ -213,6 +200,44 @@ def test_semi_infinite_components_match_scalar_calls():
         lambda z: np.exp(-np.multiply.outer(rates, z)) * (1.0 + 2.0j), tail_rate=0.5, tol=1e-10)
     assert value.shape == err_re.shape == err_im.shape == (3,)
     assert np.allclose(value, (1.0 + 2.0j) / rates, rtol=0.0, atol=1e-10)
+
+
+def test_adaptive_returns_one_result_type():
+    res = integrate_adaptive(lambda x: np.exp(-np.asarray(x)), 0.0, 2.0, 1e-12)
+    assert isinstance(res, QuadratureResult)
+    value, error, evals = res
+    assert res.value is value and res.error_estimate is error and res.evaluations == evals
+    assert value[0] == pytest.approx(1.0 - math.exp(-2.0), abs=1e-12)
+
+
+def test_adaptive_refuses_a_complex_integrand():
+    with pytest.raises(InvalidParameter, match="complex"):
+        integrate_adaptive(lambda x: np.exp(-np.asarray(x)) * (1.0 + 2.0j), 0.0, 1.0, 1e-10)
+
+
+def test_pv_refuses_a_complex_numerator():
+    with pytest.raises(InvalidParameter, match="complex"):
+        integrate_pv(lambda u: np.exp(-np.asarray(u, dtype=float) ** 2) * (1.0 + 1.0j), [1.0])
+
+
+def test_semi_infinite_keeps_the_imaginary_part():
+    res = integrate_semi_infinite(lambda z: np.exp(-np.asarray(z)) * (1.0 + 2.0j),
+                                  tail_rate=1.0, tol=1e-10)
+    assert isinstance(res.value, complex)
+    assert res.value == pytest.approx(1.0 + 2.0j, abs=1e-10)
+    assert res.error_estimate.shape == (2,) and np.all(res.error_estimate <= 1e-10)
+
+
+def test_semi_infinite_complex_components():
+    rates = np.array([0.5, 1.0, 3.0])
+    phases = np.exp(1j * np.array([0.3, 1.2, 2.5]))[:, None]
+    res = integrate_semi_infinite(lambda z: np.exp(-np.multiply.outer(rates, z)) * phases,
+                                  tail_rate=0.5, tol=1e-10)
+    assert res.value.shape == (3,) and res.value.dtype == complex
+    assert res.error_estimate.shape == (2, 3) and np.all(res.error_estimate <= 1e-10)
+    want = phases[:, 0] / rates
+    assert np.all(np.abs(res.value.real - want.real) <= 1e-10)
+    assert np.all(np.abs(res.value.imag - want.imag) <= 1e-10)
 
 
 def test_tolerance_not_met():
