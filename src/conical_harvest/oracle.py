@@ -17,10 +17,12 @@ node.  Rescaling s = c t,
 
     PV int_0^inf n(s)/(s^2 - c^2) ds = (1/c) PV int_0^inf n(c t)/(t^2 - 1) dt,
 
-puts every node's pole at t = 1, so the 15 inner integrals of one outer GK15
-panel run as one integrate_pv call with a components axis (one row n(c_i t)
-per node).  The t-tolerance is _PV_TOL * min(c): after the division by c_i
-each inner s-integral still meets _PV_TOL.
+puts every node's pole at t = 1.  The outer integrate_adaptive calls its
+integrand once per refinement pass, on the nodes of every panel that pass
+adds, so all those inner integrals run as one integrate_pv call with a
+components axis (one row n(c_i t) per node).  The t-tolerance is
+_PV_TOL * min(c): after the division by c_i each inner s-integral still meets
+_PV_TOL.
 
 All values per lambda^2, lengths in sigma units, gap g = Omega*sigma.
 """

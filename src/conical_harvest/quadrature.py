@@ -1,20 +1,24 @@
 """Adaptive quadrature, principal-value integration, and bracketed root/extremum search.
 
-The workhorse is a vectorized Gauss-Kronrod 15(7) rule with worst-interval-first
-subdivision.  Semi-infinite integrals are truncated at a point where the
-caller-supplied exponential tail bound drops below tol/10; a complex integrand
-runs its real and imaginary parts as rows of the same subdivision.
+The workhorse is a vectorized Gauss-Kronrod 15(7) rule (QUADPACK's error
+estimate, Piessens et al. 1983) refined breadth-first: each pass splits every
+panel whose error is above its share of the tolerance and evaluates all the
+children in one integrand call, so the Python cost scales with the number of
+passes, not of panels.  Semi-infinite integrals are truncated at a point where
+the caller-supplied exponential tail bound drops below tol/10; a complex
+integrand runs its real and imaginary parts as rows of the same subdivision.
 Principal-value integrals over [0, inf) use pole-symmetric subtraction inside a
 finite excision window plus an exact log term, with the power-law far tail
-mapped to a finite interval by u -> 1/u.  Every integrator takes a components
-axis: an integrand returning (k, n) instead of (n,) integrates k functions on
-one shared subdivision, which is how a batch of points (a scan axis, an oracle
-panel's nodes) costs one adaptive pass instead of k.  Every integrator returns
-a ``QuadratureResult``.  Only ``integrate_semi_infinite`` accepts complex
-values; the others raise InvalidParameter rather than drop an imaginary part.
+mapped to a finite interval by u -> 1/u; windows, smooth segments and tail run
+as one adaptive integral.  Every integrator takes a components axis: an
+integrand returning (k, n) instead of (n,) integrates k functions on one
+shared subdivision, which is how a batch of points (a scan axis, the new nodes
+of an oracle's outer pass) costs one adaptive integral instead of k.  Every
+integrator returns a ``QuadratureResult``.  Only ``integrate_semi_infinite``
+accepts complex values; the others raise InvalidParameter rather than drop an
+imaginary part.
 """
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -97,63 +101,75 @@ def _real(y, a, b):
 
 
 def _gk15(f, a, b):
-    """One GK15 panel; f maps a node array to shape (..., 15).  Returns (val, err)."""
+    """GK15 on every panel [a_i, b_i] with one call of f on all their nodes.
+
+    ``a`` and ``b`` are arrays of p panel ends; f maps the 15 p nodes (a flat
+    array, panel by panel) to shape (15 p,) or (k, 15 p).  Returns the
+    Kronrod values and the |Kronrod - Gauss| errors, both of shape (k, p).
+    """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    y = np.atleast_2d(_real(f(mid + half * _XGK), a, b))
-    if not np.all(np.isfinite(y)):
-        raise InvalidParameter(f"integrand returned non-finite values on [{a}, {b}]")
-    kron = half * y @ _WGK
-    gauss = half * y @ _WG
+    y = _real(f((mid[:, None] + half[:, None] * _XGK).ravel()), a[0], b[-1])
+    y = y.reshape(-1, a.size, 15)
+    finite = np.isfinite(y).all(axis=(0, 2))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InvalidParameter(f"integrand returned non-finite values on [{a[i]}, {b[i]}]")
+    kron = (half[:, None] * y) @ _WGK
+    gauss = (half[:, None] * y) @ _WG
     return kron, np.abs(kron - gauss)
 
 
 def integrate_adaptive(f, lo, hi, tol, breakpoints=(), max_intervals=_MAX_INTERVALS):
-    """Adaptive GK15 on [lo, hi] with forced initial breakpoints.
+    """Adaptive GK15 on [lo, hi] with forced initial breakpoints, refined in passes.
 
-    ``f`` maps a node array to a real array of shape (15,) for scalar
-    integrands or (components, 15) for several real components sharing
-    subdivision points.  Returns a QuadratureResult whose value and error are
-    arrays with the leading axis of size ``components``.  Raises
-    InvalidParameter for complex or non-finite integrand values, and
-    ToleranceNotMet when the interval budget runs out with max-component error
-    still above tol.
+    ``f`` maps a 1-D node array of length n to a real array of shape (n,) for
+    a scalar integrand or (components, n) for several real components sharing
+    subdivision points.  Every pass makes one call of ``f``: the first on the
+    nodes of all panels between the breakpoints, each later one on the
+    children of every panel whose worst-component error exceeds tol / (panel
+    count), a set that always holds the worst panel wider than the minimum
+    width.  The loop stops when each component's summed error is at most
+    ``tol``, the same test as a worst-panel-first loop.  Returns a QuadratureResult
+    whose value and error are arrays with the leading axis of size
+    ``components``; ``evaluations`` counts the nodes.
+
+    Raises InvalidParameter for complex or non-finite integrand values, and
+    ToleranceNotMet when the tolerance is still unmet once ``max_intervals``
+    panels are held (a pass that would go past it splits only the worst panels
+    that fit) or no panel is left that is wider than the minimum width.
     """
-    edges = [lo] + sorted(float(b) for b in breakpoints if lo < b < hi) + [hi]
-    heap = []
-    count = 0
-    evals = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, err = _gk15(f, a, b)
-        evals += 15
-        heapq.heappush(heap, (-float(err.max()), count, a, b, val, err))
-        count += 1
-
+    edges = np.array([lo] + sorted(float(b) for b in breakpoints if lo < b < hi) + [hi],
+                     dtype=float)
+    a, b = edges[:-1], edges[1:]
+    val, err = _gk15(f, a, b)
+    evals = 15 * a.size
     min_width = _MIN_WIDTH_FACTOR * (abs(lo) + abs(hi) + 1.0)
     while True:
-        total_err = np.sum([item[5] for item in heap], axis=0)
+        total_err = err.sum(axis=1)
         if float(total_err.max()) <= tol:
-            break
-        if len(heap) >= max_intervals or -heap[0][0] == 0.0:
-            value = np.sum([item[4] for item in heap], axis=0)
-            raise ToleranceNotMet(value, float(total_err.max()), tol, evals)
-        _, _, a, b, val, err = heapq.heappop(heap)
-        if b - a < min_width:
-            # Cannot subdivide further; push back with zero priority so the
-            # budget check above terminates the loop.
-            heapq.heappush(heap, (0.0, count, a, b, val, err))
-            count += 1
-            continue
-        mid = 0.5 * (a + b)
-        for aa, bb in ((a, mid), (mid, b)):
-            val, err = _gk15(f, aa, bb)
-            evals += 15
-            heapq.heappush(heap, (-float(err.max()), count, aa, bb, val, err))
-            count += 1
-
-    values = np.sum([item[4] for item in heap], axis=0)
-    errors = np.sum([item[5] for item in heap], axis=0)
-    return QuadratureResult(values, errors, evals)
+            return QuadratureResult(val.sum(axis=1), total_err, evals)
+        # worst-component error of every panel that may still be split
+        worst = np.where(b - a >= min_width, err.max(axis=0), 0.0)
+        room = max_intervals - a.size
+        if room <= 0 or worst.max() == 0.0:
+            raise ToleranceNotMet(val.sum(axis=1), float(total_err.max()), tol, evals)
+        split = np.flatnonzero(worst > tol / a.size)
+        if split.size == 0:
+            split = np.array([np.argmax(worst)])
+        elif split.size > room:
+            split = split[np.argsort(-worst[split], kind="stable")[:room]]
+        keep = np.ones(a.size, dtype=bool)
+        keep[split] = False
+        mid = 0.5 * (a[split] + b[split])
+        new_a = np.concatenate([a[split], mid])
+        new_b = np.concatenate([mid, b[split]])
+        new_val, new_err = _gk15(f, new_a, new_b)
+        evals += 15 * new_a.size
+        a = np.concatenate([a[keep], new_a])
+        b = np.concatenate([b[keep], new_b])
+        val = np.concatenate([val[:, keep], new_val], axis=1)
+        err = np.concatenate([err[:, keep], new_err], axis=1)
 
 
 def tail_cutoff(tail_rate, tol):
@@ -176,8 +192,8 @@ def integrate_semi_infinite(integrand, tail_rate, tol=DEFAULT_TOL, breakpoints=(
     axis, shape (2,) for one integrand and (2, k) for k.  Real or complex and
     one row or k are read from the first integrand call.
     """
-    if tail_rate <= 0:
-        raise InvalidParameter("tail_rate must be > 0")
+    if not (math.isfinite(tail_rate) and tail_rate > 0):
+        raise InvalidParameter(f"tail_rate must be finite and > 0, got {tail_rate!r}")
     check_tolerance(tol, "quadrature")
     zmax = tail_cutoff(tail_rate, tol)
     layout = []     # [complex, one row], fixed by the first integrand call
@@ -227,7 +243,7 @@ def _excision_widths(poles):
 
 
 def integrate_pv(numerator, poles, tol=DEFAULT_PV_TOL, weights=None):
-    """PV int_0^inf numerator(s) * sum_j q_j / (s^2 - c_j^2) ds.
+    """PV int_0^inf numerator(s) * sum_j q_j / (s^2 - c_j^2) ds, as one adaptive integral.
 
     ``numerator`` maps a node array of shape (n,) to real values of shape (n,)
     for one integral or (k, n) for k numerators sharing the poles (a
@@ -237,19 +253,24 @@ def integrate_pv(numerator, poles, tol=DEFAULT_PV_TOL, weights=None):
     InvalidParameter.
 
     Each simple pole pair +-c_j is handled by pole-symmetric subtraction inside
-    a window [c-w, c+w]: the smooth remainder (n(s) - n(c)) q/(s^2 - c^2) is
-    integrated adaptively and the singular part contributes the exact
-    n(c) q/(2c) ln[(2c-w)/(2c+w)].  Outside all windows the full integrand is
-    smooth.  The far tail is mapped to a finite interval by u -> 1/u, so
-    constant numerators are handled exactly (PV int ds/(s^2-c^2) = 0 there).
-    Poles must be positive and pairwise separated by at least ten excision
-    widths (PolesTooClose otherwise).
+    a window [c-w, c+w]: there the pole's term is (n(s) - n(c)) q/(s^2 - c^2),
+    and the singular part contributes the exact n(c) q/(2c) ln[(2c-w)/(2c+w)].
+    Outside all windows the full integrand is smooth.  The far tail beyond
+    far_lo = 2 max(c) + 4 is mapped by s = 1/v onto [0, 1/far_lo], so constant
+    numerators are handled exactly (PV int ds/(s^2-c^2) = 0 there).  The
+    windows, the segments between them and the mapped tail lie side by side
+    on [0, far_lo + 1/far_lo], which one ``integrate_adaptive`` call covers
+    with breakpoints at every window edge, every pole and far_lo; so the
+    numerator runs once per refinement pass, plus once at the poles, and
+    ``tol`` bounds the error of the whole PV integral.  Poles must be finite,
+    positive and pairwise separated by at least ten excision widths
+    (PolesTooClose otherwise).
     """
     poles = [float(c) for c in poles]
     if not poles:
         raise InvalidParameter("at least one pole is required")
-    if any(c <= 0 for c in poles):
-        raise InvalidParameter("poles must be strictly positive")
+    if not all(math.isfinite(c) and c > 0 for c in poles):
+        raise InvalidParameter(f"poles must be finite and strictly positive, got {poles}")
     if weights is None:
         weights = [1.0] * len(poles)
     if len(weights) != len(poles):
@@ -269,68 +290,32 @@ def integrate_pv(numerator, poles, tol=DEFAULT_PV_TOL, weights=None):
             if other != c and abs(other - c) <= 10.0 * w:
                 raise PolesTooClose(f"poles {c} and {other} within ten excision widths")
 
-    def rational(s, skip=None):
-        s = np.asarray(s, dtype=float)
-        total = np.zeros_like(s)
-        for j, (c, q) in enumerate(zip(poles, weights)):
-            if j == skip:
-                continue
-            total += q / (s * s - c * c)
-        return total
-
-    pieces = []           # (callable, lo, hi, forced breakpoints)
-    analytic = 0.0
-
-    # Smooth segments between excision windows, up to the far tail.
+    n_c = _real(numerator(np.array(poles)), poles[0], poles[-1])     # (..., poles)
+    n_c_rows = np.moveaxis(n_c, -1, 0)[..., None]      # per pole, broadcast against the nodes
     far_lo = 2.0 * poles[-1] + 4.0
-    edges = [0.0]
-    for c, w in zip(poles, widths):
-        edges.extend([c - w, c + w])
-    edges.append(far_lo)
-    for a, b in zip(edges[0::2], edges[1::2]):
-        if b - a > 1e-15:
-            pieces.append((lambda s: numerator(s) * rational(s), a, b, ()))
+    hi = far_lo + 1.0 / far_lo
 
-    # Excision windows: subtracted pole + remaining regular poles + exact log.
-    # The window is split at the pole so no quadrature node lands on the
-    # removable 0/0 of the subtracted integrand.
-    for j, (c, w, q) in enumerate(zip(poles, widths, weights)):
-        n_c = _real(numerator(np.array([c])), c, c)[..., 0]
+    def integrand(x):
+        far = x > far_lo
+        v = np.where(far, hi - x, 0.0)          # v = 1/s on the mapped tail
+        tail = v > 0.0                          # rounding can put a tail node on v = 0
+        s = x.copy()
+        s[tail] = 1.0 / v[tail]
+        n = numerator(s)
+        total = 0.0
+        for c, w, q, nc in zip(poles, widths, weights, n_c_rows):
+            # s^2 - c^2 before the tail, (s^2 - c^2) v^2 = 1 - (c v)^2 on it
+            rational = q / np.where(far, 1.0 - (c * v) ** 2, x * x - c * c)
+            total = total + (n - np.where(np.abs(x - c) < w, nc, 0.0)) * rational
+        return np.where(far & ~tail, 0.0, total)
 
-        def window(s, _j=j, _c=c, _nc=n_c[..., None], _q=q):
-            s = np.asarray(s, dtype=float)
-            n_s = np.asarray(numerator(s))
-            return (n_s - _nc) * _q / (s * s - _c * _c) + n_s * rational(s, skip=_j)
-
-        pieces.append((window, c - w, c + w, (c,)))
-        analytic += q * n_c / (2.0 * c) * np.log((2.0 * c - w) / (2.0 * c + w))
-    components = n_c.shape      # () for one numerator, (k,) for a components axis
-
-    # Far tail via inversion u -> 1/u (exact for constant numerators).
-    def far(v):
-        v = np.asarray(v, dtype=float)
-        out = np.zeros(components + v.shape)
-        pos = v > 0
-        if np.any(pos):
-            s = 1.0 / v[pos]
-            total = np.zeros_like(s)
-            for c, q in zip(poles, weights):
-                total += q / (1.0 - (c * v[pos]) ** 2)
-            out[..., pos] = np.asarray(numerator(s)) * total
-        return out
-
-    pieces.append((far, 0.0, 1.0 / far_lo, ()))
-
-    tol_piece = tol / len(pieces)
-    value = analytic
-    err = 0.0
-    evals = 0
-    for func, a, b, forced in pieces:
-        vals, errs, n = integrate_adaptive(func, a, b, tol_piece, breakpoints=forced)
-        value = value + vals
-        err = err + errs
-        evals += n
-    if not components:
+    # a breakpoint at each pole keeps every node off the removable 0/0 there
+    breakpoints = [far_lo] + [e for c, w in zip(poles, widths) for e in (c - w, c, c + w)]
+    value, err, evals = integrate_adaptive(integrand, 0.0, hi, tol, breakpoints=breakpoints)
+    log_terms = np.array([q / (2.0 * c) * np.log((2.0 * c - w) / (2.0 * c + w))
+                          for c, w, q in zip(poles, widths, weights)])
+    value = value + n_c @ log_terms
+    if n_c.ndim == 1:
         value, err = float(value[0]), float(err[0])
     return QuadratureResult(value, err, evals)
 

@@ -198,15 +198,21 @@ def test_batched_nested_oracles_match_the_per_node_loop(nu, rho):
 
 
 @pytest.mark.parametrize("nu", [1.5, 3.7])
-def test_nested_oracles_run_one_pv_call_per_outer_panel(nu, monkeypatch):
-    pv_calls, panels = [0], [0]
+def test_nested_oracles_run_one_pv_call_per_outer_pass(nu, monkeypatch):
+    # the outer integral calls its integrand once per refinement pass, and each
+    # call hands all of that pass's new nodes to a single integrate_pv
+    pv_calls, outer_calls, panels = [0], [0], [0]
 
     def counting_pv(*args, **kwargs):
         pv_calls[0] += 1
         return integrate_pv(*args, **kwargs)
 
-    def counting_outer(*args, **kwargs):
-        values, errors, evals = integrate_adaptive(*args, **kwargs)
+    def counting_outer(f, *args, **kwargs):
+        def counted(x):
+            outer_calls[0] += 1
+            return f(x)
+
+        values, errors, evals = integrate_adaptive(counted, *args, **kwargs)
         panels[0] += evals // 15
         return values, errors, evals
 
@@ -214,9 +220,10 @@ def test_nested_oracles_run_one_pv_call_per_outer_panel(nu, monkeypatch):
     monkeypatch.setattr(oracle, "integrate_adaptive", counting_outer)
     cone = ConeParameter(nu)
     oracle.p2_oracle(0.7, cone, 0.1)
-    assert panels[0] > 1 and pv_calls[0] == panels[0]
+    assert pv_calls[0] == outer_calls[0] < panels[0]
 
-    pv_calls[0] = panels[0] = 0
+    pv_calls[0] = outer_calls[0] = panels[0] = 0
     oracle.xp_oracle(PairConfig(Alignment.PARALLEL, l=0.7, d=1.0, gap=0.1), cone)
-    # beside the panels: X0's pole and, from nu = 2 on, the image poles
-    assert pv_calls[0] == panels[0] + 1 + (nu >= 2.0)
+    # beside the outer passes: X0's pole and, from nu = 2 on, the image poles
+    assert pv_calls[0] == outer_calls[0] + 1 + (nu >= 2.0)
+    assert outer_calls[0] < panels[0]

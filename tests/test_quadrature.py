@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import dawsn
 
+from conical_harvest import quadrature
 from conical_harvest.errors import (
     InvalidParameter,
     NoSignChange,
@@ -16,6 +17,7 @@ from conical_harvest.errors import (
     ToleranceNotMet,
 )
 from conical_harvest.quadrature import (
+    _MIN_WIDTH_FACTOR,
     Bracket,
     QuadratureResult,
     find_last_sign_change,
@@ -256,6 +258,114 @@ def test_nonfinite_integrand_rejected():
             return 1.0 / np.asarray(x)
     with pytest.raises(InvalidParameter):
         integrate_adaptive(blows_up, -1.0, 1.0, 1e-10)
+
+
+# --- refinement in passes --------------------------------------------------------
+
+
+def _recording(f):
+    """f with a log of the node arrays of its calls."""
+    calls = []
+
+    def recorded(x):
+        calls.append(np.array(x))
+        return f(x)
+
+    return recorded, calls
+
+
+def _panel_widths(nodes):
+    """Widths of the GK15 panels whose nodes, panel by panel, make up ``nodes``."""
+    panels = nodes.reshape(-1, 15)
+    return (panels[:, -1] - panels[:, 0]) / 0.991455371120812639206854697526329
+
+
+def test_adaptive_makes_one_integrand_call_per_pass():
+    # 1/(a + (x - 0.3)^2) peaks at 1/a = 1e4 over a width of 0.01
+    a, tol = 1e-4, 1e-9
+    f, calls = _recording(lambda x: 1.0 / (a + (x - 0.3) ** 2))
+    value, error, evals = integrate_adaptive(f, 0.0, 1.0, tol)
+    exact = (math.atan(0.7 / math.sqrt(a)) + math.atan(0.3 / math.sqrt(a))) / math.sqrt(a)
+    assert abs(value[0] - exact) <= tol and error[0] <= tol
+    assert evals == sum(x.size for x in calls)
+    assert 1 < len(calls) < evals // 15
+
+
+@pytest.mark.parametrize("max_intervals", [7, 8])
+def test_adaptive_never_holds_more_than_max_intervals(max_intervals):
+    f, calls = _recording(lambda x: np.sin(50.0 * x))
+    with pytest.raises(ToleranceNotMet):
+        integrate_adaptive(f, 0.0, 1.0, 1e-30, max_intervals=max_intervals)
+    # the first call covers the initial panels; each later one adds a panel per two children
+    held = np.cumsum([calls[0].size // 15] + [x.size // 30 for x in calls[1:]])
+    assert held.max() == held[-1] == max_intervals
+
+
+def test_adaptive_stops_at_the_minimum_width():
+    # a jump of 1e3 at 1/3 keeps its panel's error near 1e2 x width: 1e-13 is out
+    # of reach above the minimum width 1e-14 * (|lo| + |hi| + 1)
+    f, calls = _recording(lambda x: np.where(x > 1.0 / 3.0, 1e3, 0.0))
+    with pytest.raises(ToleranceNotMet) as info:
+        integrate_adaptive(f, 0.0, 1.0, 1e-13)
+    assert info.value.error_estimate > 1e-13
+    assert len(calls) < 100
+    widths = np.concatenate([_panel_widths(x) for x in calls])
+    min_width = _MIN_WIDTH_FACTOR * 2.0
+    # the jump's panel reached the floor, and no panel narrower than it was split
+    assert widths.min() < min_width
+    assert widths.min() >= 0.5 * min_width * (1.0 - 1e-9)
+
+
+def test_pv_calls_its_numerator_once_per_pass(monkeypatch):
+    passes, adaptive_calls = [0], [0]
+    original = quadrature.integrate_adaptive
+
+    def counting_adaptive(f, *args, **kwargs):
+        adaptive_calls[0] += 1
+
+        def counted(x):
+            passes[0] += 1
+            return f(x)
+
+        return original(counted, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_adaptive", counting_adaptive)
+    numerator, calls = _recording(lambda u: np.cos(3.0 * u) * np.exp(-u * u / 4.0))
+    res = integrate_pv(numerator, [0.5, 2.0, 3.5], tol=1e-10, weights=[1.0, -0.5, 2.0])
+    assert adaptive_calls[0] == 1 and passes[0] > 1
+    # one call at the poles, then one per pass
+    assert len(calls) == passes[0] + 1
+    assert np.array_equal(calls[0], [0.5, 2.0, 3.5])
+    assert res.evaluations == sum(x.size for x in calls[1:])
+
+
+def test_pv_three_poles_match_single_poles_and_dawson():
+    # PV int_0^inf e^{-u^2/4}/(u^2 - c^2) du = -(sqrt(pi)/c) D(c/2)
+    def numerator(u):
+        return np.exp(-np.asarray(u, dtype=float) ** 2 / 4.0)
+
+    poles, weights, tol = [0.5, 1.5, 3.0], [1.0, -0.5, 2.0], 1e-10
+    combined = integrate_pv(numerator, poles, tol=tol, weights=weights)
+    assert combined.error_estimate <= tol
+    single = sum(q * integrate_pv(numerator, [c], tol=tol).value for c, q in zip(poles, weights))
+    dawson = sum(-q * math.sqrt(math.pi) / c * dawsn(c / 2.0) for c, q in zip(poles, weights))
+    assert abs(combined.value - single) <= tol
+    assert abs(combined.value - dawson) <= tol
+
+
+@pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+def test_semi_infinite_rejects_a_non_finite_tail_rate(rate):
+    with pytest.raises(InvalidParameter, match="tail_rate must be finite"):
+        integrate_semi_infinite(lambda z: np.exp(-np.asarray(z)), tail_rate=rate, tol=1e-10)
+
+
+@pytest.mark.parametrize("pole", [float("nan"), float("inf"), float("-inf")])
+def test_pv_rejects_non_finite_poles_before_any_window(pole):
+    def numerator(u):
+        raise AssertionError("the numerator ran before the poles were checked")
+
+    with pytest.raises(InvalidParameter, match="poles must be finite"):
+        integrate_pv(numerator, [1.0, pole], tol=1e-8)
 
 
 def test_root_trivial_linear():
