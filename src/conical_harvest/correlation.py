@@ -1,13 +1,15 @@
-"""Nonlocal correlation term X for every alignment, assembled from aux_f.
+"""The image expansion shared by P and X, and the nonlocal correlation term X.
 
-Every alignment takes X = X0 + X_images + X_integral with X0 = f(d/2),
-X_images = 2 sum_m' w_m f(z_m), and X_integral the zeta-integral of
-coef(zeta) f(z(zeta)); the geometry module supplies z_m, z(zeta), and the
-coefficient per alignment.  A reflecting boundary is the subtracted nu = 2
-image (weight -1/2, so X_images = -f(z_1)), and flat spacetime is nu = 1 with
-no images; both have a vanishing zeta coefficient.  One assembly
-(``_x_breakdown``) serves x_string's single pair and the d_max scan's batch of
-points.
+X pairs detector A with detector B, and a detector's response P is its
+correlation with itself, so both are a direct term plus one image expansion
+(``expand``) over the images the point set sees:
+2 sum_m' w_m k(z_m) + int_0^inf coef(zeta) k(z(zeta)) dzeta.  The geometry
+module supplies z_m, z(zeta) and coef (pair_f_arguments, self_f_arguments).
+X = f(d/2) + the expansion of k = aux_f; P is in the response module.  A
+reflecting boundary is the subtracted nu = 2 image (weight -1/2, so
+X_images = -f(z_1)), and flat spacetime is nu = 1 with no images; both have a
+vanishing zeta coefficient.  One assembly (``_x_breakdown``) serves
+x_string's single pair and the d_max scan's batch of points.
 """
 
 from dataclasses import dataclass
@@ -60,53 +62,57 @@ def x_flat(d, gap: float):
 def x_string(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL) -> CorrelationBreakdown:
     """Correlation term of any alignment, from the images it sees (geometry.image_set).
 
-    The zeta integral runs as two real integrations sharing one adaptive
-    subdivision; it is skipped (exact zero) whenever the coefficient vanishes
-    identically.  A detector/image overlap (an f-argument at or below the
-    cutoff, e.g. the symmetric opposite-sides case at even integer nu) raises
-    DivergentOverlap carrying the offending image index.
+    A detector/image overlap (an f-argument at or below the cutoff, e.g. the
+    symmetric opposite-sides case at even integer nu) raises DivergentOverlap
+    carrying the offending image index.
     """
     return _x_breakdown(f_arguments(config, cone), config.d, config.gap, cone, tol)
 
 
 def _x_breakdown(geo: FArguments, d, gap: float, cone: ConeParameter,
                  tol: float) -> CorrelationBreakdown:
-    """X0 + 2 sum_m' w_m f(z_m) + X_integral from pair_f_arguments and separation d.
+    """X0 + expand(aux_f) from pair_f_arguments and separation d.
 
     One pair gives complex parts; equal-shape arrays (a batch of validated,
     overlap-free points, as the d_max scan hands over) give complex arrays.
     """
     flat = x_flat(d, gap)
-    images = 0.0 + 0.0j
+    images, integral, terms = expand(aux_f, geo, gap, cone.nu, tol, zero=0j)
+    return CorrelationBreakdown(x_flat=flat, x_images=images, x_integral=integral,
+                                image_terms=terms)
+
+
+def expand(kernel, geo: FArguments, gap: float, tail_rate: float, tol: float = DEFAULT_TOL,
+           zero=0.0, scale: float = 1.0):
+    """(images, integral, image_terms) of the image expansion of kernel(z, gap)/scale.
+
+    image_terms holds (m, w_m, z_m, 2 w_m k(z_m)) per geo.image_args entry,
+    and images is their sum over ``scale``; an argument at or below the
+    kernel's cutoff raises DivergentOverlap with its image index.  integral
+    is int_0^inf coef(zeta) k(z(zeta))/scale dzeta in one
+    integrate_semi_infinite call, on which a batch's points (and a complex
+    kernel's real and imaginary parts) share one subdivision; it is ``zero``,
+    the kernel's zero that the image sum starts from, when coef vanishes.
+    """
+    images = zero
     terms = []
     for m, weight, z in geo.image_args:
         try:
-            term = 2.0 * weight * aux_f(z, gap)
+            term = 2.0 * weight * kernel(z, gap)
         except DivergentArgument as exc:
             raise DivergentOverlap(argument=exc.z, image_index=m) from exc
         images += term
         terms.append((m, weight, z, term))
-
-    return CorrelationBreakdown(x_flat=flat, x_images=images,
-                                x_integral=x_integral(geo, gap, cone, tol),
-                                image_terms=tuple(terms))
-
-
-def x_integral(geo: FArguments, gap: float, cone: ConeParameter, tol: float = DEFAULT_TOL):
-    """X_integral from f_arguments of one pair (complex) or of an array of pairs.
-
-    Exactly zero when the coefficient vanishes; otherwise the real and
-    imaginary parts of every pair are integrated on one shared adaptive
-    subdivision, each within ``tol``, and a batch returns a complex array.
-    """
+    images = images / scale
     if geo.zeta_vanishes:
-        return 0.0 + 0.0j
+        return images, zero, tuple(terms)
 
     def integrand(zeta):
-        return geo.zeta_coefficient(zeta) * aux_f(geo.zeta_argument(zeta), gap)
+        return geo.zeta_coefficient(zeta) * kernel(geo.zeta_argument(zeta), gap) / scale
 
-    return integrate_semi_infinite(integrand, tail_rate=cone.nu, tol=tol,
-                                   breakpoints=geo.zeta_breakpoints).value
+    integral = integrate_semi_infinite(integrand, tail_rate=tail_rate, tol=tol,
+                                       breakpoints=geo.zeta_breakpoints).value
+    return images, integral, tuple(terms)
 
 
 def x_boundary(config: PairConfig) -> complex:

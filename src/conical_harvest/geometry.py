@@ -10,14 +10,16 @@ geometries) or at integer and half-integer nu (opposite-sides geometry).
 By the method of images every alignment is one of these image sets
 (``image_set``): flat spacetime is nu = 1, which has no images, and a
 perfectly reflecting plane is the nu = 2 cone (deficit angle pi) with its one
-image subtracted instead of added.
+image subtracted instead of added.  X expands over the images of a pair
+(``pair_f_arguments``), P over those of a detector with itself
+(``self_f_arguments``); see correlation.expand.
 """
 
 import enum
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -130,8 +132,8 @@ class ImageTerm:
     sin_term: float
 
 
-# image_set and zeta_integral_vanishes ask for a cone's terms several times
-# per concurrence (responses and correlation); the tuple is immutable, so share it
+# image_set asks for a cone's terms several times per concurrence (responses
+# and correlation); the tuple is immutable, so share it
 @functools.lru_cache(maxsize=256)
 def image_terms(cone: ConeParameter) -> Tuple[ImageTerm, ...]:
     """The floor(nu/2) conical image terms with the even-integer half-weight rule.
@@ -182,35 +184,25 @@ def radial_pair(config: PairConfig) -> Tuple[float, float]:
     return radial_distances(config.alignment, config.l, config.d)
 
 
-def zeta_integral_vanishes(alignment: Alignment, cone: ConeParameter) -> bool:
-    """Whether the correlation term's zeta coefficient is identically zero.
-
-    Same side: at integer nu; opposite sides: at integer and half-integer nu.
-    Always for flat and boundary pairs, whose image_set cone is nu = 1 or 2.
-    """
-    cone, _ = image_set(alignment, cone)
-    if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES:
-        return cone.is_half_integer
-    return cone.is_integer
-
-
 @dataclass(frozen=True)
 class FArguments:
-    """Correlation-term geometry: image f-arguments and the zeta-integral pieces.
+    """One point set's image expansion: image arguments and the zeta-integral pieces.
 
     image_args holds (m, weight, z_m).  zeta_argument maps an array of zeta to
-    the f-argument z(zeta), one row per point for a batch of points;
-    zeta_coefficient maps zeta to the integral coefficient.  zeta_vanishes
-    marks coefficients that are identically zero
-    (integer nu same-side, integer or half-integer nu opposite-sides).
-    zeta_breakpoints force subdivision across the near-zero coefficient peak.
+    z(zeta), one row per point for a batch of points; zeta_coefficient maps
+    zeta to the integral coefficient; zeta_breakpoints force subdivision
+    across its near-zero peak.  Where the coefficient vanishes identically the
+    builders leave all three unset (zeta_vanishes).
     """
 
     image_args: Tuple[Tuple[int, float, float], ...]
-    zeta_argument: Callable[[np.ndarray], np.ndarray]
-    zeta_coefficient: Callable[[np.ndarray], np.ndarray]
-    zeta_vanishes: bool
-    zeta_breakpoints: Tuple[float, ...]
+    zeta_argument: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    zeta_coefficient: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    zeta_breakpoints: Tuple[float, ...] = ()
+
+    @property
+    def zeta_vanishes(self) -> bool:
+        return self.zeta_coefficient is None
 
 
 def same_side_coefficient(nu: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -276,39 +268,51 @@ def pair_f_arguments(alignment: Alignment, cone: ConeParameter, l, d) -> FArgume
         z_m    = sqrt(d^2/4 - rho_A rho_B sin^2(m pi / nu))
                  (radicand = (d/2 - l)^2 + rho_A rho_B cos^2 >= 0 given d >= 2l)
         z(zeta) = sqrt(d^2/4 + rho_A rho_B (cosh zeta - 1)/2)
+    The zeta coefficient vanishes at integer nu (same side) or half-integer nu
+    (opposite sides), so always for flat and boundary pairs (nu = 1 or 2).
     """
     cone, terms = image_set(alignment, cone)
     rho_a, rho_b = radial_distances(alignment, l, d)
     product = rho_a * rho_b
-    product_rows = point_rows(product)
-    quarter_d2 = point_rows(d * d / 4.0)
     sqrt = np.sqrt if getattr(d, "ndim", 0) else math.sqrt
-    vanishes = zeta_integral_vanishes(alignment, cone)
+    opposite = alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES
 
-    if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES:
-        coefficient = opposite_sides_coefficient(cone.nu)
-        breakpoints = coefficient_breakpoints(cone.nu, 2.0 * cone.nu * math.pi)
-
-        def radicand(term):
+    def radicand(term):
+        if opposite:
             cos_term = math.cos(term.m * math.pi / cone.nu)
             return (d / 2.0 - l) ** 2 + product * cos_term * cos_term
+        return d * d / 4.0 + product * term.sin_term * term.sin_term
 
-        def argument(zeta):
-            return np.sqrt(quarter_d2 + product_rows * (np.cosh(np.asarray(zeta)) - 1.0) / 2.0)
-    else:
-        coefficient = same_side_coefficient(cone.nu)
-        breakpoints = coefficient_breakpoints(cone.nu, cone.nu * math.pi)
+    image_args = tuple((term.m, term.weight, sqrt(radicand(term))) for term in terms)
+    if cone.is_half_integer if opposite else cone.is_integer:
+        return FArguments(image_args)
+    product_rows, quarter_d2 = point_rows(product), point_rows(d * d / 4.0)
+    shift = -1.0 if opposite else 1.0
 
-        def radicand(term):
-            return d * d / 4.0 + product * term.sin_term * term.sin_term
+    def argument(zeta):
+        return np.sqrt(quarter_d2 + product_rows * (np.cosh(np.asarray(zeta)) + shift) / 2.0)
 
-        def argument(zeta):
-            return np.sqrt(quarter_d2 + product_rows * (1.0 + np.cosh(np.asarray(zeta))) / 2.0)
+    if opposite:
+        return FArguments(image_args, argument, opposite_sides_coefficient(cone.nu),
+                          coefficient_breakpoints(cone.nu, 2.0 * cone.nu * math.pi))
+    return FArguments(image_args, argument, same_side_coefficient(cone.nu),
+                      coefficient_breakpoints(cone.nu, cone.nu * math.pi))
 
-    return FArguments(
-        image_args=tuple((term.m, term.weight, sqrt(radicand(term))) for term in terms),
-        zeta_argument=argument,
-        zeta_coefficient=coefficient,
-        zeta_vanishes=vanishes,
-        zeta_breakpoints=breakpoints,
-    )
+
+def self_f_arguments(cone: ConeParameter, terms: Tuple[ImageTerm, ...], rho) -> FArguments:
+    """Image arguments and zeta-integral pieces for a detector with itself (P).
+
+    ``cone`` and ``terms`` are an image set (image_set), ``rho`` a radial
+    distance or a 1-D array of them: z_m = rho sin(m pi / nu) and
+    z(zeta) = rho cosh(zeta / 2), with the same-side coefficient.
+    """
+    image_args = tuple((term.m, term.weight, rho * term.sin_term) for term in terms)
+    if cone.is_integer:
+        return FArguments(image_args)
+    rho_rows = point_rows(rho)
+
+    def argument(zeta):
+        return rho_rows * np.cosh(np.asarray(zeta) / 2.0)
+
+    return FArguments(image_args, argument, same_side_coefficient(cone.nu),
+                      coefficient_breakpoints(cone.nu, cone.nu * math.pi))

@@ -134,11 +134,13 @@ def integrate_adaptive(f, lo, hi, tol, breakpoints=(), max_intervals=_MAX_INTERV
     whose value and error are arrays with the leading axis of size
     ``components``; ``evaluations`` counts the nodes.
 
-    Raises InvalidParameter for complex or non-finite integrand values, and
-    ToleranceNotMet when the tolerance is still unmet once ``max_intervals``
-    panels are held (a pass that would go past it splits only the worst panels
-    that fit) or no panel is left that is wider than the minimum width.
+    Raises InvalidParameter for a tolerance that is not finite and > 0 and for
+    complex or non-finite integrand values, and ToleranceNotMet when the
+    tolerance is still unmet once ``max_intervals`` panels are held (a pass
+    that would go past it splits only the worst panels that fit) or no panel
+    is left that is wider than the minimum width.
     """
+    check_tolerance(tol, "quadrature")
     edges = np.array([lo] + sorted(float(b) for b in breakpoints if lo < b < hi) + [hi],
                      dtype=float)
     a, b = edges[:-1], edges[1:]
@@ -264,8 +266,9 @@ def integrate_pv(numerator, poles, tol=DEFAULT_PV_TOL, weights=None):
     numerator runs once per refinement pass, plus once at the poles, and
     ``tol`` bounds the error of the whole PV integral.  Poles must be finite,
     positive and pairwise separated by at least ten excision widths
-    (PolesTooClose otherwise).
+    (PolesTooClose otherwise), and ``tol`` finite and > 0.
     """
+    check_tolerance(tol, "quadrature")
     poles = [float(c) for c in poles]
     if not poles:
         raise InvalidParameter("at least one pole is required")

@@ -1,19 +1,22 @@
 """Transition probability of a static detector near a string or a reflecting boundary.
 
-In sigma units and per lambda^2 the conical-spacetime response of a detector at
-radial distance rho splits as P = P0 + P_images + P_integral with
+A detector's response is its correlation with itself, so in sigma units and
+per lambda^2 it is one image expansion (correlation.expand) over the images a
+detector at radial distance rho sees, P = P0 + P_images + P_integral with
 
     P0         = (1/4pi) [e^{-g^2} - sqrt(pi) g erfc(g)]
-    P_images   = (1/4 sqrt(pi)) sum_m' w_m K(rho sin(m pi/nu), g) / (rho sin(m pi/nu))
-    P_integral = (1/8 sqrt(pi)) int_0^inf coef(zeta) K(rho cosh(zeta/2), g)
-                                           / (rho cosh(zeta/2)) dzeta
+    P_images   = 2 sum_m' w_m k(rho sin(m pi/nu))
+    P_integral = int_0^inf coef(zeta) k(rho cosh(zeta/2)) dzeta
+    k(a)       = K(a, g) / (8 sqrt(pi) a)
 
-where K is the response kernel, coef the same-side zeta-coefficient (identically
-zero at integer nu), and the primed sum applies the even-integer half-weight
-rule.  At vanishing kernel argument the finite limit K/a -> klim(g) is
-substituted, which makes P(rho=0) = nu * P0 exact.  A reflecting boundary is
-the nu = 2 image set with the image weight -1/2 (geometry.image_set), and flat
-spacetime is nu = 1, so every alignment runs this one sum.
+where K is the response kernel (expand takes K/a with the scale 8 sqrt(pi)),
+coef the same-side zeta-coefficient (identically zero at integer nu), and the
+primed sum applies the even-integer half-weight rule
+(geometry.self_f_arguments).  At vanishing kernel argument the finite limit
+K/a -> klim(g) is substituted, which makes P(rho=0) = nu * P0 exact.  A
+reflecting boundary is the nu = 2 image set with the image weight -1/2
+(geometry.image_set), and flat spacetime is nu = 1, so every alignment runs
+this one expansion.
 """
 
 import math
@@ -24,18 +27,17 @@ from typing import Tuple
 import numpy as np
 from scipy.special import erfc as _erfc_real
 
+from .correlation import expand
 from .errors import InvalidParameter
 from .geometry import (
     BOUNDARY_CONE,
     BOUNDARY_IMAGES,
     ConeParameter,
     ImageTerm,
-    coefficient_breakpoints,
     image_terms,
-    point_rows,
-    same_side_coefficient,
+    self_f_arguments,
 )
-from .quadrature import DEFAULT_TOL, integrate_semi_infinite
+from .quadrature import DEFAULT_TOL
 from .special import SQRT_PI, response_kernel, response_kernel_limit
 
 # Below this kernel argument the analytic a -> 0 limit replaces the 0/0 ratio.
@@ -71,61 +73,41 @@ def p_flat(gap: float) -> float:
 
 def _kernel_over_argument(a, gap):
     """K(a, g)/a with the analytic limit substituted below SMALL_ARGUMENT."""
-    a = np.asarray(a, dtype=float)
+    # a scalar (one image of one scalar P) skips the np.where array passes
+    if not getattr(a, "ndim", 0):
+        return response_kernel_limit(gap) if a < SMALL_ARGUMENT else response_kernel(a, gap) / a
     safe = np.where(a < SMALL_ARGUMENT, 1.0, a)
-    ratio = response_kernel(safe, gap) / safe
-    out = np.where(a < SMALL_ARGUMENT, response_kernel_limit(gap), ratio)
-    return float(out) if out.ndim == 0 else out
+    return np.where(a < SMALL_ARGUMENT, response_kernel_limit(gap),
+                    response_kernel(safe, gap) / safe)
 
 
-def image_sum(rho, terms: Tuple[ImageTerm, ...], gap: float):
-    """P_images of the given image terms at radial distance(s) rho.
+def image_response(rho, cone: ConeParameter, terms: Tuple[ImageTerm, ...], gap: float,
+                   tol: float = DEFAULT_TOL) -> ResponseBreakdown:
+    """Response at radial distance(s) rho to a cone's image set (geometry.image_set).
 
-    ``rho`` is a scalar or an array, validated by the caller.  Honours the
-    FAULT_ENV verification hook.
+    ``rho`` is a scalar (float parts) or a 1-D array of validated distances
+    (array parts, or scalars where a part is the same at every point).  The
+    zeta integral of an array runs over its distinct values, which share one
+    adaptive subdivision, each within ``tol``; so a batch of equal distances
+    (a parallel d axis) costs one point.  Honours the FAULT_ENV verification
+    hook, which scales P_images.
     """
-    images = 0.0
-    for term in terms:
-        images += term.weight * _kernel_over_argument(rho * term.sin_term, gap)
-    images /= 4.0 * SQRT_PI
+    geo = self_f_arguments(cone, terms, rho)
+    inverse = None
+    if not geo.zeta_vanishes and getattr(rho, "ndim", 0):
+        # integrate each distinct distance once: a parallel d axis repeats one rho
+        rho, inverse = np.unique(rho, return_inverse=True)
+        geo = self_f_arguments(cone, terms, rho)
+    images, integral, _ = expand(_kernel_over_argument, geo, gap, cone.nu, tol,
+                                 scale=8.0 * SQRT_PI)
+    if inverse is not None:
+        images, integral = (part[inverse] if getattr(part, "ndim", 0) else part
+                            for part in (images, integral))
 
     fault = os.environ.get(FAULT_ENV)
     if fault is not None:
         images *= float(fault)
-    return images
-
-
-def p_integral(rho, cone: ConeParameter, gap: float, tol: float = DEFAULT_TOL):
-    """P_integral at radial distance(s) rho; exactly zero at integer nu.
-
-    ``rho`` is a scalar (float result) or a 1-D array of validated distances
-    (array result).  An array runs as one integral over its distinct values,
-    which share one adaptive subdivision, each within ``tol``; so a batch of
-    equal distances (a parallel d axis) costs one point.
-    """
-    if cone.is_integer:
-        return 0.0
-    inverse = None
-    if getattr(rho, "ndim", 0):
-        rho, inverse = np.unique(rho, return_inverse=True)
-    coefficient = same_side_coefficient(cone.nu)
-    rho = point_rows(rho)
-
-    def integrand(zeta):
-        b = rho * np.cosh(np.asarray(zeta) / 2.0)
-        return coefficient(zeta) * _kernel_over_argument(b, gap) / (8.0 * SQRT_PI)
-
-    breakpoints = coefficient_breakpoints(cone.nu, cone.nu * math.pi)
-    value = integrate_semi_infinite(integrand, tail_rate=cone.nu, tol=tol,
-                                    breakpoints=breakpoints).value
-    return value if inverse is None else value[inverse]
-
-
-def image_response(rho: float, cone: ConeParameter, terms: Tuple[ImageTerm, ...], gap: float,
-                   tol: float = DEFAULT_TOL) -> ResponseBreakdown:
-    """Response at radial distance rho to a cone's image set (geometry.image_set)."""
-    return ResponseBreakdown(p_flat=p_flat(gap), p_images=image_sum(rho, terms, gap),
-                             p_integral=p_integral(rho, cone, gap, tol))
+    return ResponseBreakdown(p_flat=p_flat(gap), p_images=images, p_integral=integral)
 
 
 def p_string(rho: float, cone: ConeParameter, gap: float, tol: float = DEFAULT_TOL) -> ResponseBreakdown:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conical_harvest.correlation import correlation_for, x_boundary, x_flat, x_integral, x_string
+from conical_harvest.correlation import correlation_for, expand, x_boundary, x_flat, x_string
 from conical_harvest.errors import DivergentOverlap, InvalidParameter
 from conical_harvest.geometry import (
     Alignment,
@@ -225,8 +225,12 @@ def _two_row_x_integral(geo, gap, cone, tol=DEFAULT_TOL):
                                        Alignment.ORTHOGONAL_OPPOSITE_SIDES])
 def test_x_integral_is_the_two_row_integral_bit_for_bit(alignment, nu):
     cone = ConeParameter(nu)
+
+    def x_integral(geo):
+        return expand(aux_f, geo, GAP, cone.nu, DEFAULT_TOL, zero=0j)[1]
+
     geo = f_arguments(PairConfig(alignment, l=0.5, d=1.3, gap=GAP), cone)
-    one = x_integral(geo, GAP, cone)
+    one = x_integral(geo)
     assert type(one) is complex and one == _two_row_x_integral(geo, GAP, cone)
     batch = pair_f_arguments(alignment, cone, np.array([0.4, 0.5, 0.7]), np.array([1.1, 1.3, 2.0]))
-    assert np.array_equal(x_integral(batch, GAP, cone), _two_row_x_integral(batch, GAP, cone))
+    assert np.array_equal(x_integral(batch), _two_row_x_integral(batch, GAP, cone))

@@ -11,8 +11,9 @@ from conical_harvest.geometry import (
     f_arguments,
     image_set,
     image_terms,
+    pair_f_arguments,
     radial_pair,
-    zeta_integral_vanishes,
+    self_f_arguments,
 )
 
 
@@ -87,14 +88,14 @@ def test_image_set_per_alignment(nu):
                       Alignment.ORTHOGONAL_OPPOSITE_SIDES):
         assert image_set(alignment, cone) == (cone, image_terms(cone))
     assert image_set(Alignment.FLAT, cone) == (ConeParameter(1.0), ())
-    assert zeta_integral_vanishes(Alignment.FLAT, cone)
+    assert pair_f_arguments(Alignment.FLAT, cone, 0.3, 0.8).zeta_vanishes
     # a reflecting plane is the nu = 2 cone with its half-weight image subtracted
     (string_image,) = image_terms(ConeParameter(2.0))
     for alignment in (Alignment.BOUNDARY_PARALLEL, Alignment.BOUNDARY_ORTHOGONAL):
         seen, (image,) = image_set(alignment, cone)
         assert seen == ConeParameter(2.0)
         assert (image.m, image.weight, image.sin_term) == (1, -string_image.weight, 1.0)
-        assert zeta_integral_vanishes(alignment, cone)
+        assert pair_f_arguments(alignment, cone, 0.3, 0.8).zeta_vanishes
 
 
 def test_f_arguments_boundary_reflected_image():
@@ -186,6 +187,9 @@ def test_zeta_coefficient_vanishing_rules():
     assert f_arguments(opposite, ConeParameter(3.0)).zeta_vanishes
     assert f_arguments(opposite, ConeParameter(2.5)).zeta_vanishes
     assert not f_arguments(opposite, ConeParameter(2.7)).zeta_vanishes
+    # a vanishing integral gets no zeta pieces built
+    geo = f_arguments(opposite, ConeParameter(2.5))
+    assert (geo.zeta_argument, geo.zeta_coefficient, geo.zeta_breakpoints) == (None, None, ())
 
 
 def test_zeta_argument_forms():
@@ -197,3 +201,20 @@ def test_zeta_argument_forms():
     geo = f_arguments(PairConfig(Alignment.ORTHOGONAL_OPPOSITE_SIDES, l=0.4, d=1.0, gap=0.1),
                       ConeParameter(2.7))
     assert geo.zeta_argument(np.array([0.0]))[0] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.5, 3.0, 4.0, 7.3])
+def test_self_f_arguments_forms(nu):
+    # a detector with itself: z_m = rho sin(m pi/nu), z(zeta) = rho cosh(zeta/2)
+    cone = ConeParameter(nu)
+    terms = image_terms(cone)
+    geo = self_f_arguments(cone, terms, 0.7)
+    assert geo.image_args == tuple((t.m, t.weight, 0.7 * t.sin_term) for t in terms)
+    assert geo.zeta_vanishes == cone.is_integer
+    if cone.is_integer:
+        assert (geo.zeta_argument, geo.zeta_coefficient, geo.zeta_breakpoints) == (None, None, ())
+        return
+    zeta = np.array([0.0, 1.0])
+    assert np.array_equal(geo.zeta_argument(zeta), 0.7 * np.cosh(zeta / 2.0))
+    rows = self_f_arguments(cone, terms, np.array([0.2, 0.7])).zeta_argument(zeta)
+    assert rows.shape == (2, 2) and np.array_equal(rows[1], geo.zeta_argument(zeta))

@@ -482,8 +482,17 @@ def test_dmax_path_leaves_scipy_optimize_unimported():
     assert out.stdout.strip() == "False"
 
 
+def _adaptive(f, tail_rate, tol):
+    return integrate_adaptive(f, 0.0, 1.0, tol)
+
+
+def _pv(f, tail_rate, tol):
+    return integrate_pv(f, [1.0], tol=tol)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
-@pytest.mark.parametrize("integrate", [integrate_semi_infinite, integrate_semi_infinite_complex])
+@pytest.mark.parametrize("integrate", [integrate_semi_infinite, integrate_semi_infinite_complex,
+                                       _adaptive, _pv])
 def test_semi_infinite_tolerance_must_be_finite_and_positive(integrate, tol):
     with pytest.raises(InvalidParameter, match="tol must be finite and > 0"):
         integrate(lambda z: np.exp(-z), tail_rate=1.0, tol=tol)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conical_harvest import response
+from conical_harvest import correlation
+from conical_harvest.correlation import x_string
 from conical_harvest.errors import InvalidParameter
-from conical_harvest.geometry import ConeParameter
-from conical_harvest.response import FAULT_ENV, p_boundary, p_flat, p_integral, p_string
+from conical_harvest.geometry import Alignment, ConeParameter, PairConfig, image_terms
+from conical_harvest.response import FAULT_ENV, image_response, p_boundary, p_flat, p_string
 from conical_harvest.special import erfc_complex
 
 GAP = 0.1
@@ -114,10 +115,14 @@ def test_p_boundary_direct_formula_oracle():
 
 def test_fault_injection_hook(monkeypatch):
     clean = p_string(1.0, ConeParameter(3.0), GAP)
+    pair = PairConfig(Alignment.PARALLEL, l=1.0, d=0.8, gap=GAP)
+    clean_x = x_string(pair, ConeParameter(3.0)).total
     monkeypatch.setenv(FAULT_ENV, "1.0001")
     faulty = p_string(1.0, ConeParameter(3.0), GAP)
     assert faulty.p_images == pytest.approx(clean.p_images * 1.0001, rel=1e-12)
     assert faulty.total != clean.total
+    # X runs the same image expansion, but the hook scales only P's images
+    assert x_string(pair, ConeParameter(3.0)).total == clean_x
 
 
 def test_invalid_rho():
@@ -129,6 +134,9 @@ def test_invalid_rho():
 
 @pytest.mark.parametrize("nu", [1.5, 2.5, 3.7])
 def test_p_integral_of_an_array_matches_one_call_per_point(nu, monkeypatch):
+    def p_integral(rho, cone, gap, tol=1e-10):
+        return image_response(rho, cone, image_terms(cone), gap, tol).p_integral
+
     cone = ConeParameter(nu)
     rho = np.array([0.0, 0.05, 0.4, 1.3, 6.0])
     batch = p_integral(rho, cone, GAP, tol=1e-10)
@@ -140,7 +148,7 @@ def test_p_integral_of_an_array_matches_one_call_per_point(nu, monkeypatch):
 
     # repeated distances (a parallel d axis repeats one rho) are integrated once each
     rows = []
-    integrate = response.integrate_semi_infinite
+    integrate = correlation.integrate_semi_infinite
 
     def counting(integrand, **kwargs):
         def recorded(zeta):
@@ -149,7 +157,7 @@ def test_p_integral_of_an_array_matches_one_call_per_point(nu, monkeypatch):
             return values
         return integrate(recorded, **kwargs)
 
-    monkeypatch.setattr(response, "integrate_semi_infinite", counting)
+    monkeypatch.setattr(correlation, "integrate_semi_infinite", counting)
     repeated = np.concatenate([rho, rho[::-1], np.full(7, 0.4)])
     assert np.array_equal(p_integral(repeated, cone, GAP, tol=1e-10),
                           np.concatenate([batch, batch[::-1], np.full(7, batch[2])]))
