@@ -4,9 +4,10 @@ At leading perturbative order the two-detector concurrence is
 2 max(0, |X| - sqrt(P_A P_B)) per lambda^2; everything here assembles that
 from the response and correlation modules and searches it (largest
 harvesting-achievable separation d_max, extremal deficit-angle parameter).
-One evaluator serves a pair and a scan: the responses (``_responses``) and
-the X assembly (``correlation._x_breakdown``) that ``concurrence`` runs on one
-point are what the d_max scan runs on its whole grid at once.
+One evaluator (``_evaluate``) serves a pair and a scan: it hands the image
+expansions of P_A, P_B (unless rho_B = rho_A) and X to one correlation.expand
+call, so at non-integer nu one concurrence, or the d_max scan's whole grid,
+runs a single zeta integral on one adaptive subdivision.
 """
 
 import math
@@ -16,12 +17,14 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.special import erfc as _erfc_real
 
-from .correlation import CorrelationBreakdown, _x_breakdown, correlation_for
+from .correlation import AUX_F, CorrelationBreakdown, expand, x_flat
 from .errors import DivergentOverlap, InvalidParameter
 from .geometry import (
     Alignment,
     ConeParameter,
+    FArguments,
     PairConfig,
+    f_arguments,
     image_set,
     pair_f_arguments,
     radial_distances,
@@ -34,7 +37,7 @@ from .quadrature import (
     find_root_bracketed,
     minimize_scalar,
 )
-from .response import ResponseBreakdown, image_response
+from .response import ResponseBreakdown, image_response, response_breakdown, response_part
 from .special import EPS_DIV, SQRT_PI, faddeeva_w
 
 MAX_SWEEP_POINTS = 100_000
@@ -71,20 +74,52 @@ def _responses(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol:
     seen, terms = image_set(alignment, cone)
     rho_a, rho_b = radial_distances(alignment, l, d)
     response_a = image_response(rho_a, seen, terms, gap, tol=tol)
-    if np.array_equal(rho_a, rho_b) if getattr(rho_a, "ndim", 0) else rho_a == rho_b:
+    if _same_distances(rho_a, rho_b):
         return response_a, response_a
     return response_a, image_response(rho_b, seen, terms, gap, tol=tol)
+
+
+def _same_distances(rho_a, rho_b) -> bool:
+    return np.array_equal(rho_a, rho_b) if getattr(rho_a, "ndim", 0) else rho_a == rho_b
+
+
+def _evaluate(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: float,
+              geo: FArguments):
+    """(response_a, response_b, correlation) from one correlation.expand call.
+
+    ``l``, ``d`` are scalars or equal-shape arrays of validated points and
+    ``geo`` their pair_f_arguments.  The parts are P_A, P_B (left out, and
+    A's breakdown reused, where rho_B = rho_A) and X, so their zeta integrals
+    share one adaptive subdivision, each row within ``tol``.
+    """
+    seen, terms = image_set(alignment, cone)
+    rho_a, rho_b = radial_distances(alignment, l, d)
+    same = _same_distances(rho_a, rho_b)
+    part_a, inverse_a = response_part(rho_a, seen, terms)
+    parts = [part_a]
+    if not same:
+        part_b, inverse_b = response_part(rho_b, seen, terms)
+        parts.append(part_b)
+    # X0 before the images, as in x_string: a flat overlap raises without an image index
+    flat = x_flat(d, gap)
+    parts.append((AUX_F, geo, 1.0))
+    expansions = expand(parts, gap, seen.nu, tol)
+    response_a = response_breakdown(expansions[0], inverse_a, gap)
+    response_b = response_a if same else response_breakdown(expansions[1], inverse_b, gap)
+    return response_a, response_b, CorrelationBreakdown(flat, *expansions[-1])
 
 
 def concurrence(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL) -> ConcurrenceResult:
     """Concurrence 2 max(0, |X| - sqrt(P_A P_B)) with full breakdowns.
 
-    Raises DivergentOverlap when a detector coincides with an image of its
-    partner (the symmetric opposite-sides case at even integer nu); sweeps
-    catch it and flag the row instead.
+    The zeta integrals of P_A, P_B and X run as one integral (``_evaluate``),
+    so the breakdown parts agree with response_pair's and x_string's within
+    ``tol``, not bit for bit.  Raises DivergentOverlap when a detector
+    coincides with an image of its partner (the symmetric opposite-sides case
+    at even integer nu); sweeps catch it and flag the row instead.
     """
-    resp_a, resp_b = response_pair(config, cone, tol=tol)
-    corr = correlation_for(config, cone, tol=tol)
+    resp_a, resp_b, corr = _evaluate(config.alignment, cone, config.l, config.d, config.gap,
+                                     tol, f_arguments(config, cone))
     abs_x = abs(corr.total)
     geo_mean = math.sqrt(resp_a.total * resp_b.total)
     value = 2.0 * max(0.0, abs_x - geo_mean)
@@ -132,10 +167,10 @@ def _scan_margins(alignment: Alignment, cone: ConeParameter, l: np.ndarray, d: n
     """Margins |X| - sqrt(P_A P_B) at equal-shape arrays l, d in one array pass.
 
     Masks the points where d/2 or an image argument is at or below EPS_DIV
-    (the DivergentOverlap cases of concurrence), then runs the response and
-    X-assembly code of concurrence once on the remaining batch, so at
-    non-integer nu each zeta integral (P per distinct rho, X per point) runs
-    once for the whole scan, its points sharing one adaptive subdivision.
+    (the DivergentOverlap cases of concurrence), then runs concurrence's
+    evaluator once on the remaining batch, so at non-integer nu one zeta
+    integral (P per distinct rho, X per point) serves the whole scan, its
+    rows sharing one adaptive subdivision.
     The caller validates the parameters.  Masked points get margin None;
     their d values are returned as skipped.
     """
@@ -149,8 +184,8 @@ def _scan_margins(alignment: Alignment, cone: ConeParameter, l: np.ndarray, d: n
             return [None] * d.size, d.tolist()
         geo = pair_f_arguments(alignment, cone, l_ok, d_ok)
 
-    p_a, p_b = _responses(alignment, cone, l_ok, d_ok, gap, tol)
-    x_total = _x_breakdown(geo, d_ok, gap, cone, tol).total
+    p_a, p_b, x = _evaluate(alignment, cone, l_ok, d_ok, gap, tol, geo)
+    x_total = x.total
     # np.hypot is the libm hypot behind Python's abs(complex); np.abs on a
     # complex array may take a SIMD path that differs in the last bit
     margin_ok = np.hypot(x_total.real, x_total.imag) - np.sqrt(p_a.total * p_b.total)

@@ -205,6 +205,9 @@ class FArguments:
         return self.zeta_coefficient is None
 
 
+# cached so that P's and X's expansions at one nu hold the same coefficient
+# function, which correlation.expand then evaluates once per pass for both
+@functools.lru_cache(maxsize=256)
 def same_side_coefficient(nu: float) -> Callable[[np.ndarray], np.ndarray]:
     """zeta-coefficient nu sin(nu pi) / (pi [cos(nu pi) - cosh(nu zeta)])."""
     s, c = math.sin(nu * math.pi), math.cos(nu * math.pi)
@@ -215,6 +218,7 @@ def same_side_coefficient(nu: float) -> Callable[[np.ndarray], np.ndarray]:
     return coefficient
 
 
+@functools.lru_cache(maxsize=256)
 def opposite_sides_coefficient(nu: float) -> Callable[[np.ndarray], np.ndarray]:
     """zeta-coefficient nu sin(2 nu pi) / (2 pi [cos(2 nu pi) - cosh(nu zeta)])."""
     s, c = math.sin(2.0 * nu * math.pi), math.cos(2.0 * nu * math.pi)

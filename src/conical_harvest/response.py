@@ -1,8 +1,9 @@
 """Transition probability of a static detector near a string or a reflecting boundary.
 
 A detector's response is its correlation with itself, so in sigma units and
-per lambda^2 it is one image expansion (correlation.expand) over the images a
-detector at radial distance rho sees, P = P0 + P_images + P_integral with
+per lambda^2 it is one image expansion (a correlation.expand part,
+``response_part``) over the images a detector at radial distance rho sees,
+P = P0 + P_images + P_integral with
 
     P0         = (1/4pi) [e^{-g^2} - sqrt(pi) g erfc(g)]
     P_images   = 2 sum_m' w_m k(rho sin(m pi/nu))
@@ -16,7 +17,9 @@ primed sum applies the even-integer half-weight rule
 K/a -> klim(g) is substituted, which makes P(rho=0) = nu * P0 exact.  A
 reflecting boundary is the nu = 2 image set with the image weight -1/2
 (geometry.image_set), and flat spacetime is nu = 1, so every alignment runs
-this one expansion.
+this one expansion.  ``image_response`` expands one detector on its own;
+entanglement.concurrence hands the parts of both detectors, with X's, to one
+correlation.expand call and assembles each with ``response_breakdown``.
 """
 
 import math
@@ -27,7 +30,7 @@ from typing import Tuple
 import numpy as np
 from scipy.special import erfc as _erfc_real
 
-from .correlation import expand
+from .correlation import Kernel, expand
 from .errors import InvalidParameter
 from .geometry import (
     BOUNDARY_CONE,
@@ -38,7 +41,7 @@ from .geometry import (
     self_f_arguments,
 )
 from .quadrature import DEFAULT_TOL
-from .special import SQRT_PI, response_kernel, response_kernel_limit
+from .special import SQRT_PI, response_kernel, response_kernel_formula, response_kernel_limit
 
 # Below this kernel argument the analytic a -> 0 limit replaces the 0/0 ratio.
 SMALL_ARGUMENT = 1e-8
@@ -76,30 +79,49 @@ def _kernel_over_argument(a, gap):
     # a scalar (one image of one scalar P) skips the np.where array passes
     if not getattr(a, "ndim", 0):
         return response_kernel_limit(gap) if a < SMALL_ARGUMENT else response_kernel(a, gap) / a
+    return _over_argument(response_kernel, a, gap)
+
+
+def _kernel_over_nodes(a, gap):
+    """_kernel_over_argument on zeta nodes from validated distances: the formula, unchecked."""
+    # nodes that all lie off the axis need no limit, so skip the np.where passes
+    if a.min() >= SMALL_ARGUMENT:
+        return response_kernel_formula(a, gap) / a
+    return _over_argument(response_kernel_formula, a, gap)
+
+
+def _over_argument(kernel, a, gap):
     safe = np.where(a < SMALL_ARGUMENT, 1.0, a)
-    return np.where(a < SMALL_ARGUMENT, response_kernel_limit(gap),
-                    response_kernel(safe, gap) / safe)
+    return np.where(a < SMALL_ARGUMENT, response_kernel_limit(gap), kernel(safe, gap) / safe)
 
 
-def image_response(rho, cone: ConeParameter, terms: Tuple[ImageTerm, ...], gap: float,
-                   tol: float = DEFAULT_TOL) -> ResponseBreakdown:
-    """Response at radial distance(s) rho to a cone's image set (geometry.image_set).
+# k(a) = K(a, g)/(8 sqrt(pi) a): the kernel K/a with this scale
+P_KERNEL = Kernel(_kernel_over_argument, _kernel_over_nodes)
+P_SCALE = 8.0 * SQRT_PI
 
-    ``rho`` is a scalar (float parts) or a 1-D array of validated distances
-    (array parts, or scalars where a part is the same at every point).  The
-    zeta integral of an array runs over its distinct values, which share one
-    adaptive subdivision, each within ``tol``; so a batch of equal distances
-    (a parallel d axis) costs one point.  Honours the FAULT_ENV verification
-    hook, which scales P_images.
+
+def response_part(rho, cone: ConeParameter, terms: Tuple[ImageTerm, ...]):
+    """(part, inverse): the correlation.expand part of P at radial distance(s) rho.
+
+    ``cone`` and ``terms`` are an image set (geometry.image_set).  An array
+    rho whose zeta integral does not vanish is reduced to its distinct values,
+    so a batch of equal distances (a parallel d axis) costs one row;
+    ``inverse`` maps them back (None when nothing was reduced).
     """
     geo = self_f_arguments(cone, terms, rho)
     inverse = None
     if not geo.zeta_vanishes and getattr(rho, "ndim", 0):
-        # integrate each distinct distance once: a parallel d axis repeats one rho
         rho, inverse = np.unique(rho, return_inverse=True)
         geo = self_f_arguments(cone, terms, rho)
-    images, integral, _ = expand(_kernel_over_argument, geo, gap, cone.nu, tol,
-                                 scale=8.0 * SQRT_PI)
+    return (P_KERNEL, geo, P_SCALE), inverse
+
+
+def response_breakdown(expansion, inverse, gap: float) -> ResponseBreakdown:
+    """ResponseBreakdown from a response_part's (images, integral, terms) and its inverse.
+
+    Honours the FAULT_ENV verification hook, which scales P_images.
+    """
+    images, integral, _ = expansion
     if inverse is not None:
         images, integral = (part[inverse] if getattr(part, "ndim", 0) else part
                             for part in (images, integral))
@@ -108,6 +130,19 @@ def image_response(rho, cone: ConeParameter, terms: Tuple[ImageTerm, ...], gap: 
     if fault is not None:
         images *= float(fault)
     return ResponseBreakdown(p_flat=p_flat(gap), p_images=images, p_integral=integral)
+
+
+def image_response(rho, cone: ConeParameter, terms: Tuple[ImageTerm, ...], gap: float,
+                   tol: float = DEFAULT_TOL) -> ResponseBreakdown:
+    """Response at radial distance(s) rho to a cone's image set (geometry.image_set).
+
+    ``rho`` is a scalar (float parts) or a 1-D array of validated distances
+    (array parts, or scalars where a part is the same at every point).  The
+    zeta integral of an array runs over its distinct values (response_part),
+    which share one adaptive subdivision, each within ``tol``.
+    """
+    part, inverse = response_part(rho, cone, terms)
+    return response_breakdown(expand([part], gap, cone.nu, tol)[0], inverse, gap)
 
 
 def p_string(rho: float, cone: ConeParameter, gap: float, tol: float = DEFAULT_TOL) -> ResponseBreakdown:

@@ -12,6 +12,12 @@ overflows:
 
 with g = Omega*sigma the dimensionless energy gap and all lengths in sigma
 units.  Every public quantity is per lambda^2.
+
+Each kernel is one formula (``response_kernel_formula``, ``aux_f_formula``);
+the public ``response_kernel`` and ``aux_f`` are input checks plus that
+formula.  The zeta integrand of correlation.expand calls the formulas
+directly: its nodes come from parameters that were validated once, and the
+quadrature still refuses a non-finite value.
 """
 
 import numpy as np
@@ -82,8 +88,17 @@ def response_kernel(a, gap):
         raise InvalidParameter("a must be >= 0")
     if not (np.isscalar(gap) or np.ndim(gap) == 0) or gap < 0 or not np.isfinite(gap):
         raise InvalidParameter("gap must be a finite scalar >= 0")
-    out = -np.exp(-gap * gap) * np.imag(_wofz(-a + 1j * gap))
+    out = response_kernel_formula(a, gap)
     return float(out) if out.ndim == 0 else out
+
+
+def response_kernel_formula(a, gap):
+    """K(a, g) = -e^{-g^2} Im[w(-a + ig)] on a float array ``a``, without input checks.
+
+    For nodes built from parameters that were already validated (finite
+    a >= 0, finite scalar gap >= 0), as the zeta integrand's are.
+    """
+    return -np.exp(-gap * gap) * np.imag(_wofz(-a + 1j * gap))
 
 
 def response_kernel_direct(a, gap):
@@ -125,5 +140,14 @@ def aux_f(z, gap):
         raise DivergentArgument(float(bad))
     if not np.isfinite(gap) or gap < 0:
         raise InvalidParameter("gap must be a finite scalar >= 0")
-    out = -1j * np.exp(-gap * gap) * _wofz(-z) / (8.0 * SQRT_PI * z)
+    out = aux_f_formula(z, gap)
     return complex(out) if out.ndim == 0 else out
+
+
+def aux_f_formula(z, gap):
+    """f(z, g) = -i e^{-g^2} w(-z) / (8 sqrt(pi) z) on a float array ``z``, without input checks.
+
+    For nodes built from parameters that were already validated (finite
+    z > EPS_DIV, finite scalar gap >= 0), as the zeta integrand's are.
+    """
+    return -1j * np.exp(-gap * gap) * _wofz(-z) / (8.0 * SQRT_PI * z)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -178,6 +179,23 @@ def test_fig11_opposite_dominates_flat_until_terminal():
     assert terminal_seen
     first_empty = next(float(r[0]) for r in rows("fig11_opposite.csv") if r[1] == "")
     assert abs(first_empty - 2.25) < 0.06  # grid point just past l0 = 2.219
+
+
+# SHA-256 over (file name, CSV text) of every preset, in sorted(FIGURES) order
+FIGURES_SHA256 = "82add3808429221917fb21ead9472670862486d0da65ec380599e5b64d0480f1"
+
+
+def test_every_figure_preset_reproduces_its_pinned_csvs():
+    # a change that moves any figure value in its 12 printed digits must say
+    # so and pin the new digest
+    from conical_harvest.presets import FIGURES, build_figure
+
+    digest = hashlib.sha256()
+    for name in sorted(FIGURES):
+        for filename, text in build_figure(name):
+            digest.update(filename.encode())
+            digest.update(text.encode())
+    assert digest.hexdigest() == FIGURES_SHA256
 
 
 def test_dmax_single_point():

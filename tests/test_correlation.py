@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conical_harvest.correlation import correlation_for, expand, x_boundary, x_flat, x_string
+from conical_harvest.correlation import (
+    AUX_F, correlation_for, expand, x_boundary, x_flat, x_string)
 from conical_harvest.errors import DivergentOverlap, InvalidParameter
 from conical_harvest.geometry import (
     Alignment,
@@ -227,7 +228,7 @@ def test_x_integral_is_the_two_row_integral_bit_for_bit(alignment, nu):
     cone = ConeParameter(nu)
 
     def x_integral(geo):
-        return expand(aux_f, geo, GAP, cone.nu, DEFAULT_TOL, zero=0j)[1]
+        return expand([(AUX_F, geo, 1.0)], GAP, cone.nu, DEFAULT_TOL)[0][1]
 
     geo = f_arguments(PairConfig(alignment, l=0.5, d=1.3, gap=GAP), cone)
     one = x_integral(geo)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conical_harvest import quadrature
+from conical_harvest import correlation, quadrature
 from conical_harvest.correlation import _x_breakdown, x_flat, x_string
 from conical_harvest.entanglement import (
     _responses,
@@ -500,3 +500,58 @@ def test_sweep_ignores_the_fixed_value_of_its_own_axis():
     table = sweep(Alignment.PARALLEL, ConeParameter(3.0), "l", [0.1, 0.5], l=NAN,
                   d=0.5, gap=GAP)
     assert not any(row.diverged for row in table.rows)
+
+
+# --- one zeta integral per concurrence and per scan batch -------------------------
+
+
+def _count_zeta_integrals(monkeypatch):
+    """Record the row count of every integrate_semi_infinite call that expand makes."""
+    calls = []
+    integrate = correlation.integrate_semi_infinite
+
+    def counting(integrand, **kwargs):
+        rows = []
+        calls.append(rows)
+
+        def recorded(zeta):
+            values = integrand(zeta)
+            rows.append(values.shape[0])
+            return values
+        return integrate(recorded, **kwargs)
+
+    monkeypatch.setattr(correlation, "integrate_semi_infinite", counting)
+    return calls
+
+
+@pytest.mark.parametrize("nu, rows", [
+    # rows of the one integral: P_A, P_B unless rho_B = rho_A, X's real and
+    # imaginary parts unless its coefficient vanishes (opposite sides at
+    # half-integer nu)
+    (2.5, {Alignment.PARALLEL: 3, Alignment.ORTHOGONAL_SAME_SIDE: 4,
+           Alignment.ORTHOGONAL_OPPOSITE_SIDES: 2}),
+    (3.7, {Alignment.PARALLEL: 3, Alignment.ORTHOGONAL_SAME_SIDE: 4,
+           Alignment.ORTHOGONAL_OPPOSITE_SIDES: 4}),
+    (3.0, {}),
+])
+@pytest.mark.parametrize("alignment", SCAN_ALIGNMENTS)
+def test_concurrence_runs_one_zeta_integral(alignment, nu, rows, monkeypatch):
+    calls = _count_zeta_integrals(monkeypatch)
+    concurrence(config(alignment, 0.5, 1.3), ConeParameter(nu))
+    if not rows:
+        assert calls == []
+    else:
+        assert len(calls) == 1
+        assert set(calls[0]) == {rows[alignment]}
+
+
+@pytest.mark.parametrize("nu", [2.5, 3.7])
+@pytest.mark.parametrize("alignment", SCAN_ALIGNMENTS)
+def test_scan_margins_run_one_zeta_integral_per_batch(alignment, nu, monkeypatch):
+    calls = _count_zeta_integrals(monkeypatch)
+    l, d = np.full(6, 0.5), np.linspace(1.0, 4.0, 6)
+    for batch in range(1, 4):
+        _scan_margins(alignment, ConeParameter(nu), l, d * batch, GAP, DEFAULT_TOL)
+        assert len(calls) == batch
+    _scan_margins(alignment, ConeParameter(3.0), l, d, GAP, DEFAULT_TOL)
+    assert len(calls) == 3

@@ -5,6 +5,7 @@ import pytest
 
 from conical_harvest import correlation
 from conical_harvest.correlation import x_string
+from conical_harvest.entanglement import concurrence
 from conical_harvest.errors import InvalidParameter
 from conical_harvest.geometry import Alignment, ConeParameter, PairConfig, image_terms
 from conical_harvest.response import FAULT_ENV, image_response, p_boundary, p_flat, p_string
@@ -117,12 +118,27 @@ def test_fault_injection_hook(monkeypatch):
     clean = p_string(1.0, ConeParameter(3.0), GAP)
     pair = PairConfig(Alignment.PARALLEL, l=1.0, d=0.8, gap=GAP)
     clean_x = x_string(pair, ConeParameter(3.0)).total
+    # concurrence expands P_A, P_B and X in one call, at integer nu and, with
+    # one zeta integral for all three, at non-integer nu
+    pairs = [(PairConfig(alignment, l=0.6, d=1.4, gap=GAP), ConeParameter(nu))
+             for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL_SAME_SIDE,
+                               Alignment.ORTHOGONAL_OPPOSITE_SIDES)
+             for nu in (3.0, 2.5, 3.7)]
+    clean_c = [concurrence(*args) for args in pairs]
     monkeypatch.setenv(FAULT_ENV, "1.0001")
     faulty = p_string(1.0, ConeParameter(3.0), GAP)
     assert faulty.p_images == pytest.approx(clean.p_images * 1.0001, rel=1e-12)
     assert faulty.total != clean.total
     # X runs the same image expansion, but the hook scales only P's images
     assert x_string(pair, ConeParameter(3.0)).total == clean_x
+    for args, want in zip(pairs, clean_c):
+        got = concurrence(*args)
+        for p_got, p_want in ((got.response_a, want.response_a),
+                              (got.response_b, want.response_b)):
+            assert p_got.p_images == pytest.approx(p_want.p_images * 1.0001, rel=1e-12)
+            assert p_got.p_integral == p_want.p_integral
+        assert got.geo_mean_p != want.geo_mean_p
+        assert got.abs_x == want.abs_x
 
 
 def test_invalid_rho():

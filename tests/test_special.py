@@ -8,10 +8,12 @@ from conical_harvest.errors import DivergentArgument, InvalidParameter, Overflow
 from conical_harvest.special import (
     EPS_DIV,
     aux_f,
+    aux_f_formula,
     erfc_complex,
     faddeeva_w,
     response_kernel,
     response_kernel_direct,
+    response_kernel_formula,
     response_kernel_limit,
 )
 
@@ -165,3 +167,14 @@ def test_aux_f_vectorized():
     out = aux_f(z, 0.2)
     assert out.shape == (3,)
     assert out[1] == pytest.approx(aux_f(1.0, 0.2), rel=1e-15)
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.3, 2.5])
+def test_public_kernels_are_their_formulas_plus_checks(gap):
+    # the zeta integrand calls the formulas on validated nodes; on valid input
+    # the public kernels return the same values, bit for bit
+    x = np.array([[1e-9, 0.05, 0.7], [3.0, 12.5, 40.0]])
+    assert np.array_equal(response_kernel(x, gap), response_kernel_formula(x, gap))
+    assert np.array_equal(aux_f(x, gap), aux_f_formula(x, gap))
+    assert response_kernel(0.7, gap) == response_kernel_formula(np.float64(0.7), gap)
+    assert aux_f(0.7, gap) == aux_f_formula(np.float64(0.7), gap)
