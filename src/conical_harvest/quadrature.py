@@ -5,8 +5,10 @@ estimate, Piessens et al. 1983) refined breadth-first: each pass splits every
 panel whose error is above its share of the tolerance and evaluates all the
 children in one integrand call, so the Python cost scales with the number of
 passes, not of panels.  Semi-infinite integrals are truncated at a point where
-the caller-supplied exponential tail bound drops below tol/10; a complex
-integrand runs its real and imaginary parts as rows of the same subdivision.
+the caller-supplied exponential tail bound drops below tol/10 and start on
+geometric panels that halve toward 0 down to one decay length, so an
+exponentially decaying integrand needs one or two passes; a complex integrand
+runs its real and imaginary parts as rows of the same subdivision.
 Principal-value integrals over [0, inf) use pole-symmetric subtraction inside a
 finite excision window plus an exact log term, with the power-law far tail
 mapped to a finite interval by u -> 1/u; windows, smooth segments and tail run
@@ -126,7 +128,8 @@ def integrate_adaptive(f, lo, hi, tol, breakpoints=(), max_intervals=_MAX_INTERV
     ``f`` maps a 1-D node array of length n to a real array of shape (n,) for
     a scalar integrand or (components, n) for several real components sharing
     subdivision points.  Every pass makes one call of ``f``: the first on the
-    nodes of all panels between the breakpoints, each later one on the
+    nodes of all panels between the breakpoints (those inside (lo, hi), each
+    once), each later one on the
     children of every panel whose worst-component error exceeds tol / (panel
     count), a set that always holds the worst panel wider than the minimum
     width.  The loop stops when each component's summed error is at most
@@ -141,7 +144,7 @@ def integrate_adaptive(f, lo, hi, tol, breakpoints=(), max_intervals=_MAX_INTERV
     is left that is wider than the minimum width.
     """
     check_tolerance(tol, "quadrature")
-    edges = np.array([lo] + sorted(float(b) for b in breakpoints if lo < b < hi) + [hi],
+    edges = np.array([lo] + sorted({float(b) for b in breakpoints if lo < b < hi}) + [hi],
                      dtype=float)
     a, b = edges[:-1], edges[1:]
     val, err = _gk15(f, a, b)
@@ -179,12 +182,31 @@ def tail_cutoff(tail_rate, tol):
     return (np.log(1.0 / tol) + 5.0) / tail_rate
 
 
+def tail_edges(tail_rate, tol, breakpoints=()):
+    """Initial interior panel edges of integrate_semi_infinite on [0, tail_cutoff].
+
+    The geometric edges z_max 2^-k, k = 1, 2, ..., down to the first one at
+    or below one decay length 1/tail_rate (five at tol 1e-10, where
+    tail_rate z_max = 28), merged with ``breakpoints``: sorted, without
+    duplicates.  Powers of two are exact, so these are the edges that
+    bisecting [0, z_max] toward 0 would reach, without the passes.
+    """
+    edges = {float(b) for b in breakpoints}
+    edge = tail_cutoff(tail_rate, tol)
+    while math.isfinite(edge) and edge > 1.0 / tail_rate:
+        edge *= 0.5
+        edges.add(edge)
+    return tuple(sorted(edges))
+
+
 def integrate_semi_infinite(integrand, tail_rate, tol=DEFAULT_TOL, breakpoints=()):
     """Integrate a bounded integrand decaying at least like e^{-tail_rate*z} over [0, inf).
 
     The domain is truncated at z_max = (ln(1/tol) + 5)/tail_rate, where the
-    analytic tail bound is below tol/10, then subdivided adaptively.
-    ``breakpoints`` force initial subdivision (sharp features near z = 0).
+    analytic tail bound is below tol/10, then subdivided adaptively, starting
+    from the panels between tail_edges: z_max 2^-k down to one decay length
+    1/tail_rate, where the integrand still varies, and ``breakpoints``
+    (sharp features near z = 0).
 
     A real integrand returning (n,) gives a float value and error; one
     returning (k, n) gives length-k arrays, all k integrals sharing one
@@ -210,7 +232,8 @@ def integrate_semi_infinite(integrand, tail_rate, tol=DEFAULT_TOL, breakpoints=(
             return np.stack([w.real, w.imag]).reshape(-1, w.shape[-1])
         return y
 
-    value, err, evals = integrate_adaptive(rows, 0.0, zmax, tol, breakpoints=breakpoints)
+    value, err, evals = integrate_adaptive(rows, 0.0, zmax, tol,
+                                           breakpoints=tail_edges(tail_rate, tol, breakpoints))
     is_complex, one_row = layout
     if is_complex and one_row:
         return QuadratureResult(complex(value[0], value[1]), err, evals)

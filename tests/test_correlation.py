@@ -13,7 +13,7 @@ from conical_harvest.geometry import (
     f_arguments,
     pair_f_arguments,
 )
-from conical_harvest.quadrature import DEFAULT_TOL, integrate_adaptive, tail_cutoff
+from conical_harvest.quadrature import DEFAULT_TOL, integrate_adaptive, tail_cutoff, tail_edges
 from conical_harvest.special import aux_f, erfc_complex
 
 GAP = 0.1
@@ -204,7 +204,10 @@ def test_x_string_rejects_a_bad_tolerance_by_name(tol):
 
 
 def _two_row_x_integral(geo, gap, cone, tol=DEFAULT_TOL):
-    """X_integral with real and imaginary parts stacked as rows of one adaptive pass."""
+    """X_integral with real and imaginary parts stacked as rows of one adaptive pass.
+
+    It starts from the panels integrate_semi_infinite starts from (tail_edges).
+    """
     if geo.zeta_vanishes:
         return 0.0 + 0.0j
 
@@ -214,7 +217,7 @@ def _two_row_x_integral(geo, gap, cone, tol=DEFAULT_TOL):
         return np.stack([w.real, w.imag]).reshape(-1, w.shape[-1])
 
     vals, _, _ = integrate_adaptive(two_rows, 0.0, tail_cutoff(cone.nu, tol), tol,
-                                    breakpoints=geo.zeta_breakpoints)
+                                    breakpoints=tail_edges(cone.nu, tol, geo.zeta_breakpoints))
     if vals.size == 2:
         return complex(vals[0], vals[1])
     k = vals.size // 2

@@ -555,3 +555,20 @@ def test_scan_margins_run_one_zeta_integral_per_batch(alignment, nu, monkeypatch
         assert len(calls) == batch
     _scan_margins(alignment, ConeParameter(3.0), l, d, GAP, DEFAULT_TOL)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("nu", [2.3, 5.7, 8.2])
+@pytest.mark.parametrize("alignment", SCAN_ALIGNMENTS)
+def test_concurrence_refines_its_zeta_integral_in_at_most_two_passes(alignment, nu, monkeypatch):
+    # the integral starts on panels z_max 2^-k down to one decay length 1/nu
+    # (quadrature.tail_edges); bisecting [0, z_max] toward 0 took six or seven
+    passes = []
+    gk15 = quadrature._gk15
+
+    def counting(f, a, b):
+        passes.append(a.size)
+        return gk15(f, a, b)
+
+    monkeypatch.setattr(quadrature, "_gk15", counting)
+    concurrence(config(alignment, 0.5, 1.3), ConeParameter(nu))
+    assert 1 <= len(passes) <= 2

@@ -27,6 +27,8 @@ from conical_harvest.quadrature import (
     integrate_semi_infinite,
     integrate_semi_infinite_complex,
     minimize_scalar,
+    tail_cutoff,
+    tail_edges,
 )
 
 
@@ -76,6 +78,44 @@ def test_complex_semi_infinite_shares_subdivision():
     assert value.imag == pytest.approx(2.0, abs=1e-10)
     assert max(errors) <= 1e-10
     assert evals > 0
+
+
+@pytest.mark.parametrize("rate", [1.0, 2.5, 9.22, 64.0])
+def test_semi_infinite_damped_cosine_closed_form(rate):
+    # int_0^inf e^{-r z} cos z dz = r / (r^2 + 1)
+    res = integrate_semi_infinite(lambda z: np.exp(-rate * z) * np.cos(z), tail_rate=rate)
+    assert abs(res.value - rate / (rate * rate + 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("rate, tol", [(2.3, 1e-10), (9.22, 1e-10), (0.5, 1e-6), (64.0, 1e-13)])
+def test_tail_edges_halve_the_cutoff_down_to_one_decay_length(rate, tol):
+    edges = tail_edges(rate, tol)
+    # exactly z_max 2^-k, k = 1..K, the smallest at or below 1/rate and no other
+    assert edges == tuple(tail_cutoff(rate, tol) * 2.0 ** -k for k in range(len(edges), 0, -1))
+    assert edges[0] <= 1.0 / rate < edges[1]
+    # a caller's breakpoint that is one of them stays one edge
+    merged = tail_edges(rate, tol, breakpoints=(edges[2], 0.01 / rate, edges[2]))
+    assert merged == tuple(sorted(edges + (0.01 / rate,)))
+
+
+def test_tail_edges_at_the_default_tolerance_are_five():
+    # rate z_max = ln(1e10) + 5 = 28.0: edges at 14, 7, 3.5, 1.75 and 0.88 decay lengths
+    assert len(tail_edges(5.7, quadrature.DEFAULT_TOL)) == 5
+
+
+def test_adaptive_duplicate_breakpoints_make_no_empty_panel(monkeypatch):
+    panels = []
+    gk15 = quadrature._gk15
+
+    def recording(f, a, b):
+        panels.append((a, b))
+        return gk15(f, a, b)
+
+    monkeypatch.setattr(quadrature, "_gk15", recording)
+    res = integrate_adaptive(np.cos, 0.0, 1.0, 1e-10, breakpoints=(0.5, 0.25, 0.5))
+    a, b = panels[0]
+    assert a.tolist() == [0.0, 0.25, 0.5] and b.tolist() == [0.25, 0.5, 1.0]
+    assert res.value[0] == pytest.approx(math.sin(1.0), abs=1e-10)
 
 
 def test_semi_infinite_validation():
