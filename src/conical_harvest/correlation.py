@@ -33,7 +33,7 @@ from .geometry import (
     f_arguments,
 )
 from .quadrature import DEFAULT_TOL, integrate_semi_infinite
-from .special import EPS_DIV, aux_f, aux_f_formula
+from .special import aux_f, aux_f_formula
 
 
 class Kernel(NamedTuple):
@@ -73,17 +73,15 @@ class CorrelationBreakdown:
 def x_flat(d, gap: float):
     """Flat-spacetime correlation X0 = f(d/2) per lambda^2.
 
-    |X0| decreases monotonically in d and diverges as d -> 0; separations at
-    or below the cutoff raise DivergentOverlap (point-model breakdown).  An
-    array of separations gives an array.
+    |X0| decreases monotonically in d and diverges as d -> 0; a separation
+    whose d/2 is at or below aux_f's cutoff EPS_DIV raises DivergentOverlap
+    (point-model breakdown).  An array of separations gives an array.
     """
-    if not getattr(d, "ndim", 0) and d <= EPS_DIV:
-        raise DivergentOverlap(argument=d / 2.0, image_index=None,
-                               message=f"flat correlation diverges as d -> 0 (d={d!r})")
     try:
         return aux_f(d / 2.0, gap)
     except DivergentArgument as exc:
-        raise DivergentOverlap(argument=exc.z, image_index=None) from exc
+        message = f"flat correlation diverges as d -> 0 (d={2.0 * exc.z!r})"
+        raise DivergentOverlap(argument=exc.z, image_index=None, message=message) from exc
 
 
 def x_string(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL) -> CorrelationBreakdown:

@@ -134,8 +134,9 @@ def concurrence_flat(d: float, gap: float) -> float:
     C0 = max{ (e^{-g^2}/2 sqrt(pi)) [ |w(-d/2)|/d + e^{g^2} g erfc(g)
               - 1/sqrt(pi) ], 0 }
     using e^{-d^2/4}|Erfc(id/2)| = |w(-d/2)| for overflow-free evaluation.
+    Refuses the separations x_flat refuses: d/2 at or below EPS_DIV.
     """
-    if d <= EPS_DIV:
+    if d / 2.0 <= EPS_DIV:
         raise DivergentOverlap(argument=d / 2.0, image_index=None,
                                message="flat concurrence diverges as d -> 0")
     bracket = (abs(faddeeva_w(-d / 2.0)) / d

@@ -71,9 +71,23 @@ def test_concurrence_flat_two_paths_and_edges():
         2.0 * max(0.0, abs(x_flat(0.5, GAP)) - p_flat(GAP)), rel=1e-12)
     assert concurrence_flat(0.5, GAP) > 0.0
     assert concurrence_flat(20.0, GAP) == 0.0
-    assert concurrence_flat(2e-10, GAP) > 1e3  # dominated by the 1/d divergence
+    assert concurrence_flat(3e-10, GAP) > 1e3  # dominated by the 1/d divergence
+    for d in (1e-12, 2e-10):
+        with pytest.raises(DivergentOverlap):
+            concurrence_flat(d, GAP)
+
+
+@pytest.mark.parametrize("d", [1e-12, 1.5e-10, 2e-10])
+def test_flat_paths_refuse_the_same_separations(d):
+    # d/2 at or below EPS_DIV, the cutoff aux_f refuses, on every flat path
+    for flat in (lambda: x_flat(d, GAP), lambda: concurrence_flat(d, GAP)):
+        with pytest.raises(DivergentOverlap, match=r"diverges as d -> 0"):
+            flat()
     with pytest.raises(DivergentOverlap):
-        concurrence_flat(1e-12, GAP)
+        concurrence(config(Alignment.FLAT, 0.0, d), ConeParameter(3.0))
+    d_next = np.nextafter(2e-10, 1.0)
+    assert math.isfinite(concurrence_flat(d_next, GAP))
+    assert math.isfinite(abs(x_flat(d_next, GAP)))
 
 
 def test_response_pair_dispatch():
