@@ -189,11 +189,15 @@ def tail_edges(tail_rate, tol, breakpoints=()):
     or below one decay length 1/tail_rate (five at tol 1e-10, where
     tail_rate z_max = 28), merged with ``breakpoints``: sorted, without
     duplicates.  Powers of two are exact, so these are the edges that
-    bisecting [0, z_max] toward 0 would reach, without the passes.
+    bisecting [0, z_max] toward 0 would reach, without the passes.  Raises
+    InvalidParameter when z_max overflows (a tol whose 1/tol does).
     """
-    edges = {float(b) for b in breakpoints}
     edge = tail_cutoff(tail_rate, tol)
-    while math.isfinite(edge) and edge > 1.0 / tail_rate:
+    if not math.isfinite(edge):
+        raise InvalidParameter(f"truncation point of tail_rate={tail_rate!r}, tol={tol!r} "
+                               "is not finite")
+    edges = {float(b) for b in breakpoints}
+    while edge > 1.0 / tail_rate:
         edge *= 0.5
         edges.add(edge)
     return tuple(sorted(edges))

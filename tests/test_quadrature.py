@@ -98,6 +98,15 @@ def test_tail_edges_halve_the_cutoff_down_to_one_decay_length(rate, tol):
     assert merged == tuple(sorted(edges + (0.01 / rate,)))
 
 
+def test_semi_infinite_cutoff_that_overflows_is_refused_by_name():
+    # 1/tol overflows, so z_max is inf and could be halved forever
+    assert math.isinf(tail_cutoff(1.0, 5e-324))
+    with pytest.raises(InvalidParameter, match="truncation point"):
+        tail_edges(1.0, 5e-324)
+    with pytest.raises(InvalidParameter, match="truncation point"):
+        integrate_semi_infinite(lambda z: np.exp(-z), tail_rate=1.0, tol=5e-324)
+
+
 def test_tail_edges_at_the_default_tolerance_are_five():
     # rate z_max = ln(1e10) + 5 = 28.0: edges at 14, 7, 3.5, 1.75 and 0.88 decay lengths
     assert len(tail_edges(5.7, quadrature.DEFAULT_TOL)) == 5
