@@ -129,10 +129,9 @@ def integrate_adaptive(f, lo, hi, tol, breakpoints=(), max_intervals=_MAX_INTERV
     a scalar integrand or (components, n) for several real components sharing
     subdivision points.  Every pass makes one call of ``f``: the first on the
     nodes of all panels between the breakpoints (those inside (lo, hi), each
-    once), each later one on the
-    children of every panel whose worst-component error exceeds tol / (panel
-    count), a set that always holds the worst panel wider than the minimum
-    width.  The loop stops when each component's summed error is at most
+    once), each later one on the children of every panel whose
+    worst-component error exceeds tol / (panel count), a set that always
+    holds the worst panel wider than the minimum width.  The loop stops when each component's summed error is at most
     ``tol``, the same test as a worst-panel-first loop.  Returns a QuadratureResult
     whose value and error are arrays with the leading axis of size
     ``components``; ``evaluations`` counts the nodes.

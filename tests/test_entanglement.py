@@ -75,6 +75,10 @@ def test_concurrence_flat_two_paths_and_edges():
     for d in (1e-12, 2e-10):
         with pytest.raises(DivergentOverlap):
             concurrence_flat(d, GAP)
+    # the first separation past the cutoff d/2 = EPS_DIV is finite on both flat paths
+    d_next = np.nextafter(2e-10, 1.0)
+    assert math.isfinite(concurrence_flat(d_next, GAP))
+    assert math.isfinite(abs(x_flat(d_next, GAP)))
 
 
 @pytest.mark.parametrize("d", [1e-12, 1.5e-10, 2e-10])
@@ -85,9 +89,6 @@ def test_flat_paths_refuse_the_same_separations(d):
             flat()
     with pytest.raises(DivergentOverlap):
         concurrence(config(Alignment.FLAT, 0.0, d), ConeParameter(3.0))
-    d_next = np.nextafter(2e-10, 1.0)
-    assert math.isfinite(concurrence_flat(d_next, GAP))
-    assert math.isfinite(abs(x_flat(d_next, GAP)))
 
 
 def test_response_pair_dispatch():
