@@ -87,11 +87,13 @@ def test_semi_infinite_damped_cosine_closed_form(rate):
     assert abs(res.value - rate / (rate * rate + 1.0)) <= 1e-10
 
 
-@pytest.mark.parametrize("rate, tol", [(2.3, 1e-10), (9.22, 1e-10), (0.5, 1e-6), (64.0, 1e-13)])
-def test_tail_edges_halve_the_cutoff_down_to_one_decay_length(rate, tol):
+@pytest.mark.parametrize("rate, tol, count", [
+    # at the default tol, rate z_max = ln(1e10) + 5 = 28.0: 14, 7, 3.5, 1.75, 0.88
+    (2.3, 1e-10, 5), (9.22, 1e-10, 5), (0.5, 1e-6, 5), (64.0, 1e-13, 6)])
+def test_tail_edges_halve_the_cutoff_down_to_one_decay_length(rate, tol, count):
     edges = tail_edges(rate, tol)
-    # exactly z_max 2^-k, k = 1..K, the smallest at or below 1/rate and no other
-    assert edges == tuple(tail_cutoff(rate, tol) * 2.0 ** -k for k in range(len(edges), 0, -1))
+    # exactly z_max 2^-k, k = 1..count, the smallest at or below 1/rate and no other
+    assert edges == tuple(tail_cutoff(rate, tol) * 2.0 ** -k for k in range(count, 0, -1))
     assert edges[0] <= 1.0 / rate < edges[1]
     # a caller's breakpoint that is one of them stays one edge
     merged = tail_edges(rate, tol, breakpoints=(edges[2], 0.01 / rate, edges[2]))
@@ -105,11 +107,6 @@ def test_semi_infinite_cutoff_that_overflows_is_refused_by_name():
         tail_edges(1.0, 5e-324)
     with pytest.raises(InvalidParameter, match="truncation point"):
         integrate_semi_infinite(lambda z: np.exp(-z), tail_rate=1.0, tol=5e-324)
-
-
-def test_tail_edges_at_the_default_tolerance_are_five():
-    # rate z_max = ln(1e10) + 5 = 28.0: edges at 14, 7, 3.5, 1.75 and 0.88 decay lengths
-    assert len(tail_edges(5.7, quadrature.DEFAULT_TOL)) == 5
 
 
 def test_adaptive_duplicate_breakpoints_make_no_empty_panel(monkeypatch):
