@@ -220,12 +220,14 @@ def sweep_cmd(alignment, nu, l, d, gap, axis, lo, hi, n, log, d_over_l, tol, for
 @l_option
 @click.option("--gap", type=float, required=True)
 @click.option("--d-hi", "d_hi", type=float, default=8.0, help="scan ceiling")
-@click.option("--grid-n", "grid_n", type=int, default=512, help="scan grid points")
+@click.option("--grid-n", "grid_n", type=click.IntRange(2, MAX_SWEEP_POINTS), default=512,
+              help="scan grid points")
 @click.option("--scan-tol", "scan_tol", type=TOLERANCE, default=1e-6,
               help="root location tolerance")
 @click.option("--l-lo", "l_lo", type=float, default=None, help="curve mode: l lower bound")
 @click.option("--l-hi", "l_hi", type=float, default=None, help="curve mode: l upper bound")
-@click.option("--l-n", "l_n", type=int, default=None, help="curve mode: number of l points")
+@click.option("--l-n", "l_n", type=click.IntRange(1, MAX_SWEEP_POINTS), default=None,
+              help="curve mode: number of l points")
 @click.option("--terminal", is_flag=True, default=False,
               help="opposite-sides: also report the terminal l where d_max meets 2l")
 @tol_option
@@ -237,7 +239,7 @@ def dmax_cmd(alignment, nu, l, gap, d_hi, grid_n, scan_tol, l_lo, l_hi, l_n, ter
         alignment = Alignment.from_string(alignment)
 
     if l_lo is not None or l_hi is not None:
-        if l_lo is None or l_hi is None or (l_n or 0) < 1:
+        if l_lo is None or l_hi is None or l_n is None:
             raise click.UsageError("curve mode needs --l-lo, --l-hi and --l-n")
         curve = {"lo": l_lo, "hi": l_hi, "n": l_n,
                  "alignment": alignment.value, "nu": cone.nu, "gap": gap}

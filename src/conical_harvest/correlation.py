@@ -3,15 +3,15 @@
 X pairs detector A with detector B, and a detector's response P is its
 correlation with itself, so both are a direct term plus one image expansion
 over the images the point set sees:
-2 sum_m' w_m k(z_m) + int_0^inf coef(zeta) k(z(zeta)) dzeta.  The geometry
-module supplies z_m, z(zeta) and coef (pair_f_arguments, self_f_arguments).
-X = f(d/2) + the expansion of k = aux_f; P is in the response module.  A
-reflecting boundary is the subtracted nu = 2 image (weight -1/2, so
-X_images = -f(z_1)), and flat spacetime is nu = 1 with no images; both have a
-vanishing zeta coefficient.
+2 sum_m' w_m k(z_m) + int_0^inf coef(zeta) k(z(zeta)) dzeta.  One geometry
+builder supplies z_m, z(zeta) and coef for both (image_f_arguments; P is its
+d = 0 case).  X = f(d/2) + the expansion of k = aux_f; P is in the response
+module.  A reflecting boundary is the subtracted nu = 2 image (weight -1/2,
+so X_images = -f(z_1)), and flat spacetime is nu = 1 with no images; both
+have a vanishing zeta coefficient.
 
-``expand`` takes several such expansions (parts: a kernel, a point set and
-a scale) and runs all their zeta integrals as one integral: the rows of P_A,
+``expand`` takes several such expansions (parts: a kernel and a point set)
+and runs all their zeta integrals as one integral: the rows of P_A,
 P_B and X share one adaptive subdivision, which is how one concurrence, or
 one d_max scan batch, costs a single integrate_semi_infinite call.  One
 assembly (``_x_breakdown``) serves x_string's single pair and any batch of
@@ -37,19 +37,21 @@ from .special import aux_f, aux_f_formula
 
 
 class Kernel(NamedTuple):
-    """A kernel k(z, gap) of the image expansion, in its two forms.
+    """A kernel k(z, gap) = checked(z, gap)/scale of the image expansion, in its two forms.
 
     ``checked`` is the public function (input checks + formula): the image
     sum calls it, so an argument at or below its cutoff raises.  ``formula``
     is the same value without the checks: the zeta integrand calls it on
     nodes built from parameters that were already validated.  ``zero`` is
     the kernel's zero, which the image sum starts from and a vanishing
-    integral returns.
+    integral returns.  The image sum and the integrand are divided by
+    ``scale`` once, after the kernel.
     """
 
     checked: Callable
     formula: Callable
     zero: Union[float, complex] = 0.0
+    scale: float = 1.0
 
 
 AUX_F = Kernel(aux_f, aux_f_formula, 0j)
@@ -102,20 +104,20 @@ def _x_breakdown(geo: FArguments, d, gap: float, cone: ConeParameter,
     overlap-free points) give complex arrays.
     """
     flat = x_flat(d, gap)
-    return CorrelationBreakdown(flat, *expand([(AUX_F, geo, 1.0)], gap, cone.nu, tol)[0])
+    return CorrelationBreakdown(flat, *expand([(AUX_F, geo)], gap, cone.nu, tol)[0])
 
 
-def expand(parts: Sequence[Tuple[Kernel, FArguments, float]], gap: float, tail_rate: float,
+def expand(parts: Sequence[Tuple[Kernel, FArguments]], gap: float, tail_rate: float,
            tol: float = DEFAULT_TOL):
-    """(images, integral, image_terms) of each part's image expansion of kernel(z, gap)/scale.
+    """(images, integral, image_terms) of each part's image expansion of kernel(z, gap).
 
-    A part is a (kernel, geo, scale) triple: a Kernel, the point set's
-    FArguments and the scale.  image_terms holds (m, w_m, z_m, 2 w_m k(z_m))
-    per geo.image_args entry, and images is their sum over ``scale``; an
-    argument at or below the kernel's cutoff raises DivergentOverlap with its
-    image index.  integral is int_0^inf coef(zeta) k(z(zeta))/scale dzeta, or
-    the kernel's zero where coef vanishes.  The integrals of all parts run in
-    one integrate_semi_infinite call with tail rate ``tail_rate`` (the parts'
+    A part is a (kernel, geo) pair: a Kernel and the point set's FArguments.
+    image_terms holds (m, w_m, z_m, 2 w_m checked(z_m)) per geo.image_args
+    entry, and images is their sum over kernel.scale; an argument at or
+    below the kernel's cutoff raises DivergentOverlap with its image index.
+    integral is int_0^inf coef(zeta) k(z(zeta)) dzeta, or the kernel's zero
+    where coef vanishes.  The integrals of all parts run in one
+    integrate_semi_infinite call with tail rate ``tail_rate`` (the parts'
     common nu) and the union of their breakpoints: every row (a batch's
     points, a complex kernel's real and imaginary parts, every part) shares
     one adaptive subdivision and meets ``tol`` on its own, and a coefficient
@@ -125,7 +127,7 @@ def expand(parts: Sequence[Tuple[Kernel, FArguments, float]], gap: float, tail_r
     """
     expansions = []
     live = []       # the parts whose zeta integral does not vanish
-    for kernel, geo, scale in parts:
+    for kernel, geo in parts:
         images = kernel.zero
         terms = []
         for m, weight, z in geo.image_args:
@@ -137,7 +139,7 @@ def expand(parts: Sequence[Tuple[Kernel, FArguments, float]], gap: float, tail_r
             terms.append((m, weight, z, term))
         if not geo.zeta_vanishes:
             live.append(len(expansions))
-        expansions.append((images / scale, kernel.zero, tuple(terms)))
+        expansions.append((images / kernel.scale, kernel.zero, tuple(terms)))
     if live:
         integrals = _zeta_integrals([parts[i] for i in live], gap, tail_rate, tol)
         for i, integral in zip(live, integrals):
@@ -146,13 +148,14 @@ def expand(parts: Sequence[Tuple[Kernel, FArguments, float]], gap: float, tail_r
     return expansions
 
 
-def _zeta_integrals(parts: Sequence[Tuple[Kernel, FArguments, float]], gap: float,
+def _zeta_integrals(parts: Sequence[Tuple[Kernel, FArguments]], gap: float,
                     tail_rate: float, tol: float):
-    """Each part's int_0^inf coef k(z(zeta))/scale dzeta, from one integrate_semi_infinite call.
+    """Each part's int_0^inf coef k(z(zeta)) dzeta, from one integrate_semi_infinite call.
 
     One point gives a float (a complex for a complex kernel), a batch of
     points an array.  The integrand stacks every part's rows, a complex
-    kernel's real rows before its imaginary rows.
+    kernel's real rows before its imaginary rows, so the integral itself is
+    real: integrate_semi_infinite integrates real rows only.
     """
     layout = []     # (rows, complex, one point) per part, read from the first call
 
@@ -160,11 +163,11 @@ def _zeta_integrals(parts: Sequence[Tuple[Kernel, FArguments, float]], gap: floa
         n = zeta.size
         coefficients = {}
         blocks = []
-        for kernel, geo, scale in parts:
+        for kernel, geo in parts:
             coefficient = coefficients.get(geo.zeta_coefficient)
             if coefficient is None:
                 coefficient = coefficients[geo.zeta_coefficient] = geo.zeta_coefficient(zeta)
-            y = coefficient * kernel.formula(geo.zeta_argument(zeta), gap) / scale
+            y = coefficient * kernel.formula(geo.zeta_argument(zeta), gap) / kernel.scale
             if y.dtype.kind == "c":
                 rows = (y.real.reshape(-1, n), y.imag.reshape(-1, n))
             else:
@@ -174,7 +177,7 @@ def _zeta_integrals(parts: Sequence[Tuple[Kernel, FArguments, float]], gap: floa
             blocks += rows
         return np.concatenate(blocks)
 
-    breakpoints = sorted({b for _, geo, _ in parts for b in geo.zeta_breakpoints})
+    breakpoints = sorted({b for _, geo in parts for b in geo.zeta_breakpoints})
     value = integrate_semi_infinite(integrand, tail_rate=tail_rate, tol=tol,
                                     breakpoints=breakpoints).value
     integrals = []

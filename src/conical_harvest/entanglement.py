@@ -24,6 +24,7 @@ from .geometry import (
     ConeParameter,
     FArguments,
     PairConfig,
+    check_length,
     f_arguments,
     image_set,
     pair_f_arguments,
@@ -102,7 +103,7 @@ def _evaluate(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: 
         parts.append(part_b)
     # X0 before the images, as in x_string: a flat overlap raises without an image index
     flat = x_flat(d, gap)
-    parts.append((AUX_F, geo, 1.0))
+    parts.append((AUX_F, geo))
     expansions = expand(parts, gap, seen.nu, tol)
     response_a = response_breakdown(expansions[0], inverse_a, gap)
     response_b = response_a if same else response_breakdown(expansions[1], inverse_b, gap)
@@ -158,11 +159,6 @@ class DmaxResult:
     skipped: Tuple[float, ...]
 
 
-def _entanglement_margin(config: PairConfig, cone: ConeParameter, tol: float) -> float:
-    result = concurrence(config, cone, tol=tol)
-    return result.abs_x - result.geo_mean_p
-
-
 def _scan_margins(alignment: Alignment, cone: ConeParameter, l: np.ndarray, d: np.ndarray,
                   gap: float, tol: float):
     """Margins |X| - sqrt(P_A P_B) at equal-shape arrays l, d in one array pass.
@@ -196,49 +192,64 @@ def _scan_margins(alignment: Alignment, cone: ConeParameter, l: np.ndarray, d: n
     return list(margins), d[~ok].tolist()
 
 
-def _last_crossing(margins, grid: np.ndarray, margin_at, tol: float) -> Optional[float]:
-    """Brent root of the last sign change of scanned margins (None at skipped points).
+def _scan_crossing(alignment: Alignment, cone: ConeParameter, gap: float, grid: np.ndarray,
+                   at: Callable, tol: float, quad_tol: float):
+    """(t of the last margin zero, skipped d) on the scan line (l, d) = at(t), t in ``grid``.
 
-    ``margin_at`` is the scalar concurrence margin Brent refines with, so the
-    root does not depend on how the scan was evaluated.  Without a sign
-    change: grid[-1] when the last valid margin is still positive, else None.
+    ``at`` maps an array of t elementwise.  One array pass scans the grid
+    (_scan_margins); Brent refines the last sign change with the scalar
+    concurrence margin, so the root does not depend on how the scan ran.  No
+    sign change gives grid[-1] if the last valid margin is positive, else
+    None.  l and d never decrease along a line, so validating its two ends
+    validates every point.
     """
+    def pair(t):
+        l, d = map(float, at(t))
+        return PairConfig(alignment, l=l, d=d, gap=gap)
+
+    pair(grid[0])
+    pair(grid[-1])
+    margins, skipped = _scan_margins(alignment, cone, *at(grid), gap, quad_tol)
+
+    def margin(t):
+        result = concurrence(pair(t), cone, tol=quad_tol)
+        return result.abs_x - result.geo_mean_p
+
     last = find_last_sign_change(margins, grid)
     if last is None:
         valid = [m for m in margins if m is not None]
-        return float(grid[-1]) if valid and valid[-1] > 0.0 else None
-    bracket = Bracket(float(grid[last]), float(grid[last + 1]))
-    return find_root_bracketed(margin_at, bracket, tol=tol)
+        root = float(grid[-1]) if valid and valid[-1] > 0.0 else None
+    else:
+        root = find_root_bracketed(margin, Bracket(float(grid[last]), float(grid[last + 1])),
+                                   tol=tol)
+    return root, skipped
+
+
+def _check_grid_n(grid_n: int) -> None:
+    if not 2 <= grid_n <= MAX_SWEEP_POINTS:
+        raise InvalidParameter(f"grid_n must be between 2 and {MAX_SWEEP_POINTS}, got {grid_n!r}")
 
 
 def d_max(alignment: Alignment, cone: ConeParameter, l: float, gap: float,
           d_hi: float = 8.0, grid_n: int = 512, tol: float = 1e-6,
-          d_lo: Optional[float] = None, quad_tol: float = DEFAULT_TOL) -> DmaxResult:
+          quad_tol: float = DEFAULT_TOL) -> DmaxResult:
     """Maximum harvesting-achievable separation at fixed l, nu, gap.
 
-    Scans g(d) = |X| - sqrt(P_A P_B) on a dense grid and bisects the LAST sign
-    change (the margin can in principle re-cross, and d_max means the point
-    beyond which harvesting cannot occur).  Overlap-divergent scan points are
-    skipped and reported.  Returns d_hi itself when the margin is still
-    positive at the scan ceiling.
+    Scans g(d) = |X| - sqrt(P_A P_B) from d = 2l (opposite sides) or
+    d_hi/grid_n to d_hi, grid_n <= MAX_SWEEP_POINTS, and bisects the LAST sign
+    change (d_max is the point beyond which harvesting cannot occur).
+    Overlap-divergent scan points are skipped and reported.  Returns d_hi
+    itself when the margin is still positive at the scan ceiling.
     """
-    if not (math.isfinite(d_hi) and d_hi > 0) or grid_n < 2:
-        raise InvalidParameter("d_hi must be finite and > 0 and grid_n >= 2")
+    check_length("d_hi", d_hi, positive=True)
+    _check_grid_n(grid_n)
     check_tolerance(tol, "root")
-    if d_lo is None:
-        d_lo = 2.0 * l if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES else d_hi / grid_n
+    d_lo = 2.0 * l if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES else d_hi / grid_n
     if d_lo >= d_hi:
         raise InvalidParameter(f"scan start {d_lo} is not below d_hi {d_hi}")
-    # d grows from a validated d_lo to a finite d_hi, so this validates every scan point
-    PairConfig(alignment, l=l, d=d_lo, gap=gap)
-
-    grid = np.linspace(d_lo, d_hi, grid_n)
-    margins, skipped = _scan_margins(alignment, cone, np.full_like(grid, l), grid, gap, quad_tol)
-
-    def margin_at(d):
-        return _entanglement_margin(PairConfig(alignment, l=l, d=float(d), gap=gap), cone, quad_tol)
-
-    return DmaxResult(value=_last_crossing(margins, grid, margin_at, tol), skipped=tuple(skipped))
+    value, skipped = _scan_crossing(alignment, cone, gap, np.linspace(d_lo, d_hi, grid_n),
+                                    lambda d: (np.full_like(d, l), d), tol, quad_tol)
+    return DmaxResult(value=value, skipped=tuple(skipped))
 
 
 def opposite_sides_terminal_l(cone: ConeParameter, gap: float, l_hi: float = 4.0,
@@ -248,25 +259,18 @@ def opposite_sides_terminal_l(cone: ConeParameter, gap: float, l_hi: float = 4.0
 
     For the opposite-sides alignment the separation is at least 2l, so
     harvesting stops entirely at the largest l whose minimum-separation
-    (symmetric) configuration still has positive concurrence.  None when even
-    the smallest scanned l cannot harvest, or when every symmetric point
-    diverges (even integer nu).
+    (symmetric) configuration still has positive concurrence: d_max's scan
+    along d = 2l, l from l_hi/grid_n to l_hi.  None when even the smallest
+    scanned l cannot harvest, or when every symmetric point diverges (even
+    integer nu).
     """
-    if not (math.isfinite(l_hi) and l_hi > 0):
-        raise InvalidParameter("l_hi must be finite and > 0")
-    if grid_n < 2:
-        raise InvalidParameter("grid_n must be >= 2")
+    check_length("l_hi", l_hi, positive=True)
+    _check_grid_n(grid_n)
     check_tolerance(tol, "root")
-    alignment = Alignment.ORTHOGONAL_OPPOSITE_SIDES
     grid = np.linspace(l_hi / grid_n, l_hi, grid_n)
-    PairConfig(alignment, l=float(grid[0]), d=2.0 * float(grid[0]), gap=gap)
-    margins, _ = _scan_margins(alignment, cone, grid, 2.0 * grid, gap, quad_tol)
-
-    def margin_at(l):
-        return _entanglement_margin(PairConfig(alignment, l=float(l), d=2.0 * float(l), gap=gap),
-                                    cone, quad_tol)
-
-    return _last_crossing(margins, grid, margin_at, tol)
+    value, _ = _scan_crossing(Alignment.ORTHOGONAL_OPPOSITE_SIDES, cone, gap, grid,
+                              lambda l: (l, 2.0 * l), tol, quad_tol)
+    return value
 
 
 # --- nu scans ----------------------------------------------------------------
@@ -352,6 +356,21 @@ def _sweep_row(alignment: Alignment, cone: ConeParameter, axis: str, value: floa
                         concurrence=None, diverged=True)
 
 
+def _check_sweep_value(name: str, value: float) -> None:
+    """Raise InvalidParameter unless a sweep value keeps its parameter's rule.
+
+    l and d are lengths (geometry.check_length, d > 0), gap >= 0 and
+    d_over_l > 0 are finite, and nu is a ConeParameter.
+    """
+    if name == "nu":
+        ConeParameter(value)
+    elif name in ("l", "d"):
+        check_length(name, value, positive=name == "d")
+    elif not (math.isfinite(value) and (value > 0.0 if name == "d_over_l" else value >= 0.0)):
+        sign = "> 0" if name == "d_over_l" else ">= 0"
+        raise InvalidParameter(f"{name} must be finite and {sign}, got {value!r}")
+
+
 def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence[float],
           l: Optional[float] = None, d: Optional[float] = None, gap: Optional[float] = None,
           d_over_l: Optional[float] = None, tol: float = DEFAULT_TOL,
@@ -360,12 +379,12 @@ def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence
 
     ``axis`` is one of "d", "l", "nu", "gap"; the remaining parameters are
     fixed (``d_over_l`` couples d = ratio * l to an l-axis, for the
-    opposite-sides family).  Per-row failures (detector/image overlap,
-    constraint violations such as d < 2l) are flagged, never aborting the
-    sweep.  A bad ``tol``, a fixed parameter that is not finite or breaks
-    PairConfig's sign rules (l, gap >= 0; d, d_over_l > 0) and a non-finite
-    axis value raise InvalidParameter before any row.  ``threads`` is accepted
-    for compatibility and has no effect.
+    opposite-sides family).  Per-row failures (detector/image overlap, the
+    opposite-sides constraint d >= 2l) are flagged, never aborting the
+    sweep.  A bad ``tol``, and a fixed parameter, axis value or coupled d
+    that breaks its parameter's rule (_check_sweep_value), raise
+    InvalidParameter before any row.  ``threads`` is accepted for
+    compatibility and has no effect.
     """
     if axis not in SWEEP_AXES:
         raise InvalidParameter(f"axis must be one of {SWEEP_AXES}")
@@ -378,14 +397,14 @@ def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence
     if d is None and axis != "d" and not (axis == "l" and d_over_l is not None):
         raise InvalidParameter("d must be fixed, the sweep axis, or coupled via d_over_l")
     for name, value in (("l", l), ("d", d), ("gap", gap), ("d_over_l", d_over_l)):
-        if value is None or name == axis:
-            continue
-        positive = name in ("d", "d_over_l")
-        if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
-            raise InvalidParameter(
-                f"{name} must be finite and {'> 0' if positive else '>= 0'}, got {value!r}")
+        if value is not None and name != axis:
+            _check_sweep_value(name, value)
     if not all(math.isfinite(v) for v in values):
         raise InvalidParameter(f"{axis} axis values must be finite")
+    for value in values:
+        _check_sweep_value(axis, value)
+        if axis == "l" and d_over_l is not None:
+            _check_sweep_value("d", d_over_l * value)
 
     rows = tuple(_sweep_row(alignment, cone, axis, v, l, d, gap, d_over_l, tol) for v in values)
     fixed = {k: v for k, v in (("l", l), ("d", d), ("gap", gap), ("d_over_l", d_over_l))

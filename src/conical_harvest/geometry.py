@@ -10,9 +10,10 @@ geometries) or at integer and half-integer nu (opposite-sides geometry).
 By the method of images every alignment is one of these image sets
 (``image_set``): flat spacetime is nu = 1, which has no images, and a
 perfectly reflecting plane is the nu = 2 cone (deficit angle pi) with its one
-image subtracted instead of added.  X expands over the images of a pair
-(``pair_f_arguments``), P over those of a detector with itself
-(``self_f_arguments``); see correlation.expand.
+image subtracted instead of added.  One builder (``image_f_arguments``)
+expands two points over the images they see: X a detector with its partner
+(``pair_f_arguments``), P a detector with itself (d = 0, rho_A = rho_B); see
+correlation.expand.
 """
 
 import enum
@@ -27,6 +28,9 @@ from .errors import InvalidParameter
 
 NU_MAX = 64.0
 INTEGER_SNAP_TOL = 1e-12
+# Largest length (sigma units) accepted: the image arguments square lengths,
+# and below this bound their squares stay finite.
+MAX_LENGTH = 1e100
 
 # Coefficient peak near a vanishing-denominator nu: force subdivision on
 # [0, 10*delta] when |1 - cos(angle)| falls below this.
@@ -74,6 +78,16 @@ class ConeParameter:
         return int(math.floor(self.nu / 2.0))
 
 
+def check_length(name: str, value: float, positive: bool = False) -> None:
+    """Raise InvalidParameter unless a length is finite, >= 0 (> 0 if positive), <= MAX_LENGTH."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        raise InvalidParameter(f"{name} must be finite and {'> 0' if positive else '>= 0'}, "
+                               f"got {value!r}")
+    if value > MAX_LENGTH:
+        raise InvalidParameter(f"{name} must be at most {MAX_LENGTH:g} (sigma units), "
+                               f"got {value!r}")
+
+
 class Alignment(enum.Enum):
     FLAT = "flat"
     PARALLEL = "parallel"
@@ -98,7 +112,8 @@ BOUNDARY_ALIGNMENTS = (Alignment.BOUNDARY_PARALLEL, Alignment.BOUNDARY_ORTHOGONA
 class PairConfig:
     """Detector pair: alignment, string distance l, separation d, gap Omega*sigma.
 
-    All lengths in sigma units.  Flat ignores l; boundary variants ignore nu.
+    All lengths in sigma units, at most MAX_LENGTH.  Flat ignores l; boundary
+    variants ignore nu.
     The opposite-sides alignment requires d >= 2l > 0 (detector B at radial
     distance d - l on the far side).
     """
@@ -109,16 +124,10 @@ class PairConfig:
     gap: float
 
     def __post_init__(self):
-        for name in ("l", "d", "gap"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise InvalidParameter(f"{name} must be finite")
-        if self.l < 0:
-            raise InvalidParameter("l must be >= 0")
-        if self.d <= 0:
-            raise InvalidParameter("d must be > 0")
-        if self.gap < 0:
-            raise InvalidParameter("gap must be >= 0")
+        check_length("l", self.l)
+        check_length("d", self.d, positive=True)
+        if not (math.isfinite(self.gap) and self.gap >= 0.0):
+            raise InvalidParameter(f"gap must be finite and >= 0, got {self.gap!r}")
         if self.alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES:
             if self.l <= 0 or self.d < 2.0 * self.l:
                 raise InvalidParameter(
@@ -259,32 +268,43 @@ def f_arguments(config: PairConfig, cone: ConeParameter) -> FArguments:
 
 
 def pair_f_arguments(alignment: Alignment, cone: ConeParameter, l, d) -> FArguments:
-    """Image arguments and zeta-integral pieces for the correlation term X.
+    """X's image_f_arguments: the images the alignment sees, at its radial distances.
 
     ``l`` and ``d`` are scalars or equal-shape 1-D arrays of validated points.
-    For arrays each image argument z_m is an array, and zeta_argument maps a
-    node array of zeta to one row per point (see point_rows).
-    Every alignment is served through the images it sees (image_set).
-    Same-side geometries (parallel / orthogonal):
+    """
+    seen, terms = image_set(alignment, cone)
+    rho_a, rho_b = radial_distances(alignment, l, d)
+    return image_f_arguments(seen, terms, rho_a, rho_b, d,
+                             opposite=alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES)
+
+
+def image_f_arguments(cone: ConeParameter, terms: Tuple[ImageTerm, ...], rho_a, rho_b, d,
+                      opposite: bool = False) -> FArguments:
+    """Image arguments and zeta-integral pieces of two points at radial distances rho_A, rho_B.
+
+    ``cone`` and ``terms`` are an image set (image_set); ``rho_a``, ``rho_b``
+    and ``d`` are scalars or equal-shape 1-D arrays of validated points.  For
+    arrays each z_m is an array, and zeta_argument maps a node array of zeta
+    to one row per point (see point_rows).
+    Same side (parallel / orthogonal pairs, and P, a detector with itself:
+    rho_A = rho_B = rho, d = 0):
         z_m    = sqrt(d^2/4 + rho_A rho_B sin^2(m pi / nu))
         z(zeta) = sqrt(d^2/4 + rho_A rho_B (1 + cosh zeta)/2)
-    Opposite sides (Delta theta = pi; only the j=+ branch survives):
+    Opposite sides (Delta theta = pi, d = rho_A + rho_B; only the j=+ branch
+    survives):
         z_m    = sqrt(d^2/4 - rho_A rho_B sin^2(m pi / nu))
-                 (radicand = (d/2 - l)^2 + rho_A rho_B cos^2 >= 0 given d >= 2l)
+                 (radicand = (d/2 - rho_A)^2 + rho_A rho_B cos^2 >= 0 given d >= 2 rho_A)
         z(zeta) = sqrt(d^2/4 + rho_A rho_B (cosh zeta - 1)/2)
     The zeta coefficient vanishes at integer nu (same side) or half-integer nu
     (opposite sides), so always for flat and boundary pairs (nu = 1 or 2).
     """
-    cone, terms = image_set(alignment, cone)
-    rho_a, rho_b = radial_distances(alignment, l, d)
     product = rho_a * rho_b
-    sqrt = np.sqrt if getattr(d, "ndim", 0) else math.sqrt
-    opposite = alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES
+    sqrt = np.sqrt if getattr(product, "ndim", 0) or getattr(d, "ndim", 0) else math.sqrt
 
     def radicand(term):
         if opposite:
             cos_term = math.cos(term.m * math.pi / cone.nu)
-            return (d / 2.0 - l) ** 2 + product * cos_term * cos_term
+            return (d / 2.0 - rho_a) ** 2 + product * cos_term * cos_term
         return d * d / 4.0 + product * term.sin_term * term.sin_term
 
     image_args = tuple((term.m, term.weight, sqrt(radicand(term))) for term in terms)
@@ -299,24 +319,5 @@ def pair_f_arguments(alignment: Alignment, cone: ConeParameter, l, d) -> FArgume
     if opposite:
         return FArguments(image_args, argument, opposite_sides_coefficient(cone.nu),
                           coefficient_breakpoints(cone.nu, 2.0 * cone.nu * math.pi))
-    return FArguments(image_args, argument, same_side_coefficient(cone.nu),
-                      coefficient_breakpoints(cone.nu, cone.nu * math.pi))
-
-
-def self_f_arguments(cone: ConeParameter, terms: Tuple[ImageTerm, ...], rho) -> FArguments:
-    """Image arguments and zeta-integral pieces for a detector with itself (P).
-
-    ``cone`` and ``terms`` are an image set (image_set), ``rho`` a radial
-    distance or a 1-D array of them: z_m = rho sin(m pi / nu) and
-    z(zeta) = rho cosh(zeta / 2), with the same-side coefficient.
-    """
-    image_args = tuple((term.m, term.weight, rho * term.sin_term) for term in terms)
-    if cone.is_integer:
-        return FArguments(image_args)
-    rho_rows = point_rows(rho)
-
-    def argument(zeta):
-        return rho_rows * np.cosh(np.asarray(zeta) / 2.0)
-
     return FArguments(image_args, argument, same_side_coefficient(cone.nu),
                       coefficient_breakpoints(cone.nu, cone.nu * math.pi))

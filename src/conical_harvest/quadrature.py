@@ -7,8 +7,7 @@ children in one integrand call, so the Python cost scales with the number of
 passes, not of panels.  Semi-infinite integrals are truncated at a point where
 the caller-supplied exponential tail bound drops below tol/10 and start on
 geometric panels that halve toward 0 down to one decay length, so an
-exponentially decaying integrand needs one or two passes; a complex integrand
-runs its real and imaginary parts as rows of the same subdivision.
+exponentially decaying integrand needs one or two passes.
 Principal-value integrals over [0, inf) use pole-symmetric subtraction inside a
 finite excision window plus an exact log term, with the power-law far tail
 mapped to a finite interval by u -> 1/u; windows, smooth segments and tail run
@@ -16,9 +15,9 @@ as one adaptive integral.  Every integrator takes a components axis: an
 integrand returning (k, n) instead of (n,) integrates k functions on one
 shared subdivision, which is how a batch of points (a scan axis, the new nodes
 of an oracle's outer pass) costs one adaptive integral instead of k.  Every
-integrator returns a ``QuadratureResult``.  Only ``integrate_semi_infinite``
-accepts complex values; the others raise InvalidParameter rather than drop an
-imaginary part.
+integrator returns a ``QuadratureResult``.  Every integrand is real: a complex
+one raises InvalidParameter rather than lose its imaginary part, and a caller
+with a complex integrand stacks its real and imaginary parts as rows.
 """
 
 import math
@@ -72,13 +71,14 @@ _MIN_WIDTH_FACTOR = 1e-14
 class QuadratureResult(NamedTuple):
     """Value, error estimate and integrand evaluations (node count) of one integration.
 
-    ``integrate_adaptive`` gives length-k arrays (one per component row); the
-    other integrators give floats for one integrand and length-k arrays for a
-    components axis of k integrands sharing one subdivision.  It unpacks as
+    ``integrate_adaptive`` and ``integrate_semi_infinite`` give length-k
+    arrays (one per component row, k = 1 for one integrand); ``integrate_pv``
+    gives floats for one integrand and length-k arrays for a components axis
+    of k integrands sharing one subdivision.  It unpacks as
     ``value, error_estimate, evaluations``.
     """
 
-    value: Union[float, complex, np.ndarray]
+    value: Union[float, np.ndarray]
     error_estimate: Union[float, np.ndarray]
     evaluations: int
 
@@ -98,7 +98,7 @@ def _real(y, a, b):
     y = np.asarray(y)
     if y.dtype.kind == "c":
         raise InvalidParameter(f"integrand returned complex values on [{a}, {b}]; "
-                               "only integrate_semi_infinite integrates complex integrands")
+                               "integrate the real and imaginary parts as rows")
     return np.asarray(y, dtype=float)
 
 
@@ -203,51 +203,25 @@ def tail_edges(tail_rate, tol, breakpoints=()):
 
 
 def integrate_semi_infinite(integrand, tail_rate, tol=DEFAULT_TOL, breakpoints=()):
-    """Integrate a bounded integrand decaying at least like e^{-tail_rate*z} over [0, inf).
+    """Integrate a bounded real integrand decaying at least like e^{-tail_rate*z} over [0, inf).
 
     The domain is truncated at z_max = (ln(1/tol) + 5)/tail_rate, where the
-    analytic tail bound is below tol/10, then subdivided adaptively, starting
-    from the panels between tail_edges: z_max 2^-k down to one decay length
-    1/tail_rate, where the integrand still varies, and ``breakpoints``
-    (sharp features near z = 0).
-
-    A real integrand returning (n,) gives a float value and error; one
-    returning (k, n) gives length-k arrays, all k integrals sharing one
-    subdivision.  A complex integrand runs its real and imaginary parts as
-    rows of that subdivision, each within ``tol``: the value is complex (a
-    length-k complex array for (k, n)) and the error has a leading (re, im)
-    axis, shape (2,) for one integrand and (2, k) for k.  Real or complex and
-    one row or k are read from the first integrand call.
+    analytic tail bound is below tol/10, and integrate_adaptive runs on
+    [0, z_max] from the panels between tail_edges: z_max 2^-k down to one
+    decay length 1/tail_rate, where the integrand still varies, and
+    ``breakpoints`` (sharp features near z = 0).  The integrand and the
+    result are integrate_adaptive's: (n,) or (k, n) real values, and
+    length-k value and error arrays.  A complex integrand raises
+    InvalidParameter; stack its real and imaginary parts as rows instead.
     """
     if not (math.isfinite(tail_rate) and tail_rate > 0):
         raise InvalidParameter(f"tail_rate must be finite and > 0, got {tail_rate!r}")
     check_tolerance(tol, "quadrature")
-    zmax = tail_cutoff(tail_rate, tol)
-    layout = []     # [complex, one row], fixed by the first integrand call
-
-    def rows(z):
-        y = integrand(z)
-        if not layout:
-            layout.extend((np.iscomplexobj(y), np.ndim(y) == 1))
-        if layout[0]:
-            w = np.asarray(y, dtype=complex)
-            # real parts of every component first, then the imaginary parts
-            return np.stack([w.real, w.imag]).reshape(-1, w.shape[-1])
-        return y
-
-    value, err, evals = integrate_adaptive(rows, 0.0, zmax, tol,
-                                           breakpoints=tail_edges(tail_rate, tol, breakpoints))
-    is_complex, one_row = layout
-    if is_complex and one_row:
-        return QuadratureResult(complex(value[0], value[1]), err, evals)
-    if is_complex:
-        k = value.size // 2
-        return QuadratureResult(value[:k] + 1j * value[k:], err.reshape(2, k), evals)
-    if one_row:
-        return QuadratureResult(float(value[0]), float(err[0]), evals)
-    return QuadratureResult(value, err, evals)
+    return integrate_adaptive(integrand, 0.0, tail_cutoff(tail_rate, tol), tol,
+                              breakpoints=tail_edges(tail_rate, tol, breakpoints))
 
 
+# An alias of integrate_semi_infinite, which now integrates real rows only.
 # The name stays only because the benchmark's tracer (perfbench/tracing.py:
 # LAYERS, INTEGRALS, _evaluations) looks it up; the tracer changes only with
 # the benchmark, not with the library.

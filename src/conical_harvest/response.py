@@ -6,20 +6,22 @@ per lambda^2 it is one image expansion (a correlation.expand part,
 P = P0 + P_images + P_integral with
 
     P0         = (1/4pi) [e^{-g^2} - sqrt(pi) g erfc(g)]
-    P_images   = 2 sum_m' w_m k(rho sin(m pi/nu))
-    P_integral = int_0^inf coef(zeta) k(rho cosh(zeta/2)) dzeta
+    P_images   = 2 sum_m' w_m k(z_m)
+    P_integral = int_0^inf coef(zeta) k(z(zeta)) dzeta
     k(a)       = K(a, g) / (8 sqrt(pi) a)
 
-where K is the response kernel (expand takes K/a with the scale 8 sqrt(pi)),
-coef the same-side zeta-coefficient (identically zero at integer nu), and the
-primed sum applies the even-integer half-weight rule
-(geometry.self_f_arguments).  At vanishing kernel argument the finite limit
-K/a -> klim(g) is substituted, which makes P(rho=0) = nu * P0 exact.  A
-reflecting boundary is the nu = 2 image set with the image weight -1/2
-(geometry.image_set), and flat spacetime is nu = 1, so every alignment runs
-this one expansion.  ``image_response`` expands one detector on its own;
-entanglement.concurrence hands the parts of both detectors, with X's, to one
-correlation.expand call and assembles each with ``response_breakdown``.
+where K is the response kernel, coef the same-side zeta-coefficient
+(identically zero at integer nu), and the primed sum applies the
+even-integer half-weight rule.  z_m = sqrt(rho^2 sin^2(m pi/nu)) and
+z(zeta) = sqrt(rho^2 (1 + cosh zeta)/2) are the pair builder's arguments at
+d = 0, rho_A = rho_B = rho (geometry.image_f_arguments).  At vanishing kernel
+argument the finite limit K/a -> klim(g) is substituted, which makes
+P(rho=0) = nu * P0 exact.  A reflecting boundary is the nu = 2 image set
+with the image weight -1/2 (geometry.image_set), and flat spacetime is
+nu = 1, so every alignment runs this one expansion.  ``image_response``
+expands one detector on its own; entanglement.concurrence hands the parts of
+both detectors, with X's, to one correlation.expand call and assembles each
+with ``response_breakdown``.
 """
 
 import math
@@ -37,8 +39,9 @@ from .geometry import (
     BOUNDARY_IMAGES,
     ConeParameter,
     ImageTerm,
+    check_length,
+    image_f_arguments,
     image_terms,
-    self_f_arguments,
 )
 from .quadrature import DEFAULT_TOL
 from .special import SQRT_PI, response_kernel, response_kernel_formula, response_kernel_limit
@@ -95,25 +98,23 @@ def _over_argument(kernel, a, gap):
     return np.where(a < SMALL_ARGUMENT, response_kernel_limit(gap), kernel(safe, gap) / safe)
 
 
-# k(a) = K(a, g)/(8 sqrt(pi) a): the kernel K/a with this scale
-P_KERNEL = Kernel(_kernel_over_argument, _kernel_over_nodes)
-P_SCALE = 8.0 * SQRT_PI
+# P's kernel of the image expansion, k(a) = K(a, g)/(8 sqrt(pi) a)
+P_KERNEL = Kernel(_kernel_over_argument, _kernel_over_nodes, scale=8.0 * SQRT_PI)
 
 
 def response_part(rho, cone: ConeParameter, terms: Tuple[ImageTerm, ...]):
     """(part, inverse): the correlation.expand part of P at radial distance(s) rho.
 
-    ``cone`` and ``terms`` are an image set (geometry.image_set).  An array
-    rho whose zeta integral does not vanish is reduced to its distinct values,
-    so a batch of equal distances (a parallel d axis) costs one row;
-    ``inverse`` maps them back (None when nothing was reduced).
+    ``cone`` and ``terms`` are an image set (geometry.image_set); the point
+    set is the detector with itself, the pair builder at d = 0.  An array rho
+    whose zeta integral does not vanish (non-integer nu) is first reduced to
+    its distinct values, so a batch of equal distances (a parallel d axis)
+    costs one row; ``inverse`` maps them back (None when nothing was reduced).
     """
-    geo = self_f_arguments(cone, terms, rho)
     inverse = None
-    if not geo.zeta_vanishes and getattr(rho, "ndim", 0):
+    if not cone.is_integer and getattr(rho, "ndim", 0):
         rho, inverse = np.unique(rho, return_inverse=True)
-        geo = self_f_arguments(cone, terms, rho)
-    return (P_KERNEL, geo, P_SCALE), inverse
+    return (P_KERNEL, image_f_arguments(cone, terms, rho, rho, 0.0)), inverse
 
 
 def response_breakdown(expansion, inverse, gap: float) -> ResponseBreakdown:
@@ -151,9 +152,9 @@ def p_string(rho: float, cone: ConeParameter, gap: float, tol: float = DEFAULT_T
     Monotonically decreasing in rho, increasing in nu, equal to nu * P0 at
     rho = 0 (any nu >= 1) and approaching P0 as rho -> inf with a
     e^{-g^2}/(4 pi a^2) image tail.  P_integral is exactly zero at integer nu.
+    rho must be a length geometry.check_length accepts (at most MAX_LENGTH).
     """
-    if rho < 0 or not math.isfinite(rho):
-        raise InvalidParameter("rho must be finite and >= 0")
+    check_length("rho", rho)
     return image_response(rho, cone, image_terms(cone), gap, tol)
 
 
@@ -165,10 +166,9 @@ def p_boundary(l: float, gap: float) -> float:
     the boundary (as l^2 for small l; below SMALL_ARGUMENT the exact 0.0 is
     returned, which the kernel limit P0 - klim(g)/(8 sqrt(pi)) equals to
     rounding) and approaching P0 from below with a e^{-g^2}/(8 pi l^2) tail
-    far from it.
+    far from it.  l must be a length geometry.check_length accepts.
     """
-    if l < 0 or not math.isfinite(l):
-        raise InvalidParameter("l must be finite and >= 0")
+    check_length("l", l)
     if l < SMALL_ARGUMENT:
         return 0.0
     return image_response(l, BOUNDARY_CONE, BOUNDARY_IMAGES, gap).total

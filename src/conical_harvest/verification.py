@@ -107,7 +107,7 @@ def _identity_reports(fast: bool) -> List[OracleReport]:
     for nu in nus:
         def integrand(z, n=nu):
             return math.sin(n * math.pi) / (np.cos(n * math.pi) - np.cosh(n * np.asarray(z)))
-        got = integrate_semi_infinite(integrand, tail_rate=nu, tol=1e-10).value
+        got = integrate_semi_infinite(integrand, tail_rate=nu, tol=1e-10).value[0]
         expect = (math.pi / nu) * (nu - 1.0 - 2.0 * math.floor(nu / 2.0))
         reports.append(compare(f"identity zeta integral (nu={nu:g})", got, expect, 1e-8))
 

@@ -84,7 +84,7 @@ def test_criterion_04_zeta_integral_identity():
     for nu in (1.3, 2.5, 3.7, 9.2):
         def integrand(z, n=nu):
             return math.sin(n * math.pi) / (np.cos(n * math.pi) - np.cosh(n * np.asarray(z)))
-        value = integrate_semi_infinite(integrand, tail_rate=nu, tol=1e-10).value
+        value = integrate_semi_infinite(integrand, tail_rate=nu, tol=1e-10).value[0]
         expected = (math.pi / nu) * (nu - 1.0 - 2.0 * math.floor(nu / 2.0))
         worst = max(worst, abs(value - expected))
     passed = worst <= 1e-8

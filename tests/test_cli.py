@@ -394,8 +394,40 @@ def test_sweep_rejects_non_finite_bounds(bounds):
 
 
 @pytest.mark.parametrize("overrides", [{"gap": "nan"}, {"l": "inf"}, {"l": "-0.1"},
-                                       {"axis": "l", "d_over_l": "nan", "alignment": "opposite"}])
+                                       {"axis": "l", "d_over_l": "nan", "alignment": "opposite"},
+                                       # an axis value breaking its rule, not a diverged row
+                                       {"axis": "gap", "lo": "-1", "hi": "1", "d": "0.5"},
+                                       {"axis": "d", "lo": "-1", "hi": "1"},
+                                       {"axis": "l", "lo": "-1", "hi": "1", "d": "0.5"}])
 def test_sweep_invalid_fixed_parameter_is_a_usage_error(overrides):
     result = runner.invoke(main, sweep_args(nu="3", **overrides))
     assert result.exit_code == 2, result.output
     assert "must be finite" in result.output
+
+
+@pytest.mark.parametrize("args, name", [
+    (["compute", "--alignment", "parallel", "--nu", "3", "--l", "1e200", "--d", "0.5",
+      "--gap", "0.1"], "l"),
+    (["compute", "--alignment", "parallel", "--nu", "3", "--l", "0.1", "--d", "1e200",
+      "--gap", "0.1"], "d"),
+    (sweep_args(nu="3", d="1e200", axis="nu", lo="2", hi="3"), "d"),
+    (["dmax", "--alignment", "parallel", "--nu", "3", "--l", "0.5", "--gap", "0.1",
+      "--d-hi", "1e200"], "d_hi"),
+])
+def test_length_whose_square_overflows_is_a_usage_error_by_name(args, name):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"{name} must be at most" in result.output
+
+
+@pytest.mark.parametrize("extra", [["--grid-n", "100001"],
+                                   ["--l-lo", "0.1", "--l-hi", "1", "--l-n", "100001"]])
+def test_dmax_scan_size_above_the_sweep_cap_is_a_usage_error(extra, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan ran")
+
+    monkeypatch.setattr("conical_harvest.entanglement._scan_margins", no_scan)
+    result = runner.invoke(main, ["dmax", "--alignment", "parallel", "--nu", "3", "--l", "0.5",
+                                  "--gap", "0.1", *extra])
+    assert result.exit_code == 2, result.output
+    assert "100000" in result.output

@@ -231,7 +231,7 @@ def test_x_integral_is_the_two_row_integral_bit_for_bit(alignment, nu):
     cone = ConeParameter(nu)
 
     def x_integral(geo):
-        return expand([(AUX_F, geo, 1.0)], GAP, cone.nu, DEFAULT_TOL)[0][1]
+        return expand([(AUX_F, geo)], GAP, cone.nu, DEFAULT_TOL)[0][1]
 
     geo = f_arguments(PairConfig(alignment, l=0.5, d=1.3, gap=GAP), cone)
     one = x_integral(geo)

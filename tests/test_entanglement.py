@@ -6,6 +6,7 @@ import pytest
 from conical_harvest import correlation, quadrature
 from conical_harvest.correlation import _x_breakdown, x_flat, x_string
 from conical_harvest.entanglement import (
+    MAX_SWEEP_POINTS,
     _responses,
     _scan_margins,
     concurrence,
@@ -158,9 +159,11 @@ def test_d_max_parallel_below_flat():
 
 
 def test_d_max_none_when_no_harvesting():
-    # gap large enough that |X| < sqrt(P_A P_B) everywhere on the scan
-    result = d_max(Alignment.PARALLEL, ConeParameter(2.0), l=3.0, gap=1.5,
-                   d_lo=6.0, d_hi=8.0, grid_n=64)
+    # at nu = 1 opposite sides is flat spacetime, which harvests only below
+    # d = 1.66 at this gap; the scan starts at d = 2l = 2, so |X| < sqrt(P_A P_B)
+    # everywhere on it
+    result = d_max(Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(1.0), l=1.0, gap=GAP,
+                   d_hi=8.0, grid_n=64)
     assert result.value is None
 
 
@@ -408,6 +411,7 @@ def test_d_max_rejects_a_bad_root_tolerance(tol):
     ({"l_hi": -1.0}, "l_hi"),
     ({"l_hi": float("inf")}, "l_hi"),
     ({"l_hi": float("nan")}, "l_hi"),
+    ({"l_hi": 1e200}, "l_hi"),
 ])
 def test_terminal_l_rejects_a_bad_scan(kwargs, name):
     with pytest.raises(InvalidParameter, match=name) as info:
@@ -493,6 +497,23 @@ NAN, INF = float("nan"), float("inf")
      "^d_over_l must be finite and > 0"),
     (Alignment.PARALLEL, "d", [NAN, 0.5], {"l": 0.1, "gap": GAP}, "^d axis values must be finite"),
     (Alignment.PARALLEL, "d", [0.1, INF], {"l": 0.1, "gap": GAP}, "^d axis values must be finite"),
+    # an axis value that breaks its parameter's rule is refused, not flagged diverged
+    (Alignment.PARALLEL, "gap", [-1.0, 0.0, 1.0], {"l": 0.1, "d": 0.5},
+     "^gap must be finite and >= 0"),
+    (Alignment.PARALLEL, "d", [-1.0, 0.0, 1.0], {"l": 0.1, "gap": GAP}, "^d must be finite and > 0"),
+    (Alignment.PARALLEL, "l", [-1.0, 0.0, 1.0], {"d": 0.5, "gap": GAP}, "^l must be finite and >= 0"),
+    (Alignment.PARALLEL, "nu", [0.5, 2.0, 3.0], {"l": 0.1, "d": 0.5, "gap": GAP}, "^nu must be >= 1"),
+    (Alignment.PARALLEL, "nu", [2.0, 3.0, 70.0], {"l": 0.1, "d": 0.5, "gap": GAP},
+     "^nu must be <= 64"),
+    (Alignment.ORTHOGONAL_OPPOSITE_SIDES, "l", [0.0, 0.5], {"gap": GAP, "d_over_l": 2.0},
+     "^d must be finite and > 0"),
+    # a length whose square overflows
+    (Alignment.PARALLEL, "d", [0.5, 1e200], {"l": 0.1, "gap": GAP}, "^d must be at most"),
+    (Alignment.PARALLEL, "l", [0.5, 1e200], {"d": 0.5, "gap": GAP}, "^l must be at most"),
+    (Alignment.PARALLEL, "nu", [2.0, 3.0], {"l": 0.1, "d": 1e200, "gap": GAP}, "^d must be at most"),
+    (Alignment.PARALLEL, "nu", [2.0, 3.0], {"l": 1e200, "d": 0.5, "gap": GAP}, "^l must be at most"),
+    (Alignment.ORTHOGONAL_OPPOSITE_SIDES, "l", [0.5, 1e99], {"gap": GAP, "d_over_l": 20.0},
+     "^d must be at most"),
 ])
 def test_sweep_refuses_invalid_input_before_its_rows(alignment, axis, values, fixed, message,
                                                      monkeypatch):
@@ -588,3 +609,27 @@ def test_concurrence_refines_its_zeta_integral_in_at_most_two_passes(alignment, 
     monkeypatch.setattr(quadrature, "_gk15", counting)
     concurrence(config(alignment, 0.5, 1.3), ConeParameter(nu))
     assert 1 <= len(passes) <= 2
+
+
+# --- refusals before any row or scan -------------------------------------------
+
+
+@pytest.mark.parametrize("solve", [
+    lambda **kw: d_max(Alignment.PARALLEL, ConeParameter(3.0), l=0.5, gap=GAP, **kw),
+    lambda **kw: opposite_sides_terminal_l(ConeParameter(3.0), GAP, **kw),
+])
+def test_scans_refuse_a_grid_above_the_sweep_cap_before_scanning(solve, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan ran")
+
+    monkeypatch.setattr("conical_harvest.entanglement._scan_margins", no_scan)
+    for grid_n in (MAX_SWEEP_POINTS + 1, 10 ** 7):
+        with pytest.raises(InvalidParameter, match="grid_n"):
+            solve(grid_n=grid_n)
+
+
+def test_d_max_refuses_a_length_whose_square_overflows():
+    with pytest.raises(InvalidParameter, match="^d_hi must be at most"):
+        d_max(Alignment.PARALLEL, ConeParameter(3.0), l=0.5, gap=GAP, d_hi=1e200)
+    with pytest.raises(InvalidParameter, match="^l must be at most"):
+        d_max(Alignment.PARALLEL, ConeParameter(3.0), l=1e200, gap=GAP)

@@ -5,16 +5,18 @@ import pytest
 
 from conical_harvest.errors import InvalidParameter
 from conical_harvest.geometry import (
+    MAX_LENGTH,
     Alignment,
     ConeParameter,
     PairConfig,
     f_arguments,
     image_set,
+    image_f_arguments,
     image_terms,
     pair_f_arguments,
     radial_pair,
-    self_f_arguments,
 )
+from conical_harvest.response import response_part
 
 
 def test_cone_parameter_bounds():
@@ -205,16 +207,34 @@ def test_zeta_argument_forms():
 
 @pytest.mark.parametrize("nu", [1.5, 2.5, 3.0, 4.0, 7.3])
 def test_self_f_arguments_forms(nu):
-    # a detector with itself: z_m = rho sin(m pi/nu), z(zeta) = rho cosh(zeta/2)
+    # a detector with itself is the same-side pair at d = 0, rho_A = rho_B = rho:
+    # z_m = sqrt(rho^2 sin^2(m pi/nu)) = rho sin(m pi/nu), z(zeta) = rho cosh(zeta/2)
     cone = ConeParameter(nu)
     terms = image_terms(cone)
-    geo = self_f_arguments(cone, terms, 0.7)
-    assert geo.image_args == tuple((t.m, t.weight, 0.7 * t.sin_term) for t in terms)
+    (_, geo), inverse = response_part(0.7, cone, terms)
+    pair = image_f_arguments(cone, terms, 0.7, 0.7, 0.0)
+    assert inverse is None and geo.image_args == pair.image_args
+    assert [z for _, _, z in geo.image_args] == pytest.approx([0.7 * t.sin_term for t in terms],
+                                                              rel=1e-15)
     assert geo.zeta_vanishes == cone.is_integer
     if cone.is_integer:
         assert (geo.zeta_argument, geo.zeta_coefficient, geo.zeta_breakpoints) == (None, None, ())
         return
     zeta = np.array([0.0, 1.0])
-    assert np.array_equal(geo.zeta_argument(zeta), 0.7 * np.cosh(zeta / 2.0))
-    rows = self_f_arguments(cone, terms, np.array([0.2, 0.7])).zeta_argument(zeta)
-    assert rows.shape == (2, 2) and np.array_equal(rows[1], geo.zeta_argument(zeta))
+    assert np.array_equal(geo.zeta_argument(zeta), pair.zeta_argument(zeta))
+    assert (geo.zeta_coefficient, geo.zeta_breakpoints) == (pair.zeta_coefficient,
+                                                            pair.zeta_breakpoints)
+    assert np.allclose(geo.zeta_argument(zeta), 0.7 * np.cosh(zeta / 2.0), rtol=1e-15, atol=0.0)
+    # an array of distances is reduced to its distinct values, one row each
+    (_, rows), inverse = response_part(np.array([0.7, 0.2, 0.7]), cone, terms)
+    assert inverse.tolist() == [1, 0, 1]
+    assert rows.zeta_argument(zeta).shape == (2, 2)
+    assert np.array_equal(rows.zeta_argument(zeta)[1], geo.zeta_argument(zeta))
+
+@pytest.mark.parametrize("name", ["l", "d"])
+def test_pair_config_refuses_a_length_whose_square_overflows(name):
+    # a length at the bound still squares to a finite number; past it, refused by name
+    lengths = {"l": 0.5, "d": 1.0}
+    PairConfig(Alignment.PARALLEL, gap=0.1, **dict(lengths, **{name: MAX_LENGTH}))
+    with pytest.raises(InvalidParameter, match=f"^{name} must be at most"):
+        PairConfig(Alignment.PARALLEL, gap=0.1, **dict(lengths, **{name: 1e200}))

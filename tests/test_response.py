@@ -178,3 +178,12 @@ def test_p_integral_of_an_array_matches_one_call_per_point(nu, monkeypatch):
     assert np.array_equal(p_integral(repeated, cone, GAP, tol=1e-10),
                           np.concatenate([batch, batch[::-1], np.full(7, batch[2])]))
     assert rows and set(rows) == {rho.size}
+
+
+def test_responses_refuse_a_distance_whose_square_overflows():
+    # P squares rho in its image arguments: up to the bound that stays finite
+    assert math.isfinite(p_string(1e100, ConeParameter(2.5), GAP).total)
+    with pytest.raises(InvalidParameter, match="^rho must be at most"):
+        p_string(1e200, ConeParameter(2.5), GAP)
+    with pytest.raises(InvalidParameter, match="^l must be at most"):
+        p_boundary(1e200, GAP)
