@@ -193,27 +193,23 @@ def _scan_margins(alignment: Alignment, cone: ConeParameter, l: np.ndarray, d: n
 
 
 def _scan_crossing(alignment: Alignment, cone: ConeParameter, gap: float, grid: np.ndarray,
-                   at: Callable, tol: float, quad_tol: float):
+                   l: np.ndarray, d: np.ndarray, at: Callable, tol: float, quad_tol: float):
     """(t of the last margin zero, skipped d) on the scan line (l, d) = at(t), t in ``grid``.
 
-    ``at`` maps an array of t elementwise.  One array pass scans the grid
-    (_scan_margins); Brent refines the last sign change with the scalar
-    concurrence margin, so the root does not depend on how the scan ran.  No
-    sign change gives grid[-1] if the last valid margin is positive, else
-    None.  l and d never decrease along a line, so validating its two ends
-    validates every point.
+    ``l`` and ``d`` are the line at the grid points, which one array pass
+    scans (_scan_margins); Brent refines the last sign change with the scalar
+    concurrence margin at ``at(t)``, so the root does not depend on how the
+    scan ran.  No sign change gives grid[-1] if the last valid margin is
+    positive, else None.  l and d never decrease along a line, so validating
+    its two ends validates every point.
     """
-    def pair(t):
-        l, d = map(float, at(t))
-        return PairConfig(alignment, l=l, d=d, gap=gap)
-
-    pair(grid[0])
-    pair(grid[-1])
-    margins, skipped = _scan_margins(alignment, cone, *at(grid), gap, quad_tol)
-
     def margin(t):
-        result = concurrence(pair(t), cone, tol=quad_tol)
+        result = concurrence(PairConfig(alignment, *at(t), gap=gap), cone, tol=quad_tol)
         return result.abs_x - result.geo_mean_p
+
+    for t in (grid[0], grid[-1]):
+        PairConfig(alignment, *at(float(t)), gap=gap)
+    margins, skipped = _scan_margins(alignment, cone, l, d, gap, quad_tol)
 
     last = find_last_sign_change(margins, grid)
     if last is None:
@@ -247,8 +243,9 @@ def d_max(alignment: Alignment, cone: ConeParameter, l: float, gap: float,
     d_lo = 2.0 * l if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES else d_hi / grid_n
     if d_lo >= d_hi:
         raise InvalidParameter(f"scan start {d_lo} is not below d_hi {d_hi}")
-    value, skipped = _scan_crossing(alignment, cone, gap, np.linspace(d_lo, d_hi, grid_n),
-                                    lambda d: (np.full_like(d, l), d), tol, quad_tol)
+    grid = np.linspace(d_lo, d_hi, grid_n)
+    value, skipped = _scan_crossing(alignment, cone, gap, grid, np.full_like(grid, l), grid,
+                                    lambda d: (l, d), tol, quad_tol)
     return DmaxResult(value=value, skipped=tuple(skipped))
 
 
@@ -268,8 +265,8 @@ def opposite_sides_terminal_l(cone: ConeParameter, gap: float, l_hi: float = 4.0
     _check_grid_n(grid_n)
     check_tolerance(tol, "root")
     grid = np.linspace(l_hi / grid_n, l_hi, grid_n)
-    value, _ = _scan_crossing(Alignment.ORTHOGONAL_OPPOSITE_SIDES, cone, gap, grid,
-                              lambda l: (l, 2.0 * l), tol, quad_tol)
+    value, _ = _scan_crossing(Alignment.ORTHOGONAL_OPPOSITE_SIDES, cone, gap, grid, grid,
+                              2.0 * grid, lambda l: (l, 2.0 * l), tol, quad_tol)
     return value
 
 
