@@ -298,19 +298,20 @@ def image_f_arguments(cone: ConeParameter, terms: Tuple[ImageTerm, ...], rho_a, 
     The zeta coefficient vanishes at integer nu (same side) or half-integer nu
     (opposite sides), so always for flat and boundary pairs (nu = 1 or 2).
     """
-    product = rho_a * rho_b
+    product, quarter_d2 = rho_a * rho_b, d * d / 4.0
     sqrt = np.sqrt if getattr(product, "ndim", 0) or getattr(d, "ndim", 0) else math.sqrt
-
-    def radicand(term):
-        if opposite:
-            cos_term = math.cos(term.m * math.pi / cone.nu)
-            return (d / 2.0 - rho_a) ** 2 + product * cos_term * cos_term
-        return d * d / 4.0 + product * term.sin_term * term.sin_term
-
-    image_args = tuple((term.m, term.weight, sqrt(radicand(term))) for term in terms)
+    if opposite:
+        offset = (d / 2.0 - rho_a) ** 2
+        cosines = [math.cos(term.m * math.pi / cone.nu) for term in terms]
+        image_args = tuple((term.m, term.weight, sqrt(offset + product * cos * cos))
+                           for term, cos in zip(terms, cosines))
+    else:
+        image_args = tuple((term.m, term.weight,
+                            sqrt(quarter_d2 + product * term.sin_term * term.sin_term))
+                           for term in terms)
     if cone.is_half_integer if opposite else cone.is_integer:
         return FArguments(image_args)
-    product_rows, quarter_d2 = point_rows(product), point_rows(d * d / 4.0)
+    product_rows, quarter_d2 = point_rows(product), point_rows(quarter_d2)
     shift = -1.0 if opposite else 1.0
 
     def argument(zeta):
