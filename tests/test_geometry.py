@@ -10,8 +10,8 @@ from conical_harvest.geometry import (
     ConeParameter,
     PairConfig,
     f_arguments,
-    image_set,
     image_f_arguments,
+    image_set,
     image_terms,
     pair_f_arguments,
     radial_pair,
@@ -230,6 +230,7 @@ def test_self_f_arguments_forms(nu):
     assert inverse.tolist() == [1, 0, 1]
     assert rows.zeta_argument(zeta).shape == (2, 2)
     assert np.array_equal(rows.zeta_argument(zeta)[1], geo.zeta_argument(zeta))
+
 
 @pytest.mark.parametrize("name", ["l", "d"])
 def test_pair_config_refuses_a_length_whose_square_overflows(name):
