@@ -13,13 +13,17 @@ have a vanishing zeta coefficient.
 ``expand`` takes several such expansions (parts: a kernel and a point set)
 and runs all their zeta integrals as one integral: the rows of P_A,
 P_B and X share one adaptive subdivision, which is how one concurrence, or
-one d_max scan batch, costs a single integrate_semi_infinite call.  One
-assembly (``_x_breakdown``) serves x_string's single pair and any batch of
-points.
+one d_max scan batch, costs a single integrate_semi_infinite call.  Each
+part's image sum is likewise one call of its kernel's unchecked formula, on
+all of its image arguments stacked (shape (k,) for one point, (k, n) for a
+batch of n points), after one overlap test: the parameters were validated
+where they entered (PairConfig, check_length), so no image re-validates
+them.  One assembly (``_x_breakdown``) serves x_string's single pair and any
+batch of points.
 """
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,28 +37,30 @@ from .geometry import (
     f_arguments,
 )
 from .quadrature import DEFAULT_TOL, integrate_semi_infinite
-from .special import aux_f, aux_f_formula
+from .special import EPS_DIV, aux_f, aux_f_formula
 
 
 class Kernel(NamedTuple):
-    """A kernel k(z, gap) = checked(z, gap)/scale of the image expansion, in its two forms.
+    """A kernel k(z, gap) = formula(z, gap)/scale of the image expansion.
 
-    ``checked`` is the public function (input checks + formula): the image
-    sum calls it, so an argument at or below its cutoff raises.  ``formula``
-    is the same value without the checks: the zeta integrand calls it on
-    nodes built from parameters that were already validated.  ``zero`` is
-    the kernel's zero, which the image sum starts from and a vanishing
-    integral returns.  The image sum and the integrand are divided by
-    ``scale`` once, after the kernel.
+    ``formula`` is the kernel without input checks, on a float array: the
+    image sum calls it once on a part's stacked image arguments, and the zeta
+    integrand once per pass on its nodes, both built from parameters that
+    were validated where they entered.  An image argument at or below
+    ``cutoff`` (None: the kernel has none) is a detector/image overlap, which
+    the image sum refuses before the call.  ``zero`` is the kernel's zero,
+    which the image sum starts from and a vanishing integral returns.  The
+    image sum and the integrand are divided by ``scale`` once, after the
+    kernel.
     """
 
-    checked: Callable
     formula: Callable
     zero: Union[float, complex] = 0.0
     scale: float = 1.0
+    cutoff: Optional[float] = None
 
 
-AUX_F = Kernel(aux_f, aux_f_formula, 0j)
+AUX_F = Kernel(aux_f_formula, 0j, cutoff=EPS_DIV)
 
 
 @dataclass(frozen=True)
@@ -112,11 +118,10 @@ def expand(parts: Sequence[Tuple[Kernel, FArguments]], gap: float, tail_rate: fl
     """(images, integral, image_terms) of each part's image expansion of kernel(z, gap).
 
     A part is a (kernel, geo) pair: a Kernel and the point set's FArguments.
-    image_terms holds (m, w_m, z_m, 2 w_m checked(z_m)) per geo.image_args
-    entry, and images is their sum over kernel.scale; an argument at or
-    below the kernel's cutoff raises DivergentOverlap with its image index.
-    integral is int_0^inf coef(zeta) k(z(zeta)) dzeta, or the kernel's zero
-    where coef vanishes.  The integrals of all parts run in one
+    image_terms holds (m, w_m, z_m, 2 w_m formula(z_m)) per geo.image_args
+    entry, and images is their sum over kernel.scale (_image_sum).  integral
+    is int_0^inf coef(zeta) k(z(zeta)) dzeta, or the kernel's zero where
+    coef vanishes.  The integrals of all parts run in one
     integrate_semi_infinite call with tail rate ``tail_rate`` (the parts'
     common nu) and the union of their breakpoints: every row (a batch's
     points, a complex kernel's real and imaginary parts, every part) shares
@@ -128,24 +133,46 @@ def expand(parts: Sequence[Tuple[Kernel, FArguments]], gap: float, tail_rate: fl
     expansions = []
     live = []       # the parts whose zeta integral does not vanish
     for kernel, geo in parts:
-        images = kernel.zero
-        terms = []
-        for m, weight, z in geo.image_args:
-            try:
-                term = 2.0 * weight * kernel.checked(z, gap)
-            except DivergentArgument as exc:
-                raise DivergentOverlap(argument=exc.z, image_index=m) from exc
-            images += term
-            terms.append((m, weight, z, term))
+        images, terms = _image_sum(kernel, geo.image_args, gap)
         if not geo.zeta_vanishes:
             live.append(len(expansions))
-        expansions.append((images / kernel.scale, kernel.zero, tuple(terms)))
+        expansions.append((images / kernel.scale, kernel.zero, terms))
     if live:
         integrals = _zeta_integrals([parts[i] for i in live], gap, tail_rate, tol)
         for i, integral in zip(live, integrals):
             images, _, terms = expansions[i]
             expansions[i] = (images, integral, terms)
     return expansions
+
+
+def _image_sum(kernel: Kernel, image_args, gap: float):
+    """(sum_m 2 w_m formula(z_m), terms) from one kernel.formula call on the stacked z_m.
+
+    The arguments stack to shape (k,) for one point, whose values and terms
+    are Python numbers, and (k, n) for a batch of n points, whose are arrays.
+    The terms are added in image order, as one call per image would add
+    them.  An argument at or below kernel.cutoff raises DivergentOverlap
+    with the first such image's index and argument.
+    """
+    if not image_args:
+        return kernel.zero, ()
+    z = np.array([z_m for _, _, z_m in image_args])
+    if kernel.cutoff is not None:
+        overlap = z <= kernel.cutoff
+        if overlap.any():
+            row = int(overlap.reshape(len(image_args), -1).any(axis=1).argmax())
+            bad = z[row][overlap[row]][0] if z.ndim > 1 else z[row]
+            raise DivergentOverlap(argument=float(bad), image_index=image_args[row][0])
+    values = kernel.formula(z, gap)
+    if values.ndim == 1:
+        values = values.tolist()
+    images = kernel.zero
+    terms = []
+    for (m, weight, z_m), value in zip(image_args, values):
+        term = 2.0 * weight * value
+        images += term
+        terms.append((m, weight, z_m, term))
+    return images, tuple(terms)
 
 
 def _zeta_integrals(parts: Sequence[Tuple[Kernel, FArguments]], gap: float,

@@ -24,6 +24,7 @@ from .geometry import (
     ConeParameter,
     FArguments,
     PairConfig,
+    check_gap,
     check_length,
     f_arguments,
     image_set,
@@ -335,14 +336,14 @@ def _sweep_row(alignment: Alignment, cone: ConeParameter, axis: str, value: floa
                d_over_l: Optional[float], tol: float) -> SweepRow:
     if axis == "l":
         l = value
+        if d_over_l is not None:
+            d = d_over_l * value
     elif axis == "d":
         d = value
     elif axis == "gap":
         gap = value
     elif axis == "nu":
         cone = ConeParameter(value)
-    if d_over_l is not None and axis == "l":
-        d = d_over_l * value
     try:
         config = PairConfig(alignment, l=l if l is not None else 0.0, d=d, gap=gap)
         result = concurrence(config, cone, tol=tol)
@@ -356,16 +357,17 @@ def _sweep_row(alignment: Alignment, cone: ConeParameter, axis: str, value: floa
 def _check_sweep_value(name: str, value: float) -> None:
     """Raise InvalidParameter unless a sweep value keeps its parameter's rule.
 
-    l and d are lengths (geometry.check_length, d > 0), gap >= 0 and
-    d_over_l > 0 are finite, and nu is a ConeParameter.
+    l and d are lengths (geometry.check_length, d > 0), gap a
+    geometry.check_gap gap, d_over_l finite and > 0, and nu a ConeParameter.
     """
     if name == "nu":
         ConeParameter(value)
+    elif name == "gap":
+        check_gap(value)
     elif name in ("l", "d"):
         check_length(name, value, positive=name == "d")
-    elif not (math.isfinite(value) and (value > 0.0 if name == "d_over_l" else value >= 0.0)):
-        sign = "> 0" if name == "d_over_l" else ">= 0"
-        raise InvalidParameter(f"{name} must be finite and {sign}, got {value!r}")
+    elif not (math.isfinite(value) and value > 0.0):
+        raise InvalidParameter(f"{name} must be finite and > 0, got {value!r}")
 
 
 def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence[float],
@@ -376,7 +378,8 @@ def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence
 
     ``axis`` is one of "d", "l", "nu", "gap"; the remaining parameters are
     fixed (``d_over_l`` couples d = ratio * l to an l-axis, for the
-    opposite-sides family).  Per-row failures (detector/image overlap, the
+    opposite-sides family; it is refused on any other axis and beside a
+    fixed d).  Per-row failures (detector/image overlap, the
     opposite-sides constraint d >= 2l) are flagged, never aborting the
     sweep.  A bad ``tol``, and a fixed parameter, axis value or coupled d
     that breaks its parameter's rule (_check_sweep_value), raise
@@ -391,7 +394,11 @@ def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence
         raise InvalidParameter(f"sweep needs between 2 and {MAX_SWEEP_POINTS} points")
     if gap is None and axis != "gap":
         raise InvalidParameter("gap must be fixed unless it is the sweep axis")
-    if d is None and axis != "d" and not (axis == "l" and d_over_l is not None):
+    if d_over_l is not None and axis != "l":
+        raise InvalidParameter(f"d_over_l couples d to an l axis only, not to a {axis} axis")
+    if d_over_l is not None and d is not None:
+        raise InvalidParameter("give a fixed d or d_over_l, not both")
+    if d is None and axis != "d" and d_over_l is None:
         raise InvalidParameter("d must be fixed, the sweep axis, or coupled via d_over_l")
     for name, value in (("l", l), ("d", d), ("gap", gap), ("d_over_l", d_over_l)):
         if value is not None and name != axis:

@@ -88,6 +88,12 @@ def check_length(name: str, value: float, positive: bool = False) -> None:
                                f"got {value!r}")
 
 
+def check_gap(gap: float) -> None:
+    """Raise InvalidParameter unless the energy gap Omega*sigma is finite and >= 0."""
+    if not (math.isfinite(gap) and gap >= 0.0):
+        raise InvalidParameter(f"gap must be finite and >= 0, got {gap!r}")
+
+
 class Alignment(enum.Enum):
     FLAT = "flat"
     PARALLEL = "parallel"
@@ -126,8 +132,7 @@ class PairConfig:
     def __post_init__(self):
         check_length("l", self.l)
         check_length("d", self.d, positive=True)
-        if not (math.isfinite(self.gap) and self.gap >= 0.0):
-            raise InvalidParameter(f"gap must be finite and >= 0, got {self.gap!r}")
+        check_gap(self.gap)
         if self.alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES:
             if self.l <= 0 or self.d < 2.0 * self.l:
                 raise InvalidParameter(

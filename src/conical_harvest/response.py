@@ -33,18 +33,18 @@ import numpy as np
 from scipy.special import erfc as _erfc_real
 
 from .correlation import Kernel, expand
-from .errors import InvalidParameter
 from .geometry import (
     BOUNDARY_CONE,
     BOUNDARY_IMAGES,
     ConeParameter,
     ImageTerm,
+    check_gap,
     check_length,
     image_f_arguments,
     image_terms,
 )
 from .quadrature import DEFAULT_TOL
-from .special import SQRT_PI, response_kernel, response_kernel_formula, response_kernel_limit
+from .special import SQRT_PI, response_kernel_formula, response_kernel_limit
 
 # Below this kernel argument the analytic a -> 0 limit replaces the 0/0 ratio.
 SMALL_ARGUMENT = 1e-8
@@ -72,34 +72,27 @@ class ResponseBreakdown:
 
 def p_flat(gap: float) -> float:
     """Flat-spacetime transition probability P0 per lambda^2."""
-    if gap < 0 or not math.isfinite(gap):
-        raise InvalidParameter("gap must be finite and >= 0")
+    check_gap(gap)
     return (math.exp(-gap * gap) - SQRT_PI * gap * _erfc_real(gap)) / (4.0 * math.pi)
 
 
-def _kernel_over_argument(a, gap):
-    """K(a, g)/a with the analytic limit substituted below SMALL_ARGUMENT."""
-    # a scalar (one image of one scalar P) skips the np.where array passes
-    if not getattr(a, "ndim", 0):
-        return response_kernel_limit(gap) if a < SMALL_ARGUMENT else response_kernel(a, gap) / a
-    return _over_argument(response_kernel, a, gap)
-
-
 def _kernel_over_nodes(a, gap):
-    """_kernel_over_argument on zeta nodes from validated distances: the formula, unchecked."""
-    # nodes that all lie off the axis need no limit, so skip the np.where passes
+    """K(a, g)/a on an array of validated distances, the formula unchecked.
+
+    The analytic a -> 0 limit replaces the ratio below SMALL_ARGUMENT.  The
+    image sum calls it on P's stacked image arguments, the zeta integrand on
+    its nodes.
+    """
+    # arguments that all lie off the axis need no limit, so skip the np.where passes
     if a.min() >= SMALL_ARGUMENT:
         return response_kernel_formula(a, gap) / a
-    return _over_argument(response_kernel_formula, a, gap)
-
-
-def _over_argument(kernel, a, gap):
     safe = np.where(a < SMALL_ARGUMENT, 1.0, a)
-    return np.where(a < SMALL_ARGUMENT, response_kernel_limit(gap), kernel(safe, gap) / safe)
+    return np.where(a < SMALL_ARGUMENT, response_kernel_limit(gap),
+                    response_kernel_formula(safe, gap) / safe)
 
 
 # P's kernel of the image expansion, k(a) = K(a, g)/(8 sqrt(pi) a)
-P_KERNEL = Kernel(_kernel_over_argument, _kernel_over_nodes, scale=8.0 * SQRT_PI)
+P_KERNEL = Kernel(_kernel_over_nodes, scale=8.0 * SQRT_PI)
 
 
 def response_part(rho, cone: ConeParameter, terms: Tuple[ImageTerm, ...]):
@@ -152,9 +145,11 @@ def p_string(rho: float, cone: ConeParameter, gap: float, tol: float = DEFAULT_T
     Monotonically decreasing in rho, increasing in nu, equal to nu * P0 at
     rho = 0 (any nu >= 1) and approaching P0 as rho -> inf with a
     e^{-g^2}/(4 pi a^2) image tail.  P_integral is exactly zero at integer nu.
-    rho must be a length geometry.check_length accepts (at most MAX_LENGTH).
+    rho must be a length geometry.check_length accepts (at most MAX_LENGTH),
+    and gap one geometry.check_gap accepts.
     """
     check_length("rho", rho)
+    check_gap(gap)
     return image_response(rho, cone, image_terms(cone), gap, tol)
 
 
@@ -166,9 +161,11 @@ def p_boundary(l: float, gap: float) -> float:
     the boundary (as l^2 for small l; below SMALL_ARGUMENT the exact 0.0 is
     returned, which the kernel limit P0 - klim(g)/(8 sqrt(pi)) equals to
     rounding) and approaching P0 from below with a e^{-g^2}/(8 pi l^2) tail
-    far from it.  l must be a length geometry.check_length accepts.
+    far from it.  l must be a length geometry.check_length accepts, and gap
+    one geometry.check_gap accepts.
     """
     check_length("l", l)
+    check_gap(gap)
     if l < SMALL_ARGUMENT:
         return 0.0
     return image_response(l, BOUNDARY_CONE, BOUNDARY_IMAGES, gap).total

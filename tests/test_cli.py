@@ -393,16 +393,24 @@ def test_sweep_rejects_non_finite_bounds(bounds):
     assert "finite" in result.output
 
 
-@pytest.mark.parametrize("overrides", [{"gap": "nan"}, {"l": "inf"}, {"l": "-0.1"},
-                                       {"axis": "l", "d_over_l": "nan", "alignment": "opposite"},
-                                       # an axis value breaking its rule, not a diverged row
-                                       {"axis": "gap", "lo": "-1", "hi": "1", "d": "0.5"},
-                                       {"axis": "d", "lo": "-1", "hi": "1"},
-                                       {"axis": "l", "lo": "-1", "hi": "1", "d": "0.5"}])
-def test_sweep_invalid_fixed_parameter_is_a_usage_error(overrides):
+@pytest.mark.parametrize("overrides, message", [
+    ({"gap": "nan"}, "must be finite"), ({"l": "inf"}, "must be finite"),
+    ({"l": "-0.1"}, "must be finite"),
+    ({"axis": "l", "d_over_l": "nan", "alignment": "opposite"}, "must be finite"),
+    # an axis value breaking its rule, not a diverged row
+    ({"axis": "gap", "lo": "-1", "hi": "1", "d": "0.5"}, "must be finite"),
+    ({"axis": "d", "lo": "-1", "hi": "1"}, "must be finite"),
+    ({"axis": "l", "lo": "-1", "hi": "1", "d": "0.5"}, "must be finite"),
+    # a d_over_l that the rows would ignore
+    ({"alignment": "opposite", "l": "0.5", "d": "2", "axis": "nu", "lo": "2", "hi": "3",
+      "n": "2", "d_over_l": "7", "format": "json"}, "d_over_l couples d to an l axis only"),
+    ({"alignment": "opposite", "d": "2", "axis": "l", "lo": "0.1", "hi": "0.5",
+      "d_over_l": "3"}, "give a fixed d or d_over_l, not both"),
+])
+def test_sweep_invalid_fixed_parameter_is_a_usage_error(overrides, message):
     result = runner.invoke(main, sweep_args(nu="3", **overrides))
     assert result.exit_code == 2, result.output
-    assert "must be finite" in result.output
+    assert message in result.output
 
 
 @pytest.mark.parametrize("args, name", [

@@ -74,13 +74,27 @@ def test_integral_part_vanishes_exactly():
     assert x_string(opposite(0.3, 1.0), ConeParameter(2.7)).x_integral != 0.0
 
 
-def test_opposite_even_nu_overlap_raises_with_index():
+@pytest.mark.parametrize("nu", [4.0, 6.0, 8.0])
+def test_opposite_even_nu_overlap_raises_with_index(nu):
+    # the overlapping image is the last of the nu/2 stacked image arguments
     with pytest.raises(DivergentOverlap) as info:
-        x_string(opposite(1.0, 2.0), ConeParameter(4.0))
-    assert info.value.image_index == 2
+        x_string(opposite(1.0, 2.0), ConeParameter(nu))
+    assert info.value.image_index == nu / 2
+    assert info.value.argument == 6.123233995736766e-17
     # odd nu at the same geometry is finite
     total = x_string(opposite(1.0, 2.0), ConeParameter(3.0)).total
     assert np.isfinite(total.real) and np.isfinite(total.imag)
+
+
+def test_batch_overlap_raises_with_the_first_overlapping_image_and_point():
+    # the overlap of expand's image sum, on a batch whose second and third
+    # points sit on image m = 2 of nu = 4
+    l, d = np.array([0.5, 1.0, 0.7]), np.array([1.5, 2.0, 1.4])
+    geo = pair_f_arguments(Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(4.0), l, d)
+    with pytest.raises(DivergentOverlap) as info:
+        expand([(AUX_F, geo)], GAP, 4.0)
+    assert info.value.image_index == 2
+    assert info.value.argument == geo.image_args[1][2][1]
 
 
 def test_parallel_exceeds_orthogonal_at_small_separation():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conical_harvest import correlation, quadrature
+from conical_harvest import correlation, entanglement, quadrature, response, special
 from conical_harvest.correlation import _x_breakdown, x_flat, x_string
 from conical_harvest.entanglement import (
     MAX_SWEEP_POINTS,
@@ -22,6 +22,7 @@ from conical_harvest.geometry import (
     Alignment,
     ConeParameter,
     PairConfig,
+    image_terms,
     pair_f_arguments,
     radial_distances,
 )
@@ -514,6 +515,15 @@ NAN, INF = float("nan"), float("inf")
     (Alignment.PARALLEL, "nu", [2.0, 3.0], {"l": 1e200, "d": 0.5, "gap": GAP}, "^l must be at most"),
     (Alignment.ORTHOGONAL_OPPOSITE_SIDES, "l", [0.5, 1e99], {"gap": GAP, "d_over_l": 20.0},
      "^d must be at most"),
+    # d_over_l couples d to an l axis; elsewhere, or beside a fixed d, it would be ignored
+    (Alignment.ORTHOGONAL_OPPOSITE_SIDES, "nu", [2.0, 3.0],
+     {"l": 0.5, "d": 2.0, "gap": GAP, "d_over_l": 7.0}, "^d_over_l couples d to an l axis only"),
+    (Alignment.ORTHOGONAL_OPPOSITE_SIDES, "d", [1.0, 2.0], {"l": 0.5, "gap": GAP, "d_over_l": 3.0},
+     "^d_over_l couples d to an l axis only"),
+    (Alignment.ORTHOGONAL_OPPOSITE_SIDES, "gap", [0.0, 1.0], {"l": 0.5, "d": 2.0, "d_over_l": 3.0},
+     "^d_over_l couples d to an l axis only"),
+    (Alignment.ORTHOGONAL_OPPOSITE_SIDES, "l", [0.1, 0.5], {"d": 2.0, "gap": GAP, "d_over_l": 3.0},
+     "^give a fixed d or d_over_l, not both"),
 ])
 def test_sweep_refuses_invalid_input_before_its_rows(alignment, axis, values, fixed, message,
                                                      monkeypatch):
@@ -609,6 +619,91 @@ def test_concurrence_refines_its_zeta_integral_in_at_most_two_passes(alignment, 
     monkeypatch.setattr(quadrature, "_gk15", counting)
     concurrence(config(alignment, 0.5, 1.3), ConeParameter(nu))
     assert 1 <= len(passes) <= 2
+
+
+# --- one kernel-formula call per image sum ---------------------------------------
+
+
+def _count_image_formula_calls(monkeypatch):
+    """Record the argument of every kernel-formula call made outside a zeta integral.
+
+    Wraps the formula names that correlation's and response's kernels call
+    (AUX_F's formula, response.response_kernel_formula); the calls inside
+    integrate_semi_infinite are the zeta integrand's and are not recorded.
+    """
+    calls = []
+    integrating = []
+    integrate = correlation.integrate_semi_infinite
+
+    def marked(*args, **kwargs):
+        integrating.append(True)
+        try:
+            return integrate(*args, **kwargs)
+        finally:
+            integrating.pop()
+
+    def counting(formula):
+        def counted(z, gap):
+            if not integrating:
+                calls.append(np.array(z, copy=True))
+            return formula(z, gap)
+        return counted
+
+    aux_f_kernel = correlation.AUX_F._replace(formula=counting(correlation.AUX_F.formula))
+    monkeypatch.setattr(correlation, "integrate_semi_infinite", marked)
+    monkeypatch.setattr(correlation, "AUX_F", aux_f_kernel)
+    monkeypatch.setattr(entanglement, "AUX_F", aux_f_kernel)
+    monkeypatch.setattr(response, "response_kernel_formula",
+                        counting(response.response_kernel_formula))
+    return calls
+
+
+@pytest.mark.parametrize("nu, images", [(3.0, 1), (5.7, 2), (8.2, 4)])
+@pytest.mark.parametrize("alignment", SCAN_ALIGNMENTS)
+def test_concurrence_evaluates_each_image_sum_in_one_formula_call(alignment, nu, images,
+                                                                  monkeypatch):
+    calls = _count_image_formula_calls(monkeypatch)
+    concurrence(config(alignment, 0.5, 1.3), ConeParameter(nu))
+    # parts: P_A, P_B unless rho_B = rho_A, then X
+    parts = 2 if alignment is Alignment.PARALLEL else 3
+    assert [call.shape for call in calls] == [(images,)] * parts
+    geo = pair_f_arguments(alignment, ConeParameter(nu), 0.5, 1.3)
+    assert calls[-1].tolist() == [z for _, _, z in geo.image_args]
+
+
+@pytest.mark.parametrize("nu", [3.0, 5.7])
+@pytest.mark.parametrize("alignment", SCAN_ALIGNMENTS)
+def test_scan_batch_evaluates_each_image_sum_in_one_formula_call(alignment, nu, monkeypatch):
+    calls = _count_image_formula_calls(monkeypatch)
+    l, d = np.full(6, 0.5), np.linspace(1.0, 4.0, 6)
+    _scan_margins(alignment, ConeParameter(nu), l, d, GAP, DEFAULT_TOL)
+    parts = 2 if alignment is Alignment.PARALLEL else 3
+    images = int(nu // 2)
+    # at non-integer nu P_A's equal distances rho_A = l are reduced to one row
+    rows_a = 6 if nu == 3.0 else 1
+    assert [call.shape for call in calls] == [(images, rows_a)] + [(images, 6)] * (parts - 1)
+
+
+@pytest.mark.parametrize("nu", [3.0, 5.7])
+@pytest.mark.parametrize("alignment", SCAN_ALIGNMENTS)
+def test_expand_never_calls_a_checked_kernel(alignment, nu, monkeypatch):
+    def checked(*args, **kwargs):
+        raise AssertionError("a checked kernel ran inside expand")
+
+    monkeypatch.setattr(special, "_check_finite", checked)
+    for module in (special, correlation, response):
+        for name in ("aux_f", "response_kernel"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, checked)
+    cone = ConeParameter(nu)
+    for l, d in ((0.5, 1.3), (np.full(4, 0.5), np.linspace(1.0, 4.0, 4))):
+        rho_a, rho_b = radial_distances(alignment, l, d)
+        (part_a, _), (part_b, _) = (response.response_part(rho, cone, image_terms(cone))
+                                    for rho in (rho_a, rho_b))
+        geo = pair_f_arguments(alignment, cone, l, d)
+        expansions = correlation.expand([part_a, part_b, (correlation.AUX_F, geo)], GAP,
+                                        cone.nu, DEFAULT_TOL)
+        assert len(expansions) == 3
 
 
 # --- refusals before any row or scan -------------------------------------------

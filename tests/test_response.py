@@ -92,6 +92,22 @@ def test_non_integer_on_string_value():
         2.5 * p_flat(GAP), rel=1e-7)
 
 
+@pytest.mark.parametrize("gap", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("nu", [1.5, 2.5, 3.0])
+def test_p_string_refuses_a_bad_gap_by_name(nu, gap):
+    # at nu < 2 there is no image sum, and the zeta integral would meet the gap first
+    with pytest.raises(InvalidParameter, match="^gap must be finite and >= 0"):
+        p_string(1.0, ConeParameter(nu), gap)
+
+
+@pytest.mark.parametrize("gap", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("l", [1e-9, 1.0])
+def test_p_boundary_refuses_a_bad_gap_by_name(l, gap):
+    # l = 1e-9 lies below SMALL_ARGUMENT, where p_boundary returns 0.0 unevaluated
+    with pytest.raises(InvalidParameter, match="^gap must be finite and >= 0"):
+        p_boundary(l, gap)
+
+
 def test_p_boundary_limits():
     assert p_boundary(1e-9, GAP) == 0.0
     # far-field tail is e^{-g^2}/(8 pi l^2): 1.6e-5 at l=50, 1e-8 only by l~3000
