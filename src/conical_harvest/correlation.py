@@ -17,9 +17,9 @@ one d_max scan batch, costs a single integrate_semi_infinite call.  Each
 part's image sum is likewise one call of its kernel's unchecked formula, on
 all of its image arguments stacked (shape (k,) for one point, (k, n) for a
 batch of n points), after one overlap test: the parameters were validated
-where they entered (PairConfig, check_length), so no image re-validates
-them.  One assembly (``_x_breakdown``) serves x_string's single pair and any
-batch of points.
+where they entered (PairConfig, check_length, check_gap), so no image
+re-validates them.  One assembly (``_x_breakdown``) serves x_string's single
+pair and any batch of points.
 """
 
 from dataclasses import dataclass
@@ -160,9 +160,9 @@ def _image_sum(kernel: Kernel, image_args, gap: float):
     if kernel.cutoff is not None:
         overlap = z <= kernel.cutoff
         if overlap.any():
-            row = int(overlap.reshape(len(image_args), -1).any(axis=1).argmax())
-            bad = z[row][overlap[row]][0] if z.ndim > 1 else z[row]
-            raise DivergentOverlap(argument=float(bad), image_index=image_args[row][0])
+            # row-major order: the first overlapping image, then its first point
+            first = tuple(np.argwhere(overlap)[0])
+            raise DivergentOverlap(argument=float(z[first]), image_index=image_args[first[0]][0])
     values = kernel.formula(z, gap)
     if values.ndim == 1:
         values = values.tolist()

@@ -136,8 +136,10 @@ def concurrence_flat(d: float, gap: float) -> float:
     C0 = max{ (e^{-g^2}/2 sqrt(pi)) [ |w(-d/2)|/d + e^{g^2} g erfc(g)
               - 1/sqrt(pi) ], 0 }
     using e^{-d^2/4}|Erfc(id/2)| = |w(-d/2)| for overflow-free evaluation.
-    Refuses the separations x_flat refuses: d/2 at or below EPS_DIV.
+    Refuses the separations x_flat refuses: d/2 at or below EPS_DIV, and a
+    gap that geometry.check_gap refuses.
     """
+    check_gap(gap)
     if d / 2.0 <= EPS_DIV:
         raise DivergentOverlap(argument=d / 2.0, image_index=None,
                                message="flat concurrence diverges as d -> 0")
@@ -357,8 +359,8 @@ def _sweep_row(alignment: Alignment, cone: ConeParameter, axis: str, value: floa
 def _check_sweep_value(name: str, value: float) -> None:
     """Raise InvalidParameter unless a sweep value keeps its parameter's rule.
 
-    l and d are lengths (geometry.check_length, d > 0), gap a
-    geometry.check_gap gap, d_over_l finite and > 0, and nu a ConeParameter.
+    l and d are lengths (geometry.check_length, d > 0), gap an energy gap
+    (geometry.check_gap), d_over_l finite and > 0, and nu a ConeParameter.
     """
     if name == "nu":
         ConeParameter(value)

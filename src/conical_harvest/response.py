@@ -16,9 +16,12 @@ even-integer half-weight rule.  z_m = sqrt(rho^2 sin^2(m pi/nu)) and
 z(zeta) = sqrt(rho^2 (1 + cosh zeta)/2) are the pair builder's arguments at
 d = 0, rho_A = rho_B = rho (geometry.image_f_arguments).  At vanishing kernel
 argument the finite limit K/a -> klim(g) is substituted, which makes
-P(rho=0) = nu * P0 exact.  A reflecting boundary is the nu = 2 image set
-with the image weight -1/2 (geometry.image_set), and flat spacetime is
-nu = 1, so every alignment runs this one expansion.  ``image_response``
+P(rho=0) = nu * P0 exact.  The image sum is one call of K/a's unchecked
+formula (``_kernel_over_nodes``) on all z_m stacked, as the zeta integrand
+is on its nodes: rho and gap are validated where they enter (p_string,
+p_boundary, PairConfig), not per image.  A reflecting boundary is the
+nu = 2 image set with the image weight -1/2 (geometry.image_set), and flat
+spacetime is nu = 1, so every alignment runs this one expansion.  ``image_response``
 expands one detector on its own; entanglement.concurrence hands the parts of
 both detectors, with X's, to one correlation.expand call and assembles each
 with ``response_breakdown``.

@@ -15,9 +15,10 @@ units.  Every public quantity is per lambda^2.
 
 Each kernel is one formula (``response_kernel_formula``, ``aux_f_formula``);
 the public ``response_kernel`` and ``aux_f`` are input checks plus that
-formula.  The zeta integrand of correlation.expand calls the formulas
-directly: its nodes come from parameters that were validated once, and the
-quadrature still refuses a non-finite value.
+formula.  correlation.expand calls the formulas directly, once per image
+sum on the stacked image arguments and once per pass on the zeta nodes:
+both come from parameters that were validated once, where they entered, and
+the quadrature still refuses a non-finite value.
 """
 
 import numpy as np
@@ -95,8 +96,9 @@ def response_kernel(a, gap):
 def response_kernel_formula(a, gap):
     """K(a, g) = -e^{-g^2} Im[w(-a + ig)] on a float array ``a``, without input checks.
 
-    For nodes built from parameters that were already validated (finite
-    a >= 0, finite scalar gap >= 0), as the zeta integrand's are.
+    For arguments built from parameters that were already validated (finite
+    a >= 0, finite scalar gap >= 0), as the image sums' and the zeta
+    integrand's are.
     """
     return -np.exp(-gap * gap) * np.imag(_wofz(-a + 1j * gap))
 
@@ -147,7 +149,8 @@ def aux_f(z, gap):
 def aux_f_formula(z, gap):
     """f(z, g) = -i e^{-g^2} w(-z) / (8 sqrt(pi) z) on a float array ``z``, without input checks.
 
-    For nodes built from parameters that were already validated (finite
-    z > EPS_DIV, finite scalar gap >= 0), as the zeta integrand's are.
+    For arguments built from parameters that were already validated (finite
+    z > EPS_DIV, finite scalar gap >= 0), as the image sums' and the zeta
+    integrand's are.
     """
     return -1j * np.exp(-gap * gap) * _wofz(-z) / (8.0 * SQRT_PI * z)

@@ -94,6 +94,13 @@ def test_flat_paths_refuse_the_same_separations(d):
         concurrence(config(Alignment.FLAT, 0.0, d), ConeParameter(3.0))
 
 
+@pytest.mark.parametrize("gap", [math.nan, math.inf, -1.0])
+def test_concurrence_flat_refuses_a_bad_gap_by_name(gap):
+    # it returned nan for a nan or infinite gap and 0.0 for a negative one
+    with pytest.raises(InvalidParameter, match="^gap must be finite and >= 0"):
+        concurrence_flat(1.0, gap)
+
+
 def test_response_pair_dispatch():
     a, b = response_pair(config(Alignment.ORTHOGONAL_SAME_SIDE, 0.1, 0.5), ConeParameter(3.0))
     assert a.total > b.total  # farther detector responds less
