@@ -21,10 +21,10 @@ formula (``_kernel_over_nodes``) on all z_m stacked, as the zeta integrand
 is on its nodes: rho and gap are validated where they enter (p_string,
 p_boundary, PairConfig), not per image.  A reflecting boundary is the
 nu = 2 image set with the image weight -1/2 (geometry.image_set), and flat
-spacetime is nu = 1, so every alignment runs this one expansion.  ``image_response``
-expands one detector on its own; entanglement.concurrence hands the parts of
-both detectors, with X's, to one correlation.expand call and assembles each
-with ``response_breakdown``.
+spacetime is nu = 1, so every alignment runs this one expansion.
+``image_response`` expands one detector on its own; entanglement.concurrence
+hands the parts of both detectors, with X's, to one correlation.expand call
+and assembles each with ``response_breakdown``.
 """
 
 import math
