@@ -83,11 +83,19 @@ def x_flat(d, gap: float):
 
     |X0| decreases monotonically in d and diverges as d -> 0; a separation
     whose d/2 is at or below aux_f's cutoff EPS_DIV raises DivergentOverlap
-    (point-model breakdown).  An array of separations gives an array.
+    (point-model breakdown), and a d that is not finite and > 0 raises
+    InvalidParameter naming d.  An array of separations gives an array.
     """
     try:
         return aux_f(d / 2.0, gap)
-    except DivergentArgument as exc:
+    except (DivergentArgument, InvalidParameter) as exc:
+        # aux_f refuses a bad d/2 as its own argument z; name d instead
+        d = np.asarray(d, dtype=float)
+        bad = d[~(np.isfinite(d) & (d > 0.0))]
+        if bad.size:
+            raise InvalidParameter(f"d must be finite and > 0, got {float(bad[0])!r}") from exc
+        if isinstance(exc, InvalidParameter):
+            raise
         message = f"flat correlation diverges as d -> 0 (d={2.0 * exc.z!r})"
         raise DivergentOverlap(argument=exc.z, image_index=None, message=message) from exc
 

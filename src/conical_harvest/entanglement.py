@@ -36,7 +36,7 @@ from .quadrature import (
     DEFAULT_TOL,
     check_tolerance,
     find_last_sign_change,
-    find_root_bracketed,
+    find_root_from_ends,
     minimize_scalar,
 )
 from .response import ResponseBreakdown, image_response, response_breakdown, response_part
@@ -136,10 +136,12 @@ def concurrence_flat(d: float, gap: float) -> float:
     C0 = max{ (e^{-g^2}/2 sqrt(pi)) [ |w(-d/2)|/d + e^{g^2} g erfc(g)
               - 1/sqrt(pi) ], 0 }
     using e^{-d^2/4}|Erfc(id/2)| = |w(-d/2)| for overflow-free evaluation.
-    Refuses the separations x_flat refuses: d/2 at or below EPS_DIV, and a
-    gap that geometry.check_gap refuses.
+    Refuses the separations x_flat refuses: d/2 at or below EPS_DIV as a
+    divergence, a d that geometry.check_length refuses and a gap that
+    geometry.check_gap refuses by name.
     """
     check_gap(gap)
+    check_length("d", d, positive=True)
     if d / 2.0 <= EPS_DIV:
         raise DivergentOverlap(argument=d / 2.0, image_index=None,
                                message="flat concurrence diverges as d -> 0")
@@ -200,11 +202,16 @@ def _scan_crossing(alignment: Alignment, cone: ConeParameter, gap: float, grid: 
     """(t of the last margin zero, skipped d) on the scan line (l, d) = at(t), t in ``grid``.
 
     ``l`` and ``d`` are the line at the grid points, which one array pass
-    scans (_scan_margins); Brent refines the last sign change with the scalar
-    concurrence margin at ``at(t)``, so the root does not depend on how the
-    scan ran.  No sign change gives grid[-1] if the last valid margin is
-    positive, else None.  l and d never decrease along a line, so validating
-    its two ends validates every point.
+    scans (_scan_margins).  Brent refines the last sign change: it starts
+    from the scan's own margins at the two bracket ends and evaluates the
+    scalar concurrence margin at ``at(t)`` inside the bracket only, so the
+    root depends on the scan's bracket values.  At integer nu they equal the
+    scalar margins bit for bit (no zeta integral runs, and both paths run
+    the same elementwise formulas), so the root is the one a scalar scan
+    gives; at non-integer nu they agree with it to 1e-14.  No sign change
+    gives grid[-1] if the last valid margin is positive, else None.  l and d
+    never decrease along a line, so validating its two ends validates every
+    point.
     """
     def margin(t):
         result = concurrence(PairConfig(alignment, *at(t), gap=gap), cone, tol=quad_tol)
@@ -219,8 +226,8 @@ def _scan_crossing(alignment: Alignment, cone: ConeParameter, gap: float, grid: 
         valid = [m for m in margins if m is not None]
         root = float(grid[-1]) if valid and valid[-1] > 0.0 else None
     else:
-        root = find_root_bracketed(margin, Bracket(float(grid[last]), float(grid[last + 1])),
-                                   tol=tol)
+        root = find_root_from_ends(margin, Bracket(float(grid[last]), float(grid[last + 1])),
+                                   margins[last], margins[last + 1], tol=tol)
     return root, skipped
 
 
@@ -236,9 +243,12 @@ def d_max(alignment: Alignment, cone: ConeParameter, l: float, gap: float,
 
     Scans g(d) = |X| - sqrt(P_A P_B) from d = 2l (opposite sides) or
     d_hi/grid_n to d_hi, grid_n <= MAX_SWEEP_POINTS, and bisects the LAST sign
-    change (d_max is the point beyond which harvesting cannot occur).
-    Overlap-divergent scan points are skipped and reported.  Returns d_hi
-    itself when the margin is still positive at the scan ceiling.
+    change (d_max is the point beyond which harvesting cannot occur), starting
+    Brent from the scan's margins at the bracket ends (_scan_crossing): the
+    result is bit-identical to a scalar scan's at integer nu and depends on
+    the batch margins, which agree with scalar ones to 1e-14, at non-integer
+    nu.  Overlap-divergent scan points are skipped and reported.  Returns
+    d_hi itself when the margin is still positive at the scan ceiling.
     """
     check_length("d_hi", d_hi, positive=True)
     _check_grid_n(grid_n)
@@ -260,9 +270,11 @@ def opposite_sides_terminal_l(cone: ConeParameter, gap: float, l_hi: float = 4.0
     For the opposite-sides alignment the separation is at least 2l, so
     harvesting stops entirely at the largest l whose minimum-separation
     (symmetric) configuration still has positive concurrence: d_max's scan
-    along d = 2l, l from l_hi/grid_n to l_hi.  None when even the smallest
-    scanned l cannot harvest, or when every symmetric point diverges (even
-    integer nu).
+    along d = 2l, l from l_hi/grid_n to l_hi, refined from the scan's bracket
+    margins as d_max is (bit-identical to a scalar scan's root at integer nu,
+    margins within 1e-14 of scalar ones at non-integer nu).  None when even
+    the smallest scanned l cannot harvest, or when every symmetric point
+    diverges (even integer nu).
     """
     check_length("l_hi", l_hi, positive=True)
     _check_grid_n(grid_n)

@@ -18,6 +18,10 @@ of an oracle's outer pass) costs one adaptive integral instead of k.  Every
 integrator returns a ``QuadratureResult``.  Every integrand is real: a complex
 one raises InvalidParameter rather than lose its imaginary part, and a caller
 with a complex integrand stacks its real and imaginary parts as rows.
+Brent's root search needs only the two end values of its bracket:
+``find_root_from_ends`` takes them from a caller that already holds them, as
+the d_max scan does, so such a root depends on the caller's end values, and
+``find_root_bracketed`` evaluates them first.
 """
 
 import math
@@ -382,14 +386,30 @@ def check_tolerance(tol, kind):
 def find_root_bracketed(objective, bracket, tol=1e-12):
     """Root of a continuous objective inside a sign-changing bracket (Brent).
 
+    Evaluates the objective at both ends, then refines as find_root_from_ends.
     Raises InvalidParameter unless tol is finite and > 0, and NoSignChange
     when the endpoints do not straddle zero.
     """
     check_tolerance(tol, "root")
     if not isinstance(bracket, Bracket):
         bracket = Bracket(*bracket)
-    f_lo = objective(bracket.lo)
-    f_hi = objective(bracket.hi)
+    return find_root_from_ends(objective, bracket, objective(bracket.lo), objective(bracket.hi),
+                               tol=tol)
+
+
+def find_root_from_ends(objective, bracket, f_lo, f_hi, tol=1e-12):
+    """find_root_bracketed on a bracket whose end values f_lo, f_hi the caller already holds.
+
+    Brent needs only the two end values, so a caller that has them (a scan's
+    margins) passes them and the objective runs at interior points only.  The
+    root is the one find_root_bracketed returns whenever f_lo and f_hi equal
+    the objective's values at the ends.  Returns the end whose value is 0;
+    raises InvalidParameter unless tol is finite and > 0, and NoSignChange
+    when f_lo and f_hi do not straddle zero.
+    """
+    check_tolerance(tol, "root")
+    if not isinstance(bracket, Bracket):
+        bracket = Bracket(*bracket)
     if f_lo == 0.0:
         return bracket.lo
     if f_hi == 0.0:

@@ -94,6 +94,17 @@ def test_flat_paths_refuse_the_same_separations(d):
         concurrence(config(Alignment.FLAT, 0.0, d), ConeParameter(3.0))
 
 
+@pytest.mark.parametrize("d", [-1.0, 0.0, math.inf, math.nan])
+def test_flat_paths_refuse_a_bad_separation_by_name(d):
+    # they raised DivergentOverlap for d <= 0, and "z must be finite" (aux_f's
+    # argument) for an infinite or nan d
+    for flat in (lambda: x_flat(d, GAP), lambda: concurrence_flat(d, GAP)):
+        with pytest.raises(InvalidParameter, match="^d must be finite and > 0"):
+            flat()
+    with pytest.raises(InvalidParameter, match="^d must be finite and > 0"):
+        x_flat(np.array([1.0, d]), GAP)
+
+
 @pytest.mark.parametrize("gap", [math.nan, math.inf, -1.0])
 def test_concurrence_flat_refuses_a_bad_gap_by_name(gap):
     # it returned nan for a nan or infinite gap and 0.0 for a negative one
@@ -286,7 +297,7 @@ def _scalar_margin(alignment, cone, l, d):
     return result.abs_x - result.geo_mean_p
 
 
-@pytest.mark.parametrize("nu", [3.0, 4.0, 2.5])
+@pytest.mark.parametrize("nu", [3.0, 4.0, 2.5, 1.0, 2.0, 11.0])
 @pytest.mark.parametrize("alignment", list(Alignment))
 def test_batched_scan_margins_match_scalar_concurrence(alignment, nu):
     cone = ConeParameter(nu)
@@ -304,6 +315,9 @@ def test_batched_scan_margins_match_scalar_concurrence(alignment, nu):
             assert got is None
         else:
             assert got is not None and abs(got - want) <= 1e-14, (li, di, got, want)
+            if nu.is_integer():
+                # no zeta integral: the scan's bracket margins are the scalar ones
+                assert got == want, (li, di, got, want)
     assert skipped == expected_skipped
 
 
@@ -354,6 +368,45 @@ def test_terminal_l_equals_brent_on_a_scalar_reference_scan():
 
     expected = _reference_root(margin, np.linspace(l_hi / grid_n, l_hi, grid_n), 1e-6)
     assert opposite_sides_terminal_l(cone, GAP, l_hi=l_hi, grid_n=grid_n) == expected
+
+
+def _spy_margin_points(monkeypatch):
+    """(l, d) of every concurrence call that entanglement makes."""
+    points = []
+
+    def spy(config, cone, tol=DEFAULT_TOL):
+        points.append((config.l, config.d))
+        return concurrence(config, cone, tol)
+
+    monkeypatch.setattr(entanglement, "concurrence", spy)
+    return points
+
+
+def _last_bracket(alignment, cone, l, d, grid):
+    margins, _ = _scan_margins(alignment, cone, l, d, GAP, DEFAULT_TOL)
+    last = quadrature.find_last_sign_change(margins, grid)
+    assert last is not None
+    return float(grid[last]), float(grid[last + 1])
+
+
+def test_d_max_refines_from_the_scan_margins_at_its_bracket_ends(monkeypatch):
+    alignment, cone, l = Alignment.PARALLEL, ConeParameter(3.0), 0.5
+    grid = np.linspace(8.0 / 512, 8.0, 512)
+    ends = _last_bracket(alignment, cone, np.full_like(grid, l), grid, grid)
+    points = _spy_margin_points(monkeypatch)
+    result = d_max(alignment, cone, l=l, gap=GAP)
+    assert ends[0] < result.value < ends[1]
+    assert points and all(d not in ends for _, d in points), (ends, points)
+
+
+def test_terminal_l_refines_from_the_scan_margins_at_its_bracket_ends(monkeypatch):
+    cone = ConeParameter(3.0)
+    grid = np.linspace(4.0 / 512, 4.0, 512)
+    ends = _last_bracket(Alignment.ORTHOGONAL_OPPOSITE_SIDES, cone, grid, 2.0 * grid, grid)
+    points = _spy_margin_points(monkeypatch)
+    value = opposite_sides_terminal_l(cone, GAP)
+    assert ends[0] < value < ends[1]
+    assert points and all(l not in ends for l, _ in points), (ends, points)
 
 
 SCAN_ALIGNMENTS = [Alignment.PARALLEL, Alignment.ORTHOGONAL_SAME_SIDE,

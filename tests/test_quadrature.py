@@ -22,6 +22,7 @@ from conical_harvest.quadrature import (
     QuadratureResult,
     find_last_sign_change,
     find_root_bracketed,
+    find_root_from_ends,
     integrate_adaptive,
     integrate_pv,
     integrate_semi_infinite,
@@ -399,6 +400,32 @@ def test_root_no_sign_change():
         find_root_bracketed(math.cos, Bracket(0.0, 1.0), tol=1e-10)
 
 
+def _never(x):
+    raise AssertionError(f"objective evaluated at {x!r}")
+
+
+def test_root_from_ends_returns_an_end_whose_value_is_zero():
+    assert find_root_from_ends(_never, Bracket(1.0, 2.0), 0.0, -1.0) == 1.0
+    assert find_root_from_ends(_never, Bracket(1.0, 2.0), 1.0, 0.0) == 2.0
+
+
+def test_root_from_ends_refuses_end_values_of_one_sign():
+    with pytest.raises(NoSignChange):
+        find_root_from_ends(_never, Bracket(0.0, 1.0), math.cos(0.0), math.cos(1.0), tol=1e-10)
+
+
+def test_root_from_ends_equals_find_root_bracketed_without_evaluating_the_ends():
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return math.cos(x)
+
+    root = find_root_from_ends(counted, Bracket(1.0, 2.0), math.cos(1.0), math.cos(2.0), tol=1e-12)
+    assert root == find_root_bracketed(math.cos, Bracket(1.0, 2.0), tol=1e-12)
+    assert calls and 1.0 not in calls and 2.0 not in calls
+
+
 def test_root_of_flat_entanglement_margin():
     from conical_harvest.correlation import x_flat
     from conical_harvest.response import p_flat
@@ -481,6 +508,8 @@ def test_brent_port_matches_scipy_brentq_with_two_fewer_calls():
 def test_root_tolerance_must_be_finite_and_positive(tol):
     with pytest.raises(InvalidParameter, match="tol"):
         find_root_bracketed(math.cos, Bracket(1.0, 2.0), tol=tol)
+    with pytest.raises(InvalidParameter, match="tol"):
+        find_root_from_ends(math.cos, Bracket(1.0, 2.0), math.cos(1.0), math.cos(2.0), tol=tol)
 
 
 def test_dmax_path_leaves_scipy_optimize_unimported():
