@@ -161,14 +161,13 @@ def p_boundary(l: float, gap: float) -> float:
 
     The boundary is the nu = 2 cone with its one image subtracted:
     P_bd = P0 - (1/8 sqrt(pi)) K(l, g)/l, vanishing as the detector reaches
-    the boundary (as l^2 for small l; below SMALL_ARGUMENT the exact 0.0 is
-    returned, which the kernel limit P0 - klim(g)/(8 sqrt(pi)) equals to
-    rounding) and approaching P0 from below with a e^{-g^2}/(8 pi l^2) tail
-    far from it.  l must be a length geometry.check_length accepts, and gap
-    one geometry.check_gap accepts.
+    the boundary (as l^2 for small l; below SMALL_ARGUMENT the kernel limit
+    P0 - klim(g)/(8 sqrt(pi)), zero to rounding) and approaching P0 from
+    below with a e^{-g^2}/(8 pi l^2) tail far from it.  It is the response
+    that entanglement.response_pair gives a boundary pair at the same l.  l
+    must be a length geometry.check_length accepts, and gap one
+    geometry.check_gap accepts.
     """
     check_length("l", l)
     check_gap(gap)
-    if l < SMALL_ARGUMENT:
-        return 0.0
     return image_response(l, BOUNDARY_CONE, BOUNDARY_IMAGES, gap).total

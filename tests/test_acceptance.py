@@ -197,8 +197,8 @@ def test_criterion_09_overlap_divergence_handling():
 
 
 def test_criterion_10_boundary_limits():
-    # P_bd -> 0 at the boundary: l = 1e-9 takes the small-argument branch, the
-    # other points go through the kernel ratio K(l, g)/l (P_bd ~ 0.04 l^2 there).
+    # P_bd -> 0 at the boundary: at l = 1e-9 the kernel takes its a -> 0 limit,
+    # the other points go through the kernel ratio K(l, g)/l (P_bd ~ 0.04 l^2 there).
     started = time.perf_counter()
     near = {l: p_boundary(l, GAP) for l in (1e-9, 1e-4, 1e-3)}
     near_ok = all(abs(value) <= 1e-6 for value in near.values())

@@ -1,11 +1,12 @@
 import ast
 import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from conical_harvest import oracle
+from conical_harvest import correlation, oracle, verification
 from conical_harvest.correlation import x_flat, x_string
 from conical_harvest.geometry import (
     Alignment,
@@ -14,22 +15,38 @@ from conical_harvest.geometry import (
     coefficient_breakpoints,
     image_terms,
 )
-from conical_harvest.quadrature import integrate_adaptive, integrate_pv, tail_cutoff
+from conical_harvest.quadrature import integrate_pv, integrate_semi_infinite
 from conical_harvest.response import p_flat, p_string
+
+
+def _imported_modules(node):
+    """Dotted names of the modules an import node loads, relative imports made absolute."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    package = "conical_harvest" if node.level else ""
+    module = ".".join(filter(None, (package, node.module)))
+    if module == "conical_harvest":
+        # from . import x / from conical_harvest import x: x is a module of the package
+        return [f"{module}.{a.name}" for a in node.names]
+    return [module]
 
 
 def test_oracle_module_is_independent_of_closed_forms():
     # the oracle must recompute everything from the integral representations:
-    # no imports from the production special/response/correlation modules
+    # it shares the error types, the image enumeration and the integrators
+    # with production, and nothing else of the package (special, response,
+    # correlation, entanglement) or of SciPy
+    allowed = {"errors", "geometry", "quadrature"}
     tree = ast.parse(inspect.getsource(oracle))
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module:
-            imported.add(node.module)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-    forbidden = {"special", "response", "correlation", "entanglement"}
-    assert not {m.split(".")[-1] for m in imported} & forbidden
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    for node in imports:
+        for name in _imported_modules(node):
+            parts = name.split(".")
+            if parts[0] == "conical_harvest":
+                assert parts[1:2] and parts[1] in allowed, ast.unparse(node)
+            else:
+                assert parts[0] == "numpy" or parts[0] in sys.stdlib_module_names, ast.unparse(node)
 
 
 def test_p0_oracle_values():
@@ -144,9 +161,8 @@ def _per_node_nested(nu, inner, rows):
         return np.array([s / (math.cosh(nu * z) - c) * np.asarray(inner(float(z)))
                          for z in zetas]).reshape(len(zetas), rows).T
 
-    vals, _, _ = integrate_adaptive(outer, 0.0, tail_cutoff(nu, 1e-8), 1e-8,
-                                    breakpoints=coefficient_breakpoints(nu, nu * math.pi))
-    return vals
+    return integrate_semi_infinite(outer, nu, 1e-8,
+                                   breakpoints=coefficient_breakpoints(nu, nu * math.pi)).value
 
 
 def _per_node_p2(rho, nu, gap):
@@ -197,33 +213,77 @@ def test_batched_nested_oracles_match_the_per_node_loop(nu, rho):
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("nu", [1.5, 3.7])
-def test_nested_oracles_run_one_pv_call_per_outer_pass(nu, monkeypatch):
-    # the outer integral calls its integrand once per refinement pass, and each
-    # call hands all of that pass's new nodes to a single integrate_pv
-    pv_calls, outer_calls, panels = [0], [0], [0]
+def _count_outer_passes(monkeypatch):
+    """Counters of the oracle module's integrate_pv calls, outer integrand calls
+    (one per refinement pass of an outer integral) and outer GK15 panels."""
+    counts = {"pv": 0, "outer": 0, "panels": 0}
 
     def counting_pv(*args, **kwargs):
-        pv_calls[0] += 1
+        counts["pv"] += 1
         return integrate_pv(*args, **kwargs)
 
     def counting_outer(f, *args, **kwargs):
         def counted(x):
-            outer_calls[0] += 1
+            counts["outer"] += 1
             return f(x)
 
-        values, errors, evals = integrate_adaptive(counted, *args, **kwargs)
-        panels[0] += evals // 15
-        return values, errors, evals
+        result = integrate_semi_infinite(counted, *args, **kwargs)
+        counts["panels"] += result.evaluations // 15
+        return result
 
     monkeypatch.setattr(oracle, "integrate_pv", counting_pv)
-    monkeypatch.setattr(oracle, "integrate_adaptive", counting_outer)
+    monkeypatch.setattr(oracle, "integrate_semi_infinite", counting_outer)
+    return counts
+
+
+@pytest.mark.parametrize("nu", [1.5, 3.7])
+def test_nested_oracles_run_one_pv_call_per_outer_pass(nu, monkeypatch):
+    # the outer integral calls its integrand once per refinement pass, and each
+    # call hands all of that pass's new nodes to a single integrate_pv
+    counts = _count_outer_passes(monkeypatch)
     cone = ConeParameter(nu)
     oracle.p2_oracle(0.7, cone, 0.1)
-    assert pv_calls[0] == outer_calls[0] < panels[0]
+    assert counts["pv"] == counts["outer"] < counts["panels"]
 
-    pv_calls[0] = outer_calls[0] = panels[0] = 0
+    counts.update(pv=0, outer=0, panels=0)
     oracle.xp_oracle(PairConfig(Alignment.PARALLEL, l=0.7, d=1.0, gap=0.1), cone)
     # beside the outer passes: X0's pole and, from nu = 2 on, the image poles
-    assert pv_calls[0] == outer_calls[0] + 1 + (nu >= 2.0)
-    assert outer_calls[0] < panels[0]
+    assert counts["pv"] == counts["outer"] + 1 + (nu >= 2.0)
+    assert counts["outer"] < counts["panels"]
+
+
+@pytest.mark.parametrize("gap", [0.1, 1.0])
+@pytest.mark.parametrize("nu", [1.15, 1.5, 2.5, 3.7, 5.5, 9.22])
+def test_nested_oracles_outer_integral_takes_at_most_two_passes(nu, gap, monkeypatch):
+    # integrate_semi_infinite's geometric start panels already resolve the
+    # outer zeta integral, where bisecting [0, z_max] took 4-6 passes
+    counts = _count_outer_passes(monkeypatch)
+    cone = ConeParameter(nu)
+    for rho in (0.3, 2.0):
+        counts.update(outer=0)
+        oracle.p2_oracle(rho, cone, gap)
+        assert 1 <= counts["outer"] <= 2, ("P2", rho)
+        counts.update(outer=0)
+        oracle.xp_oracle(PairConfig(Alignment.PARALLEL, l=rho, d=1.0, gap=gap), cone)
+        assert 1 <= counts["outer"] <= 2, ("X_P", rho)
+
+
+def test_verification_catches_a_fault_in_the_zeta_integrals(monkeypatch):
+    # production's P_integral and X's zeta part both come from
+    # correlation._zeta_integrals; a 1e-4 fault there must fail the nested
+    # oracle points (P2, non-integer X_P) and leave every other grid point passing
+    zeta_integrals = correlation._zeta_integrals
+
+    def faulty(*args, **kwargs):
+        return [value * (1.0 + 1e-4) for value in zeta_integrals(*args, **kwargs)]
+
+    monkeypatch.setattr(correlation, "_zeta_integrals", faulty)
+    reports, passed = verification.run_verification("default")
+    failed = {r.quantity for r in reports if not r.passed}
+    assert not passed
+    assert {q for q in failed if not q.startswith("identity")} == {
+        "P2(rho=1, nu=2.5, gap=0.1)", "P2(rho=0.3, nu=1.5, gap=0.1)",
+        "X_P(l=1, d=1, nu=2.5, gap=0.1)"}
+    # P(0) = nu P0 at non-integer nu holds a zeta integral too
+    assert {q for q in failed if q.startswith("identity")} == {
+        "identity P(rho=0, nu=1.5) = nu*P0", "identity P(rho=0, nu=2.5) = nu*P0"}

@@ -5,9 +5,9 @@ import pytest
 
 from conical_harvest import correlation
 from conical_harvest.correlation import x_string
-from conical_harvest.entanglement import concurrence
+from conical_harvest.entanglement import concurrence, response_pair
 from conical_harvest.errors import InvalidParameter
-from conical_harvest.geometry import Alignment, ConeParameter, PairConfig, image_terms
+from conical_harvest.geometry import BOUNDARY_CONE, Alignment, ConeParameter, PairConfig, image_terms
 from conical_harvest.response import FAULT_ENV, image_response, p_boundary, p_flat, p_string
 from conical_harvest.special import erfc_complex
 
@@ -103,13 +103,21 @@ def test_p_string_refuses_a_bad_gap_by_name(nu, gap):
 @pytest.mark.parametrize("gap", [math.nan, math.inf, -1.0])
 @pytest.mark.parametrize("l", [1e-9, 1.0])
 def test_p_boundary_refuses_a_bad_gap_by_name(l, gap):
-    # l = 1e-9 lies below SMALL_ARGUMENT, where p_boundary returns 0.0 unevaluated
+    # l = 1e-9 lies below SMALL_ARGUMENT, where the kernel takes its a -> 0 limit
     with pytest.raises(InvalidParameter, match="^gap must be finite and >= 0"):
         p_boundary(l, gap)
 
 
 def test_p_boundary_limits():
-    assert p_boundary(1e-9, GAP) == 0.0
+    # at the wall P0 and the subtracted image cancel: p_boundary is zero to
+    # rounding there, and is the response that response_pair gives a boundary pair
+    for gap in (0.0, 0.1, 1.0):
+        for l in (0.0, 1e-12, 1e-9, 2e-8):
+            value = p_boundary(l, gap)
+            pair = response_pair(PairConfig(Alignment.BOUNDARY_PARALLEL, l=l, d=1.0, gap=gap),
+                                 BOUNDARY_CONE)
+            assert value == pair[0].total, (gap, l)
+            assert 0.0 <= value <= 1e-15, (gap, l)
     # far-field tail is e^{-g^2}/(8 pi l^2): 1.6e-5 at l=50, 1e-8 only by l~3000
     assert p_boundary(50.0, GAP) == pytest.approx(
         p_flat(GAP) - math.exp(-GAP * GAP) / (8.0 * math.pi * 2500.0), rel=1e-3)
