@@ -22,9 +22,9 @@ from ._version import __version__
 from .entanglement import (MAX_SWEEP_POINTS, concurrence, d_max, nu_extremum,
                            opposite_sides_terminal_l, sweep)
 from .errors import DivergentOverlap, InvalidParameter, UnknownPreset
-from .geometry import Alignment, ConeParameter, PairConfig, radial_pair
+from .geometry import NU_MAX, Alignment, ConeParameter, PairConfig, radial_pair
 from .presets import FIGURES, _materialize_dmax, build_figure
-from .quadrature import Bracket
+from .quadrature import DEFAULT_TOL, Bracket
 from .serialize import sweep_to_csv, sweep_to_dict
 from .verification import run_verification
 
@@ -102,9 +102,7 @@ alignment_option = click.option("--alignment", type=click.Choice(ALIGNMENT_NAMES
 nu_option = click.option("--nu", type=float, default=1.0, help="deficit-angle parameter (>= 1)")
 l_option = click.option("--l", type=float, default=0.0,
                         help="detector-to-string distance (sigma units)")
-tol_option = click.option("--tol", type=TOLERANCE, default=1e-10, help="quadrature tolerance")
-threads_option = click.option("--threads", type=int, default=1, expose_value=False,
-                              help="accepted for compatibility; has no effect")
+tol_option = click.option("--tol", type=TOLERANCE, default=DEFAULT_TOL, help="quadrature tolerance")
 out_option = click.option("--out", type=click.Path(writable=True), default=None)
 
 
@@ -188,13 +186,10 @@ def compute(alignment, nu, l, d, gap, tol, out):
 @click.option("--d-over-l", "d_over_l", type=float, default=None,
               help="couple d = ratio * l to an l axis")
 @tol_option
-@threads_option
 @click.option("--format", "format", type=click.Choice(["csv", "json"]), default="csv")
 @out_option
 def sweep_cmd(alignment, nu, l, d, gap, axis, lo, hi, n, log, d_over_l, tol, format, out):
     """Sweep one axis, emitting the standard concurrence table."""
-    if axis != "gap" and gap is None:
-        raise click.UsageError("missing required option --gap")
     if lo >= hi:
         raise click.UsageError("--lo must be below --hi")
     if log:
@@ -244,7 +239,7 @@ def dmax_cmd(alignment, nu, l, gap, d_hi, grid_n, scan_tol, l_lo, l_hi, l_n, ter
         curve = {"lo": l_lo, "hi": l_hi, "n": l_n,
                  "alignment": alignment.value, "nu": cone.nu, "gap": gap}
         with _usage_errors():
-            text = _materialize_dmax(curve, tol, d_hi=d_hi, grid_n=grid_n, scan_tol=scan_tol)
+            text = _materialize_dmax(curve, tol, d_hi=d_hi, grid_n=grid_n, tol=scan_tol)
         _emit(text, out)
         return
 
@@ -280,8 +275,8 @@ def nuscan_cmd(objective, alignment, l, d, gap, nu_lo, nu_hi, scan_tol, tol, out
     """Extremal deficit-angle parameter for an objective over a nu bracket."""
     with _usage_errors():
         pair = PairConfig(Alignment.from_string(alignment), l=l, d=d, gap=gap)
-    if not (1.0 <= nu_lo < nu_hi <= 64.0):
-        raise click.UsageError("nu bracket must satisfy 1 <= lo < hi <= 64")
+    if not (1.0 <= nu_lo < nu_hi <= NU_MAX):
+        raise click.UsageError(f"nu bracket must satisfy 1 <= lo < hi <= {NU_MAX:g}")
     nu_star = nu_extremum(objective, pair, Bracket(nu_lo, nu_hi), tol=scan_tol, quad_tol=tol)
     result = concurrence(pair, ConeParameter(nu_star), tol=tol)
     _emit(_json_text({
@@ -298,7 +293,6 @@ def nuscan_cmd(objective, alignment, l, d, gap, nu_lo, nu_hi, scan_tol, tol, out
 @click.argument("name", required=False, default=None)
 @click.option("--list", "list_presets", is_flag=True, help="list available presets")
 @tol_option
-@threads_option
 @click.option("--out", type=click.Path(file_okay=False), default=".")
 def figure_cmd(name, list_presets, tol, out):
     """Write the CSV dataset(s) behind a named figure preset (fig3a..fig11)."""

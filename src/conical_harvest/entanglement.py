@@ -23,6 +23,7 @@ from .geometry import (
     Alignment,
     ConeParameter,
     FArguments,
+    NU_MAX,
     PairConfig,
     check_gap,
     check_length,
@@ -300,8 +301,8 @@ def nu_extremum(objective: Union[str, Callable[[float], float]], config: PairCon
     """
     if not isinstance(bracket, Bracket):
         bracket = Bracket(*bracket)
-    if bracket.lo < 1.0 or bracket.hi > 64.0:
-        raise InvalidParameter("nu bracket must lie within [1, 64]")
+    if bracket.lo < 1.0 or bracket.hi > NU_MAX:
+        raise InvalidParameter(f"nu bracket must lie within [1, {NU_MAX:g}]")
 
     if callable(objective):
         fn = objective
@@ -345,19 +346,30 @@ class SweepTable:
     rows: Tuple[SweepRow, ...]
 
 
-def _sweep_row(alignment: Alignment, cone: ConeParameter, axis: str, value: float,
-               l: Optional[float], d: Optional[float], gap: Optional[float],
-               d_over_l: Optional[float], tol: float) -> SweepRow:
+def _row_inputs(axis: str, value: float, l: Optional[float], d: Optional[float],
+                gap: Optional[float], d_over_l: Optional[float], cone: ConeParameter):
+    """(l, d, gap, cone) of the sweep row at axis ``value``; d_over_l couples d to an l axis."""
     if axis == "l":
-        l = value
-        if d_over_l is not None:
-            d = d_over_l * value
-    elif axis == "d":
-        d = value
-    elif axis == "gap":
-        gap = value
-    elif axis == "nu":
-        cone = ConeParameter(value)
+        return value, d if d_over_l is None else d_over_l * value, gap, cone
+    if axis == "d":
+        return l, value, gap, cone
+    if axis == "gap":
+        return l, d, value, cone
+    return l, d, gap, ConeParameter(value)
+
+
+def _check_inputs(l: Optional[float], d: Optional[float], gap: Optional[float]) -> None:
+    """Raise InvalidParameter unless each given l, d (> 0) and gap keeps its rule."""
+    if l is not None:
+        check_length("l", l)
+    if d is not None:
+        check_length("d", d, positive=True)
+    if gap is not None:
+        check_gap(gap)
+
+
+def _sweep_row(alignment: Alignment, value: float, l: Optional[float], d: float, gap: float,
+               cone: ConeParameter, tol: float) -> SweepRow:
     try:
         config = PairConfig(alignment, l=l if l is not None else 0.0, d=d, gap=gap)
         result = concurrence(config, cone, tol=tol)
@@ -366,22 +378,6 @@ def _sweep_row(alignment: Alignment, cone: ConeParameter, axis: str, value: floa
     except (DivergentOverlap, InvalidParameter):
         return SweepRow(param=value, p_a=None, p_b=None, abs_x=None,
                         concurrence=None, diverged=True)
-
-
-def _check_sweep_value(name: str, value: float) -> None:
-    """Raise InvalidParameter unless a sweep value keeps its parameter's rule.
-
-    l and d are lengths (geometry.check_length, d > 0), gap an energy gap
-    (geometry.check_gap), d_over_l finite and > 0, and nu a ConeParameter.
-    """
-    if name == "nu":
-        ConeParameter(value)
-    elif name == "gap":
-        check_gap(value)
-    elif name in ("l", "d"):
-        check_length(name, value, positive=name == "d")
-    elif not (math.isfinite(value) and value > 0.0):
-        raise InvalidParameter(f"{name} must be finite and > 0, got {value!r}")
 
 
 def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence[float],
@@ -396,9 +392,9 @@ def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence
     fixed d).  Per-row failures (detector/image overlap, the
     opposite-sides constraint d >= 2l) are flagged, never aborting the
     sweep.  A bad ``tol``, and a fixed parameter, axis value or coupled d
-    that breaks its parameter's rule (_check_sweep_value), raise
-    InvalidParameter before any row.  ``threads`` is accepted for
-    compatibility and has no effect.
+    that breaks its parameter's rule (l, d, gap: _check_inputs; d_over_l
+    finite and > 0; nu: ConeParameter), raise InvalidParameter before any
+    row.  ``threads`` is accepted for compatibility and has no effect.
     """
     if axis not in SWEEP_AXES:
         raise InvalidParameter(f"axis must be one of {SWEEP_AXES}")
@@ -414,17 +410,15 @@ def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence
         raise InvalidParameter("give a fixed d or d_over_l, not both")
     if d is None and axis != "d" and d_over_l is None:
         raise InvalidParameter("d must be fixed, the sweep axis, or coupled via d_over_l")
-    for name, value in (("l", l), ("d", d), ("gap", gap), ("d_over_l", d_over_l)):
-        if value is not None and name != axis:
-            _check_sweep_value(name, value)
-    if not all(math.isfinite(v) for v in values):
-        raise InvalidParameter(f"{axis} axis values must be finite")
-    for value in values:
-        _check_sweep_value(axis, value)
-        if axis == "l" and d_over_l is not None:
-            _check_sweep_value("d", d_over_l * value)
-
-    rows = tuple(_sweep_row(alignment, cone, axis, v, l, d, gap, d_over_l, tol) for v in values)
     fixed = {k: v for k, v in (("l", l), ("d", d), ("gap", gap), ("d_over_l", d_over_l))
              if v is not None and k != axis}
+    _check_inputs(fixed.get("l"), fixed.get("d"), fixed.get("gap"))
+    if d_over_l is not None and not (math.isfinite(d_over_l) and d_over_l > 0.0):
+        raise InvalidParameter(f"d_over_l must be finite and > 0, got {d_over_l!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidParameter(f"{axis} axis values must be finite")
+    inputs = [_row_inputs(axis, v, l, d, gap, d_over_l, cone) for v in values]
+    for row in inputs:
+        _check_inputs(*row[:3])
+    rows = tuple(_sweep_row(alignment, v, *row, tol) for v, row in zip(values, inputs))
     return SweepTable(axis=axis, alignment=alignment, nu=cone.nu, fixed=fixed, rows=rows)

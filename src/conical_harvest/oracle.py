@@ -33,7 +33,7 @@ All values per lambda^2, lengths in sigma units, gap g = Omega*sigma.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def _gaussian_cos(gap):
     return numerator
 
 
-def p0_oracle(gap: float, tol: float = _PV_TOL) -> float:
+def p0_oracle(gap: float) -> float:
     """Flat response from the subtracted-singularity s-integral plus its delta term.
 
     P0 = -(1/4 pi^(3/2)) int_0^inf [2 cos(g s) e^{-s^2/4} - 2]/s^2 ds
@@ -107,12 +107,12 @@ def p0_oracle(gap: float, tol: float = _PV_TOL) -> float:
         out[big] = (2.0 * np.cos(gap * sb) * np.exp(-sb * sb / 4.0) - 2.0) / (sb * sb)
         return out
 
-    vals, _, _ = integrate_adaptive(integrand, 0.0, cutoff, tol)
+    vals, _, _ = integrate_adaptive(integrand, 0.0, cutoff, _PV_TOL)
     body = float(vals[0]) - 2.0 / cutoff          # analytic int_40^inf (-2/s^2) ds
     return -body / (4.0 * math.pi ** 1.5) - gap / (4.0 * SQRT_PI)
 
 
-def p1_oracle(rho: float, cone: ConeParameter, gap: float, tol: float = _PV_TOL) -> float:
+def p1_oracle(rho: float, cone: ConeParameter, gap: float) -> float:
     """Image-sum response from the PV integral with poles at 2 rho sin(m pi/nu).
 
     Per image (weight w_m, a_m = rho sin(m pi/nu)):
@@ -126,7 +126,7 @@ def p1_oracle(rho: float, cone: ConeParameter, gap: float, tol: float = _PV_TOL)
     if not terms:
         return 0.0
     if rho < _SMALL_RHO:
-        return 2.0 * sum(t.weight for t in terms) * p0_oracle(gap, tol=tol)
+        return 2.0 * sum(t.weight for t in terms) * p0_oracle(gap)
 
     delta = 0.0
     poles = []
@@ -137,17 +137,17 @@ def p1_oracle(rho: float, cone: ConeParameter, gap: float, tol: float = _PV_TOL)
         poles.append(2.0 * a)
         weights.append(t.weight)
 
-    pv = integrate_pv(_gaussian_cos(gap), poles, tol=tol, weights=weights)
+    pv = integrate_pv(_gaussian_cos(gap), poles, tol=_PV_TOL, weights=weights)
     return delta - pv.value / math.pi ** 1.5
 
 
-def p1_oracle_terms(rho: float, cone: ConeParameter, gap: float, tol: float = _PV_TOL):
+def p1_oracle_terms(rho: float, cone: ConeParameter, gap: float):
     """Per-image (m, weight, delta part, PV part) decomposition for term-wise checks."""
     out = []
     for t in image_terms(cone):
         a = rho * t.sin_term
         delta = -t.weight * math.exp(-a * a) * math.sin(2.0 * gap * a) / (4.0 * SQRT_PI * a)
-        pv = integrate_pv(_gaussian_cos(gap), [2.0 * a], tol=tol, weights=[t.weight])
+        pv = integrate_pv(_gaussian_cos(gap), [2.0 * a], tol=_PV_TOL, weights=[t.weight])
         out.append((t.m, t.weight, delta, -pv.value / math.pi ** 1.5))
     return out
 
@@ -163,7 +163,7 @@ def _same_side_raw_coefficient(nu):
     return coefficient
 
 
-def p2_oracle(rho: float, cone: ConeParameter, gap: float, tol: float = _OUTER_TOL) -> float:
+def p2_oracle(rho: float, cone: ConeParameter, gap: float) -> float:
     """Residual-integral response via the nested zeta / PV(s) representation.
 
     P2 = (nu/4 pi^(5/2)) int_0^inf dzeta sin(nu pi)/(cosh(nu zeta) - cos(nu pi))
@@ -184,11 +184,11 @@ def p2_oracle(rho: float, cone: ConeParameter, gap: float, tol: float = _OUTER_T
         return coefficient(zetas) * (2.0 * _rescaled_pv(numerator, c) + delta)
 
     breakpoints = coefficient_breakpoints(cone.nu, cone.nu * math.pi)
-    vals = integrate_semi_infinite(outer, cone.nu, tol, breakpoints=breakpoints).value
+    vals = integrate_semi_infinite(outer, cone.nu, _OUTER_TOL, breakpoints=breakpoints).value
     return cone.nu / (4.0 * math.pi ** 2.5) * float(vals[0])
 
 
-def x0_oracle(d: float, gap: float, tol: float = _PV_TOL) -> complex:
+def x0_oracle(d: float, gap: float) -> complex:
     """Flat correlation from its PV representation plus the exact delta term.
 
     X0 = (e^{-g^2}/2 pi^(3/2)) PV int_0^inf e^{-u^2/4}/(u^2 - d^2) du
@@ -197,7 +197,7 @@ def x0_oracle(d: float, gap: float, tol: float = _PV_TOL) -> complex:
     if d <= 0:
         raise InvalidParameter("d must be > 0")
 
-    pv = integrate_pv(_gaussian, [d], tol=tol)
+    pv = integrate_pv(_gaussian, [d], tol=_PV_TOL)
     prefactor = math.exp(-gap * gap)
     real = prefactor * pv.value / (2.0 * math.pi ** 1.5)
     imag = -prefactor * math.exp(-d * d / 4.0) / (4.0 * d * SQRT_PI)
@@ -218,7 +218,7 @@ def _rescaled_pv(numerator, poles):
     return pv / poles
 
 
-def xp_oracle(config: PairConfig, cone: ConeParameter, tol: float = _OUTER_TOL) -> complex:
+def xp_oracle(config: PairConfig, cone: ConeParameter) -> complex:
     """Parallel-alignment correlation from the PV representation, term by term.
 
     X_P1 image m contributes (e^{-g^2}/pi^(3/2)) w_m [PV - i pi e^{-D^2/4}/(2D)]
@@ -232,7 +232,7 @@ def xp_oracle(config: PairConfig, cone: ConeParameter, tol: float = _OUTER_TOL) 
         raise InvalidParameter("xp_oracle covers the parallel alignment only")
     d, l, gap = config.d, config.l, config.gap
     prefactor = math.exp(-gap * gap)
-    total = x0_oracle(d, gap, tol=_PV_TOL)
+    total = x0_oracle(d, gap)
 
     terms = image_terms(cone)
     if terms:
@@ -252,7 +252,7 @@ def xp_oracle(config: PairConfig, cone: ConeParameter, tol: float = _OUTER_TOL) 
             return coefficient(zetas) * np.stack([_rescaled_pv(_gaussian, big_d), delta])
 
         breakpoints = coefficient_breakpoints(cone.nu, cone.nu * math.pi)
-        vals = integrate_semi_infinite(outer, cone.nu, tol, breakpoints=breakpoints).value
+        vals = integrate_semi_infinite(outer, cone.nu, _OUTER_TOL, breakpoints=breakpoints).value
         # sin/(cosh - cos) carries the opposite sign of the production
         # coefficient, hence the leading minus.
         total += -cone.nu / (2.0 * math.pi ** 2.5) * prefactor * complex(vals[0], vals[1])
@@ -260,7 +260,7 @@ def xp_oracle(config: PairConfig, cone: ConeParameter, tol: float = _OUTER_TOL) 
     return total
 
 
-def p0_epsilon_regulated(gap: float, epsilon: float, tol: float = _PV_TOL) -> float:
+def p0_epsilon_regulated(gap: float, epsilon: float) -> float:
     """Flat response at finite regulator: -(1/4 pi^(3/2)) int ds e^{-igs-s^2/4}/(s-i eps)^2.
 
     The integrand's real part is even in s, so the fold 2 int_0^inf applies;
@@ -276,34 +276,28 @@ def p0_epsilon_regulated(gap: float, epsilon: float, tol: float = _PV_TOL) -> fl
                 + 2.0 * s * epsilon * np.sin(gap * s))
         return np.exp(-s * s / 4.0) * real / denom
 
-    vals, _, _ = integrate_adaptive(integrand, 0.0, 40.0, tol,
+    vals, _, _ = integrate_adaptive(integrand, 0.0, 40.0, _PV_TOL,
                                     breakpoints=(epsilon, 10.0 * epsilon, 1.0))
     return -2.0 * float(vals[0]) / (4.0 * math.pi ** 1.5)
 
 
-def p0_epsilon_extrapolated(gap: float, epsilons=(1e-2, 5e-3, 2.5e-3)) -> float:
+def p0_epsilon_extrapolated(gap: float) -> float:
     """Richardson extrapolation of the regulated response to eps -> 0.
 
-    Two first-order eliminations on the eps, eps/2, eps/4 ladder leave an
-    O(eps^3) residual, far below the 1e-4 acceptance tolerance.
+    Two first-order eliminations on the eps = 1e-2, 5e-3, 2.5e-3 ladder leave
+    an O(eps^3) residual, far below the 1e-4 acceptance tolerance.
     """
-    e0, e1, e2 = epsilons
-    if not (abs(e0 / e1 - 2.0) < 1e-9 and abs(e1 / e2 - 2.0) < 1e-9):
-        raise InvalidParameter("epsilons must form a ratio-2 ladder")
-    i0, i1, i2 = (p0_epsilon_regulated(gap, e) for e in (e0, e1, e2))
+    i0, i1, i2 = (p0_epsilon_regulated(gap, e) for e in (1e-2, 5e-3, 2.5e-3))
     r0 = 2.0 * i1 - i0
     r1 = 2.0 * i2 - i1
     return (4.0 * r1 - r0) / 3.0
 
 
-def epsilon_extrapolation_check(gap: float, production: Optional[float] = None,
-                                tolerance: float = 1e-4) -> OracleReport:
+def epsilon_extrapolation_check(gap: float, production: float) -> OracleReport:
     """Sokhotski-Plemelj consistency: regulated integral extrapolates to the closed form.
 
     ``production`` is the closed-form flat response supplied by the caller
-    (this module computes no closed forms itself); when omitted, the
-    subtracted-singularity oracle stands in as the reference.
+    (this module computes no closed forms itself); the tolerance is 1e-4.
     """
-    reference = p0_oracle(gap) if production is None else production
-    extrapolated = p0_epsilon_extrapolated(gap)
-    return compare(f"p0_epsilon_extrapolation(gap={gap:g})", reference, extrapolated, tolerance)
+    return compare(f"p0_epsilon_extrapolation(gap={gap:g})", production,
+                   p0_epsilon_extrapolated(gap), 1e-4)

@@ -19,6 +19,7 @@ from .correlation import x_string
 from .entanglement import d_max, sweep
 from .errors import UnknownPreset
 from .geometry import Alignment, ConeParameter, PairConfig
+from .quadrature import DEFAULT_TOL
 from .response import p_string
 from .serialize import csv_text, sweep_to_csv
 
@@ -159,15 +160,14 @@ def _materialize_response(params: dict, tol: float) -> str:
     return csv_text(("param", "P_per_lambda2"), rows)
 
 
-def _materialize_dmax(params: dict, tol: float, d_hi: float = 8.0, grid_n: int = 512,
-                      scan_tol: float = 1e-6) -> str:
+def _materialize_dmax(params: dict, quad_tol: float, **scan) -> str:
+    """d_max along l; ``scan`` holds the d_max scan settings (d_hi, grid_n, tol) the caller sets."""
     values = np.linspace(params["lo"], params["hi"], params["n"])
     alignment = Alignment.from_string(params["alignment"])
     cone = ConeParameter(params["nu"])
     rows = []
     for v in values:
-        result = d_max(alignment, cone, l=float(v), gap=params["gap"], d_hi=d_hi,
-                       grid_n=grid_n, tol=scan_tol, quad_tol=tol)
+        result = d_max(alignment, cone, l=float(v), gap=params["gap"], quad_tol=quad_tol, **scan)
         rows.append((float(v), result.value, len(result.skipped)))
     return csv_text(("param", "d_max_per_sigma", "skipped_points"), rows)
 
@@ -184,7 +184,11 @@ def _materialize_pd_absx(params: dict, tol: float) -> str:
     return csv_text(("param", "P_D_per_lambda2", "abs_X_P_per_lambda2"), rows)
 
 
-def build_figure(name: str, tol: float = 1e-10) -> List[Tuple[str, str]]:
+_MATERIALIZERS = {"sweep": _materialize_sweep, "response": _materialize_response,
+                  "dmax": _materialize_dmax, "pd_absx": _materialize_pd_absx}
+
+
+def build_figure(name: str, tol: float = DEFAULT_TOL) -> List[Tuple[str, str]]:
     """Materialize a preset into [(filename, csv text), ...].
 
     Raises UnknownPreset for names outside the manifest.
@@ -192,17 +196,5 @@ def build_figure(name: str, tol: float = 1e-10) -> List[Tuple[str, str]]:
     preset = FIGURES.get(name)
     if preset is None:
         raise UnknownPreset(f"unknown figure preset {name!r}; known: {', '.join(sorted(FIGURES))}")
-    out = []
-    for curve in preset.curves:
-        if curve.kind == "sweep":
-            text = _materialize_sweep(curve.params, tol)
-        elif curve.kind == "response":
-            text = _materialize_response(curve.params, tol)
-        elif curve.kind == "dmax":
-            text = _materialize_dmax(curve.params, tol)
-        elif curve.kind == "pd_absx":
-            text = _materialize_pd_absx(curve.params, tol)
-        else:  # pragma: no cover - manifest is static
-            raise UnknownPreset(f"unknown curve kind {curve.kind!r}")
-        out.append((f"{name}_{curve.label}.csv", text))
-    return out
+    return [(f"{name}_{curve.label}.csv", _MATERIALIZERS[curve.kind](curve.params, tol))
+            for curve in preset.curves]

@@ -39,9 +39,12 @@ def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sweep_cells(row) -> tuple:    # in SWEEP_COLUMNS order
+    return row.param, row.p_a, row.p_b, row.abs_x, row.concurrence, row.diverged
+
+
 def sweep_to_csv(table: SweepTable) -> str:
-    rows = ((r.param, r.p_a, r.p_b, r.abs_x, r.concurrence, r.diverged) for r in table.rows)
-    return csv_text(SWEEP_COLUMNS, rows)
+    return csv_text(SWEEP_COLUMNS, (_sweep_cells(r) for r in table.rows))
 
 
 def sweep_to_dict(table: SweepTable) -> dict:
@@ -51,15 +54,5 @@ def sweep_to_dict(table: SweepTable) -> dict:
         "alignment": table.alignment.value,
         "nu": table.nu,
         "fixed": table.fixed,
-        "rows": [
-            {
-                "param": r.param,
-                "P_A_per_lambda2": r.p_a,
-                "P_B_per_lambda2": r.p_b,
-                "abs_X_per_lambda2": r.abs_x,
-                "concurrence_per_lambda2": r.concurrence,
-                "diverged": r.diverged,
-            }
-            for r in table.rows
-        ],
+        "rows": [dict(zip(SWEEP_COLUMNS, _sweep_cells(r))) for r in table.rows],
     }

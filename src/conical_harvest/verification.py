@@ -1,12 +1,12 @@
 """Standard validation grid: oracle/production comparisons plus analytic identities.
 
 This is the one place production closed forms and their integral-representation
-oracles meet.  The standard grid has twelve oracle/production points (three P0,
-three P1, two P2, two X0, two X_P) at the honest tolerances the principal-value
-and nested quadratures can sustain, followed by a battery of exact identities
-(nu * P0 at the string, flat reduction, the zeta-coefficient integral, kernel
-two-path agreement, boundary limits, regulator extrapolation, divergence
-handling).
+oracles meet.  The standard grid has thirteen oracle/production points (three
+P0, three P1, two P2, two X0, three X_P) at the honest tolerances the
+principal-value and nested quadratures can sustain, followed by a battery of
+exact identities (nu * P0 at the string, flat reduction, the zeta-coefficient
+integral, kernel two-path agreement, boundary limits, regulator
+extrapolation, divergence handling).
 """
 
 import math
@@ -19,7 +19,7 @@ from . import oracle
 from .correlation import x_flat, x_string
 from .entanglement import concurrence_flat
 from .errors import DivergentOverlap
-from .geometry import Alignment, ConeParameter, PairConfig
+from .geometry import Alignment, ConeParameter, PairConfig, same_side_coefficient
 from .oracle import OracleReport, compare
 from .quadrature import integrate_semi_infinite
 from .response import p_boundary, p_flat, p_string
@@ -62,9 +62,11 @@ def _standard_grid() -> List[GridPoint]:
             production=lambda dd=d, g=gap: x_flat(dd, g),
             reference=lambda dd=d, g=gap: oracle.x0_oracle(dd, g)))
 
-    # integer-nu X_P at 1e-6; the nested non-integer variant at the honest 1e-5
+    # integer-nu X_P at 1e-6; the nested non-integer variants at the honest 1e-5,
+    # and at 1e-6 where the zeta part is a third of |X|, so a fault in it alone shows
     for l, d, nu, gap, tol, fast in ((0.5, 0.5, 3.0, 0.1, 1e-6, True),
-                                     (1.0, 1.0, 2.5, 0.1, 1e-5, False)):
+                                     (1.0, 1.0, 2.5, 0.1, 1e-5, False),
+                                     (0.1, 2.0, 1.5, 0.1, 1e-6, False)):
         config = PairConfig(Alignment.PARALLEL, l=l, d=d, gap=gap)
         points.append(GridPoint(
             quantity=f"X_P(l={l:g}, d={d:g}, nu={nu:g}, gap={gap:g})", tolerance=tol, fast=fast,
@@ -102,13 +104,11 @@ def _identity_reports(fast: bool) -> List[OracleReport]:
     x = x_string(PairConfig(Alignment.PARALLEL, l=0.0, d=0.5, gap=gap), ConeParameter(3.0)).total
     reports.append(compare("identity X_P(l=0, nu=3) = 3 X0", x, 3.0 * x_flat(0.5, gap), 1e-10))
 
-    # zeta-coefficient integral: (pi/nu)(nu - 1 - 2 floor(nu/2))
+    # production's zeta coefficient integrates to nu - 1 - 2 floor(nu/2)
     nus = (2.5,) if fast else (1.3, 2.5, 3.7, 9.2)
     for nu in nus:
-        def integrand(z, n=nu):
-            return math.sin(n * math.pi) / (np.cos(n * math.pi) - np.cosh(n * np.asarray(z)))
-        got = integrate_semi_infinite(integrand, tail_rate=nu, tol=1e-10).value[0]
-        expect = (math.pi / nu) * (nu - 1.0 - 2.0 * math.floor(nu / 2.0))
+        got = integrate_semi_infinite(same_side_coefficient(nu), tail_rate=nu, tol=1e-10).value[0]
+        expect = nu - 1.0 - 2.0 * math.floor(nu / 2.0)
         reports.append(compare(f"identity zeta integral (nu={nu:g})", got, expect, 1e-8))
 
     # kernel two-path agreement

@@ -1,14 +1,15 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from conical_harvest._version import __version__
 from conical_harvest.cli import main
-from conical_harvest.entanglement import concurrence_flat, opposite_sides_terminal_l
-from conical_harvest.geometry import ConeParameter
-from conical_harvest.serialize import SWEEP_COLUMNS
+from conical_harvest.entanglement import concurrence_flat, opposite_sides_terminal_l, sweep
+from conical_harvest.geometry import Alignment, ConeParameter
+from conical_harvest.serialize import SWEEP_COLUMNS, format_number
 
 runner = CliRunner()
 
@@ -102,6 +103,41 @@ def test_sweep_deterministic_across_threads():
     plain = invoke(*sweep_args())
     threaded = invoke(*sweep_args(), env={"CONICAL_HARVEST_THREADS": "4"})
     assert plain.output == threaded.output
+
+
+def test_sweep_json_rows_equal_the_csv_rows():
+    # d = 0.5 < 2l flags its row diverged, so the empty cells are covered too
+    args = sweep_args(alignment="opposite", nu="2.5", l="0.5", lo="0.5", hi="2", n="4")
+    csv_rows = [line.split(",") for line in invoke(*args).output.splitlines()[2:]]
+    payload = json.loads(invoke(*args, "--format", "json").output)
+    assert (payload["version"], payload["axis"], payload["alignment"], payload["nu"]) == (
+        __version__, "d", "opposite", 2.5)
+    assert payload["fixed"] == {"l": 0.5, "gap": 0.1}
+    assert len(payload["rows"]) == len(csv_rows) == 4
+    table = sweep(Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(2.5), "d",
+                  np.linspace(0.5, 2.0, 4), l=0.5, gap=0.1)
+    assert table.rows[0].diverged and not table.rows[-1].diverged
+    for row, cells, want in zip(payload["rows"], csv_rows, table.rows):
+        assert tuple(row) == SWEEP_COLUMNS
+        assert tuple(row.values()) == (want.param, want.p_a, want.p_b, want.abs_x,
+                                       want.concurrence, want.diverged)
+        *numbers, diverged = row.values()
+        assert [format_number(v) for v in numbers] + [str(diverged).lower()] == cells
+
+
+@pytest.mark.parametrize("args, message", [
+    (sweep_args(lo="1.5", hi="1.5"), "--lo must be below --hi"),
+    (sweep_args(lo="1.5", hi="0.1"), "--lo must be below --hi"),
+    ([*sweep_args(lo="0", hi="1.5"), "--log"], "--log requires positive bounds"),
+    ([*sweep_args(lo="-1", hi="1.5"), "--log"], "--log requires positive bounds"),
+    # sweep's own rule, reported as a usage error
+    (["sweep", "--alignment", "parallel", "--nu", "2", "--l", "0.1", "--axis", "d",
+      "--lo", "0.1", "--hi", "1.5"], "gap must be fixed unless it is the sweep axis"),
+])
+def test_sweep_bad_axis_bounds_or_missing_gap_is_a_usage_error(args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
 
 
 def test_sweep_monotone_concurrence():
@@ -354,14 +390,15 @@ def test_bad_config_value_is_a_usage_error(tmp_path, file_text, word):
     assert word in result.output
 
 
-def test_figure_threads_is_accepted_and_changes_nothing(tmp_path):
-    plain, threaded = tmp_path / "plain", tmp_path / "threaded"
-    assert invoke("figure", "fig4a", "--out", str(plain)).exit_code == 0
-    assert invoke("figure", "fig4a", "--threads", "2", "--out", str(threaded)).exit_code == 0
-    names = sorted(p.name for p in plain.iterdir())
-    assert names == sorted(p.name for p in threaded.iterdir()) and len(names) == 3
-    for name in names:
-        assert (plain / name).read_bytes() == (threaded / name).read_bytes()
+@pytest.mark.parametrize("args", [
+    [*sweep_args(), "--threads", "2"],
+    ["figure", "fig4a", "--threads", "2"],
+], ids=["sweep", "figure"])
+def test_threads_option_is_a_usage_error(tmp_path, args):
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "--threads" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args", [

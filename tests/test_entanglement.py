@@ -7,6 +7,7 @@ from conical_harvest import correlation, entanglement, quadrature, response, spe
 from conical_harvest.correlation import _x_breakdown, x_flat, x_string
 from conical_harvest.entanglement import (
     MAX_SWEEP_POINTS,
+    SweepRow,
     _responses,
     _scan_margins,
     concurrence,
@@ -198,6 +199,21 @@ def test_opposite_terminal_distance():
     assert l0 == pytest.approx(2.219, abs=0.02)
 
 
+def test_opposite_terminal_distance_is_none_when_every_symmetric_point_overlaps():
+    # at nu = 2 each symmetric point d = 2l sits on its partner's image, so the
+    # scan masks every point
+    l = np.linspace(0.5, 2.0, 4)
+    assert _scan_margins(Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(2.0), l, 2.0 * l,
+                         GAP, DEFAULT_TOL) == ([None] * 4, (2.0 * l).tolist())
+    assert opposite_sides_terminal_l(ConeParameter(2.0), GAP) is None
+
+
+def test_d_max_refuses_a_scan_that_starts_at_its_ceiling():
+    # opposite sides scans from d = 2l = 8 = d_hi
+    with pytest.raises(InvalidParameter, match="^scan start 8.0 is not below d_hi 8.0$"):
+        d_max(Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(3.0), l=4.0, gap=GAP, d_hi=8.0)
+
+
 def test_nu_extremum_synthetic():
     star = nu_extremum(lambda nu: (nu - 5.0) ** 2, None, Bracket(1.5, 9.0), tol=1e-6)
     assert star == pytest.approx(5.0, abs=1e-4)
@@ -258,6 +274,17 @@ def test_sweep_flags_divergent_rows():
     assert flags == [False, True, False]
     diverged_row = table.rows[1]
     assert diverged_row.concurrence is None and diverged_row.p_a is None
+
+
+@pytest.mark.parametrize("nu", [3.0, 2.5])
+def test_sweep_gap_axis_rows_equal_pointwise_concurrence(nu):
+    gaps = [0.0, 0.1, 1.0, 2.5]
+    table = sweep(Alignment.PARALLEL, ConeParameter(nu), "gap", gaps, l=0.3, d=0.5)
+    assert table.fixed == {"l": 0.3, "d": 0.5}
+    for gap, row in zip(gaps, table.rows):
+        one = concurrence(config(Alignment.PARALLEL, 0.3, 0.5, gap), ConeParameter(nu))
+        assert row == SweepRow(param=gap, p_a=one.response_a.total, p_b=one.response_b.total,
+                               abs_x=one.abs_x, concurrence=one.concurrence, diverged=False)
 
 
 def test_sweep_threads_deterministic():

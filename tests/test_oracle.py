@@ -283,7 +283,23 @@ def test_verification_catches_a_fault_in_the_zeta_integrals(monkeypatch):
     assert not passed
     assert {q for q in failed if not q.startswith("identity")} == {
         "P2(rho=1, nu=2.5, gap=0.1)", "P2(rho=0.3, nu=1.5, gap=0.1)",
-        "X_P(l=1, d=1, nu=2.5, gap=0.1)"}
+        "X_P(l=1, d=1, nu=2.5, gap=0.1)", "X_P(l=0.1, d=2, nu=1.5, gap=0.1)"}
     # P(0) = nu P0 at non-integer nu holds a zeta integral too
     assert {q for q in failed if q.startswith("identity")} == {
         "identity P(rho=0, nu=1.5) = nu*P0", "identity P(rho=0, nu=2.5) = nu*P0"}
+
+
+def test_verification_catches_a_fault_in_x_zeta_integrals_alone(monkeypatch):
+    # at X_P(l=0.1, d=2, nu=1.5) the zeta integral is a third of |X|, so a
+    # 1e-5 fault in X's zeta part alone fails that point and nothing else
+    zeta_integrals = correlation._zeta_integrals
+
+    def faulty(parts, *args, **kwargs):
+        values = zeta_integrals(parts, *args, **kwargs)
+        return [value * (1.0 + 1e-5) if kernel is correlation.AUX_F else value
+                for (kernel, _), value in zip(parts, values)]
+
+    monkeypatch.setattr(correlation, "_zeta_integrals", faulty)
+    reports, passed = verification.run_verification("default")
+    assert not passed
+    assert {r.quantity for r in reports if not r.passed} == {"X_P(l=0.1, d=2, nu=1.5, gap=0.1)"}

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import dawsn
 
 from conical_harvest import quadrature
@@ -18,6 +20,8 @@ from conical_harvest.errors import (
 )
 from conical_harvest.quadrature import (
     _MIN_WIDTH_FACTOR,
+    _POLE_SEP_FLOOR,
+    _excision_widths,
     Bracket,
     QuadratureResult,
     find_last_sign_change,
@@ -173,6 +177,59 @@ def test_pv_multi_pole_matches_sum_of_single_poles():
 def test_pv_poles_too_close():
     with pytest.raises(PolesTooClose):
         integrate_pv(lambda u: np.exp(-np.asarray(u) ** 2), [1.0, 1.0 + 1e-9], tol=1e-8)
+
+
+@st.composite
+def pole_sets(draw):
+    """Pole lists whose neighbours sit 0.9 to 1000 separation floors apart.
+
+    Some sets break the floor or hold a tiny, possibly subnormal, pole;
+    integrate_pv refuses a break and a subnormal.
+    """
+    top = draw(st.floats(1e-300, 1e12))
+    poles = [top]
+    for factor in draw(st.lists(st.floats(0.9, 1.1) | st.floats(1.1, 1e3), max_size=5)):
+        below = poles[-1] - factor * _POLE_SEP_FLOOR * (1.0 + top)
+        if below <= 0.0:
+            break
+        poles.append(below)
+    poles += draw(st.lists(st.floats(0.0, 1e-300, exclude_min=True), max_size=1))
+    return draw(st.permutations(poles))
+
+
+class _Accepted(Exception):
+    pass
+
+
+def _accepted_by_integrate_pv(poles):
+    def numerator(s):
+        raise _Accepted
+
+    try:
+        integrate_pv(numerator, poles)
+    except (InvalidParameter, PolesTooClose):
+        return False
+    except _Accepted:
+        return True
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(pole_sets())
+def test_pv_excision_windows_are_positive_and_inside_a_twelfth_of_every_gap(poles):
+    # what integrate_pv accepts needs no further window check: every width is
+    # finite and > 0 and at most 1/12 of the distance to the nearest other pole
+    if not _accepted_by_integrate_pv(poles):
+        return
+    poles = sorted(poles)
+    for i, (c, w) in enumerate(zip(poles, _excision_widths(poles))):
+        assert math.isfinite(w) and w > 0.0
+        for other in poles[:i] + poles[i + 1:]:
+            assert w <= abs(c - other) / 12.0
+
+
+def test_pv_refuses_a_pole_whose_half_underflows():
+    with pytest.raises(InvalidParameter, match="poles must be finite and normal"):
+        integrate_pv(lambda u: np.ones_like(u), [5e-324, 1.0], tol=1e-8)
 
 
 def test_pv_validation():
