@@ -21,7 +21,7 @@ import numpy as np
 from ._version import __version__
 from .entanglement import (MAX_SWEEP_POINTS, concurrence, d_max, nu_extremum,
                            opposite_sides_terminal_l, sweep)
-from .errors import DivergentOverlap, InvalidParameter, UnknownPreset
+from .errors import DivergentOverlap, InvalidParameter, QuadratureFailure, UnknownPreset
 from .geometry import NU_MAX, Alignment, ConeParameter, PairConfig, radial_pair
 from .presets import FIGURES, _materialize_dmax, build_figure
 from .quadrature import DEFAULT_TOL, Bracket
@@ -77,11 +77,13 @@ def _load_config(ctx, param, path):
 
 @contextmanager
 def _usage_errors():
-    """Report an InvalidParameter raised in the block as a usage error (exit 2)."""
+    """Report InvalidParameter as a usage error (exit 2), QuadratureFailure on one line (exit 1)."""
     try:
         yield
     except InvalidParameter as exc:
         raise click.UsageError(str(exc)) from exc
+    except QuadratureFailure as exc:
+        raise click.ClickException(f"numerical failure: {exc}") from exc
 
 
 def _emit(text, out_path):
@@ -127,7 +129,8 @@ def compute(alignment, nu, l, d, gap, tol, out):
         cone = ConeParameter(nu)
         pair = PairConfig(Alignment.from_string(alignment), l=l, d=d, gap=gap)
     try:
-        result = concurrence(pair, cone, tol=tol)
+        with _usage_errors():
+            result = concurrence(pair, cone, tol=tol)
     except DivergentOverlap as exc:
         _emit(_json_text({"error": {
             "kind": "divergent_overlap",
@@ -277,8 +280,9 @@ def nuscan_cmd(objective, alignment, l, d, gap, nu_lo, nu_hi, scan_tol, tol, out
         pair = PairConfig(Alignment.from_string(alignment), l=l, d=d, gap=gap)
     if not (1.0 <= nu_lo < nu_hi <= NU_MAX):
         raise click.UsageError(f"nu bracket must satisfy 1 <= lo < hi <= {NU_MAX:g}")
-    nu_star = nu_extremum(objective, pair, Bracket(nu_lo, nu_hi), tol=scan_tol, quad_tol=tol)
-    result = concurrence(pair, ConeParameter(nu_star), tol=tol)
+    with _usage_errors():
+        nu_star = nu_extremum(objective, pair, Bracket(nu_lo, nu_hi), tol=scan_tol, quad_tol=tol)
+        result = concurrence(pair, ConeParameter(nu_star), tol=tol)
     _emit(_json_text({
         "version": __version__,
         "objective": objective,

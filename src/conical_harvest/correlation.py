@@ -18,8 +18,8 @@ part's image sum is likewise one call of its kernel's unchecked formula, on
 all of its image arguments stacked (shape (k,) for one point, (k, n) for a
 batch of n points), after one overlap test: the parameters were validated
 where they entered (PairConfig, check_length, check_gap), so no image
-re-validates them.  One assembly (``_x_breakdown``) serves x_string's single
-pair and any batch of points.
+re-validates them.  X0 is likewise one overlap test plus aux_f's formula
+(``_x0``); only the public x_flat checks d and gap first.
 """
 
 from dataclasses import dataclass
@@ -27,17 +27,19 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DivergentArgument, DivergentOverlap, InvalidParameter
+from .errors import DivergentOverlap, InvalidParameter
 from .geometry import (
     BOUNDARY_ALIGNMENTS,
     BOUNDARY_CONE,
     ConeParameter,
     FArguments,
     PairConfig,
+    check_gap,
+    check_length,
     f_arguments,
 )
 from .quadrature import DEFAULT_TOL, integrate_semi_infinite
-from .special import EPS_DIV, aux_f, aux_f_formula
+from .special import EPS_DIV, aux_f_formula
 
 
 class Kernel(NamedTuple):
@@ -79,25 +81,29 @@ class CorrelationBreakdown:
 
 
 def x_flat(d, gap: float):
-    """Flat-spacetime correlation X0 = f(d/2) per lambda^2.
+    """Flat-spacetime correlation X0 = f(d/2) per lambda^2; an array of d gives an array.
 
-    |X0| decreases monotonically in d and diverges as d -> 0; a separation
-    whose d/2 is at or below aux_f's cutoff EPS_DIV raises DivergentOverlap
-    (point-model breakdown), and a d that is not finite and > 0 raises
-    InvalidParameter naming d.  An array of separations gives an array.
+    |X0| decreases monotonically in d and diverges as d -> 0: a d/2 at or
+    below aux_f's cutoff EPS_DIV raises DivergentOverlap.  A d (any of an
+    array) or gap that geometry.check_length or check_gap refuses raises
+    InvalidParameter by name.
     """
-    try:
-        return aux_f(d / 2.0, gap)
-    except (DivergentArgument, InvalidParameter) as exc:
-        # aux_f refuses a bad d/2 as its own argument z; name d instead
-        d = np.asarray(d, dtype=float)
-        bad = d[~(np.isfinite(d) & (d > 0.0))]
-        if bad.size:
-            raise InvalidParameter(f"d must be finite and > 0, got {float(bad[0])!r}") from exc
-        if isinstance(exc, InvalidParameter):
-            raise
-        message = f"flat correlation diverges as d -> 0 (d={2.0 * exc.z!r})"
-        raise DivergentOverlap(argument=exc.z, image_index=None, message=message) from exc
+    for value in np.ravel(d):
+        check_length("d", float(value), positive=True)
+    check_gap(gap)
+    return _x0(d, gap)
+
+
+def _x0(d, gap: float):
+    """X0 at validated separations: an overlap test (no image index), then aux_f's formula."""
+    z = np.asarray(d / 2.0, dtype=float)
+    overlap = z[z <= EPS_DIV]
+    if overlap.size:
+        bad = float(overlap[0])
+        raise DivergentOverlap(argument=bad, image_index=None,
+                               message=f"flat correlation diverges as d -> 0 (d={2.0 * bad!r})")
+    out = aux_f_formula(z, gap)
+    return complex(out) if out.ndim == 0 else out
 
 
 def x_string(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL) -> CorrelationBreakdown:
@@ -107,18 +113,9 @@ def x_string(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL) 
     symmetric opposite-sides case at even integer nu) raises DivergentOverlap
     carrying the offending image index.
     """
-    return _x_breakdown(f_arguments(config, cone), config.d, config.gap, cone, tol)
-
-
-def _x_breakdown(geo: FArguments, d, gap: float, cone: ConeParameter,
-                 tol: float) -> CorrelationBreakdown:
-    """X0 + the expansion of aux_f over pair_f_arguments, at separation d.
-
-    One pair gives complex parts; equal-shape arrays (a batch of validated,
-    overlap-free points) give complex arrays.
-    """
-    flat = x_flat(d, gap)
-    return CorrelationBreakdown(flat, *expand([(AUX_F, geo)], gap, cone.nu, tol)[0])
+    flat = _x0(config.d, config.gap)
+    expansion = expand([(AUX_F, f_arguments(config, cone))], config.gap, cone.nu, tol)[0]
+    return CorrelationBreakdown(flat, *expansion)
 
 
 def expand(parts: Sequence[Tuple[Kernel, FArguments]], gap: float, tail_rate: float,

@@ -7,7 +7,8 @@ harvesting-achievable separation d_max, extremal deficit-angle parameter).
 One evaluator (``_evaluate``) serves a pair and a scan: it hands the image
 expansions of P_A, P_B (unless rho_B = rho_A) and X to one correlation.expand
 call, so at non-integer nu one concurrence, or the d_max scan's whole grid,
-runs a single zeta integral on one adaptive subdivision.
+runs a single zeta integral on one adaptive subdivision.  Every search (the
+d_max scan, its Brent steps, nu_extremum) reads its margin from ``_margin``.
 """
 
 import math
@@ -17,7 +18,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.special import erfc as _erfc_real
 
-from .correlation import AUX_F, CorrelationBreakdown, expand, x_flat
+from .correlation import AUX_F, CorrelationBreakdown, _x0, expand
 from .errors import DivergentOverlap, InvalidParameter
 from .geometry import (
     Alignment,
@@ -104,12 +105,24 @@ def _evaluate(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: 
         part_b, inverse_b = response_part(rho_b, seen, terms)
         parts.append(part_b)
     # X0 before the images, as in x_string: a flat overlap raises without an image index
-    flat = x_flat(d, gap)
+    flat = _x0(d, gap)
     parts.append((AUX_F, geo))
     expansions = expand(parts, gap, seen.nu, tol)
     response_a = response_breakdown(expansions[0], inverse_a, gap)
     response_b = response_a if same else response_breakdown(expansions[1], inverse_b, gap)
     return response_a, response_b, CorrelationBreakdown(flat, *expansions[-1])
+
+
+def _margin(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: float,
+            geo: Optional[FArguments] = None):
+    """|X| - sqrt(P_A P_B) from _evaluate, every search's one margin; geo defaults to l, d's."""
+    if geo is None:
+        geo = pair_f_arguments(alignment, cone, l, d)
+    p_a, p_b, x = _evaluate(alignment, cone, l, d, gap, tol, geo)
+    x = x.total
+    # np.hypot is the libm hypot behind Python's abs(complex); np.abs on a
+    # complex array may take a SIMD path that differs in the last bit
+    return np.hypot(x.real, x.imag) - np.sqrt(p_a.total * p_b.total)
 
 
 def concurrence(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL) -> ConcurrenceResult:
@@ -170,11 +183,10 @@ def _scan_margins(alignment: Alignment, cone: ConeParameter, l: np.ndarray, d: n
     """Margins |X| - sqrt(P_A P_B) at equal-shape arrays l, d in one array pass.
 
     Masks the points where d/2 or an image argument is at or below EPS_DIV
-    (the DivergentOverlap cases of concurrence), then runs concurrence's
-    evaluator once on the remaining batch, so at non-integer nu one zeta
-    integral (P per distinct rho, X per point) serves the whole scan, its
-    rows sharing one adaptive subdivision.
-    The caller validates the parameters.  Masked points get margin None;
+    (the DivergentOverlap cases of concurrence), then runs _margin once on
+    the remaining batch, so at non-integer nu one zeta integral (P per
+    distinct rho, X per point) serves the whole scan, its rows sharing one
+    adaptive subdivision.  The caller validates the parameters.  Masked points get margin None;
     their d values are returned as skipped.
     """
     geo = pair_f_arguments(alignment, cone, l, d)
@@ -187,54 +199,47 @@ def _scan_margins(alignment: Alignment, cone: ConeParameter, l: np.ndarray, d: n
             return [None] * d.size, d.tolist()
         geo = pair_f_arguments(alignment, cone, l_ok, d_ok)
 
-    p_a, p_b, x = _evaluate(alignment, cone, l_ok, d_ok, gap, tol, geo)
-    x_total = x.total
-    # np.hypot is the libm hypot behind Python's abs(complex); np.abs on a
-    # complex array may take a SIMD path that differs in the last bit
-    margin_ok = np.hypot(x_total.real, x_total.imag) - np.sqrt(p_a.total * p_b.total)
-
     margins = np.full(d.shape, None, dtype=object)
-    margins[ok] = margin_ok.tolist()
+    margins[ok] = _margin(alignment, cone, l_ok, d_ok, gap, tol, geo).tolist()
     return list(margins), d[~ok].tolist()
 
 
-def _scan_crossing(alignment: Alignment, cone: ConeParameter, gap: float, grid: np.ndarray,
-                   l: np.ndarray, d: np.ndarray, at: Callable, tol: float, quad_tol: float):
-    """(t of the last margin zero, skipped d) on the scan line (l, d) = at(t), t in ``grid``.
+def _scan_crossing(alignment: Alignment, cone: ConeParameter, gap: float, at: Callable,
+                   name: str, hi: float, start: Optional[float], grid_n: int, tol: float,
+                   quad_tol: float):
+    """(t of the last margin zero, skipped d) on the scan line (l, d) = at(t).
 
-    ``l`` and ``d`` are the line at the grid points, which one array pass
-    scans (_scan_margins).  Brent refines the last sign change: it starts
-    from the scan's own margins at the two bracket ends and evaluates the
-    scalar concurrence margin at ``at(t)`` inside the bracket only, so the
-    root depends on the scan's bracket values.  At integer nu they equal the
-    scalar margins bit for bit (no zeta integral runs, and both paths run
-    the same elementwise formulas), so the root is the one a scalar scan
-    gives; at non-integer nu they agree with it to 1e-14.  No sign change
-    gives grid[-1] if the last valid margin is positive, else None.  l and d
-    never decrease along a line, so validating its two ends validates every
-    point.
+    t runs over grid_n points from ``start`` (None: hi/grid_n) to ``hi``, the
+    bound named ``name``.  One array pass scans the line (_scan_margins), and
+    Brent refines its last sign change from the scan's margins at the two
+    bracket ends, running _margin inside the bracket only.  At integer nu
+    those margins are the scalar ones bit for bit (no zeta integral runs), at
+    non-integer nu within 1e-14.  No sign change gives hi if the last valid
+    margin is positive, else None.  l and d never decrease along a line, so
+    validating its two ends validates every point.
     """
-    def margin(t):
-        result = concurrence(PairConfig(alignment, *at(t), gap=gap), cone, tol=quad_tol)
-        return result.abs_x - result.geo_mean_p
-
+    check_length(name, hi, positive=True)
+    if not 2 <= grid_n <= MAX_SWEEP_POINTS:
+        raise InvalidParameter(f"grid_n must be between 2 and {MAX_SWEEP_POINTS}, got {grid_n!r}")
+    check_tolerance(tol, "root")
+    lo = hi / grid_n if start is None else start
+    if lo >= hi:
+        raise InvalidParameter(f"scan start {lo} is not below {name} {hi}")
+    grid = np.linspace(lo, hi, grid_n)
     for t in (grid[0], grid[-1]):
         PairConfig(alignment, *at(float(t)), gap=gap)
+    l, d = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in at(grid)))
     margins, skipped = _scan_margins(alignment, cone, l, d, gap, quad_tol)
 
-    last = find_last_sign_change(margins, grid)
+    last = find_last_sign_change(margins)
     if last is None:
         valid = [m for m in margins if m is not None]
         root = float(grid[-1]) if valid and valid[-1] > 0.0 else None
     else:
-        root = find_root_from_ends(margin, Bracket(float(grid[last]), float(grid[last + 1])),
+        root = find_root_from_ends(lambda t: _margin(alignment, cone, *at(t), gap, quad_tol),
+                                   Bracket(float(grid[last]), float(grid[last + 1])),
                                    margins[last], margins[last + 1], tol=tol)
-    return root, skipped
-
-
-def _check_grid_n(grid_n: int) -> None:
-    if not 2 <= grid_n <= MAX_SWEEP_POINTS:
-        raise InvalidParameter(f"grid_n must be between 2 and {MAX_SWEEP_POINTS}, got {grid_n!r}")
+    return root, tuple(skipped)
 
 
 def d_max(alignment: Alignment, cone: ConeParameter, l: float, gap: float,
@@ -251,16 +256,9 @@ def d_max(alignment: Alignment, cone: ConeParameter, l: float, gap: float,
     nu.  Overlap-divergent scan points are skipped and reported.  Returns
     d_hi itself when the margin is still positive at the scan ceiling.
     """
-    check_length("d_hi", d_hi, positive=True)
-    _check_grid_n(grid_n)
-    check_tolerance(tol, "root")
-    d_lo = 2.0 * l if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES else d_hi / grid_n
-    if d_lo >= d_hi:
-        raise InvalidParameter(f"scan start {d_lo} is not below d_hi {d_hi}")
-    grid = np.linspace(d_lo, d_hi, grid_n)
-    value, skipped = _scan_crossing(alignment, cone, gap, grid, np.full_like(grid, l), grid,
-                                    lambda d: (l, d), tol, quad_tol)
-    return DmaxResult(value=value, skipped=tuple(skipped))
+    start = 2.0 * l if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES else None
+    return DmaxResult(*_scan_crossing(alignment, cone, gap, lambda d: (l, d), "d_hi", d_hi, start,
+                                      grid_n, tol, quad_tol))
 
 
 def opposite_sides_terminal_l(cone: ConeParameter, gap: float, l_hi: float = 4.0,
@@ -277,13 +275,8 @@ def opposite_sides_terminal_l(cone: ConeParameter, gap: float, l_hi: float = 4.0
     the smallest scanned l cannot harvest, or when every symmetric point
     diverges (even integer nu).
     """
-    check_length("l_hi", l_hi, positive=True)
-    _check_grid_n(grid_n)
-    check_tolerance(tol, "root")
-    grid = np.linspace(l_hi / grid_n, l_hi, grid_n)
-    value, _ = _scan_crossing(Alignment.ORTHOGONAL_OPPOSITE_SIDES, cone, gap, grid, grid,
-                              2.0 * grid, lambda l: (l, 2.0 * l), tol, quad_tol)
-    return value
+    return _scan_crossing(Alignment.ORTHOGONAL_OPPOSITE_SIDES, cone, gap, lambda l: (l, 2.0 * l),
+                          "l_hi", l_hi, None, grid_n, tol, quad_tol)[0]
 
 
 # --- nu scans ----------------------------------------------------------------
@@ -295,24 +288,28 @@ def nu_extremum(objective: Union[str, Callable[[float], float]], config: PairCon
 
     "response_correlation_gap" minimizes the unsigned separation
     |sqrt(P_A P_B) - |X|| between the transition probability and the
-    correlation magnitude; "concurrence" maximizes the concurrence.  A custom
-    callable of nu is minimized as given.  The bracket must contain a single
-    extremum (verified post hoc by sampling; NotUnimodal otherwise).
+    correlation magnitude; "concurrence" maximizes the concurrence (both
+    read _margin).  A custom callable of nu is minimized as given.  The
+    bracket must contain a single extremum (verified post hoc by sampling;
+    NotUnimodal otherwise).
     """
     if not isinstance(bracket, Bracket):
         bracket = Bracket(*bracket)
     if bracket.lo < 1.0 or bracket.hi > NU_MAX:
         raise InvalidParameter(f"nu bracket must lie within [1, {NU_MAX:g}]")
 
+    def margin(nu):
+        return _margin(config.alignment, ConeParameter(nu), config.l, config.d, config.gap,
+                       quad_tol)
+
     if callable(objective):
         fn = objective
     elif objective == "response_correlation_gap":
         def fn(nu):
-            result = concurrence(config, ConeParameter(nu), tol=quad_tol)
-            return abs(result.geo_mean_p - result.abs_x)
+            return abs(margin(nu))
     elif objective == "concurrence":
         def fn(nu):
-            return -concurrence(config, ConeParameter(nu), tol=quad_tol).concurrence
+            return -2.0 * max(0.0, margin(nu))
     else:
         raise InvalidParameter(f"unknown objective selector {objective!r}")
 
@@ -370,14 +367,18 @@ def _check_inputs(l: Optional[float], d: Optional[float], gap: Optional[float]) 
 
 def _sweep_row(alignment: Alignment, value: float, l: Optional[float], d: float, gap: float,
                cone: ConeParameter, tol: float) -> SweepRow:
+    """One row; flagged only at a detector/image overlap or off the opposite sides' d >= 2l > 0."""
+    l = 0.0 if l is None else l
+    diverged = SweepRow(param=value, p_a=None, p_b=None, abs_x=None, concurrence=None,
+                        diverged=True)
+    if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES and (l <= 0.0 or d < 2.0 * l):
+        return diverged
     try:
-        config = PairConfig(alignment, l=l if l is not None else 0.0, d=d, gap=gap)
-        result = concurrence(config, cone, tol=tol)
-        return SweepRow(param=value, p_a=result.response_a.total, p_b=result.response_b.total,
-                        abs_x=result.abs_x, concurrence=result.concurrence, diverged=False)
-    except (DivergentOverlap, InvalidParameter):
-        return SweepRow(param=value, p_a=None, p_b=None, abs_x=None,
-                        concurrence=None, diverged=True)
+        result = concurrence(PairConfig(alignment, l=l, d=d, gap=gap), cone, tol=tol)
+    except DivergentOverlap:
+        return diverged
+    return SweepRow(param=value, p_a=result.response_a.total, p_b=result.response_b.total,
+                    abs_x=result.abs_x, concurrence=result.concurrence, diverged=False)
 
 
 def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence[float],
@@ -389,12 +390,12 @@ def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence
     ``axis`` is one of "d", "l", "nu", "gap"; the remaining parameters are
     fixed (``d_over_l`` couples d = ratio * l to an l-axis, for the
     opposite-sides family; it is refused on any other axis and beside a
-    fixed d).  Per-row failures (detector/image overlap, the
-    opposite-sides constraint d >= 2l) are flagged, never aborting the
-    sweep.  A bad ``tol``, and a fixed parameter, axis value or coupled d
-    that breaks its parameter's rule (l, d, gap: _check_inputs; d_over_l
-    finite and > 0; nu: ConeParameter), raise InvalidParameter before any
-    row.  ``threads`` is accepted for compatibility and has no effect.
+    fixed d).  A row at a detector/image overlap or off the opposite-sides
+    constraint d >= 2l is flagged, never aborting the sweep; a
+    QuadratureFailure is raised.  A bad ``tol``, and a fixed parameter, axis
+    value or coupled d that breaks its parameter's rule (l, d, gap:
+    _check_inputs; d_over_l finite and > 0; nu: ConeParameter), raise
+    InvalidParameter before any row.  ``threads`` is accepted for compatibility and has no effect.
     """
     if axis not in SWEEP_AXES:
         raise InvalidParameter(f"axis must be one of {SWEEP_AXES}")

@@ -42,7 +42,10 @@ from .geometry import ConeParameter, PairConfig, Alignment, coefficient_breakpoi
 from .quadrature import integrate_adaptive, integrate_pv, integrate_semi_infinite
 
 SQRT_PI = math.sqrt(math.pi)
-_SMALL_RHO = 1e-8
+# Below this rho p1_oracle takes the rho -> 0 reduction: its smallest pole,
+# 2 rho sin(pi/nu) >= 2 rho sin(pi/64) = 0.098 rho, would fall below
+# integrate_pv's accuracy floor 1e-5.  The reduction is off by O(rho^2).
+_SMALL_RHO = 1.1e-4
 _OUTER_TOL = 1e-8
 _PV_TOL = 1e-10
 
@@ -120,7 +123,7 @@ def p1_oracle(rho: float, cone: ConeParameter, gap: float) -> float:
         PV part     -(1/pi^(3/2)) PV int_0^inf cos(g s) e^{-s^2/4}
                                       sum_m w_m/(s^2 - 4 a_m^2) ds
     all poles handled in one call so nearly coincident image poles surface as
-    PolesTooClose.  At rho < 1e-8 the p0-style reduction 2 sum w_m P0 applies.
+    PolesTooClose.  At rho < _SMALL_RHO the p0-style reduction 2 sum w_m P0 applies.
     """
     terms = image_terms(cone)
     if not terms:
@@ -193,6 +196,7 @@ def x0_oracle(d: float, gap: float) -> complex:
 
     X0 = (e^{-g^2}/2 pi^(3/2)) PV int_0^inf e^{-u^2/4}/(u^2 - d^2) du
          - i (1/4 d sqrt(pi)) e^{-g^2 - d^2/4}.
+    A d below integrate_pv's accuracy floor (1e-5) is refused with its pole.
     """
     if d <= 0:
         raise InvalidParameter("d must be > 0")

@@ -25,13 +25,13 @@ the d_max scan does, so such a root depends on the caller's end values, and
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import InvalidParameter, NoSignChange, NotUnimodal, PolesTooClose, ToleranceNotMet
+from .errors import (InvalidParameter, NoSignChange, NotUnimodal, PolesTooClose,
+                     QuadratureFailure, ToleranceNotMet)
 
 # Gauss-Kronrod 15-point nodes/weights (positive half) and the embedded
 # 7-point Gauss weights; standard QUADPACK values.
@@ -112,7 +112,8 @@ def _gk15(f, a, b):
 
     ``a`` and ``b`` are arrays of p panel ends; f maps the 15 p nodes (a flat
     array, panel by panel) to shape (15 p,) or (k, 15 p).  Returns the
-    Kronrod values and the |Kronrod - Gauss| errors, both of shape (k, p).
+    Kronrod values and the |Kronrod - Gauss| errors, both of shape (k, p);
+    raises QuadratureFailure naming the first panel with a non-finite value.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -121,7 +122,7 @@ def _gk15(f, a, b):
     finite = np.isfinite(y).all(axis=(0, 2))
     if not finite.all():
         i = int(np.argmin(finite))
-        raise InvalidParameter(f"integrand returned non-finite values on [{a[i]}, {b[i]}]")
+        raise QuadratureFailure(f"integrand returned non-finite values on [{a[i]}, {b[i]}]")
     kron = (half[:, None] * y) @ _WGK
     gauss = (half[:, None] * y) @ _WG
     return kron, np.abs(kron - gauss)
@@ -142,7 +143,8 @@ def integrate_adaptive(f, lo, hi, tol, breakpoints=(), max_intervals=_MAX_INTERV
     ``components``; ``evaluations`` counts the nodes.
 
     Raises InvalidParameter for a tolerance that is not finite and > 0 and for
-    complex or non-finite integrand values, and ToleranceNotMet when the
+    complex integrand values, QuadratureFailure for non-finite ones (a
+    numerical failure, not a bad input), and ToleranceNotMet when the
     tolerance is still unmet once ``max_intervals`` panels are held (a pass
     that would go past it splits only the worst panels that fit) or no panel
     is left that is wider than the minimum width.
@@ -236,11 +238,15 @@ integrate_semi_infinite_complex = integrate_semi_infinite
 # --- principal value -------------------------------------------------------
 
 _POLE_SEP_FLOOR = 1e-6
+# Smallest accepted pole: rounding in the subtracted numerator grows like 1/c.
+# Against mpmath, PV int_0^inf cos(g s) e^{-s^2/4}/(s^2 - c^2) ds (g = 0, 1.5)
+# is off by 1.5e-10 to 2.9e-10 at c = 1e-6, by at most 4.6e-12 at c = 1e-5.
+_POLE_FLOOR = 1e-5
 
 
 def _excision_widths(poles):
     # half-width min(c/2, 1, |c - other|/12) per pole c: finite and > 0 for the
-    # normal, floor-separated poles that integrate_pv accepts
+    # floor-separated poles of at least _POLE_FLOOR that integrate_pv accepts
     widths = []
     for i, c in enumerate(poles):
         w = min(c / 2.0, 1.0)
@@ -272,16 +278,18 @@ def integrate_pv(numerator, poles, tol=DEFAULT_PV_TOL, weights=None):
     with breakpoints at every window edge, every pole and far_lo; so the
     numerator runs once per refinement pass, plus once at the poles, and
     ``tol`` bounds the error of the whole PV integral.  Poles must be finite
-    and at least the smallest normal float (InvalidParameter otherwise), and
-    adjacent ones at least _POLE_SEP_FLOOR (1 + max c) apart (PolesTooClose
-    otherwise); ``tol`` must be finite and > 0.
+    and at least _POLE_FLOOR = 1e-5, below which rounding outgrows a tol of
+    1e-10 (InvalidParameter otherwise), and adjacent ones at least
+    _POLE_SEP_FLOOR (1 + max c) apart (PolesTooClose otherwise); ``tol`` must
+    be finite and > 0.
     """
     check_tolerance(tol, "quadrature")
     poles = [float(c) for c in poles]
     if not poles:
         raise InvalidParameter("at least one pole is required")
-    if not all(math.isfinite(c) and c >= sys.float_info.min for c in poles):
-        raise InvalidParameter(f"poles must be finite and normal positive floats, got {poles}")
+    if not all(math.isfinite(c) and c >= _POLE_FLOOR for c in poles):
+        raise InvalidParameter(f"poles must be finite and normal, at least {_POLE_FLOOR:g} "
+                               f"(integrate_pv's accuracy floor), got {poles}")
     if weights is None:
         weights = [1.0] * len(poles)
     if len(weights) != len(poles):
@@ -413,14 +421,13 @@ def find_root_from_ends(objective, bracket, f_lo, f_hi, tol=1e-12):
     return float(_brentq(objective, bracket.lo, bracket.hi, f_lo, f_hi, xtol=tol))
 
 
-def find_last_sign_change(values, grid):
-    """Index i of the last adjacent pair (i, i+1) with a sign change; None if none.
+def find_last_sign_change(values):
+    """Index i of the last adjacent pair (i, i+1) of ``values`` with a sign change; None if none.
 
     Entries that are None (skipped points) never participate in a pair.
     """
-    n = len(grid)
-    present = np.array([v is not None for v in values[:n]], dtype=bool)
-    v = np.array([0.0 if v is None else v for v in values[:n]], dtype=float)
+    present = np.array([v is not None for v in values], dtype=bool)
+    v = np.array([0.0 if v is None else v for v in values], dtype=float)
     a, b = v[:-1], v[1:]
     change = present[:-1] & present[1:] & ((a == 0.0) | (np.sign(a) != np.sign(b)))
     hits = np.flatnonzero(change)

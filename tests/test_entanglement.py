@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conical_harvest import correlation, entanglement, quadrature, response, special
-from conical_harvest.correlation import _x_breakdown, x_flat, x_string
+from conical_harvest.correlation import x_flat, x_string
 from conical_harvest.entanglement import (
     MAX_SWEEP_POINTS,
     SweepRow,
+    _evaluate,
     _responses,
     _scan_margins,
     concurrence,
@@ -18,7 +19,8 @@ from conical_harvest.entanglement import (
     response_pair,
     sweep,
 )
-from conical_harvest.errors import DivergentOverlap, InvalidParameter, NotUnimodal
+from conical_harvest.errors import (DivergentOverlap, InvalidParameter, NotUnimodal,
+                                    QuadratureFailure)
 from conical_harvest.geometry import (
     Alignment,
     ConeParameter,
@@ -111,6 +113,19 @@ def test_concurrence_flat_refuses_a_bad_gap_by_name(gap):
     # it returned nan for a nan or infinite gap and 0.0 for a negative one
     with pytest.raises(InvalidParameter, match="^gap must be finite and >= 0"):
         concurrence_flat(1.0, gap)
+
+
+def test_x_flat_refuses_what_concurrence_flat_refuses():
+    # x_flat(1e200, 0.1) returned -0j, and a bad gap was refused with aux_f's
+    # "gap must be a finite scalar" instead of check_gap's message
+    for flat in (x_flat, concurrence_flat):
+        with pytest.raises(InvalidParameter, match=r"^d must be at most 1e\+100"):
+            flat(1e200, GAP)
+        for gap in (math.nan, math.inf, -1.0):
+            with pytest.raises(InvalidParameter, match="^gap must be finite and >= 0"):
+                flat(1.0, gap)
+    with pytest.raises(InvalidParameter, match=r"^d must be at most 1e\+100"):
+        x_flat(np.array([1.0, 1e200]), GAP)
 
 
 def test_response_pair_dispatch():
@@ -226,6 +241,28 @@ def test_nu_extremum_concurrence_monotone_small_l():
     assert star > 10.9
 
 
+def test_nu_extremum_objectives_take_the_margin_not_a_concurrence_result(monkeypatch):
+    calls = _spy_margin_points(monkeypatch)
+    star = nu_extremum("concurrence", config(Alignment.PARALLEL, 0.1, 0.1), Bracket(1.1, 11.0),
+                       tol=1e-3)
+    assert star > 10.9 and calls
+    calls.clear()
+    nu_extremum("response_correlation_gap", PairConfig(Alignment.PARALLEL, l=3.0, d=0.1, gap=GAP),
+                Bracket(6.0, 12.0), tol=1e-4)
+    assert calls
+
+
+def test_nu_extremum_keeps_its_abscissa_bit_for_bit():
+    # the fig7 case of the acceptance tests and the small-l concurrence case:
+    # the objectives now read _margin instead of a ConcurrenceResult, the
+    # same floating-point operations, so nu* is the one they gave before
+    fig7 = PairConfig(Alignment.PARALLEL, l=3.0, d=0.1, gap=GAP)
+    assert nu_extremum("response_correlation_gap", fig7, Bracket(6.0, 12.0),
+                       tol=1e-4) == 9.220067787956793
+    assert nu_extremum("concurrence", config(Alignment.PARALLEL, 0.1, 0.1), Bracket(1.1, 11.0),
+                       tol=1e-3) == 10.999345541082617
+
+
 def test_nu_extremum_not_unimodal():
     with pytest.raises(NotUnimodal):
         nu_extremum(lambda nu: min((nu - 2.0) ** 2, (nu - 6.0) ** 2 + 0.1),
@@ -274,6 +311,29 @@ def test_sweep_flags_divergent_rows():
     assert flags == [False, True, False]
     diverged_row = table.rows[1]
     assert diverged_row.concurrence is None and diverged_row.p_a is None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_raises_a_numerical_failure_instead_of_flagging_its_rows():
+    # at nu = 2 + 1e-11 the zeta coefficient is 0/0 near zeta = 0, so the
+    # integrand is not finite there; both rows were flagged diverged=True
+    with pytest.raises(QuadratureFailure, match="non-finite values"):
+        sweep(Alignment.PARALLEL, ConeParameter(2.0 + 1e-11), "d", [0.5, 1.0], l=0.5, gap=GAP)
+
+
+@pytest.mark.parametrize("error", [QuadratureFailure("stub"), InvalidParameter("stub")])
+def test_a_sweep_row_flags_only_an_overlap_or_the_opposite_sides_constraint(error, monkeypatch):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(entanglement, "concurrence", failing)
+    with pytest.raises(type(error), match="stub"):
+        sweep(Alignment.PARALLEL, ConeParameter(3.0), "d", [0.5, 1.0], l=0.5, gap=GAP)
+    # a row off d >= 2l > 0 is flagged before any evaluation
+    for l in (0.5, None):
+        table = sweep(Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(3.0), "d", [0.5, 0.9],
+                      l=l, gap=GAP)
+        assert [row.diverged for row in table.rows] == [True, True]
 
 
 @pytest.mark.parametrize("nu", [3.0, 2.5])
@@ -398,20 +458,30 @@ def test_terminal_l_equals_brent_on_a_scalar_reference_scan():
 
 
 def _spy_margin_points(monkeypatch):
-    """(l, d) of every concurrence call that entanglement makes."""
+    """(l, d) of every one-point _margin call that entanglement makes.
+
+    A concurrence call inside entanglement fails the test: no search builds a
+    ConcurrenceResult per evaluation.
+    """
     points = []
+    margin = entanglement._margin
 
-    def spy(config, cone, tol=DEFAULT_TOL):
-        points.append((config.l, config.d))
-        return concurrence(config, cone, tol)
+    def spy(alignment, cone, l, d, gap, tol, geo=None):
+        if not np.ndim(d):
+            points.append((l, d))
+        return margin(alignment, cone, l, d, gap, tol, geo)
 
-    monkeypatch.setattr(entanglement, "concurrence", spy)
+    def no_concurrence(*args, **kwargs):
+        raise AssertionError("a search ran the scalar concurrence")
+
+    monkeypatch.setattr(entanglement, "_margin", spy)
+    monkeypatch.setattr(entanglement, "concurrence", no_concurrence)
     return points
 
 
 def _last_bracket(alignment, cone, l, d, grid):
     margins, _ = _scan_margins(alignment, cone, l, d, GAP, DEFAULT_TOL)
-    last = quadrature.find_last_sign_change(margins, grid)
+    last = quadrature.find_last_sign_change(margins)
     assert last is not None
     return float(grid[last]), float(grid[last + 1])
 
@@ -526,7 +596,8 @@ def test_batch_breakdowns_equal_one_point_breakdowns(alignment, nu, axis):
         l = np.linspace(0.2, 1.1, 4)
         d = 2.0 * l
     batch_a, batch_b = _responses(alignment, cone, l, d, GAP, DEFAULT_TOL)
-    batch_x = _x_breakdown(pair_f_arguments(alignment, cone, l, d), d, GAP, cone, DEFAULT_TOL)
+    batch_x = _evaluate(alignment, cone, l, d, GAP, DEFAULT_TOL,
+                        pair_f_arguments(alignment, cone, l, d))[2]
     rho_a, rho_b = radial_distances(alignment, l, d)
 
     def at(value, i):
@@ -774,8 +845,10 @@ def test_scan_batch_evaluates_each_image_sum_in_one_formula_call(alignment, nu, 
 @pytest.mark.parametrize("nu", [3.0, 5.7])
 @pytest.mark.parametrize("alignment", SCAN_ALIGNMENTS)
 def test_expand_never_calls_a_checked_kernel(alignment, nu, monkeypatch):
+    # nor do concurrence, the scan batch, d_max and x_string: their
+    # parameters were validated where they entered, so X0 too runs unchecked
     def checked(*args, **kwargs):
-        raise AssertionError("a checked kernel ran inside expand")
+        raise AssertionError("a checked kernel ran below a public entry")
 
     monkeypatch.setattr(special, "_check_finite", checked)
     for module in (special, correlation, response):
@@ -791,6 +864,12 @@ def test_expand_never_calls_a_checked_kernel(alignment, nu, monkeypatch):
         expansions = correlation.expand([part_a, part_b, (correlation.AUX_F, geo)], GAP,
                                         cone.nu, DEFAULT_TOL)
         assert len(expansions) == 3
+    pair = config(alignment, 0.5, 1.3)
+    assert concurrence(pair, cone).abs_x == pytest.approx(abs(x_string(pair, cone).total), rel=1e-10)
+    margins, _ = _scan_margins(alignment, cone, np.full(4, 0.5), np.linspace(1.0, 4.0, 4), GAP,
+                               DEFAULT_TOL)
+    assert None not in margins
+    assert d_max(alignment, cone, l=0.5, gap=GAP, grid_n=64).value is not None
 
 
 # --- refusals before any row or scan -------------------------------------------

@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from conical_harvest import correlation, oracle, verification
+from conical_harvest import correlation, oracle, quadrature, verification
+from conical_harvest.errors import InvalidParameter
 from conical_harvest.correlation import x_flat, x_string
 from conical_harvest.geometry import (
+    NU_MAX,
     Alignment,
     ConeParameter,
     PairConfig,
@@ -102,6 +104,32 @@ def test_x0_oracle_matches_production(d, gap):
     got = oracle.x0_oracle(d, gap)
     want = x_flat(d, gap)
     assert abs(got - want) / abs(want) <= 1e-8
+
+
+@pytest.mark.parametrize("d", [1e-9, 9.9e-6])
+def test_x0_oracle_refuses_a_separation_below_the_pv_accuracy_floor(d):
+    # at d = 1e-9 it was 1.3e-7 off x_flat, and nothing reported it
+    with pytest.raises(InvalidParameter, match="accuracy floor"):
+        oracle.x0_oracle(d, 0.1)
+
+
+@pytest.mark.parametrize("nu", [3.0, 9.5, 24.0])
+def test_p1_oracle_never_passes_a_pole_below_the_pv_accuracy_floor(nu, monkeypatch):
+    # the smallest pole 2 rho sin(pi/nu) of any nu <= NU_MAX stays above the floor
+    assert 2.0 * oracle._SMALL_RHO * math.sin(math.pi / NU_MAX) >= quadrature._POLE_FLOOR
+    poles = []
+
+    def recording(numerator, pv_poles, **kwargs):
+        poles.extend(pv_poles)
+        return integrate_pv(numerator, pv_poles, **kwargs)
+
+    monkeypatch.setattr(oracle, "integrate_pv", recording)
+    cone = ConeParameter(nu)
+    # just below the switch the rho -> 0 reduction applies, from it the PV integral
+    for rho in (0.99 * oracle._SMALL_RHO, oracle._SMALL_RHO, 1e-3):
+        production = p_string(rho, cone, 0.1).p_images
+        assert oracle.p1_oracle(rho, cone, 0.1) == pytest.approx(production, rel=1e-6)
+    assert poles and min(poles) >= quadrature._POLE_FLOOR
 
 
 def test_x0_oracle_exact_delta_term():

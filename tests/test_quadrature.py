@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +17,12 @@ from conical_harvest.errors import (
     NoSignChange,
     NotUnimodal,
     PolesTooClose,
+    QuadratureFailure,
     ToleranceNotMet,
 )
 from conical_harvest.quadrature import (
     _MIN_WIDTH_FACTOR,
+    _POLE_FLOOR,
     _POLE_SEP_FLOOR,
     _excision_widths,
     Bracket,
@@ -232,6 +235,30 @@ def test_pv_refuses_a_pole_whose_half_underflows():
         integrate_pv(lambda u: np.ones_like(u), [5e-324, 1.0], tol=1e-8)
 
 
+def _gaussian_pv_closed_form(c):
+    # PV int_0^inf e^{-s^2/4}/(s^2 - c^2) ds = -pi/(2c) e^{-c^2/4} erfi(c/2)
+    with mpmath.workdps(40):
+        c = mpmath.mpf(c)
+        return float(-mpmath.pi / (2 * c) * mpmath.exp(-c * c / 4) * mpmath.erfi(c / 2))
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("c", [_POLE_FLOOR, 3e-5, 1e-4, 1e-2, 1.0])
+def test_pv_meets_its_tolerance_down_to_the_pole_floor(c, tol):
+    got = integrate_pv(lambda s: np.exp(-s * s / 4.0), [c], tol=tol).value
+    assert abs(got - _gaussian_pv_closed_form(c)) <= tol
+
+
+@pytest.mark.parametrize("c", [9.9e-6, 1e-6, 1e-8, 1e-9, 1e-20, 1e-160])
+def test_pv_refuses_a_pole_below_its_accuracy_floor(c):
+    # at tol 1e-10 the error was 1.5e-10 at c = 1e-6, 1.4e-8 at 1e-8 and
+    # 1.2e-7 at 1e-9, with nothing reported; 1e-20 ran out of panels and
+    # 1e-160 overflowed
+    for poles in ([c], [c, 1.0]):
+        with pytest.raises(InvalidParameter, match="accuracy floor"):
+            integrate_pv(lambda s: np.exp(-s * s / 4.0), poles, tol=1e-10)
+
+
 def test_pv_validation():
     with pytest.raises(InvalidParameter):
         integrate_pv(lambda u: np.ones_like(u), [-1.0], tol=1e-8)
@@ -332,8 +359,21 @@ def test_nonfinite_integrand_rejected():
     def blows_up(x):
         with np.errstate(divide="ignore"):
             return 1.0 / np.asarray(x)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(QuadratureFailure, match="non-finite values"):
         integrate_adaptive(blows_up, -1.0, 1.0, 1e-10)
+
+
+def test_a_non_finite_integrand_is_a_numerical_failure_not_a_bad_input():
+    # it raised InvalidParameter, which sweeps flagged as a divergence and the
+    # CLI reported as a usage error
+    def nan_near_zero(x):
+        return np.where(x < 0.1, np.nan, np.exp(-x))
+
+    for integrate in (lambda: integrate_adaptive(nan_near_zero, 0.0, 1.0, 1e-10),
+                      lambda: integrate_semi_infinite(nan_near_zero, tail_rate=1.0)):
+        with pytest.raises(QuadratureFailure, match=r"non-finite values on \[0\.0, ") as info:
+            integrate()
+        assert not isinstance(info.value, InvalidParameter)
 
 
 # --- refinement in passes --------------------------------------------------------
@@ -496,10 +536,9 @@ def test_root_of_flat_entanglement_margin():
 
 
 def test_last_sign_change_skips_gaps():
-    grid = np.arange(6, dtype=float)
     values = [1.0, -1.0, None, 1.0, -1.0, -0.5]
-    assert find_last_sign_change(values, grid) == 3
-    assert find_last_sign_change([1.0, 2.0, 3.0], grid[:3]) is None
+    assert find_last_sign_change(values) == 3
+    assert find_last_sign_change([1.0, 2.0, 3.0]) is None
 
 
 def test_minimize_quadratic():
