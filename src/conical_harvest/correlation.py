@@ -210,8 +210,11 @@ def _zeta_integrals(parts: Sequence[Tuple[Kernel, FArguments]], gap: float,
         return np.concatenate(blocks)
 
     breakpoints = sorted({b for _, geo in parts for b in geo.zeta_breakpoints})
-    value = integrate_semi_infinite(integrand, tail_rate=tail_rate, tol=tol,
-                                    breakpoints=breakpoints).value
+    # the integrator raises QuadratureFailure on a non-finite node value, so a
+    # divide or invalid warning behind that value would only repeat the failure
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = integrate_semi_infinite(integrand, tail_rate=tail_rate, tol=tol,
+                                        breakpoints=breakpoints).value
     integrals = []
     start = 0
     for rows, is_complex, one_point in layout:

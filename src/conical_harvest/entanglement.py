@@ -13,7 +13,7 @@ d_max scan, its Brent steps, nu_extremum) reads its margin from ``_margin``.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import erfc as _erfc_real
@@ -32,6 +32,7 @@ from .geometry import (
     image_set,
     pair_f_arguments,
     radial_distances,
+    radial_pair,
 )
 from .quadrature import (
     Bracket,
@@ -64,23 +65,15 @@ def response_pair(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_
     """(ResponseBreakdown_A, ResponseBreakdown_B) for any alignment.
 
     Each detector responds to the images its pair sees (geometry.image_set):
-    a boundary's subtracted image sits in p_images, flat has none.
+    a boundary's subtracted image sits in p_images, flat has none, and
+    B is A's breakdown itself where their radial distances agree.
     """
-    return _responses(config.alignment, cone, config.l, config.d, config.gap, tol)
-
-
-def _responses(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: float):
-    """response_pair at scalars l, d or at equal-shape arrays of validated points.
-
-    Array breakdown parts are arrays, or scalars where a part is the same at
-    every point; B reuses A's breakdown where their radial distances agree.
-    """
-    seen, terms = image_set(alignment, cone)
-    rho_a, rho_b = radial_distances(alignment, l, d)
-    response_a = image_response(rho_a, seen, terms, gap, tol=tol)
-    if _same_distances(rho_a, rho_b):
+    seen, terms = image_set(config.alignment, cone)
+    rho_a, rho_b = radial_pair(config)
+    response_a = image_response(rho_a, seen, terms, config.gap, tol=tol)
+    if rho_a == rho_b:
         return response_a, response_a
-    return response_a, image_response(rho_b, seen, terms, gap, tol=tol)
+    return response_a, image_response(rho_b, seen, terms, config.gap, tol=tol)
 
 
 def _same_distances(rho_a, rho_b) -> bool:
@@ -282,14 +275,14 @@ def opposite_sides_terminal_l(cone: ConeParameter, gap: float, l_hi: float = 4.0
 # --- nu scans ----------------------------------------------------------------
 
 
-def nu_extremum(objective: Union[str, Callable[[float], float]], config: PairConfig,
-                bracket: Bracket, tol: float = 1e-4, quad_tol: float = DEFAULT_TOL) -> float:
+def nu_extremum(objective: str, config: PairConfig, bracket: Bracket, tol: float = 1e-4,
+                quad_tol: float = DEFAULT_TOL) -> float:
     """Extremal deficit-angle parameter per the objective selector.
 
     "response_correlation_gap" minimizes the unsigned separation
     |sqrt(P_A P_B) - |X|| between the transition probability and the
     correlation magnitude; "concurrence" maximizes the concurrence (both
-    read _margin).  A custom callable of nu is minimized as given.  The
+    read _margin); any other selector raises InvalidParameter.  The
     bracket must contain a single extremum (verified post hoc by sampling;
     NotUnimodal otherwise).
     """
@@ -302,9 +295,7 @@ def nu_extremum(objective: Union[str, Callable[[float], float]], config: PairCon
         return _margin(config.alignment, ConeParameter(nu), config.l, config.d, config.gap,
                        quad_tol)
 
-    if callable(objective):
-        fn = objective
-    elif objective == "response_correlation_gap":
+    if objective == "response_correlation_gap":
         def fn(nu):
             return abs(margin(nu))
     elif objective == "concurrence":

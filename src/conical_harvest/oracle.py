@@ -64,14 +64,17 @@ class OracleReport:
 
 
 def compare(quantity: str, production, oracle, tolerance: float) -> OracleReport:
-    """Build an OracleReport; relative check with absolute fallback below 1e-12."""
+    """Build an OracleReport, passed iff rel_deviation <= tolerance.
+
+    The deviation is relative to the larger magnitude, except against an
+    oracle of exactly 0, where the check is absolute and rel_deviation is
+    the absolute deviation.
+    """
     abs_dev = float(abs(production - oracle))
-    scale = max(abs(production), abs(oracle))
-    rel_dev = abs_dev / scale if scale > 0 else 0.0
-    passed = bool(rel_dev <= tolerance or abs_dev <= 1e-12)
+    rel_dev = abs_dev if oracle == 0 else abs_dev / max(abs(production), abs(oracle))
     return OracleReport(quantity=quantity, production=production, oracle=oracle,
                         abs_deviation=abs_dev, rel_deviation=float(rel_dev),
-                        tolerance=tolerance, passed=passed)
+                        tolerance=tolerance, passed=bool(rel_dev <= tolerance))
 
 
 def _gaussian(u):

@@ -299,6 +299,13 @@ def test_verify_json_report(tmp_path):
     assert all("quantity" in check for check in payload["checks"])
 
 
+def test_verify_json_checks_carry_the_report_fields_in_order():
+    payload = json.loads(invoke("verify", "--profile", "fast", "--json").output)
+    assert {tuple(check) for check in payload["checks"]} == {
+        ("quantity", "production", "oracle", "abs_deviation", "rel_deviation", "tolerance",
+         "passed")}
+
+
 def test_dmax_bad_input_is_a_usage_error():
     base = ["dmax", "--alignment", "flat", "--gap", "0.1", "--l", "0"]
     for extra, word in ((["--scan-tol", "0"], "tol"), (["--scan-tol", "-1"], "tol"),
@@ -334,6 +341,19 @@ def write_config(tmp_path, text):
     path = tmp_path / "run.conf"
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+@pytest.mark.parametrize("lo, hi, message", [
+    ("0.5", "9.7", "nu bracket must lie within [1, 64]"),
+    ("8.8", "65", "nu bracket must lie within [1, 64]"),
+    ("9.7", "8.8", "bracket must satisfy lo < hi, got [9.7, 8.8]"),
+    ("9.7", "9.7", "bracket must satisfy lo < hi, got [9.7, 9.7]"),
+    ("nan", "9.7", "bracket must satisfy lo < hi, got [nan, 9.7]"),
+])
+def test_nuscan_refuses_a_bad_bracket_with_the_library_message(lo, hi, message):
+    result = runner.invoke(main, [*NUSCAN[:-4], "--nu-lo", lo, "--nu-hi", hi])
+    assert result.exit_code == 2, result.output
+    assert f"Error: {message}" in result.output
 
 
 @pytest.mark.parametrize("args, key", [
@@ -478,7 +498,6 @@ def test_dmax_scan_size_above_the_sweep_cap_is_a_usage_error(extra, monkeypatch)
     assert "100000" in result.output
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("args", [
     ("dmax", "--alignment", "parallel", "--l", "0.5", "--gap", "0.1"),
     ("sweep", "--alignment", "parallel", "--l", "0.5", "--gap", "0.1", "--axis", "d",

@@ -9,7 +9,6 @@ from conical_harvest.entanglement import (
     MAX_SWEEP_POINTS,
     SweepRow,
     _evaluate,
-    _responses,
     _scan_margins,
     concurrence,
     concurrence_flat,
@@ -19,18 +18,18 @@ from conical_harvest.entanglement import (
     response_pair,
     sweep,
 )
-from conical_harvest.errors import (DivergentOverlap, InvalidParameter, NotUnimodal,
-                                    QuadratureFailure)
+from conical_harvest.errors import DivergentOverlap, InvalidParameter, QuadratureFailure
 from conical_harvest.geometry import (
     Alignment,
     ConeParameter,
     PairConfig,
+    image_set,
     image_terms,
     pair_f_arguments,
     radial_distances,
 )
 from conical_harvest.quadrature import DEFAULT_TOL, Bracket, find_root_bracketed
-from conical_harvest.response import p_flat
+from conical_harvest.response import image_response, p_flat
 
 GAP = 0.1
 
@@ -229,11 +228,6 @@ def test_d_max_refuses_a_scan_that_starts_at_its_ceiling():
         d_max(Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(3.0), l=4.0, gap=GAP, d_hi=8.0)
 
 
-def test_nu_extremum_synthetic():
-    star = nu_extremum(lambda nu: (nu - 5.0) ** 2, None, Bracket(1.5, 9.0), tol=1e-6)
-    assert star == pytest.approx(5.0, abs=1e-4)
-
-
 def test_nu_extremum_concurrence_monotone_small_l():
     # near the string the concurrence increases with nu: maximum at the right edge
     cfg = config(Alignment.PARALLEL, 0.1, 0.1)
@@ -263,10 +257,11 @@ def test_nu_extremum_keeps_its_abscissa_bit_for_bit():
                        tol=1e-3) == 10.999345541082617
 
 
-def test_nu_extremum_not_unimodal():
-    with pytest.raises(NotUnimodal):
-        nu_extremum(lambda nu: min((nu - 2.0) ** 2, (nu - 6.0) ** 2 + 0.1),
-                    None, Bracket(1.0, 8.0), tol=1e-6)
+def test_nu_extremum_refuses_an_unknown_selector(monkeypatch):
+    calls = _spy_margin_points(monkeypatch)
+    with pytest.raises(InvalidParameter, match="^unknown objective selector 'gap'$"):
+        nu_extremum("gap", config(Alignment.PARALLEL, 0.1, 0.1), Bracket(1.1, 11.0))
+    assert not calls
 
 
 def test_nu_extremum_validates_bracket():
@@ -313,7 +308,6 @@ def test_sweep_flags_divergent_rows():
     assert diverged_row.concurrence is None and diverged_row.p_a is None
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sweep_raises_a_numerical_failure_instead_of_flagging_its_rows():
     # at nu = 2 + 1e-11 the zeta coefficient is 0/0 near zeta = 0, so the
     # integrand is not finite there; both rows were flagged diverged=True
@@ -595,10 +589,12 @@ def test_batch_breakdowns_equal_one_point_breakdowns(alignment, nu, axis):
     else:
         l = np.linspace(0.2, 1.1, 4)
         d = 2.0 * l
-    batch_a, batch_b = _responses(alignment, cone, l, d, GAP, DEFAULT_TOL)
+    seen, terms = image_set(alignment, cone)
+    rho_a, rho_b = radial_distances(alignment, l, d)
+    batch_a, batch_b = (image_response(rho, seen, terms, GAP, tol=DEFAULT_TOL)
+                        for rho in (rho_a, rho_b))
     batch_x = _evaluate(alignment, cone, l, d, GAP, DEFAULT_TOL,
                         pair_f_arguments(alignment, cone, l, d))[2]
-    rho_a, rho_b = radial_distances(alignment, l, d)
 
     def at(value, i):
         return np.broadcast_to(value, d.shape)[i]

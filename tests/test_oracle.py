@@ -177,6 +177,25 @@ def test_compare_absolute_fallback():
     assert not report.passed
 
 
+def test_compare_against_a_zero_oracle_is_absolute():
+    report = oracle.compare("zero", 1e-14, 0.0, 1e-12)
+    assert report.passed and report.rel_deviation == report.abs_deviation == 1e-14
+    assert not oracle.compare("zero", 2e-12, 0.0, 1e-12).passed
+
+
+def test_compare_passes_exactly_the_deviations_within_tolerance():
+    # no absolute fallback: tiny values that disagree by half fail
+    assert not oracle.compare("tiny", 1e-14, 2e-14, 1e-6).passed
+    assert oracle.compare("near", 1.0 + 1e-7, 1.0, 1e-6).passed
+
+
+@pytest.mark.parametrize("profile", ["fast", "default"])
+def test_every_passed_verify_check_is_within_its_tolerance(profile):
+    reports, passed = verification.run_verification(profile)
+    assert passed
+    assert all(r.rel_deviation <= r.tolerance for r in reports)
+
+
 # --- the nested oracles' batched inner integrals ---------------------------------
 
 
