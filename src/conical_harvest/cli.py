@@ -225,7 +225,7 @@ def sweep_cmd(alignment, nu, l, d, gap, axis, lo, hi, n, log, d_over_l, tol, for
               help="root location tolerance")
 @click.option("--l-lo", "l_lo", type=float, default=None, help="curve mode: l lower bound")
 @click.option("--l-hi", "l_hi", type=float, default=None, help="curve mode: l upper bound")
-@click.option("--l-n", "l_n", type=click.IntRange(1, MAX_SWEEP_POINTS), default=None,
+@click.option("--l-n", "l_n", type=click.IntRange(2, MAX_SWEEP_POINTS), default=None,
               help="curve mode: number of l points")
 @click.option("--terminal", is_flag=True, default=False,
               help="opposite-sides: also report the terminal l where d_max meets 2l")
@@ -237,9 +237,14 @@ def dmax_cmd(alignment, nu, l, gap, d_hi, grid_n, scan_tol, l_lo, l_hi, l_n, ter
         cone = ConeParameter(nu)
         alignment = Alignment.from_string(alignment)
 
-    if l_lo is not None or l_hi is not None:
+    curve_mode = l_lo is not None or l_hi is not None or l_n is not None
+    if terminal and (curve_mode or alignment is not Alignment.ORTHOGONAL_OPPOSITE_SIDES):
+        raise click.UsageError("--terminal applies to a single l of the opposite alignment only")
+    if curve_mode:
         if l_lo is None or l_hi is None or l_n is None:
             raise click.UsageError("curve mode needs --l-lo, --l-hi and --l-n")
+        if l_lo >= l_hi:
+            raise click.UsageError("--l-lo must be below --l-hi")
         curve = {"lo": l_lo, "hi": l_hi, "n": l_n,
                  "alignment": alignment.value, "nu": cone.nu, "gap": gap}
         with _usage_errors():
@@ -249,8 +254,6 @@ def dmax_cmd(alignment, nu, l, gap, d_hi, grid_n, scan_tol, l_lo, l_hi, l_n, ter
 
     payload = {"version": __version__, "alignment": alignment.value, "nu": cone.nu,
                "gap": gap, "l": l}
-    if terminal and alignment is not Alignment.ORTHOGONAL_OPPOSITE_SIDES:
-        raise click.UsageError("--terminal applies to the opposite alignment only")
     with _usage_errors():
         result = d_max(alignment, cone, l=l, gap=gap, d_hi=d_hi, grid_n=grid_n,
                        tol=scan_tol, quad_tol=tol)

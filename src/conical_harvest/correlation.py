@@ -36,7 +36,9 @@ from .geometry import (
     PairConfig,
     check_gap,
     check_length,
+    coefficient_breakpoints,
     f_arguments,
+    zeta_coefficient,
 )
 from .quadrature import DEFAULT_TOL, integrate_semi_infinite
 from .special import EPS_DIV, aux_f_formula
@@ -131,9 +133,9 @@ def expand(parts: Sequence[Tuple[Kernel, FArguments]], gap: float, tail_rate: fl
     common nu) and the union of their breakpoints: every row (a batch's
     points, a complex kernel's real and imaginary parts, every part) shares
     one adaptive subdivision and meets ``tol`` on its own, and a coefficient
-    that several parts hold is evaluated once per pass.  Parts whose
-    coefficient vanishes stay out of it; when every coefficient vanishes, no
-    integral runs.
+    branch (geo.zeta_branches) that several parts hold is evaluated once per
+    pass.  Parts whose coefficient vanishes stay out of it; when every
+    coefficient vanishes, no integral runs.
     """
     expansions = []
     live = []       # the parts whose zeta integral does not vanish
@@ -184,21 +186,23 @@ def _zeta_integrals(parts: Sequence[Tuple[Kernel, FArguments]], gap: float,
                     tail_rate: float, tol: float):
     """Each part's int_0^inf coef k(z(zeta)) dzeta, from one integrate_semi_infinite call.
 
-    One point gives a float (a complex for a complex kernel), a batch of
-    points an array.  The integrand stacks every part's rows, a complex
-    kernel's real rows before its imaginary rows, so the integral itself is
-    real: integrate_semi_infinite integrates real rows only.
+    A part's coef sums zeta_coefficient over its branches.  One point gives a
+    float (a complex for a complex kernel), a batch of points an array.  The
+    integrand stacks every part's rows, a complex kernel's real rows before
+    its imaginary rows: integrate_semi_infinite integrates real rows only.
     """
     layout = []     # (rows, complex, one point) per part, read from the first call
+    branches = {branch: zeta_coefficient(*branch) for _, geo in parts for branch in geo.zeta_branches}
 
     def integrand(zeta):
         n = zeta.size
-        coefficients = {}
+        coefficients = {branch: function(zeta) for branch, function in branches.items()}
         blocks = []
         for kernel, geo in parts:
-            coefficient = coefficients.get(geo.zeta_coefficient)
-            if coefficient is None:
-                coefficient = coefficients[geo.zeta_coefficient] = geo.zeta_coefficient(zeta)
+            coefficient = None
+            for branch in geo.zeta_branches:
+                value = coefficients[branch]
+                coefficient = value if coefficient is None else coefficient + value
             y = coefficient * kernel.formula(geo.zeta_argument(zeta), gap) / kernel.scale
             if y.dtype.kind == "c":
                 rows = (y.real.reshape(-1, n), y.imag.reshape(-1, n))
@@ -209,7 +213,8 @@ def _zeta_integrals(parts: Sequence[Tuple[Kernel, FArguments]], gap: float,
             blocks += rows
         return np.concatenate(blocks)
 
-    breakpoints = sorted({b for _, geo in parts for b in geo.zeta_breakpoints})
+    breakpoints = sorted({b for nu, beta, _ in branches
+                          for b in coefficient_breakpoints(nu, beta * np.pi)})
     # the integrator raises QuadratureFailure on a non-finite node value, so a
     # divide or invalid warning behind that value would only repeat the failure
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -26,6 +26,7 @@ from .geometry import (
     FArguments,
     NU_MAX,
     PairConfig,
+    breaks_opposite_sides_rule,
     check_gap,
     check_length,
     f_arguments,
@@ -362,7 +363,7 @@ def _sweep_row(alignment: Alignment, value: float, l: Optional[float], d: float,
     l = 0.0 if l is None else l
     diverged = SweepRow(param=value, p_a=None, p_b=None, abs_x=None, concurrence=None,
                         diverged=True)
-    if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES and (l <= 0.0 or d < 2.0 * l):
+    if breaks_opposite_sides_rule(alignment, l, d):
         return diverged
     try:
         result = concurrence(PairConfig(alignment, l=l, d=d, gap=gap), cone, tol=tol)

@@ -4,8 +4,8 @@ The conical spacetime around an idealized straight string subtends azimuthal
 angle 2 pi / nu with nu >= 1 (nu = 1 is Minkowski).  Its two-point function
 splits into the flat term, a sum over floor(nu/2) rotated images (the m = nu/2
 term carrying weight 1/2 exactly at even integer nu), and a residual integral
-over zeta whose coefficient vanishes identically at integer nu (same-side
-geometries) or at integer and half-integer nu (opposite-sides geometry).
+over zeta whose coefficient is one formula on branch data (zeta_branches,
+zeta_coefficient), vanishing identically where a branch's beta is an integer.
 
 By the method of images every alignment is one of these image sets
 (``image_set``): flat spacetime is nu = 1, which has no images, and a
@@ -62,10 +62,6 @@ class ConeParameter:
         return self.nu == round(self.nu)
 
     @property
-    def is_half_integer(self) -> bool:
-        return (2.0 * self.nu) == round(2.0 * self.nu)
-
-    @property
     def deficit_angle(self) -> float:
         return 2.0 * math.pi * (self.nu - 1.0) / self.nu
 
@@ -114,14 +110,19 @@ class Alignment(enum.Enum):
 BOUNDARY_ALIGNMENTS = (Alignment.BOUNDARY_PARALLEL, Alignment.BOUNDARY_ORTHOGONAL)
 
 
+def breaks_opposite_sides_rule(alignment: Alignment, l, d) -> bool:
+    """Whether an opposite-sides pair breaks d >= 2l > 0 (a nan is check_length's to name)."""
+    return alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES and (l <= 0.0 or d < 2.0 * l)
+
+
 @dataclass(frozen=True)
 class PairConfig:
     """Detector pair: alignment, string distance l, separation d, gap Omega*sigma.
 
     All lengths in sigma units, at most MAX_LENGTH.  Flat ignores l; boundary
-    variants ignore nu.
-    The opposite-sides alignment requires d >= 2l > 0 (detector B at radial
-    distance d - l on the far side).
+    variants ignore nu.  The opposite-sides alignment requires d >= 2l > 0
+    (detector B at radial distance d - l on the far side), checked before d's
+    own rule, so that d = 2l = 0 names it.
     """
 
     alignment: Alignment
@@ -131,12 +132,11 @@ class PairConfig:
 
     def __post_init__(self):
         check_length("l", self.l)
-        check_length("d", self.d, positive=True)
         check_gap(self.gap)
-        if self.alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES:
-            if self.l <= 0 or self.d < 2.0 * self.l:
-                raise InvalidParameter(
-                    f"opposite-sides alignment requires d >= 2l > 0, got l={self.l}, d={self.d}")
+        if breaks_opposite_sides_rule(self.alignment, self.l, self.d):
+            raise InvalidParameter(
+                f"opposite-sides alignment requires d >= 2l > 0, got l={self.l}, d={self.d}")
+        check_length("d", self.d, positive=True)
 
 
 @dataclass(frozen=True)
@@ -154,13 +154,9 @@ def image_terms(cone: ConeParameter) -> Tuple[ImageTerm, ...]:
 
     Empty for nu < 2 (the image sum has no contribution there).
     """
-    n = cone.image_count
-    half_index = round(cone.nu) // 2 if (cone.is_integer and round(cone.nu) % 2 == 0) else None
-    terms = []
-    for m in range(1, n + 1):
-        weight = 0.5 if m == half_index else 1.0
-        terms.append(ImageTerm(m=m, weight=weight, sin_term=math.sin(m * math.pi / cone.nu)))
-    return tuple(terms)
+    return tuple(ImageTerm(m=m, weight=0.5 if m == cone.nu / 2.0 else 1.0,
+                           sin_term=math.sin(m * math.pi / cone.nu))
+                 for m in range(1, cone.image_count + 1))
 
 
 FLAT_CONE = ConeParameter(1.0)
@@ -203,44 +199,41 @@ class FArguments:
     """One point set's image expansion: image arguments and the zeta-integral pieces.
 
     image_args holds (m, weight, z_m).  zeta_argument maps an array of zeta to
-    z(zeta), one row per point for a batch of points; zeta_coefficient maps
-    zeta to the integral coefficient; zeta_breakpoints force subdivision
-    across its near-zero peak.  Where the coefficient vanishes identically the
-    builders leave all three unset (zeta_vanishes).
+    z(zeta), one row per point for a batch of points; zeta_branches holds one
+    (nu, beta, multiplicity) per non-vanishing branch of the integral's
+    coefficient, the sum of zeta_coefficient(*branch).  Where every branch
+    vanishes the builders leave both unset (zeta_vanishes).
     """
 
     image_args: Tuple[Tuple[int, float, float], ...]
     zeta_argument: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    zeta_coefficient: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    zeta_breakpoints: Tuple[float, ...] = ()
+    zeta_branches: Tuple[Tuple[float, float, int], ...] = ()
 
     @property
     def zeta_vanishes(self) -> bool:
-        return self.zeta_coefficient is None
+        return not self.zeta_branches
 
 
-# cached so that P's and X's expansions at one nu hold the same coefficient
-# function, which correlation.expand then evaluates once per pass for both
+def zeta_branches(nu: float, opposite: bool = False) -> Tuple[Tuple[float, float, int], ...]:
+    """Same side (nu, nu, 2), opposite sides (nu, 2 nu, 1), or none where beta is an integer."""
+    beta, multiplicity = (2.0 * nu, 1) if opposite else (nu, 2)
+    return () if beta == round(beta) else ((nu, beta, multiplicity),)
+
+
 @functools.lru_cache(maxsize=256)
-def same_side_coefficient(nu: float) -> Callable[[np.ndarray], np.ndarray]:
-    """zeta-coefficient nu sin(nu pi) / (pi [cos(nu pi) - cosh(nu zeta)])."""
-    s, c = math.sin(nu * math.pi), math.cos(nu * math.pi)
+def zeta_coefficient(nu: float, beta: float, multiplicity: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Linet's zeta-coefficient branch m nu sin(beta pi) / (2 pi [cos(beta pi) - cosh(nu zeta)])."""
+    s, c = math.sin(beta * math.pi), math.cos(beta * math.pi)
 
     def coefficient(zeta):
-        return nu * s / (np.pi * (c - np.cosh(nu * np.asarray(zeta))))
+        return multiplicity * nu * s / (2.0 * np.pi * (c - np.cosh(nu * np.asarray(zeta))))
 
     return coefficient
 
 
-@functools.lru_cache(maxsize=256)
-def opposite_sides_coefficient(nu: float) -> Callable[[np.ndarray], np.ndarray]:
-    """zeta-coefficient nu sin(2 nu pi) / (2 pi [cos(2 nu pi) - cosh(nu zeta)])."""
-    s, c = math.sin(2.0 * nu * math.pi), math.cos(2.0 * nu * math.pi)
-
-    def coefficient(zeta):
-        return nu * s / (2.0 * np.pi * (c - np.cosh(nu * np.asarray(zeta))))
-
-    return coefficient
+# looked up by perfbench/tracing.py's LAYERS, as quadrature.integrate_semi_infinite_complex is
+def same_side_coefficient(nu): return zeta_coefficient(nu, nu, 2)
+def opposite_sides_coefficient(nu): return zeta_coefficient(nu, 2.0 * nu, 1)
 
 
 def coefficient_breakpoints(nu: float, angle: float) -> Tuple[float, ...]:
@@ -300,8 +293,7 @@ def image_f_arguments(cone: ConeParameter, terms: Tuple[ImageTerm, ...], rho_a, 
         z_m    = sqrt(d^2/4 - rho_A rho_B sin^2(m pi / nu))
                  (radicand = (d/2 - rho_A)^2 + rho_A rho_B cos^2 >= 0 given d >= 2 rho_A)
         z(zeta) = sqrt(d^2/4 + rho_A rho_B (cosh zeta - 1)/2)
-    The zeta coefficient vanishes at integer nu (same side) or half-integer nu
-    (opposite sides), so always for flat and boundary pairs (nu = 1 or 2).
+    The zeta coefficient's branches are zeta_branches(nu, opposite).
     """
     product, quarter_d2 = rho_a * rho_b, d * d / 4.0
     sqrt = np.sqrt if getattr(product, "ndim", 0) or getattr(d, "ndim", 0) else math.sqrt
@@ -314,7 +306,8 @@ def image_f_arguments(cone: ConeParameter, terms: Tuple[ImageTerm, ...], rho_a, 
         image_args = tuple((term.m, term.weight,
                             sqrt(quarter_d2 + product * term.sin_term * term.sin_term))
                            for term in terms)
-    if cone.is_half_integer if opposite else cone.is_integer:
+    branches = zeta_branches(cone.nu, opposite)
+    if not branches:
         return FArguments(image_args)
     product_rows, quarter_d2 = point_rows(product), point_rows(quarter_d2)
     shift = -1.0 if opposite else 1.0
@@ -322,8 +315,4 @@ def image_f_arguments(cone: ConeParameter, terms: Tuple[ImageTerm, ...], rho_a, 
     def argument(zeta):
         return np.sqrt(quarter_d2 + product_rows * (np.cosh(np.asarray(zeta)) + shift) / 2.0)
 
-    if opposite:
-        return FArguments(image_args, argument, opposite_sides_coefficient(cone.nu),
-                          coefficient_breakpoints(cone.nu, 2.0 * cone.nu * math.pi))
-    return FArguments(image_args, argument, same_side_coefficient(cone.nu),
-                      coefficient_breakpoints(cone.nu, cone.nu * math.pi))
+    return FArguments(image_args, argument, branches)

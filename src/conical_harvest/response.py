@@ -45,6 +45,7 @@ from .geometry import (
     check_length,
     image_f_arguments,
     image_terms,
+    zeta_branches,
 )
 from .quadrature import DEFAULT_TOL
 from .special import SQRT_PI, response_kernel_formula, response_kernel_limit
@@ -103,12 +104,12 @@ def response_part(rho, cone: ConeParameter, terms: Tuple[ImageTerm, ...]):
 
     ``cone`` and ``terms`` are an image set (geometry.image_set); the point
     set is the detector with itself, the pair builder at d = 0.  An array rho
-    whose zeta integral does not vanish (non-integer nu) is first reduced to
+    whose zeta integral does not vanish (geometry.zeta_branches) is first reduced to
     its distinct values, so a batch of equal distances (a parallel d axis)
     costs one row; ``inverse`` maps them back (None when nothing was reduced).
     """
     inverse = None
-    if not cone.is_integer and getattr(rho, "ndim", 0):
+    if getattr(rho, "ndim", 0) and zeta_branches(cone.nu):
         rho, inverse = np.unique(rho, return_inverse=True)
     return (P_KERNEL, image_f_arguments(cone, terms, rho, rho, 0.0)), inverse
 

@@ -6,12 +6,11 @@ names and judged by oracle.compare.  The standard grid has thirteen
 oracle/production points (three P0, three P1, two P2, two X0, three X_P) at
 the honest tolerances the principal-value and nested quadratures can
 sustain; the identity grid holds exact identities (nu * P0 at the string,
-flat reduction, the zeta-coefficient integral, kernel two-path agreement,
-boundary limits, regulator extrapolation, divergence handling).
+flat reduction, both zeta-coefficient branches' integrals, kernel two-path
+agreement, boundary limits, regulator extrapolation, divergence handling).
 """
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
@@ -21,7 +20,7 @@ from . import oracle
 from .correlation import x_flat, x_string
 from .entanglement import concurrence_flat
 from .errors import DivergentOverlap
-from .geometry import Alignment, ConeParameter, PairConfig, same_side_coefficient
+from .geometry import Alignment, ConeParameter, PairConfig, zeta_coefficient
 from .oracle import OracleReport, compare
 from .quadrature import integrate_semi_infinite
 from .response import p_boundary, p_flat, p_string
@@ -112,13 +111,14 @@ def _identity_grid() -> List[GridPoint]:
         lambda: x_string(PairConfig(Alignment.PARALLEL, l=0.0, d=0.5, gap=gap),
                          ConeParameter(3.0)).total,
         lambda: 3.0 * x_flat(0.5, gap), _BOTH))
-    # production's zeta coefficient integrates to nu - 1 - 2 floor(nu/2)
-    points += [GridPoint(f"identity zeta integral (nu={n:g})", 1e-8,
-                         lambda n=n: integrate_semi_infinite(same_side_coefficient(n), tail_rate=n,
-                                                             tol=1e-10).value[0],
-                         lambda n=n: n - 1.0 - 2.0 * math.floor(n / 2.0),
-                         _BOTH if n == 2.5 else _DEFAULT)
-               for n in (1.3, 2.5, 3.7, 9.2)]
+    # a production zeta-coefficient branch (nu, beta, m) integrates to m ((beta mod 2) - 1)/2
+    branches = [(n, n, 2) for n in (1.3, 2.5, 3.7, 9.2)] + [(n, 2 * n, 1) for n in (1.3, 2.7, 5.9)]
+    points += [GridPoint(f"identity zeta integral (nu={n:g}, beta={b:g}, m={m})", 1e-8,
+                         lambda n=n, b=b, m=m: integrate_semi_infinite(
+                             zeta_coefficient(n, b, m), tail_rate=n, tol=1e-10).value[0],
+                         lambda b=b, m=m: m * (b % 2.0 - 1.0) / 2.0,
+                         _BOTH if n in (2.5, 2.7) else _DEFAULT)
+               for n, b, m in branches]
     # kernel two-path agreement, on a coarser grid in the fast profile
     points += [GridPoint("identity kernel two-path agreement", 1e-12,
                          lambda n_a=n_a, n_g=n_g: float(max(

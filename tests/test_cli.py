@@ -257,6 +257,30 @@ def test_dmax_terminal_requires_opposite():
     assert result.exit_code == 2
 
 
+CURVE = ["dmax", "--alignment", "opposite", "--nu", "3", "--gap", "0.1"]
+
+
+@pytest.mark.parametrize("extra, message", [
+    # each was accepted: --terminal printed no terminal l, --l-n alone fell back
+    # to single mode, a reversed range gave a descending curve, --l-n 1 dropped --l-hi
+    (["--l-lo", "0.1", "--l-hi", "0.5", "--l-n", "3", "--terminal"], "--terminal applies"),
+    (["--l-n", "3"], "curve mode needs --l-lo, --l-hi and --l-n"),
+    (["--l-lo", "0.5", "--l-hi", "0.1", "--l-n", "3"], "--l-lo must be below --l-hi"),
+    (["--l-lo", "0.1", "--l-hi", "0.5", "--l-n", "1"], "--l-n"),
+])
+def test_dmax_curve_refuses_what_it_would_ignore(extra, message):
+    result = runner.invoke(main, CURVE + extra)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
+def test_dmax_opposite_at_l_zero_names_the_alignment_rule():
+    # it reported the degenerate scan start: "d must be finite and > 0, got 0.0"
+    result = runner.invoke(main, CURVE + ["--l", "0"])
+    assert result.exit_code == 2, result.output
+    assert "opposite-sides alignment requires d >= 2l > 0" in result.output
+
+
 def test_dmax_terminal_follows_scan_tol():
     result = invoke("dmax", "--alignment", "opposite", "--nu", "3", "--gap", "0.1",
                     "--l", "0.5", "--terminal", "--scan-tol", "1e-2")

@@ -10,8 +10,10 @@ from conical_harvest.geometry import (
     Alignment,
     ConeParameter,
     PairConfig,
+    coefficient_breakpoints,
     f_arguments,
     pair_f_arguments,
+    zeta_coefficient,
 )
 from conical_harvest.quadrature import DEFAULT_TOL, integrate_adaptive, tail_cutoff, tail_edges
 from conical_harvest.special import aux_f, erfc_complex
@@ -224,14 +226,17 @@ def _two_row_x_integral(geo, gap, cone, tol=DEFAULT_TOL):
     """
     if geo.zeta_vanishes:
         return 0.0 + 0.0j
+    (branch,) = geo.zeta_branches   # X has one branch, same side or opposite
+    coefficient = zeta_coefficient(*branch)
+    nu, beta, _ = branch
 
     def two_rows(zeta):
-        w = np.asarray(geo.zeta_coefficient(zeta) * aux_f(geo.zeta_argument(zeta), gap),
-                       dtype=complex)
+        w = np.asarray(coefficient(zeta) * aux_f(geo.zeta_argument(zeta), gap), dtype=complex)
         return np.stack([w.real, w.imag]).reshape(-1, w.shape[-1])
 
-    vals, _, _ = integrate_adaptive(two_rows, 0.0, tail_cutoff(cone.nu, tol), tol,
-                                    breakpoints=tail_edges(cone.nu, tol, geo.zeta_breakpoints))
+    vals, _, _ = integrate_adaptive(
+        two_rows, 0.0, tail_cutoff(cone.nu, tol), tol,
+        breakpoints=tail_edges(cone.nu, tol, coefficient_breakpoints(nu, beta * math.pi)))
     if vals.size == 2:
         return complex(vals[0], vals[1])
     k = vals.size // 2

@@ -228,6 +228,12 @@ def test_d_max_refuses_a_scan_that_starts_at_its_ceiling():
         d_max(Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(3.0), l=4.0, gap=GAP, d_hi=8.0)
 
 
+def test_d_max_opposite_sides_at_l_zero_names_the_alignment_rule():
+    # the scan started at d = 2l = 0 and reported "d must be finite and > 0, got 0.0"
+    with pytest.raises(InvalidParameter, match=r"^opposite-sides alignment requires d >= 2l > 0"):
+        d_max(Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(3.0), l=0.0, gap=0.1)
+
+
 def test_nu_extremum_concurrence_monotone_small_l():
     # near the string the concurrence increases with nu: maximum at the right edge
     cfg = config(Alignment.PARALLEL, 0.1, 0.1)
@@ -756,6 +762,50 @@ def test_scan_margins_run_one_zeta_integral_per_batch(alignment, nu, monkeypatch
         assert len(calls) == batch
     _scan_margins(alignment, ConeParameter(3.0), l, d, GAP, DEFAULT_TOL)
     assert len(calls) == 3
+
+
+def _count_branch_evaluations(monkeypatch):
+    """Count the zeta integrand's passes and the coefficient-branch evaluations made in them."""
+    counts = {"passes": 0, "branches": 0}
+    factory = correlation.zeta_coefficient
+    integrate = correlation.integrate_semi_infinite
+
+    def counting_factory(*branch):
+        coefficient = factory(*branch)
+
+        def counted(zeta):
+            counts["branches"] += 1
+            return coefficient(zeta)
+        return counted
+
+    def counting_integrate(integrand, **kwargs):
+        def counted(zeta):
+            counts["passes"] += 1
+            return integrand(zeta)
+        return integrate(counted, **kwargs)
+
+    monkeypatch.setattr(correlation, "zeta_coefficient", counting_factory)
+    monkeypatch.setattr(correlation, "integrate_semi_infinite", counting_integrate)
+    return counts
+
+
+@pytest.mark.parametrize("alignment, branches", [
+    # P_A, P_B and X share the same-side branch (nu, nu, 2); opposite-sides X
+    # has its own, (nu, 2 nu, 1)
+    (Alignment.PARALLEL, 1), (Alignment.ORTHOGONAL_SAME_SIDE, 1),
+    (Alignment.ORTHOGONAL_OPPOSITE_SIDES, 2),
+])
+def test_each_distinct_coefficient_branch_is_evaluated_once_per_pass(alignment, branches,
+                                                                     monkeypatch):
+    counts = _count_branch_evaluations(monkeypatch)
+    concurrence(config(alignment, 0.5, 1.3), ConeParameter(2.7))
+    assert counts["passes"] >= 1
+    assert counts["branches"] == branches * counts["passes"]
+    counts.update(passes=0, branches=0)
+    l, d = np.full(6, 0.5), np.linspace(1.0, 4.0, 6)
+    _scan_margins(alignment, ConeParameter(2.7), l, d, GAP, DEFAULT_TOL)
+    assert counts["passes"] >= 1
+    assert counts["branches"] == branches * counts["passes"]
 
 
 @pytest.mark.parametrize("nu", [2.3, 5.7, 8.2])

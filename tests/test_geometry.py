@@ -15,6 +15,7 @@ from conical_harvest.geometry import (
     image_terms,
     pair_f_arguments,
     radial_pair,
+    zeta_branches,
 )
 from conical_harvest.response import response_part
 
@@ -41,8 +42,9 @@ def test_integer_snap():
     assert ConeParameter(3.0 + 5e-13).is_integer
     assert ConeParameter(3.0 + 5e-13).nu == 3.0
     assert not ConeParameter(3.0 + 1e-6).is_integer
-    assert ConeParameter(2.5).is_half_integer
     assert not ConeParameter(2.5).is_integer
+    # a zeta-coefficient branch vanishes iff its beta is an integer
+    assert zeta_branches(2.5) == ((2.5, 2.5, 2),) and zeta_branches(2.5, opposite=True) == ()
 
 
 def test_image_terms_flat_is_empty():
@@ -191,7 +193,7 @@ def test_zeta_coefficient_vanishing_rules():
     assert not f_arguments(opposite, ConeParameter(2.7)).zeta_vanishes
     # a vanishing integral gets no zeta pieces built
     geo = f_arguments(opposite, ConeParameter(2.5))
-    assert (geo.zeta_argument, geo.zeta_coefficient, geo.zeta_breakpoints) == (None, None, ())
+    assert (geo.zeta_argument, geo.zeta_branches) == (None, ())
 
 
 def test_zeta_argument_forms():
@@ -218,12 +220,11 @@ def test_self_f_arguments_forms(nu):
                                                               rel=1e-15)
     assert geo.zeta_vanishes == cone.is_integer
     if cone.is_integer:
-        assert (geo.zeta_argument, geo.zeta_coefficient, geo.zeta_breakpoints) == (None, None, ())
+        assert (geo.zeta_argument, geo.zeta_branches) == (None, ())
         return
     zeta = np.array([0.0, 1.0])
     assert np.array_equal(geo.zeta_argument(zeta), pair.zeta_argument(zeta))
-    assert (geo.zeta_coefficient, geo.zeta_breakpoints) == (pair.zeta_coefficient,
-                                                            pair.zeta_breakpoints)
+    assert geo.zeta_branches == pair.zeta_branches == ((nu, nu, 2),)
     assert np.allclose(geo.zeta_argument(zeta), 0.7 * np.cosh(zeta / 2.0), rtol=1e-15, atol=0.0)
     # an array of distances is reduced to its distinct values, one row each
     (_, rows), inverse = response_part(np.array([0.7, 0.2, 0.7]), cone, terms)

@@ -350,3 +350,26 @@ def test_verification_catches_a_fault_in_x_zeta_integrals_alone(monkeypatch):
     reports, passed = verification.run_verification("default")
     assert not passed
     assert {r.quantity for r in reports if not r.passed} == {"X_P(l=0.1, d=2, nu=1.5, gap=0.1)"}
+
+
+@pytest.mark.parametrize("profile, failing", [
+    ("default", {"identity zeta integral (nu=1.3, beta=2.6, m=1)",
+                 "identity zeta integral (nu=2.7, beta=5.4, m=1)",
+                 "identity zeta integral (nu=5.9, beta=11.8, m=1)"}),
+    ("fast", {"identity zeta integral (nu=2.7, beta=5.4, m=1)"}),
+])
+def test_verification_catches_a_fault_in_the_opposite_sides_branch_alone(profile, failing,
+                                                                         monkeypatch):
+    # the opposite-sides branch (beta = 2 nu, m = 1) had no verify row
+    coefficient = verification.zeta_coefficient
+
+    def faulty(nu, beta, multiplicity):
+        exact = coefficient(nu, beta, multiplicity)
+        if multiplicity == 2:
+            return exact
+        return lambda zeta: exact(zeta) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(verification, "zeta_coefficient", faulty)
+    reports, passed = verification.run_verification(profile)
+    assert not passed
+    assert {r.quantity for r in reports if not r.passed} == failing
