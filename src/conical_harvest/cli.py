@@ -18,6 +18,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from ._version import __version__
 from .entanglement import (MAX_SWEEP_POINTS, concurrence, d_max, nu_extremum,
@@ -241,6 +242,10 @@ def dmax_cmd(alignment, nu, l, gap, d_hi, grid_n, scan_tol, l_lo, l_hi, l_n, ter
     if terminal and (curve_mode or alignment is not Alignment.ORTHOGONAL_OPPOSITE_SIDES):
         raise click.UsageError("--terminal applies to a single l of the opposite alignment only")
     if curve_mode:
+        # a curve takes its l values from --l-lo/--l-hi/--l-n; an explicit --l
+        # (flag or config file) would be dropped without a word
+        if click.get_current_context().get_parameter_source("l") is not ParameterSource.DEFAULT:
+            raise click.UsageError("--l gives a single l; curve mode takes --l-lo, --l-hi and --l-n")
         if l_lo is None or l_hi is None or l_n is None:
             raise click.UsageError("curve mode needs --l-lo, --l-hi and --l-n")
         if l_lo >= l_hi:

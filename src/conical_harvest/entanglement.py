@@ -78,32 +78,35 @@ def response_pair(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_
 
 
 def _same_distances(rho_a, rho_b) -> bool:
-    return np.array_equal(rho_a, rho_b) if getattr(rho_a, "ndim", 0) else rho_a == rho_b
+    # a scalar beside an array (a d_max scan's fixed l beside l + d) is not the same
+    if getattr(rho_a, "ndim", 0) or getattr(rho_b, "ndim", 0):
+        return np.array_equal(rho_a, rho_b)
+    return rho_a == rho_b
 
 
 def _evaluate(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: float,
               geo: FArguments):
     """(response_a, response_b, correlation) from one correlation.expand call.
 
-    ``l``, ``d`` are scalars or equal-shape arrays of validated points and
-    ``geo`` their pair_f_arguments.  The parts are P_A, P_B (left out, and
-    A's breakdown reused, where rho_B = rho_A) and X, so their zeta integrals
-    share one adaptive subdivision, each row within ``tol``.
+    ``l``, ``d`` are scalars or arrays of validated points (a scan's l may
+    stay a scalar beside an array d) and ``geo`` their pair_f_arguments.  The
+    parts are P_A, P_B (left out, and A's breakdown reused, where
+    rho_B = rho_A) and X, so their zeta integrals share one adaptive
+    subdivision, each row within ``tol``.  A scalar radial distance gives
+    its P as one point, however many points X has.
     """
     seen, terms = image_set(alignment, cone)
     rho_a, rho_b = radial_distances(alignment, l, d)
     same = _same_distances(rho_a, rho_b)
-    part_a, inverse_a = response_part(rho_a, seen, terms)
-    parts = [part_a]
+    parts = [response_part(rho_a, seen, terms)]
     if not same:
-        part_b, inverse_b = response_part(rho_b, seen, terms)
-        parts.append(part_b)
+        parts.append(response_part(rho_b, seen, terms))
     # X0 before the images, as in x_string: a flat overlap raises without an image index
     flat = _x0(d, gap)
     parts.append((AUX_F, geo))
     expansions = expand(parts, gap, seen.nu, tol)
-    response_a = response_breakdown(expansions[0], inverse_a, gap)
-    response_b = response_a if same else response_breakdown(expansions[1], inverse_b, gap)
+    response_a = response_breakdown(expansions[0], gap)
+    response_b = response_a if same else response_breakdown(expansions[1], gap)
     return response_a, response_b, CorrelationBreakdown(flat, *expansions[-1])
 
 
@@ -161,7 +164,7 @@ def concurrence_flat(d: float, gap: float) -> float:
 # --- d_max ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DmaxResult:
     """Largest separation with positive concurrence; None when harvesting never occurs.
 
@@ -172,22 +175,24 @@ class DmaxResult:
     skipped: Tuple[float, ...]
 
 
-def _scan_margins(alignment: Alignment, cone: ConeParameter, l: np.ndarray, d: np.ndarray,
+def _scan_margins(alignment: Alignment, cone: ConeParameter, l, d: np.ndarray,
                   gap: float, tol: float):
-    """Margins |X| - sqrt(P_A P_B) at equal-shape arrays l, d in one array pass.
+    """Margins |X| - sqrt(P_A P_B) along an array d in one array pass.
 
+    ``l`` is a scalar (a d_max scan's fixed l) or an array of d's shape.
     Masks the points where d/2 or an image argument is at or below EPS_DIV
     (the DivergentOverlap cases of concurrence), then runs _margin once on
-    the remaining batch, so at non-integer nu one zeta integral (P per
-    distinct rho, X per point) serves the whole scan, its rows sharing one
-    adaptive subdivision.  The caller validates the parameters.  Masked points get margin None;
-    their d values are returned as skipped.
+    the remaining batch, so at non-integer nu one zeta integral (one row for
+    each P of a scalar radial distance, else one per point, and X per point)
+    serves the whole scan, its rows sharing one adaptive subdivision.  The
+    caller validates the parameters.  Masked points get margin None; their d
+    values are returned as skipped.
     """
     geo = pair_f_arguments(alignment, cone, l, d)
     ok = d / 2.0 > EPS_DIV
     for _, _, z in geo.image_args:
         ok &= z > EPS_DIV
-    l_ok, d_ok = l[ok], d[ok]
+    l_ok, d_ok = l[ok] if getattr(l, "ndim", 0) else l, d[ok]
     if not ok.all():
         if not ok.any():
             return [None] * d.size, d.tolist()
@@ -204,7 +209,9 @@ def _scan_crossing(alignment: Alignment, cone: ConeParameter, gap: float, at: Ca
     """(t of the last margin zero, skipped d) on the scan line (l, d) = at(t).
 
     t runs over grid_n points from ``start`` (None: hi/grid_n) to ``hi``, the
-    bound named ``name``.  One array pass scans the line (_scan_margins), and
+    bound named ``name``.  One array pass scans the line (_scan_margins),
+    with l and d as ``at`` gives them: a fixed l stays a scalar, so P_A (and
+    P_B where rho_B = l) is one point, not one copy per grid point.  Then
     Brent refines its last sign change from the scan's margins at the two
     bracket ends, running _margin inside the bracket only.  At integer nu
     those margins are the scalar ones bit for bit (no zeta integral runs), at
@@ -222,8 +229,7 @@ def _scan_crossing(alignment: Alignment, cone: ConeParameter, gap: float, at: Ca
     grid = np.linspace(lo, hi, grid_n)
     for t in (grid[0], grid[-1]):
         PairConfig(alignment, *at(float(t)), gap=gap)
-    l, d = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in at(grid)))
-    margins, skipped = _scan_margins(alignment, cone, l, d, gap, quad_tol)
+    margins, skipped = _scan_margins(alignment, cone, *at(grid), gap, quad_tol)
 
     last = find_last_sign_change(margins)
     if last is None:
@@ -242,13 +248,15 @@ def d_max(alignment: Alignment, cone: ConeParameter, l: float, gap: float,
     """Maximum harvesting-achievable separation at fixed l, nu, gap.
 
     Scans g(d) = |X| - sqrt(P_A P_B) from d = 2l (opposite sides) or
-    d_hi/grid_n to d_hi, grid_n <= MAX_SWEEP_POINTS, and bisects the LAST sign
-    change (d_max is the point beyond which harvesting cannot occur), starting
-    Brent from the scan's margins at the bracket ends (_scan_crossing): the
-    result is bit-identical to a scalar scan's at integer nu and depends on
-    the batch margins, which agree with scalar ones to 1e-14, at non-integer
-    nu.  Overlap-divergent scan points are skipped and reported.  Returns
-    d_hi itself when the margin is still positive at the scan ceiling.
+    d_hi/grid_n to d_hi, grid_n <= MAX_SWEEP_POINTS, with l held a scalar
+    (so P at rho = l is evaluated once per scan, not once per grid point),
+    and bisects the LAST sign change (d_max is the point beyond which
+    harvesting cannot occur), starting Brent from the scan's margins at the
+    bracket ends (_scan_crossing): the result is bit-identical to a scalar
+    scan's at integer nu and depends on the batch margins, which agree with
+    scalar ones to 1e-14, at non-integer nu.  Overlap-divergent scan points
+    are skipped and reported.  Returns d_hi itself when the margin is still
+    positive at the scan ceiling.
     """
     start = 2.0 * l if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES else None
     return DmaxResult(*_scan_crossing(alignment, cone, gap, lambda d: (l, d), "d_hi", d_hi, start,
@@ -314,7 +322,7 @@ def nu_extremum(objective: str, config: PairConfig, bracket: Bracket, tol: float
 SWEEP_AXES = ("d", "l", "nu", "gap")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     param: float
     p_a: Optional[float]

@@ -24,7 +24,9 @@ nu = 2 image set with the image weight -1/2 (geometry.image_set), and flat
 spacetime is nu = 1, so every alignment runs this one expansion.
 ``image_response`` expands one detector on its own; entanglement.concurrence
 hands the parts of both detectors, with X's, to one correlation.expand call
-and assembles each with ``response_breakdown``.
+and assembles each with ``response_breakdown``.  A scalar rho is one point
+and an array one row per entry: the d_max scan keeps its fixed l a scalar,
+so P at rho = l costs one image sum and one zeta-integral row per scan.
 """
 
 import math
@@ -45,7 +47,6 @@ from .geometry import (
     check_length,
     image_f_arguments,
     image_terms,
-    zeta_branches,
 )
 from .quadrature import DEFAULT_TOL
 from .special import SQRT_PI, response_kernel_formula, response_kernel_limit
@@ -100,30 +101,22 @@ P_KERNEL = Kernel(_kernel_over_nodes, scale=8.0 * SQRT_PI)
 
 
 def response_part(rho, cone: ConeParameter, terms: Tuple[ImageTerm, ...]):
-    """(part, inverse): the correlation.expand part of P at radial distance(s) rho.
+    """The correlation.expand part of P at radial distance(s) rho.
 
     ``cone`` and ``terms`` are an image set (geometry.image_set); the point
-    set is the detector with itself, the pair builder at d = 0.  An array rho
-    whose zeta integral does not vanish (geometry.zeta_branches) is first reduced to
-    its distinct values, so a batch of equal distances (a parallel d axis)
-    costs one row; ``inverse`` maps them back (None when nothing was reduced).
+    set is the detector with itself, the pair builder at d = 0.  A scalar rho
+    is one point (a d_max scan holds its fixed l scalar, so one P serves the
+    whole scan), and an array rho one row per entry.
     """
-    inverse = None
-    if getattr(rho, "ndim", 0) and zeta_branches(cone.nu):
-        rho, inverse = np.unique(rho, return_inverse=True)
-    return (P_KERNEL, image_f_arguments(cone, terms, rho, rho, 0.0)), inverse
+    return P_KERNEL, image_f_arguments(cone, terms, rho, rho, 0.0)
 
 
-def response_breakdown(expansion, inverse, gap: float) -> ResponseBreakdown:
-    """ResponseBreakdown from a response_part's (images, integral, terms) and its inverse.
+def response_breakdown(expansion, gap: float) -> ResponseBreakdown:
+    """ResponseBreakdown from a response_part's (images, integral, terms).
 
     Honours the FAULT_ENV verification hook, which scales P_images.
     """
     images, integral, _ = expansion
-    if inverse is not None:
-        images, integral = (part[inverse] if getattr(part, "ndim", 0) else part
-                            for part in (images, integral))
-
     fault = os.environ.get(FAULT_ENV)
     if fault is not None:
         images *= float(fault)
@@ -136,11 +129,11 @@ def image_response(rho, cone: ConeParameter, terms: Tuple[ImageTerm, ...], gap: 
 
     ``rho`` is a scalar (float parts) or a 1-D array of validated distances
     (array parts, or scalars where a part is the same at every point).  The
-    zeta integral of an array runs over its distinct values (response_part),
-    which share one adaptive subdivision, each within ``tol``.
+    zeta integral of an array has one row per entry, the rows sharing one
+    adaptive subdivision, each within ``tol``.
     """
-    part, inverse = response_part(rho, cone, terms)
-    return response_breakdown(expand([part], gap, cone.nu, tol)[0], inverse, gap)
+    part = response_part(rho, cone, terms)
+    return response_breakdown(expand([part], gap, cone.nu, tol)[0], gap)
 
 
 def p_string(rho: float, cone: ConeParameter, gap: float, tol: float = DEFAULT_TOL) -> ResponseBreakdown:

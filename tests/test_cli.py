@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import conical_harvest
 from conical_harvest._version import __version__
 from conical_harvest.cli import main
 from conical_harvest.entanglement import concurrence_flat, opposite_sides_terminal_l, sweep
@@ -69,6 +74,18 @@ def test_divergent_overlap_exit_code_and_error_object():
     payload = json.loads(result.output)
     assert payload["error"]["kind"] == "divergent_overlap"
     assert payload["error"]["image_index"] == 2
+
+
+def test_importing_the_cli_leaves_optimizer_oracle_and_test_packages_unloaded():
+    # every CLI call pays the import: scipy.optimize, mpmath and hypothesis stay out of it
+    src = str(Path(conical_harvest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, conical_harvest.cli; "
+            "print(*(m for m in ('scipy.optimize', 'mpmath', 'hypothesis') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.split() == []
 
 
 def test_unknown_preset_is_usage_error():
@@ -274,6 +291,25 @@ def test_dmax_curve_refuses_what_it_would_ignore(extra, message):
     assert message in result.output
 
 
+@pytest.mark.parametrize("l", ["0.7", "0"])
+def test_dmax_curve_refuses_an_explicit_l_flag(l):
+    # it exited 0 and printed the curve with no trace of the given l
+    result = runner.invoke(main, CURVE + ["--l", l, "--l-lo", "0.1", "--l-hi", "0.5",
+                                          "--l-n", "3"])
+    assert result.exit_code == 2, result.output
+    assert "--l gives a single l" in result.output
+
+
+def test_dmax_curve_refuses_an_l_from_a_config_file(tmp_path):
+    path = write_config(tmp_path, "l = 0.7\nl-lo = 0.1\nl-hi = 0.5\nl-n = 3\n")
+    result = runner.invoke(main, CURVE + ["--config", path])
+    assert result.exit_code == 2, result.output
+    assert "--l gives a single l" in result.output
+    # the same file without its l key draws the curve
+    path = write_config(tmp_path, "l-lo = 0.1\nl-hi = 0.5\nl-n = 3\n")
+    assert invoke(*CURVE, "--config", path).exit_code == 0
+
+
 def test_dmax_opposite_at_l_zero_names_the_alignment_rule():
     # it reported the degenerate scan start: "d must be finite and > 0, got 0.0"
     result = runner.invoke(main, CURVE + ["--l", "0"])
@@ -333,11 +369,14 @@ def test_verify_json_checks_carry_the_report_fields_in_order():
 def test_dmax_bad_input_is_a_usage_error():
     base = ["dmax", "--alignment", "flat", "--gap", "0.1", "--l", "0"]
     for extra, word in ((["--scan-tol", "0"], "tol"), (["--scan-tol", "-1"], "tol"),
-                        (["--scan-tol", "nan"], "tol"), (["--l", "-1"], "l must be"),
-                        (["--l-lo", "-1", "--l-hi", "1", "--l-n", "2"], "l must be")):
+                        (["--scan-tol", "nan"], "tol"), (["--l", "-1"], "l must be")):
         result = runner.invoke(main, base + extra)
         assert result.exit_code == 2, (extra, result.output)
         assert word in result.output, (extra, result.output)
+    # curve mode, where an explicit --l is refused on its own
+    result = runner.invoke(main, base[:-2] + ["--l-lo", "-1", "--l-hi", "1", "--l-n", "2"])
+    assert result.exit_code == 2, result.output
+    assert "l must be" in result.output, result.output
     opposite = ["dmax", "--alignment", "opposite", "--nu", "3", "--gap", "0.1", "--l", "0.5"]
     for d_hi in ("nan", "inf"):
         result = runner.invoke(main, opposite + ["--d-hi", d_hi])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from conical_harvest import correlation, entanglement, quadrature, response, spe
 from conical_harvest.correlation import x_flat, x_string
 from conical_harvest.entanglement import (
     MAX_SWEEP_POINTS,
+    DmaxResult,
     SweepRow,
     _evaluate,
     _scan_margins,
@@ -433,6 +435,10 @@ def _reference_root(margin, grid, tol):
     (Alignment.ORTHOGONAL_SAME_SIDE, 2.5, 0.3),
     (Alignment.ORTHOGONAL_OPPOSITE_SIDES, 4.0, 0.6),
     (Alignment.BOUNDARY_ORTHOGONAL, 1.0, 0.4),
+    # rho_A = rho_B = l: the scan's P_A is one scalar point, P_B is P_A
+    (Alignment.BOUNDARY_PARALLEL, 1.0, 0.4),
+    (Alignment.FLAT, 1.0, 0.5),
+    (Alignment.PARALLEL, 2.5, 0.5),
 ])
 def test_d_max_equals_brent_on_a_scalar_reference_scan(alignment, nu, l):
     cone = ConeParameter(nu)
@@ -879,13 +885,11 @@ def test_concurrence_evaluates_each_image_sum_in_one_formula_call(alignment, nu,
 @pytest.mark.parametrize("alignment", SCAN_ALIGNMENTS)
 def test_scan_batch_evaluates_each_image_sum_in_one_formula_call(alignment, nu, monkeypatch):
     calls = _count_image_formula_calls(monkeypatch)
-    l, d = np.full(6, 0.5), np.linspace(1.0, 4.0, 6)
-    _scan_margins(alignment, ConeParameter(nu), l, d, GAP, DEFAULT_TOL)
+    # d_max's scan holds its fixed l scalar, so P_A (rho_A = l) is one point at every nu
+    _scan_margins(alignment, ConeParameter(nu), 0.5, np.linspace(1.0, 4.0, 6), GAP, DEFAULT_TOL)
     parts = 2 if alignment is Alignment.PARALLEL else 3
     images = int(nu // 2)
-    # at non-integer nu P_A's equal distances rho_A = l are reduced to one row
-    rows_a = 6 if nu == 3.0 else 1
-    assert [call.shape for call in calls] == [(images, rows_a)] + [(images, 6)] * (parts - 1)
+    assert [call.shape for call in calls] == [(images,)] + [(images, 6)] * (parts - 1)
 
 
 @pytest.mark.parametrize("nu", [3.0, 5.7])
@@ -904,8 +908,8 @@ def test_expand_never_calls_a_checked_kernel(alignment, nu, monkeypatch):
     cone = ConeParameter(nu)
     for l, d in ((0.5, 1.3), (np.full(4, 0.5), np.linspace(1.0, 4.0, 4))):
         rho_a, rho_b = radial_distances(alignment, l, d)
-        (part_a, _), (part_b, _) = (response.response_part(rho, cone, image_terms(cone))
-                                    for rho in (rho_a, rho_b))
+        part_a, part_b = (response.response_part(rho, cone, image_terms(cone))
+                          for rho in (rho_a, rho_b))
         geo = pair_f_arguments(alignment, cone, l, d)
         expansions = correlation.expand([part_a, part_b, (correlation.AUX_F, geo)], GAP,
                                         cone.nu, DEFAULT_TOL)
@@ -933,6 +937,18 @@ def test_scans_refuse_a_grid_above_the_sweep_cap_before_scanning(solve, monkeypa
     for grid_n in (MAX_SWEEP_POINTS + 1, 10 ** 7):
         with pytest.raises(InvalidParameter, match="grid_n"):
             solve(grid_n=grid_n)
+
+
+@pytest.mark.parametrize("result, field", [
+    (DmaxResult(value=1.5, skipped=()), "value"),
+    (SweepRow(param=0.5, p_a=None, p_b=None, abs_x=None, concurrence=None, diverged=True),
+     "concurrence"),
+])
+def test_results_are_slotted_and_frozen(result, field):
+    # a d_max curve or a 100k-row sweep holds many of them: no per-instance __dict__
+    assert not hasattr(result, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(result, field, 2.0)
 
 
 def test_d_max_refuses_a_length_whose_square_overflows():

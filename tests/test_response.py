@@ -186,7 +186,7 @@ def test_p_integral_of_an_array_matches_one_call_per_point(nu, monkeypatch):
         assert type(one) is float and abs(got - one) <= 1e-10
     assert p_integral(rho, ConeParameter(3.0), GAP) == 0.0
 
-    # repeated distances (a parallel d axis repeats one rho) are integrated once each
+    # repeated distances are integrated once per entry, on one shared subdivision
     rows = []
     integrate = correlation.integrate_semi_infinite
 
@@ -201,7 +201,7 @@ def test_p_integral_of_an_array_matches_one_call_per_point(nu, monkeypatch):
     repeated = np.concatenate([rho, rho[::-1], np.full(7, 0.4)])
     assert np.array_equal(p_integral(repeated, cone, GAP, tol=1e-10),
                           np.concatenate([batch, batch[::-1], np.full(7, batch[2])]))
-    assert rows and set(rows) == {rho.size}
+    assert rows and set(rows) == {repeated.size}
 
 
 def test_responses_refuse_a_distance_whose_square_overflows():
