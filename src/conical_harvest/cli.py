@@ -21,9 +21,10 @@ import numpy as np
 from click.core import ParameterSource
 
 from ._version import __version__
-from .entanglement import (MAX_SWEEP_POINTS, concurrence, d_max, nu_extremum,
+from .entanglement import (MAX_SWEEP_POINTS, SWEEP_AXES, concurrence, d_max, nu_extremum,
                            opposite_sides_terminal_l, sweep)
-from .errors import DivergentOverlap, InvalidParameter, QuadratureFailure, UnknownPreset
+from .errors import (DivergentOverlap, InvalidParameter, NotUnimodal, QuadratureFailure,
+                     UnknownPreset)
 from .geometry import Alignment, ConeParameter, PairConfig, radial_pair
 from .presets import FIGURES, _materialize_dmax, build_figure
 from .quadrature import DEFAULT_TOL, Bracket
@@ -79,13 +80,19 @@ def _load_config(ctx, param, path):
 
 @contextmanager
 def _usage_errors():
-    """Report InvalidParameter as a usage error (exit 2), QuadratureFailure on one line (exit 1)."""
+    """Report InvalidParameter as a usage error (exit 2), a failed computation on one line (exit 1).
+
+    A failed computation is a QuadratureFailure, a DivergentOverlap (compute
+    reports its own as JSON) or a NotUnimodal nu bracket.
+    """
     try:
         yield
     except InvalidParameter as exc:
         raise click.UsageError(str(exc)) from exc
     except QuadratureFailure as exc:
         raise click.ClickException(f"numerical failure: {exc}") from exc
+    except (DivergentOverlap, NotUnimodal) as exc:
+        raise click.ClickException(str(exc)) from exc
 
 
 def _emit(text, out_path):
@@ -130,17 +137,17 @@ def compute(alignment, nu, l, d, gap, tol, out):
     with _usage_errors():
         cone = ConeParameter(nu)
         pair = PairConfig(Alignment.from_string(alignment), l=l, d=d, gap=gap)
-    try:
-        with _usage_errors():
+    with _usage_errors():
+        try:
             result = concurrence(pair, cone, tol=tol)
-    except DivergentOverlap as exc:
-        _emit(_json_text({"error": {
-            "kind": "divergent_overlap",
-            "message": str(exc),
-            "image_index": exc.image_index,
-            "argument": exc.argument,
-        }}), out)
-        sys.exit(1)
+        except DivergentOverlap as exc:
+            _emit(_json_text({"error": {
+                "kind": "divergent_overlap",
+                "message": str(exc),
+                "image_index": exc.image_index,
+                "argument": exc.argument,
+            }}), out)
+            sys.exit(1)
 
     terms = [{"m": m, "weight": weight, "f_argument": z,
               "x_term_re": x_term.real, "x_term_im": x_term.imag}
@@ -182,7 +189,7 @@ def compute(alignment, nu, l, d, gap, tol, out):
 @l_option
 @click.option("--d", type=float, default=None)
 @click.option("--gap", type=float, default=None, help="required unless it is the axis")
-@click.option("--axis", type=click.Choice(["d", "l", "nu", "gap"]), required=True)
+@click.option("--axis", type=click.Choice(SWEEP_AXES), required=True)
 @click.option("--lo", type=FiniteFloat(), required=True, help="axis lower bound")
 @click.option("--hi", type=FiniteFloat(), required=True, help="axis upper bound")
 @click.option("--n", type=click.IntRange(2, MAX_SWEEP_POINTS), default=101,

@@ -116,12 +116,11 @@ def x_string(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL) 
     carrying the offending image index.
     """
     flat = _x0(config.d, config.gap)
-    expansion = expand([(AUX_F, f_arguments(config, cone))], config.gap, cone.nu, tol)[0]
+    expansion = expand([(AUX_F, f_arguments(config, cone))], config.gap, tol)[0]
     return CorrelationBreakdown(flat, *expansion)
 
 
-def expand(parts: Sequence[Tuple[Kernel, FArguments]], gap: float, tail_rate: float,
-           tol: float = DEFAULT_TOL):
+def expand(parts: Sequence[Tuple[Kernel, FArguments]], gap: float, tol: float = DEFAULT_TOL):
     """(images, integral, image_terms) of each part's image expansion of kernel(z, gap).
 
     A part is a (kernel, geo) pair: a Kernel and the point set's FArguments.
@@ -129,8 +128,9 @@ def expand(parts: Sequence[Tuple[Kernel, FArguments]], gap: float, tail_rate: fl
     entry, and images is their sum over kernel.scale (_image_sum).  integral
     is int_0^inf coef(zeta) k(z(zeta)) dzeta, or the kernel's zero where
     coef vanishes.  The integrals of all parts run in one
-    integrate_semi_infinite call with tail rate ``tail_rate`` (the parts'
-    common nu) and the union of their breakpoints: every row (a batch's
+    integrate_semi_infinite call with the union of their breakpoints and the
+    tail rate of the slowest-decaying branch, min(nu) over the parts'
+    zeta_branches (a branch decays as e^{-nu zeta}): every row (a batch's
     points, a complex kernel's real and imaginary parts, every part) shares
     one adaptive subdivision and meets ``tol`` on its own, and a coefficient
     branch (geo.zeta_branches) that several parts hold is evaluated once per
@@ -145,7 +145,7 @@ def expand(parts: Sequence[Tuple[Kernel, FArguments]], gap: float, tail_rate: fl
             live.append(len(expansions))
         expansions.append((images / kernel.scale, kernel.zero, terms))
     if live:
-        integrals = _zeta_integrals([parts[i] for i in live], gap, tail_rate, tol)
+        integrals = _zeta_integrals([parts[i] for i in live], gap, tol)
         for i, integral in zip(live, integrals):
             images, _, terms = expansions[i]
             expansions[i] = (images, integral, terms)
@@ -182,14 +182,15 @@ def _image_sum(kernel: Kernel, image_args, gap: float):
     return images, tuple(terms)
 
 
-def _zeta_integrals(parts: Sequence[Tuple[Kernel, FArguments]], gap: float,
-                    tail_rate: float, tol: float):
+def _zeta_integrals(parts: Sequence[Tuple[Kernel, FArguments]], gap: float, tol: float):
     """Each part's int_0^inf coef k(z(zeta)) dzeta, from one integrate_semi_infinite call.
 
-    A part's coef sums zeta_coefficient over its branches.  One point gives a
-    float (a complex for a complex kernel), a batch of points an array.  The
-    integrand stacks every part's rows, a complex kernel's real rows before
-    its imaginary rows: integrate_semi_infinite integrates real rows only.
+    A part's coef sums zeta_coefficient over its branches.  A branch
+    (nu, beta, m) decays as e^{-nu zeta}, so the tail rate is the smallest
+    branch nu.  One point gives a float (a complex for a complex kernel), a
+    batch of points an array.  The integrand stacks every part's rows, a
+    complex kernel's real rows before its imaginary rows:
+    integrate_semi_infinite integrates real rows only.
     """
     layout = []     # (rows, complex, one point) per part, read from the first call
     branches = {branch: zeta_coefficient(*branch) for _, geo in parts for branch in geo.zeta_branches}
@@ -218,8 +219,8 @@ def _zeta_integrals(parts: Sequence[Tuple[Kernel, FArguments]], gap: float,
     # the integrator raises QuadratureFailure on a non-finite node value, so a
     # divide or invalid warning behind that value would only repeat the failure
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = integrate_semi_infinite(integrand, tail_rate=tail_rate, tol=tol,
-                                        breakpoints=breakpoints).value
+        value = integrate_semi_infinite(integrand, tail_rate=min(nu for nu, _, _ in branches),
+                                        tol=tol, breakpoints=breakpoints).value
     integrals = []
     start = 0
     for rows, is_complex, one_point in layout:

@@ -104,7 +104,7 @@ def _evaluate(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: 
     # X0 before the images, as in x_string: a flat overlap raises without an image index
     flat = _x0(d, gap)
     parts.append((AUX_F, geo))
-    expansions = expand(parts, gap, seen.nu, tol)
+    expansions = expand(parts, gap, tol)
     response_a = response_breakdown(expansions[0], gap)
     response_b = response_a if same else response_breakdown(expansions[1], gap)
     return response_a, response_b, CorrelationBreakdown(flat, *expansions[-1])
@@ -295,8 +295,6 @@ def nu_extremum(objective: str, config: PairConfig, bracket: Bracket, tol: float
     bracket must contain a single extremum (verified post hoc by sampling;
     NotUnimodal otherwise).
     """
-    if not isinstance(bracket, Bracket):
-        bracket = Bracket(*bracket)
     if bracket.lo < 1.0 or bracket.hi > NU_MAX:
         raise InvalidParameter(f"nu bracket must lie within [1, {NU_MAX:g}]")
 
@@ -343,32 +341,26 @@ class SweepTable:
     rows: Tuple[SweepRow, ...]
 
 
-def _row_inputs(axis: str, value: float, l: Optional[float], d: Optional[float],
-                gap: Optional[float], d_over_l: Optional[float], cone: ConeParameter):
-    """(l, d, gap, cone) of the sweep row at axis ``value``; d_over_l couples d to an l axis."""
-    if axis == "l":
-        return value, d if d_over_l is None else d_over_l * value, gap, cone
-    if axis == "d":
-        return l, value, gap, cone
-    if axis == "gap":
-        return l, d, value, cone
-    return l, d, gap, ConeParameter(value)
+def _row(axis: str, value: float, l: Optional[float], d: Optional[float],
+         gap: Optional[float], d_over_l: Optional[float], cone: ConeParameter):
+    """(l, d, gap, cone) of the sweep row at axis ``value``, checked.
+
+    ``d_over_l`` couples d to an l axis, and an unset l is 0.  Raises
+    InvalidParameter where l, d (> 0) or gap breaks its rule (check_length,
+    check_gap), or nu ConeParameter's.
+    """
+    row = {"l": 0.0 if l is None else l, "d": d, "gap": gap, axis: value}
+    if d_over_l is not None:
+        row["d"] = d_over_l * value
+    check_length("l", row["l"])
+    check_length("d", row["d"], positive=True)
+    check_gap(row["gap"])
+    return row["l"], row["d"], row["gap"], ConeParameter(value) if axis == "nu" else cone
 
 
-def _check_inputs(l: Optional[float], d: Optional[float], gap: Optional[float]) -> None:
-    """Raise InvalidParameter unless each given l, d (> 0) and gap keeps its rule."""
-    if l is not None:
-        check_length("l", l)
-    if d is not None:
-        check_length("d", d, positive=True)
-    if gap is not None:
-        check_gap(gap)
-
-
-def _sweep_row(alignment: Alignment, value: float, l: Optional[float], d: float, gap: float,
+def _sweep_row(alignment: Alignment, value: float, l: float, d: float, gap: float,
                cone: ConeParameter, tol: float) -> SweepRow:
     """One row; flagged only at a detector/image overlap or off the opposite sides' d >= 2l > 0."""
-    l = 0.0 if l is None else l
     diverged = SweepRow(param=value, p_a=None, p_b=None, abs_x=None, concurrence=None,
                         diverged=True)
     if breaks_opposite_sides_rule(alignment, l, d):
@@ -393,9 +385,9 @@ def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence
     fixed d).  A row at a detector/image overlap or off the opposite-sides
     constraint d >= 2l is flagged, never aborting the sweep; a
     QuadratureFailure is raised.  A bad ``tol``, and a fixed parameter, axis
-    value or coupled d that breaks its parameter's rule (l, d, gap:
-    _check_inputs; d_over_l finite and > 0; nu: ConeParameter), raise
-    InvalidParameter before any row.  ``threads`` is accepted for compatibility and has no effect.
+    value or coupled d that breaks its parameter's rule (l, d, gap and nu:
+    _row; d_over_l finite and > 0), raise InvalidParameter before any row.
+    ``threads`` is accepted for compatibility and has no effect.
     """
     if axis not in SWEEP_AXES:
         raise InvalidParameter(f"axis must be one of {SWEEP_AXES}")
@@ -413,13 +405,10 @@ def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence
         raise InvalidParameter("d must be fixed, the sweep axis, or coupled via d_over_l")
     fixed = {k: v for k, v in (("l", l), ("d", d), ("gap", gap), ("d_over_l", d_over_l))
              if v is not None and k != axis}
-    _check_inputs(fixed.get("l"), fixed.get("d"), fixed.get("gap"))
     if d_over_l is not None and not (math.isfinite(d_over_l) and d_over_l > 0.0):
         raise InvalidParameter(f"d_over_l must be finite and > 0, got {d_over_l!r}")
     if not all(math.isfinite(v) for v in values):
         raise InvalidParameter(f"{axis} axis values must be finite")
-    inputs = [_row_inputs(axis, v, l, d, gap, d_over_l, cone) for v in values]
-    for row in inputs:
-        _check_inputs(*row[:3])
+    inputs = [_row(axis, v, l, d, gap, d_over_l, cone) for v in values]
     rows = tuple(_sweep_row(alignment, v, *row, tol) for v, row in zip(values, inputs))
     return SweepTable(axis=axis, alignment=alignment, nu=cone.nu, fixed=fixed, rows=rows)

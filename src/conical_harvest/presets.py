@@ -7,7 +7,8 @@ give byte-identical files.  Curve kinds:
     sweep     standard concurrence table (param, P_A, P_B, |X|, C, diverged)
     response  transition probability along l or nu (param, P_per_lambda2)
     dmax      maximum harvesting-achievable separation along l (param, d_max_per_sigma)
-    pd_absx   response vs correlation magnitude along nu (param, P_D, |X_P|)
+    pd_absx   response vs correlation magnitude along nu (param, P_D, |X_P|): the
+              P_A and |X| columns of a parallel nu sweep
 """
 
 from dataclasses import dataclass
@@ -15,10 +16,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .correlation import x_string
 from .entanglement import d_max, sweep
 from .errors import UnknownPreset
-from .geometry import Alignment, ConeParameter, PairConfig
+from .geometry import Alignment, ConeParameter
 from .quadrature import DEFAULT_TOL
 from .response import p_string
 from .serialize import csv_text, sweep_to_csv
@@ -173,14 +173,11 @@ def _materialize_dmax(params: dict, quad_tol: float, **scan) -> str:
 
 
 def _materialize_pd_absx(params: dict, tol: float) -> str:
+    """P_D and |X_P| along nu: the P_A and |X| columns of a parallel nu sweep."""
     values = np.linspace(params["lo"], params["hi"], params["n"])
-    rows = []
-    for v in values:
-        cone = ConeParameter(float(v))
-        config = PairConfig(Alignment.PARALLEL, l=params["l"], d=params["d"], gap=params["gap"])
-        total = p_string(params["l"], cone, params["gap"], tol=tol).total
-        abs_x = abs(x_string(config, cone, tol=tol).total)
-        rows.append((float(v), total, abs_x))
+    table = sweep(Alignment.PARALLEL, ConeParameter(values[0]), "nu", values, l=params["l"],
+                  d=params["d"], gap=params["gap"], tol=tol)
+    rows = [(row.param, row.p_a, row.abs_x) for row in table.rows]
     return csv_text(("param", "P_D_per_lambda2", "abs_X_P_per_lambda2"), rows)
 
 

@@ -133,7 +133,7 @@ def image_response(rho, cone: ConeParameter, terms: Tuple[ImageTerm, ...], gap: 
     adaptive subdivision, each within ``tol``.
     """
     part = response_part(rho, cone, terms)
-    return response_breakdown(expand([part], gap, cone.nu, tol)[0], gap)
+    return response_breakdown(expand([part], gap, tol)[0], gap)
 
 
 def p_string(rho: float, cone: ConeParameter, gap: float, tol: float = DEFAULT_TOL) -> ResponseBreakdown:

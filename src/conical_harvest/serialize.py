@@ -31,10 +31,8 @@ def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
         for cell in row:
             if isinstance(cell, bool):
                 cells.append("true" if cell else "false")
-            elif cell is None or isinstance(cell, (int, float)):
-                cells.append(format_number(cell))
             else:
-                cells.append(str(cell))
+                cells.append(format_number(cell))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

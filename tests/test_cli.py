@@ -192,6 +192,14 @@ def test_config_file_unknown_key_rejected(tmp_path):
     assert "bogus" in result.output
 
 
+def test_config_line_without_an_equals_sign_names_its_file_and_line(tmp_path):
+    config = tmp_path / "bad.conf"
+    config.write_text("# defaults\nnu 3\n", encoding="utf-8")
+    result = runner.invoke(main, ["compute", "--config", str(config)])
+    assert result.exit_code == 2
+    assert f"Error: {config}:2: expected 'key = value', got 'nu 3'" in result.output
+
+
 def test_figure_writes_monotone_curves(tmp_path):
     result = invoke("figure", "fig4a", "--out", str(tmp_path))
     assert result.exit_code == 0
@@ -335,6 +343,21 @@ def test_nuscan_finds_minimum_gap():
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert abs(payload["nu_star"] - 9.22) < 0.05
+
+
+@pytest.mark.parametrize("args, message", [
+    # the unimodality sample lands on nu = 4, where the partner sits on image m = 2
+    (("--alignment", "opposite", "--l", "0.5", "--d", "1.0", "--nu-lo", "3", "--nu-hi", "4"),
+     "Error: detector/image overlap at image m=2"),
+    (("--alignment", "orthogonal", "--l", "1", "--d", "1.5", "--nu-lo", "1", "--nu-hi", "11"),
+     "Error: 2 distinct local minima sampled in [1.0, 11.0]"),
+], ids=["overlap", "not-unimodal"])
+def test_nuscan_reports_a_failed_search_on_one_line(args, message):
+    result = runner.invoke(main, ["nuscan", *args, "--gap", "0.1"])
+    assert isinstance(result.exception, SystemExit)
+    assert result.exit_code == 1, result.output
+    assert len(result.output.splitlines()) == 1
+    assert result.output.startswith(message)
 
 
 def test_verify_fast_profile_passes():

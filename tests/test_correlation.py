@@ -94,7 +94,7 @@ def test_batch_overlap_raises_with_the_first_overlapping_image_and_point():
     l, d = np.array([0.5, 1.0, 0.7]), np.array([1.5, 2.0, 1.4])
     geo = pair_f_arguments(Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(4.0), l, d)
     with pytest.raises(DivergentOverlap) as info:
-        expand([(AUX_F, geo)], GAP, 4.0)
+        expand([(AUX_F, geo)], GAP)
     assert info.value.image_index == 2
     assert info.value.argument == geo.image_args[1][2][1]
 
@@ -250,7 +250,7 @@ def test_x_integral_is_the_two_row_integral_bit_for_bit(alignment, nu):
     cone = ConeParameter(nu)
 
     def x_integral(geo):
-        return expand([(AUX_F, geo)], GAP, cone.nu, DEFAULT_TOL)[0][1]
+        return expand([(AUX_F, geo)], GAP, DEFAULT_TOL)[0][1]
 
     geo = f_arguments(PairConfig(alignment, l=0.5, d=1.3, gap=GAP), cone)
     one = x_integral(geo)

@@ -912,7 +912,7 @@ def test_expand_never_calls_a_checked_kernel(alignment, nu, monkeypatch):
                           for rho in (rho_a, rho_b))
         geo = pair_f_arguments(alignment, cone, l, d)
         expansions = correlation.expand([part_a, part_b, (correlation.AUX_F, geo)], GAP,
-                                        cone.nu, DEFAULT_TOL)
+                                        DEFAULT_TOL)
         assert len(expansions) == 3
     pair = config(alignment, 0.5, 1.3)
     assert concurrence(pair, cone).abs_x == pytest.approx(abs(x_string(pair, cone).total), rel=1e-10)

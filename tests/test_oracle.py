@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import re
 import sys
 
 import numpy as np
@@ -187,6 +188,23 @@ def test_compare_passes_exactly_the_deviations_within_tolerance():
     # no absolute fallback: tiny values that disagree by half fail
     assert not oracle.compare("tiny", 1e-14, 2e-14, 1e-6).passed
     assert oracle.compare("near", 1.0 + 1e-7, 1.0, 1e-6).passed
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: oracle.p0_oracle(-0.1), "gap must be >= 0"),
+    (lambda: oracle.p2_oracle(0.0, ConeParameter(2.5), 0.1),
+     "p2_oracle requires rho > 0 (use the rho=0 reduction)"),
+    (lambda: oracle.x0_oracle(0.0, 0.1), "d must be > 0"),
+    (lambda: oracle.p0_epsilon_regulated(0.1, 0.0), "epsilon must be > 0"),
+], ids=["p0-negative-gap", "p2-rho-zero", "x0-d-zero", "p0-epsilon-zero"])
+def test_oracle_refuses_an_input_outside_its_representation(call, message):
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_run_verification_refuses_an_unknown_profile():
+    with pytest.raises(ValueError, match="^unknown profile 'bogus'$"):
+        verification.run_verification("bogus")
 
 
 @pytest.mark.parametrize("profile", ["fast", "default"])

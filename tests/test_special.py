@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -73,6 +74,13 @@ def test_w_rejects_nonfinite():
         faddeeva_w(complex(np.nan, 0.0))
 
 
+def test_w_overflows_deep_in_the_lower_half_plane():
+    # w(-iy) = e^{y^2} erfc(-y) ~ 2 e^{900} at y = 30
+    message = "w(z) overflows double precision at z=(-0-30j)"
+    with pytest.raises(OverflowDomain, match=f"^{re.escape(message)}$"):
+        faddeeva_w(-30j)
+
+
 def test_erfc_trivial_and_frozen():
     assert erfc_complex(0.0) == pytest.approx(1.0, abs=1e-15)
     # real-axis series oracle value, 40-digit mpmath
@@ -141,6 +149,23 @@ def test_aux_f_large_argument_asymptotics():
     z, gap = 20.0, 0.1
     assert abs(aux_f(z, gap)) == pytest.approx(
         np.exp(-gap * gap) / (8 * np.pi * z * z), rel=0.01)
+
+
+@pytest.mark.parametrize("a, gap, message", [
+    (-0.1, 0.1, "a must be >= 0"),
+    (0.5, -0.1, "gap must be a finite scalar >= 0"),
+    (0.5, np.nan, "gap must be a finite scalar >= 0"),
+    (0.5, np.array([0.1, 0.2]), "gap must be a finite scalar >= 0"),
+], ids=["negative-a", "negative-gap", "nan-gap", "array-gap"])
+def test_kernel_refuses_a_bad_argument_or_gap(a, gap, message):
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        response_kernel(a, gap)
+
+
+@pytest.mark.parametrize("gap", [-0.1, np.nan], ids=["negative", "nan"])
+def test_aux_f_refuses_a_bad_gap(gap):
+    with pytest.raises(InvalidParameter, match="^gap must be a finite scalar >= 0$"):
+        aux_f(0.5, gap)
 
 
 def test_aux_f_divergence_cutoff():
