@@ -99,7 +99,10 @@ def _emit(text, out_path):
     if out_path is None:
         click.echo(text, nl=not text.endswith("\n"))
     else:
-        Path(out_path).write_text(text, encoding="utf-8")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise click.FileError(out_path, hint=exc.strerror) from exc
 
 
 def _json_text(payload):

@@ -16,14 +16,13 @@ P_B and X share one adaptive subdivision, which is how one concurrence, or
 one d_max scan batch, costs a single integrate_semi_infinite call.  Each
 part's image sum is likewise one call of its kernel's unchecked formula, on
 all of its image arguments stacked (shape (k,) for one point, (k, n) for a
-batch of n points), after one overlap test: the parameters were validated
-where they entered (PairConfig, check_length, check_gap), so no image
-re-validates them.  X0 is likewise one overlap test plus aux_f's formula
-(``_x0``); only the public x_flat checks d and gap first.
+batch of n points): the parameters were validated where they entered
+(PairConfig, check_length, check_gap), so no image re-validates them, and X's
+overlaps were refused (check_overlap).  X0 is aux_f's formula alone (``_x0``).
 """
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,21 +49,17 @@ class Kernel(NamedTuple):
     ``formula`` is the kernel without input checks, on a float array: the
     image sum calls it once on a part's stacked image arguments, and the zeta
     integrand once per pass on its nodes, both built from parameters that
-    were validated where they entered.  An image argument at or below
-    ``cutoff`` (None: the kernel has none) is a detector/image overlap, which
-    the image sum refuses before the call.  ``zero`` is the kernel's zero,
-    which the image sum starts from and a vanishing integral returns.  The
-    image sum and the integrand are divided by ``scale`` once, after the
-    kernel.
+    were validated where they entered.  ``zero`` is the kernel's zero, which
+    the image sum starts from and a vanishing integral returns.  The image
+    sum and the integrand are divided by ``scale`` once, after the kernel.
     """
 
     formula: Callable
     zero: Union[float, complex] = 0.0
     scale: float = 1.0
-    cutoff: Optional[float] = None
 
 
-AUX_F = Kernel(aux_f_formula, 0j, cutoff=EPS_DIV)
+AUX_F = Kernel(aux_f_formula, 0j)
 
 
 @dataclass(frozen=True)
@@ -85,39 +80,53 @@ class CorrelationBreakdown:
 def x_flat(d, gap: float):
     """Flat-spacetime correlation X0 = f(d/2) per lambda^2; an array of d gives an array.
 
-    |X0| decreases monotonically in d and diverges as d -> 0: a d/2 at or
-    below aux_f's cutoff EPS_DIV raises DivergentOverlap.  A d (any of an
-    array) or gap that geometry.check_length or check_gap refuses raises
-    InvalidParameter by name.
+    |X0| decreases monotonically in d and diverges as d -> 0, where it
+    raises DivergentOverlap (check_overlap).  A d (any of an array) or gap
+    that geometry.check_length or check_gap refuses raises InvalidParameter.
     """
     for value in np.ravel(d):
         check_length("d", float(value), positive=True)
     check_gap(gap)
+    check_overlap(d, ())
     return _x0(d, gap)
 
 
 def _x0(d, gap: float):
-    """X0 at validated separations: an overlap test (no image index), then aux_f's formula."""
-    z = np.asarray(d / 2.0, dtype=float)
-    overlap = z[z <= EPS_DIV]
-    if overlap.size:
-        bad = float(overlap[0])
-        raise DivergentOverlap(argument=bad, image_index=None,
-                               message=f"flat correlation diverges as d -> 0 (d={2.0 * bad!r})")
-    out = aux_f_formula(z, gap)
+    """X0 = aux_f's formula at d/2, for separations validated and overlap-checked by the caller."""
+    out = aux_f_formula(np.asarray(d / 2.0, dtype=float), gap)
     return complex(out) if out.ndim == 0 else out
+
+
+def overlap_mask(d, image_args) -> np.ndarray:
+    """Overlap flags of X's arguments d/2, z_1..z_k: shape (1 + k,), or (1 + k, n) for n points.
+
+    An argument at or below EPS_DIV, where aux_f diverges, puts a detector on
+    its partner or an image of it.  Single points raise; scans and sweeps mask.
+    """
+    return np.array([d / 2.0, *(z_m for _, _, z_m in image_args)]) <= EPS_DIV
+
+
+def check_overlap(d, image_args) -> None:
+    """Raise DivergentOverlap at a flagged d/2 (no image index), else at the first image, point."""
+    mask = overlap_mask(d, image_args)
+    if mask.any():
+        row, *point = np.argwhere(mask)[0]
+        if row == 0:
+            raise DivergentOverlap(float(np.asarray(d / 2.0)[tuple(point)]))
+        m, _, z_m = image_args[row - 1]
+        raise DivergentOverlap(float(np.asarray(z_m)[tuple(point)]), m)
 
 
 def x_string(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL) -> CorrelationBreakdown:
     """Correlation term of any alignment, from the images it sees (geometry.image_set).
 
-    A detector/image overlap (an f-argument at or below the cutoff, e.g. the
-    symmetric opposite-sides case at even integer nu) raises DivergentOverlap
-    carrying the offending image index.
+    A detector/image overlap (check_overlap, e.g. the symmetric opposite-sides
+    pair at even integer nu) raises DivergentOverlap with the image index.
     """
-    flat = _x0(config.d, config.gap)
-    expansion = expand([(AUX_F, f_arguments(config, cone))], config.gap, tol)[0]
-    return CorrelationBreakdown(flat, *expansion)
+    geo = f_arguments(config, cone)
+    check_overlap(config.d, geo.image_args)
+    expansion = expand([(AUX_F, geo)], config.gap, tol)[0]
+    return CorrelationBreakdown(_x0(config.d, config.gap), *expansion)
 
 
 def expand(parts: Sequence[Tuple[Kernel, FArguments]], gap: float, tol: float = DEFAULT_TOL):
@@ -158,18 +167,11 @@ def _image_sum(kernel: Kernel, image_args, gap: float):
     The arguments stack to shape (k,) for one point, whose values and terms
     are Python numbers, and (k, n) for a batch of n points, whose are arrays.
     The terms are added in image order, as one call per image would add
-    them.  An argument at or below kernel.cutoff raises DivergentOverlap
-    with the first such image's index and argument.
+    them.
     """
     if not image_args:
         return kernel.zero, ()
     z = np.array([z_m for _, _, z_m in image_args])
-    if kernel.cutoff is not None:
-        overlap = z <= kernel.cutoff
-        if overlap.any():
-            # row-major order: the first overlapping image, then its first point
-            first = tuple(np.argwhere(overlap)[0])
-            raise DivergentOverlap(argument=float(z[first]), image_index=image_args[first[0]][0])
     values = kernel.formula(z, gap)
     if values.ndim == 1:
         values = values.tolist()

@@ -4,7 +4,7 @@ At leading perturbative order the two-detector concurrence is
 2 max(0, |X| - sqrt(P_A P_B)) per lambda^2; everything here assembles that
 from the response and correlation modules and searches it (largest
 harvesting-achievable separation d_max, extremal deficit-angle parameter).
-One evaluator (``_evaluate``) serves a pair and a scan: it hands the image
+One evaluator (``_evaluate``) serves a pair, a sweep row and a scan: it hands the image
 expansions of P_A, P_B (unless rho_B = rho_A) and X to one correlation.expand
 call, so at non-integer nu one concurrence, or the d_max scan's whole grid,
 runs a single zeta integral on one adaptive subdivision.  Every search (the
@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import erfc as _erfc_real
 
-from .correlation import AUX_F, CorrelationBreakdown, _x0, expand
-from .errors import DivergentOverlap, InvalidParameter
+from .correlation import AUX_F, CorrelationBreakdown, _x0, check_overlap, expand, overlap_mask
+from .errors import InvalidParameter
 from .geometry import (
     Alignment,
     ConeParameter,
@@ -44,7 +44,7 @@ from .quadrature import (
     minimize_scalar,
 )
 from .response import ResponseBreakdown, image_response, response_breakdown, response_part
-from .special import EPS_DIV, SQRT_PI, faddeeva_w
+from .special import SQRT_PI, faddeeva_w
 
 MAX_SWEEP_POINTS = 100_000
 
@@ -93,21 +93,20 @@ def _evaluate(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: 
     parts are P_A, P_B (left out, and A's breakdown reused, where
     rho_B = rho_A) and X, so their zeta integrals share one adaptive
     subdivision, each row within ``tol``.  A scalar radial distance gives
-    its P as one point, however many points X has.
+    its P as one point, however many points X has.  An overlap raises first.
     """
+    check_overlap(d, geo.image_args)
     seen, terms = image_set(alignment, cone)
     rho_a, rho_b = radial_distances(alignment, l, d)
     same = _same_distances(rho_a, rho_b)
     parts = [response_part(rho_a, seen, terms)]
     if not same:
         parts.append(response_part(rho_b, seen, terms))
-    # X0 before the images, as in x_string: a flat overlap raises without an image index
-    flat = _x0(d, gap)
     parts.append((AUX_F, geo))
     expansions = expand(parts, gap, tol)
     response_a = response_breakdown(expansions[0], gap)
     response_b = response_a if same else response_breakdown(expansions[1], gap)
-    return response_a, response_b, CorrelationBreakdown(flat, *expansions[-1])
+    return response_a, response_b, CorrelationBreakdown(_x0(d, gap), *expansions[-1])
 
 
 def _margin(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: float,
@@ -128,8 +127,8 @@ def concurrence(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TO
     The zeta integrals of P_A, P_B and X run as one integral (``_evaluate``),
     so the breakdown parts agree with response_pair's and x_string's within
     ``tol``, not bit for bit.  Raises DivergentOverlap when a detector
-    coincides with an image of its partner (the symmetric opposite-sides case
-    at even integer nu); sweeps catch it and flag the row instead.
+    coincides with its partner or an image of it (check_overlap); a sweep
+    flags such a row instead.
     """
     resp_a, resp_b, corr = _evaluate(config.alignment, cone, config.l, config.d, config.gap,
                                      tol, f_arguments(config, cone))
@@ -147,15 +146,13 @@ def concurrence_flat(d: float, gap: float) -> float:
     C0 = max{ (e^{-g^2}/2 sqrt(pi)) [ |w(-d/2)|/d + e^{g^2} g erfc(g)
               - 1/sqrt(pi) ], 0 }
     using e^{-d^2/4}|Erfc(id/2)| = |w(-d/2)| for overflow-free evaluation.
-    Refuses the separations x_flat refuses: d/2 at or below EPS_DIV as a
-    divergence, a d that geometry.check_length refuses and a gap that
+    Refuses the separations x_flat refuses: a d/2 overlap (check_overlap)
+    as a divergence, a d that geometry.check_length refuses and a gap that
     geometry.check_gap refuses by name.
     """
     check_gap(gap)
     check_length("d", d, positive=True)
-    if d / 2.0 <= EPS_DIV:
-        raise DivergentOverlap(argument=d / 2.0, image_index=None,
-                               message="flat concurrence diverges as d -> 0")
+    check_overlap(d, ())
     bracket = (abs(faddeeva_w(-d / 2.0)) / d
                + math.exp(gap * gap) * gap * _erfc_real(gap) - 1.0 / SQRT_PI)
     return max(math.exp(-gap * gap) / (2.0 * SQRT_PI) * bracket, 0.0)
@@ -180,8 +177,7 @@ def _scan_margins(alignment: Alignment, cone: ConeParameter, l, d: np.ndarray,
     """Margins |X| - sqrt(P_A P_B) along an array d in one array pass.
 
     ``l`` is a scalar (a d_max scan's fixed l) or an array of d's shape.
-    Masks the points where d/2 or an image argument is at or below EPS_DIV
-    (the DivergentOverlap cases of concurrence), then runs _margin once on
+    Masks the points that overlap_mask flags, then runs _margin once on
     the remaining batch, so at non-integer nu one zeta integral (one row for
     each P of a scalar radial distance, else one per point, and X per point)
     serves the whole scan, its rows sharing one adaptive subdivision.  The
@@ -189,9 +185,7 @@ def _scan_margins(alignment: Alignment, cone: ConeParameter, l, d: np.ndarray,
     values are returned as skipped.
     """
     geo = pair_f_arguments(alignment, cone, l, d)
-    ok = d / 2.0 > EPS_DIV
-    for _, _, z in geo.image_args:
-        ok &= z > EPS_DIV
+    ok = ~overlap_mask(d, geo.image_args).any(axis=0)
     l_ok, d_ok = l[ok] if getattr(l, "ndim", 0) else l, d[ok]
     if not ok.all():
         if not ok.any():
@@ -336,7 +330,7 @@ class SweepTable:
 
     axis: str
     alignment: Alignment
-    nu: float
+    nu: Optional[float]     # None on a nu axis
     fixed: dict
     rows: Tuple[SweepRow, ...]
 
@@ -360,17 +354,15 @@ def _row(axis: str, value: float, l: Optional[float], d: Optional[float],
 
 def _sweep_row(alignment: Alignment, value: float, l: float, d: float, gap: float,
                cone: ConeParameter, tol: float) -> SweepRow:
-    """One row; flagged only at a detector/image overlap or off the opposite sides' d >= 2l > 0."""
-    diverged = SweepRow(param=value, p_a=None, p_b=None, abs_x=None, concurrence=None,
-                        diverged=True)
-    if breaks_opposite_sides_rule(alignment, l, d):
-        return diverged
-    try:
-        result = concurrence(PairConfig(alignment, l=l, d=d, gap=gap), cone, tol=tol)
-    except DivergentOverlap:
-        return diverged
-    return SweepRow(param=value, p_a=result.response_a.total, p_b=result.response_b.total,
-                    abs_x=result.abs_x, concurrence=result.concurrence, diverged=False)
+    """One _evaluate call, or a flagged row at an overlap or off the opposite sides' d >= 2l > 0."""
+    if not breaks_opposite_sides_rule(alignment, l, d):
+        geo = pair_f_arguments(alignment, cone, l, d)
+        if not overlap_mask(d, geo.image_args).any():
+            p_a, p_b, x = _evaluate(alignment, cone, l, d, gap, tol, geo)
+            p_a, p_b, abs_x = p_a.total, p_b.total, abs(x.total)
+            concurrence_value = 2.0 * max(0.0, abs_x - math.sqrt(p_a * p_b))
+            return SweepRow(value, p_a, p_b, abs_x, concurrence_value, diverged=False)
+    return SweepRow(param=value, p_a=None, p_b=None, abs_x=None, concurrence=None, diverged=True)
 
 
 def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence[float],
@@ -411,4 +403,5 @@ def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence
         raise InvalidParameter(f"{axis} axis values must be finite")
     inputs = [_row(axis, v, l, d, gap, d_over_l, cone) for v in values]
     rows = tuple(_sweep_row(alignment, v, *row, tol) for v, row in zip(values, inputs))
-    return SweepTable(axis=axis, alignment=alignment, nu=cone.nu, fixed=fixed, rows=rows)
+    return SweepTable(axis=axis, alignment=alignment, nu=None if axis == "nu" else cone.nu,
+                      fixed=fixed, rows=rows)

@@ -25,15 +25,16 @@ class DivergentOverlap(ConicalHarvestError):
     """A detector coincides with an image of its partner (point-model breakdown).
 
     Carries the offending image index (``m``, or None for the flat d->0
-    divergence) and the divergent argument so callers can render a labeled
-    singularity instead of a number.
+    divergence, whose argument is d/2) and the divergent argument so callers
+    can render a labeled singularity instead of a number.
     """
 
-    def __init__(self, argument, image_index=None, message=None):
+    def __init__(self, argument, image_index=None):
         self.argument = argument
         self.image_index = image_index
-        where = "flat separation" if image_index is None else f"image m={image_index}"
-        super().__init__(message or f"detector/image overlap at {where} (argument {argument!r})")
+        super().__init__(f"flat correlation diverges as d -> 0 (d={2.0 * argument!r})"
+                         if image_index is None else
+                         f"detector/image overlap at image m={image_index} (argument {argument!r})")
 
 
 class QuadratureFailure(ConicalHarvestError):

@@ -142,6 +142,15 @@ def test_sweep_json_rows_equal_the_csv_rows():
         assert [format_number(v) for v in numbers] + [str(diverged).lower()] == cells
 
 
+def test_sweep_json_on_a_nu_axis_reports_no_fixed_nu():
+    # the rows run at nu = 1 and 6; the ignored --nu 3 was printed as the table's nu
+    args = ["sweep", "--alignment", "parallel", "--nu", "3", "--d", "0.5", "--l", "0.2",
+            "--axis", "nu", "--lo", "1", "--hi", "6", "--n", "2", "--gap", "0.1"]
+    payload = json.loads(invoke(*args, "--format", "json").output)
+    assert payload["nu"] is None
+    assert [row["param"] for row in payload["rows"]] == [1.0, 6.0]
+
+
 @pytest.mark.parametrize("args, message", [
     (sweep_args(lo="1.5", hi="1.5"), "--lo must be below --hi"),
     (sweep_args(lo="1.5", hi="0.1"), "--lo must be below --hi"),
@@ -380,6 +389,15 @@ def test_verify_json_report(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["all_passed"] is True
     assert all("quantity" in check for check in payload["checks"])
+
+
+def test_out_into_a_missing_directory_is_a_one_line_file_error(tmp_path):
+    # it ended in a FileNotFoundError traceback after the whole computation
+    out = tmp_path / "missing" / "report.txt"
+    result = runner.invoke(main, ["verify", "--profile", "fast", "--out", str(out)])
+    assert result.exit_code == 1
+    assert not isinstance(result.exception, FileNotFoundError)
+    assert result.output == f"Error: Could not open file '{out}': No such file or directory\n"
 
 
 def test_verify_json_checks_carry_the_report_fields_in_order():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conical_harvest.correlation import (
-    AUX_F, correlation_for, expand, x_boundary, x_flat, x_string)
+    AUX_F, check_overlap, correlation_for, expand, x_boundary, x_flat, x_string)
 from conical_harvest.errors import DivergentOverlap, InvalidParameter
 from conical_harvest.geometry import (
     Alignment,
@@ -89,12 +89,12 @@ def test_opposite_even_nu_overlap_raises_with_index(nu):
 
 
 def test_batch_overlap_raises_with_the_first_overlapping_image_and_point():
-    # the overlap of expand's image sum, on a batch whose second and third
-    # points sit on image m = 2 of nu = 4
+    # the overlap rule on a batch whose second and third points sit on
+    # image m = 2 of nu = 4
     l, d = np.array([0.5, 1.0, 0.7]), np.array([1.5, 2.0, 1.4])
     geo = pair_f_arguments(Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(4.0), l, d)
     with pytest.raises(DivergentOverlap) as info:
-        expand([(AUX_F, geo)], GAP)
+        check_overlap(d, geo.image_args)
     assert info.value.image_index == 2
     assert info.value.argument == geo.image_args[1][2][1]
 

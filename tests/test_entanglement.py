@@ -328,7 +328,7 @@ def test_a_sweep_row_flags_only_an_overlap_or_the_opposite_sides_constraint(erro
     def failing(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(entanglement, "concurrence", failing)
+    monkeypatch.setattr(entanglement, "_evaluate", failing)
     with pytest.raises(type(error), match="stub"):
         sweep(Alignment.PARALLEL, ConeParameter(3.0), "d", [0.5, 1.0], l=0.5, gap=GAP)
     # a row off d >= 2l > 0 is flagged before any evaluation
@@ -336,6 +336,43 @@ def test_a_sweep_row_flags_only_an_overlap_or_the_opposite_sides_constraint(erro
         table = sweep(Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(3.0), "d", [0.5, 0.9],
                       l=l, gap=GAP)
         assert [row.diverged for row in table.rows] == [True, True]
+
+
+# (l, d): the symmetric opposite-sides pair (an image overlap at nu = 4),
+# d/2 = EPS_DIV (an overlap on every alignment), d/2 above it, the symmetric
+# pair there (an image overlap on opposite sides) and an ordinary point
+OVERLAP_POINTS = [(1.0, 2.0), (1e-12, 2e-10), (1e-12, 3e-10), (1.5e-10, 3e-10), (0.5, 1.3)]
+
+
+@pytest.mark.parametrize("nu", [2.5, 3.0, 4.0])
+@pytest.mark.parametrize("alignment", list(Alignment))
+def test_points_scans_and_sweeps_share_one_overlap_rule(alignment, nu):
+    # a single point raises, a scan skips and a sweep flags exactly the same points
+    cone = ConeParameter(nu)
+    for l, d in OVERLAP_POINTS:
+        try:
+            concurrence(config(alignment, l, d), cone)
+            raised = False
+        except DivergentOverlap:
+            raised = True
+        _, skipped = _scan_margins(alignment, cone, l, np.array([d]), GAP, DEFAULT_TOL)
+        assert skipped == ([d] if raised else [])
+        row = sweep(alignment, cone, "d", [d, 1.0], l=l, gap=GAP).rows[0]
+        assert row.diverged is raised
+
+
+def test_an_overlap_names_the_first_overlapping_image_or_the_flat_separation():
+    with pytest.raises(DivergentOverlap) as info:
+        concurrence(config(Alignment.ORTHOGONAL_OPPOSITE_SIDES, 1.0, 2.0), ConeParameter(4.0))
+    assert (info.value.image_index, info.value.argument) == (2, 6.123233995736766e-17)
+    assert str(info.value) == "detector/image overlap at image m=2 (argument 6.123233995736766e-17)"
+    # concurrence_flat's message was "flat concurrence diverges as d -> 0"
+    for flat in (lambda: concurrence(config(Alignment.PARALLEL, 0.1, 1e-10), ConeParameter(3.0)),
+                 lambda: x_flat(1e-10, GAP), lambda: concurrence_flat(1e-10, GAP)):
+        with pytest.raises(DivergentOverlap) as info:
+            flat()
+        assert (info.value.image_index, info.value.argument) == (None, 5e-11)
+        assert str(info.value) == "flat correlation diverges as d -> 0 (d=1e-10)"
 
 
 @pytest.mark.parametrize("nu", [3.0, 2.5])
