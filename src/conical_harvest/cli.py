@@ -5,14 +5,18 @@ subcommand's click options are the only declaration of its keys, types,
 defaults and required flags.  ``--config FILE`` reads line-oriented
 ``key = value`` defaults (UTF-8, ``#`` comments) whose keys are the command's
 long option names; click checks file values exactly like flags, a flag
-overrides the file, and any other key is rejected by name.  Exit codes: 0 on
-success, 1 on computation/verification failure, 2 on usage errors.
+overrides the file, and any other key is rejected by name.
+
+Every subcommand runs through ``_Command.invoke``, the one place where library
+failures become click errors: InvalidParameter and UnknownPreset are usage
+errors (exit 2); a numerical failure, an overlap, a non-unimodal nu bracket or
+an output file that cannot be written ends on one ``Error:`` line (exit 1).
 """
 
+import errno
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -54,8 +58,12 @@ TOLERANCE = FiniteFloat(positive=True)
 
 
 def _parse_config_file(path):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -78,35 +86,25 @@ def _load_config(ctx, param, path):
     ctx.default_map = values
 
 
-@contextmanager
-def _usage_errors():
-    """Report InvalidParameter as a usage error (exit 2), a failed computation on one line (exit 1).
-
-    A failed computation is a QuadratureFailure, a DivergentOverlap (compute
-    reports its own as JSON) or a NotUnimodal nu bracket.
-    """
-    try:
-        yield
-    except InvalidParameter as exc:
-        raise click.UsageError(str(exc)) from exc
-    except QuadratureFailure as exc:
-        raise click.ClickException(f"numerical failure: {exc}") from exc
-    except (DivergentOverlap, NotUnimodal) as exc:
-        raise click.ClickException(str(exc)) from exc
-
-
 def _emit(text, out_path):
     if out_path is None:
         click.echo(text, nl=not text.endswith("\n"))
     else:
-        try:
-            Path(out_path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise click.FileError(out_path, hint=exc.strerror) from exc
+        Path(out_path).write_text(text, encoding="utf-8")
 
 
 def _json_text(payload):
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _breakdown(parts, prefix, split=False):
+    """flat, images, integral and total of a P or X breakdown; split: each as _re and _im."""
+    values = {key: getattr(parts, prefix + key) for key in ("flat", "images", "integral")}
+    values["total"] = parts.total
+    if not split:
+        return values
+    return {f"{key}_{form}": getattr(value, attr) for key, value in values.items()
+            for form, attr in (("re", "real"), ("im", "imag"))}
 
 
 config_option = click.option(
@@ -126,6 +124,28 @@ def main():
     """Entanglement-harvesting observables near a cosmic string."""
 
 
+class _Command(click.Command):
+    """Runs every subcommand; the one place where library failures become click errors."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (InvalidParameter, UnknownPreset) as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+        except QuadratureFailure as exc:
+            raise click.ClickException(f"numerical failure: {exc}") from exc
+        except (DivergentOverlap, NotUnimodal) as exc:
+            raise click.ClickException(str(exc)) from exc
+        except OSError as exc:
+            if exc.errno == errno.EPIPE:
+                raise  # a closed stdout, which click handles itself
+            name = ctx.params["out"] if exc.filename is None else exc.filename
+            raise click.FileError(name, hint=exc.strerror) from exc
+
+
+main.command_class = _Command
+
+
 @main.command()
 @config_option
 @alignment_option
@@ -137,20 +157,18 @@ def main():
 @out_option
 def compute(alignment, nu, l, d, gap, tol, out):
     """Single-point P_A, P_B, |X|, concurrence with full term-level breakdowns."""
-    with _usage_errors():
-        cone = ConeParameter(nu)
-        pair = PairConfig(Alignment.from_string(alignment), l=l, d=d, gap=gap)
-    with _usage_errors():
-        try:
-            result = concurrence(pair, cone, tol=tol)
-        except DivergentOverlap as exc:
-            _emit(_json_text({"error": {
-                "kind": "divergent_overlap",
-                "message": str(exc),
-                "image_index": exc.image_index,
-                "argument": exc.argument,
-            }}), out)
-            sys.exit(1)
+    cone = ConeParameter(nu)
+    pair = PairConfig(Alignment.from_string(alignment), l=l, d=d, gap=gap)
+    try:
+        result = concurrence(pair, cone, tol=tol)
+    except DivergentOverlap as exc:
+        _emit(_json_text({"error": {
+            "kind": "divergent_overlap",
+            "message": str(exc),
+            "image_index": exc.image_index,
+            "argument": exc.argument,
+        }}), out)
+        sys.exit(1)
 
     terms = [{"m": m, "weight": weight, "f_argument": z,
               "x_term_re": x_term.real, "x_term_im": x_term.imag}
@@ -166,20 +184,9 @@ def compute(alignment, nu, l, d, gap, tol, out):
         "abs_X_per_lambda2": result.abs_x,
         "concurrence_per_lambda2": result.concurrence,
         "diverged": result.diverged,
-        "breakdowns": {
-            "P_A": {"flat": result.response_a.p_flat, "images": result.response_a.p_images,
-                    "integral": result.response_a.p_integral, "total": result.response_a.total},
-            "P_B": {"flat": result.response_b.p_flat, "images": result.response_b.p_images,
-                    "integral": result.response_b.p_integral, "total": result.response_b.total},
-            "X": {"flat_re": result.correlation.x_flat.real,
-                  "flat_im": result.correlation.x_flat.imag,
-                  "images_re": result.correlation.x_images.real,
-                  "images_im": result.correlation.x_images.imag,
-                  "integral_re": result.correlation.x_integral.real,
-                  "integral_im": result.correlation.x_integral.imag,
-                  "total_re": result.correlation.total.real,
-                  "total_im": result.correlation.total.imag},
-        },
+        "breakdowns": {"P_A": _breakdown(result.response_a, "p_"),
+                       "P_B": _breakdown(result.response_b, "p_"),
+                       "X": _breakdown(result.correlation, "x_", split=True)},
         "image_terms": terms,
     }
     _emit(_json_text(payload), out)
@@ -214,13 +221,9 @@ def sweep_cmd(alignment, nu, l, d, gap, axis, lo, hi, n, log, d_over_l, tol, for
     else:
         values = np.linspace(lo, hi, n)
 
-    with _usage_errors():
-        table = sweep(Alignment.from_string(alignment), ConeParameter(nu), axis, values,
-                      l=l, d=d, gap=gap, d_over_l=d_over_l, tol=tol)
-    if format == "json":
-        _emit(_json_text(sweep_to_dict(table)), out)
-    else:
-        _emit(sweep_to_csv(table), out)
+    table = sweep(Alignment.from_string(alignment), ConeParameter(nu), axis, values,
+                  l=l, d=d, gap=gap, d_over_l=d_over_l, tol=tol)
+    _emit(_json_text(sweep_to_dict(table)) if format == "json" else sweep_to_csv(table), out)
 
 
 @main.command(name="dmax")
@@ -244,9 +247,8 @@ def sweep_cmd(alignment, nu, l, d, gap, axis, lo, hi, n, log, d_over_l, tol, for
 @out_option
 def dmax_cmd(alignment, nu, l, gap, d_hi, grid_n, scan_tol, l_lo, l_hi, l_n, terminal, tol, out):
     """Maximum harvesting-achievable separation (single l, or a curve over l)."""
-    with _usage_errors():
-        cone = ConeParameter(nu)
-        alignment = Alignment.from_string(alignment)
+    cone = ConeParameter(nu)
+    alignment = Alignment.from_string(alignment)
 
     curve_mode = l_lo is not None or l_hi is not None or l_n is not None
     if terminal and (curve_mode or alignment is not Alignment.ORTHOGONAL_OPPOSITE_SIDES):
@@ -262,21 +264,17 @@ def dmax_cmd(alignment, nu, l, gap, d_hi, grid_n, scan_tol, l_lo, l_hi, l_n, ter
             raise click.UsageError("--l-lo must be below --l-hi")
         curve = {"lo": l_lo, "hi": l_hi, "n": l_n,
                  "alignment": alignment.value, "nu": cone.nu, "gap": gap}
-        with _usage_errors():
-            text = _materialize_dmax(curve, tol, d_hi=d_hi, grid_n=grid_n, tol=scan_tol)
-        _emit(text, out)
+        _emit(_materialize_dmax(curve, tol, d_hi=d_hi, grid_n=grid_n, tol=scan_tol), out)
         return
 
+    result = d_max(alignment, cone, l=l, gap=gap, d_hi=d_hi, grid_n=grid_n,
+                   tol=scan_tol, quad_tol=tol)
     payload = {"version": __version__, "alignment": alignment.value, "nu": cone.nu,
-               "gap": gap, "l": l}
-    with _usage_errors():
-        result = d_max(alignment, cone, l=l, gap=gap, d_hi=d_hi, grid_n=grid_n,
-                       tol=scan_tol, quad_tol=tol)
-        payload["d_max_per_sigma"] = result.value
-        payload["skipped_points"] = list(result.skipped)
-        if terminal:
-            payload["terminal_l_per_sigma"] = opposite_sides_terminal_l(
-                cone, gap, grid_n=grid_n, tol=scan_tol, quad_tol=tol)
+               "gap": gap, "l": l, "d_max_per_sigma": result.value,
+               "skipped_points": list(result.skipped)}
+    if terminal:
+        payload["terminal_l_per_sigma"] = opposite_sides_terminal_l(
+            cone, gap, grid_n=grid_n, tol=scan_tol, quad_tol=tol)
     _emit(_json_text(payload), out)
 
 
@@ -295,10 +293,9 @@ def dmax_cmd(alignment, nu, l, gap, d_hi, grid_n, scan_tol, l_lo, l_hi, l_n, ter
 @out_option
 def nuscan_cmd(objective, alignment, l, d, gap, nu_lo, nu_hi, scan_tol, tol, out):
     """Extremal deficit-angle parameter for an objective over a nu bracket."""
-    with _usage_errors():
-        pair = PairConfig(Alignment.from_string(alignment), l=l, d=d, gap=gap)
-        nu_star = nu_extremum(objective, pair, Bracket(nu_lo, nu_hi), tol=scan_tol, quad_tol=tol)
-        result = concurrence(pair, ConeParameter(nu_star), tol=tol)
+    pair = PairConfig(Alignment.from_string(alignment), l=l, d=d, gap=gap)
+    nu_star = nu_extremum(objective, pair, Bracket(nu_lo, nu_hi), tol=scan_tol, quad_tol=tol)
+    result = concurrence(pair, ConeParameter(nu_star), tol=tol)
     _emit(_json_text({
         "version": __version__,
         "objective": objective,
@@ -322,10 +319,7 @@ def figure_cmd(name, list_presets, tol, out):
         return
     if name is None:
         raise click.UsageError("missing preset NAME (or use --list)")
-    try:
-        files = build_figure(name, tol=tol)
-    except UnknownPreset as exc:
-        raise click.UsageError(str(exc)) from exc
+    files = build_figure(name, tol=tol)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for filename, text in files:

@@ -93,9 +93,9 @@ def _evaluate(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: 
     parts are P_A, P_B (left out, and A's breakdown reused, where
     rho_B = rho_A) and X, so their zeta integrals share one adaptive
     subdivision, each row within ``tol``.  A scalar radial distance gives
-    its P as one point, however many points X has.  An overlap raises first.
+    its P as one point, however many points X has.  The caller applied the
+    overlap rule (check_overlap, or overlap_mask), so ``geo`` is overlap-free.
     """
-    check_overlap(d, geo.image_args)
     seen, terms = image_set(alignment, cone)
     rho_a, rho_b = radial_distances(alignment, l, d)
     same = _same_distances(rho_a, rho_b)
@@ -111,9 +111,10 @@ def _evaluate(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: 
 
 def _margin(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: float,
             geo: Optional[FArguments] = None):
-    """|X| - sqrt(P_A P_B) from _evaluate, every search's one margin; geo defaults to l, d's."""
+    """Every search's margin |X| - sqrt(P_A P_B); geo is a masked scan's, else l, d's, checked."""
     if geo is None:
         geo = pair_f_arguments(alignment, cone, l, d)
+        check_overlap(d, geo.image_args)
     p_a, p_b, x = _evaluate(alignment, cone, l, d, gap, tol, geo)
     x = x.total
     # np.hypot is the libm hypot behind Python's abs(complex); np.abs on a
@@ -130,8 +131,10 @@ def concurrence(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TO
     coincides with its partner or an image of it (check_overlap); a sweep
     flags such a row instead.
     """
+    geo = f_arguments(config, cone)
+    check_overlap(config.d, geo.image_args)
     resp_a, resp_b, corr = _evaluate(config.alignment, cone, config.l, config.d, config.gap,
-                                     tol, f_arguments(config, cone))
+                                     tol, geo)
     abs_x = abs(corr.total)
     geo_mean = math.sqrt(resp_a.total * resp_b.total)
     value = 2.0 * max(0.0, abs_x - geo_mean)

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -10,9 +11,11 @@ import pytest
 from click.testing import CliRunner
 
 import conical_harvest
+from conical_harvest import cli
 from conical_harvest._version import __version__
 from conical_harvest.cli import main
 from conical_harvest.entanglement import concurrence_flat, opposite_sides_terminal_l, sweep
+from conical_harvest.errors import DivergentOverlap, InvalidParameter, QuadratureFailure
 from conical_harvest.geometry import Alignment, ConeParameter
 from conical_harvest.serialize import SWEEP_COLUMNS, format_number
 
@@ -616,3 +619,85 @@ def test_a_numerical_failure_exits_1_on_one_line(args):
     assert result.exit_code == 1, result.output
     assert len(result.output.splitlines()) == 1
     assert result.output.startswith("Error: numerical failure: integrand returned non-finite values")
+
+
+def test_every_subcommand_maps_library_failures_in_one_invoke():
+    assert len(main.commands) == 6
+    assert all(type(command) is cli._Command for command in main.commands.values())
+
+
+def test_a_library_usage_error_keeps_its_usage_and_hint_lines():
+    result = runner.invoke(main, ["compute", "--alignment", "opposite", "--nu", "3", "--l", "1",
+                                  "--d", "1", "--gap", "0.1"])
+    assert result.exit_code == 2
+    lines = result.output.splitlines()
+    assert lines[0].startswith("Usage: ") and " compute [OPTIONS]" in lines[0]
+    assert lines[1].startswith("Try '") and lines[1].endswith(" compute --help' for help.")
+    assert lines[-1] == "Error: opposite-sides alignment requires d >= 2l > 0, got l=1.0, d=1.0"
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def test_figure_reports_a_numerical_failure_on_one_line(tmp_path, monkeypatch):
+    # it ended in a ToleranceNotMet traceback (e.g. fig3b --tol 1e-300)
+    monkeypatch.setattr(cli, "build_figure", _raise(QuadratureFailure("budget exhausted")))
+    result = runner.invoke(main, ["figure", "fig3b", "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.output == "Error: numerical failure: budget exhausted\n"
+
+
+def test_figure_out_under_a_regular_file_is_a_one_line_file_error(tmp_path):
+    # it ended in a NotADirectoryError traceback
+    (tmp_path / "FILE").write_text("x\n", encoding="utf-8")
+    out = tmp_path / "FILE" / "sub"
+    result = runner.invoke(main, ["figure", "fig4a", "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: Could not open file '{out}': Not a directory\n"
+
+
+@pytest.mark.parametrize("exc, line", [
+    (QuadratureFailure("budget exhausted"), "Error: numerical failure: budget exhausted"),
+    (DivergentOverlap(0.0, image_index=2), "Error: detector/image overlap at image m=2 (argument 0.0)"),
+    (InvalidParameter("bad profile"), "Error: bad profile"),
+], ids=["numerical", "overlap", "invalid"])
+def test_verify_reports_a_failed_production_call_on_one_error_line(exc, line, monkeypatch):
+    # the exception escaped verify unconverted
+    monkeypatch.setattr(cli, "run_verification", _raise(exc))
+    result = runner.invoke(main, ["verify", "--profile", "fast"])
+    assert result.exit_code == (2 if isinstance(exc, InvalidParameter) else 1)
+    assert result.output.splitlines()[-1] == line
+    assert len(result.output.splitlines()) == (4 if isinstance(exc, InvalidParameter) else 1)
+
+
+def test_an_output_error_without_a_file_name_names_the_out_path(tmp_path, monkeypatch):
+    # a write that fails after the file opened (a full disk) carries no file name
+    monkeypatch.setattr(cli.Path, "write_text",
+                        _raise(OSError(errno.ENOSPC, "No space left on device")))
+    out = tmp_path / "report.txt"
+    result = runner.invoke(main, ["verify", "--profile", "fast", "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: Could not open file '{out}': No space left on device\n"
+
+
+def test_a_closed_stdout_is_left_to_click(monkeypatch):
+    # click ends a closed pipe quietly with exit 1; it is not an output-file error
+    monkeypatch.setattr(cli, "run_verification", _raise(BrokenPipeError(errno.EPIPE, "Broken pipe")))
+    result = runner.invoke(main, ["verify", "--profile", "fast"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == ""
+
+
+def test_a_config_file_that_is_not_utf8_is_a_usage_error_naming_it(tmp_path):
+    # it ended in a UnicodeDecodeError traceback with exit 1
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"gap = 0.1\n\xff\xfe = 2\n")
+    result = runner.invoke(main, ["compute", "--config", str(config), "--alignment", "parallel",
+                                  "--d", "1"])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == (
+        f"Error: {config}: not UTF-8 text (invalid start byte at byte 10)")

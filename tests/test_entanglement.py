@@ -539,6 +539,25 @@ def test_d_max_refines_from_the_scan_margins_at_its_bracket_ends(monkeypatch):
     assert points and all(d not in ends for _, d in points), (ends, points)
 
 
+def test_d_max_tests_each_scan_point_and_each_brent_step_for_overlap_once(monkeypatch):
+    # the scan's mask and then _evaluate tested every scan point twice
+    tested = []
+
+    def spy(rule):
+        def recorded(d, image_args):
+            tested.extend(np.ravel(d).tolist())
+            return rule(d, image_args)
+        return recorded
+
+    monkeypatch.setattr(entanglement, "overlap_mask", spy(entanglement.overlap_mask))
+    monkeypatch.setattr(entanglement, "check_overlap", spy(entanglement.check_overlap))
+    steps = _spy_margin_points(monkeypatch)
+    grid_n = 64
+    d_max(Alignment.PARALLEL, ConeParameter(3.0), l=0.5, gap=GAP, grid_n=grid_n)
+    assert steps
+    assert tested == np.linspace(8.0 / grid_n, 8.0, grid_n).tolist() + [d for _, d in steps]
+
+
 def test_terminal_l_refines_from_the_scan_margins_at_its_bracket_ends(monkeypatch):
     cone = ConeParameter(3.0)
     grid = np.linspace(4.0 / 512, 4.0, 512)
