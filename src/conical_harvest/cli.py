@@ -25,8 +25,8 @@ import numpy as np
 from click.core import ParameterSource
 
 from ._version import __version__
-from .entanglement import (MAX_SWEEP_POINTS, SWEEP_AXES, concurrence, d_max, nu_extremum,
-                           opposite_sides_terminal_l, sweep)
+from .entanglement import (MAX_SWEEP_POINTS, NU_OBJECTIVES, SWEEP_AXES, concurrence, d_max,
+                           nu_extremum, opposite_sides_terminal_l, sweep)
 from .errors import (DivergentOverlap, InvalidParameter, NotUnimodal, QuadratureFailure,
                      UnknownPreset)
 from .geometry import Alignment, ConeParameter, PairConfig, radial_pair
@@ -183,7 +183,6 @@ def compute(alignment, nu, l, d, gap, tol, out):
         "P_B_per_lambda2": result.response_b.total,
         "abs_X_per_lambda2": result.abs_x,
         "concurrence_per_lambda2": result.concurrence,
-        "diverged": result.diverged,
         "breakdowns": {"P_A": _breakdown(result.response_a, "p_"),
                        "P_B": _breakdown(result.response_b, "p_"),
                        "X": _breakdown(result.correlation, "x_", split=True)},
@@ -280,7 +279,7 @@ def dmax_cmd(alignment, nu, l, gap, d_hi, grid_n, scan_tol, l_lo, l_hi, l_n, ter
 
 @main.command(name="nuscan")
 @config_option
-@click.option("--objective", type=click.Choice(["response_correlation_gap", "concurrence"]),
+@click.option("--objective", type=click.Choice(list(NU_OBJECTIVES)),
               default="response_correlation_gap")
 @alignment_option
 @l_option

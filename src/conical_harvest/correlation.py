@@ -39,7 +39,7 @@ from .geometry import (
     f_arguments,
     zeta_coefficient,
 )
-from .quadrature import DEFAULT_TOL, integrate_semi_infinite
+from .quadrature import DEFAULT_TOL, check_tolerance, integrate_semi_infinite
 from .special import EPS_DIV, aux_f_formula
 
 
@@ -144,8 +144,10 @@ def expand(parts: Sequence[Tuple[Kernel, FArguments]], gap: float, tol: float = 
     one adaptive subdivision and meets ``tol`` on its own, and a coefficient
     branch (geo.zeta_branches) that several parts hold is evaluated once per
     pass.  Parts whose coefficient vanishes stay out of it; when every
-    coefficient vanishes, no integral runs.
+    coefficient vanishes, no integral runs, but a ``tol`` that
+    quadrature.check_tolerance refuses raises InvalidParameter at any nu.
     """
+    check_tolerance(tol, "quadrature")
     expansions = []
     live = []       # the parts whose zeta integral does not vanish
     for kernel, geo in parts:

@@ -7,8 +7,9 @@ harvesting-achievable separation d_max, extremal deficit-angle parameter).
 One evaluator (``_evaluate``) serves a pair, a sweep row and a scan: it hands the image
 expansions of P_A, P_B (unless rho_B = rho_A) and X to one correlation.expand
 call, so at non-integer nu one concurrence, or the d_max scan's whole grid,
-runs a single zeta integral on one adaptive subdivision.  Every search (the
-d_max scan, its Brent steps, nu_extremum) reads its margin from ``_margin``.
+runs a single zeta integral on one adaptive subdivision.  ``_observables``
+reads (|X|, sqrt(P_A P_B)) off it, and every search (the d_max scan, its
+Brent steps, nu_extremum) reads its margin from ``_margin``.
 """
 
 import math
@@ -33,7 +34,6 @@ from .geometry import (
     image_set,
     pair_f_arguments,
     radial_distances,
-    radial_pair,
 )
 from .quadrature import (
     Bracket,
@@ -43,7 +43,7 @@ from .quadrature import (
     find_root_from_ends,
     minimize_scalar,
 )
-from .response import ResponseBreakdown, image_response, response_breakdown, response_part
+from .response import ResponseBreakdown, response_breakdown, response_part
 from .special import SQRT_PI, faddeeva_w
 
 MAX_SWEEP_POINTS = 100_000
@@ -56,32 +56,33 @@ class ConcurrenceResult:
     abs_x: float
     geo_mean_p: float
     concurrence: float
-    diverged: bool
     response_a: ResponseBreakdown
     response_b: ResponseBreakdown
     correlation: CorrelationBreakdown
 
 
-def response_pair(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL):
-    """(ResponseBreakdown_A, ResponseBreakdown_B) for any alignment.
-
-    Each detector responds to the images its pair sees (geometry.image_set):
-    a boundary's subtracted image sits in p_images, flat has none, and
-    B is A's breakdown itself where their radial distances agree.
-    """
-    seen, terms = image_set(config.alignment, cone)
-    rho_a, rho_b = radial_pair(config)
-    response_a = image_response(rho_a, seen, terms, config.gap, tol=tol)
-    if rho_a == rho_b:
-        return response_a, response_a
-    return response_a, image_response(rho_b, seen, terms, config.gap, tol=tol)
-
-
-def _same_distances(rho_a, rho_b) -> bool:
+def _response_parts(alignment: Alignment, cone: ConeParameter, l, d):
+    """[P_A's correlation.expand part], and P_B's unless rho_B = rho_A, on the pair's images."""
+    seen, terms = image_set(alignment, cone)
+    rho_a, rho_b = radial_distances(alignment, l, d)
     # a scalar beside an array (a d_max scan's fixed l beside l + d) is not the same
-    if getattr(rho_a, "ndim", 0) or getattr(rho_b, "ndim", 0):
-        return np.array_equal(rho_a, rho_b)
-    return rho_a == rho_b
+    array = getattr(rho_a, "ndim", 0) or getattr(rho_b, "ndim", 0)
+    same = np.array_equal(rho_a, rho_b) if array else rho_a == rho_b
+    parts = [response_part(rho_a, seen, terms)]
+    if not same:
+        parts.append(response_part(rho_b, seen, terms))
+    return parts
+
+
+def response_pair(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL):
+    """(ResponseBreakdown_A, ResponseBreakdown_B) for any alignment, each expanded on its own.
+
+    A boundary's subtracted image sits in p_images, flat has none, and B is
+    A's breakdown itself where their radial distances agree.
+    """
+    pair = [response_breakdown(expand([part], config.gap, tol)[0], config.gap)
+            for part in _response_parts(config.alignment, cone, config.l, config.d)]
+    return pair[0], pair[-1]
 
 
 def _evaluate(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: float,
@@ -90,23 +91,27 @@ def _evaluate(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: 
 
     ``l``, ``d`` are scalars or arrays of validated points (a scan's l may
     stay a scalar beside an array d) and ``geo`` their pair_f_arguments.  The
-    parts are P_A, P_B (left out, and A's breakdown reused, where
-    rho_B = rho_A) and X, so their zeta integrals share one adaptive
-    subdivision, each row within ``tol``.  A scalar radial distance gives
-    its P as one point, however many points X has.  The caller applied the
-    overlap rule (check_overlap, or overlap_mask), so ``geo`` is overlap-free.
+    parts are _response_parts' (A's breakdown reused where rho_B = rho_A)
+    and X's, so their zeta integrals share one adaptive subdivision, each row
+    within ``tol``.  A scalar radial distance gives its P as one point,
+    however many points X has.  The caller applied the overlap rule
+    (check_overlap, or overlap_mask), so ``geo`` is overlap-free.
     """
-    seen, terms = image_set(alignment, cone)
-    rho_a, rho_b = radial_distances(alignment, l, d)
-    same = _same_distances(rho_a, rho_b)
-    parts = [response_part(rho_a, seen, terms)]
-    if not same:
-        parts.append(response_part(rho_b, seen, terms))
+    parts = _response_parts(alignment, cone, l, d)
+    same = len(parts) == 1
     parts.append((AUX_F, geo))
     expansions = expand(parts, gap, tol)
     response_a = response_breakdown(expansions[0], gap)
     response_b = response_a if same else response_breakdown(expansions[1], gap)
     return response_a, response_b, CorrelationBreakdown(_x0(d, gap), *expansions[-1])
+
+
+def _observables(response_a, response_b, correlation: CorrelationBreakdown):
+    """(|X|, sqrt(P_A P_B)) of an _evaluate result, NumPy floats or arrays."""
+    x = correlation.total
+    # np.hypot is the libm hypot behind Python's abs(complex); np.abs on a
+    # complex array may take a SIMD path that differs in the last bit
+    return np.hypot(x.real, x.imag), np.sqrt(response_a.total * response_b.total)
 
 
 def _margin(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: float,
@@ -115,11 +120,8 @@ def _margin(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: fl
     if geo is None:
         geo = pair_f_arguments(alignment, cone, l, d)
         check_overlap(d, geo.image_args)
-    p_a, p_b, x = _evaluate(alignment, cone, l, d, gap, tol, geo)
-    x = x.total
-    # np.hypot is the libm hypot behind Python's abs(complex); np.abs on a
-    # complex array may take a SIMD path that differs in the last bit
-    return np.hypot(x.real, x.imag) - np.sqrt(p_a.total * p_b.total)
+    abs_x, geo_mean = _observables(*_evaluate(alignment, cone, l, d, gap, tol, geo))
+    return abs_x - geo_mean
 
 
 def concurrence(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL) -> ConcurrenceResult:
@@ -135,12 +137,10 @@ def concurrence(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TO
     check_overlap(config.d, geo.image_args)
     resp_a, resp_b, corr = _evaluate(config.alignment, cone, config.l, config.d, config.gap,
                                      tol, geo)
-    abs_x = abs(corr.total)
-    geo_mean = math.sqrt(resp_a.total * resp_b.total)
-    value = 2.0 * max(0.0, abs_x - geo_mean)
-    return ConcurrenceResult(abs_x=abs_x, geo_mean_p=geo_mean, concurrence=value,
-                             diverged=False, response_a=resp_a, response_b=resp_b,
-                             correlation=corr)
+    abs_x, geo_mean = _observables(resp_a, resp_b, corr)
+    return ConcurrenceResult(abs_x=abs_x, geo_mean_p=geo_mean,
+                             concurrence=2.0 * max(0.0, abs_x - geo_mean), response_a=resp_a,
+                             response_b=resp_b, correlation=corr)
 
 
 def concurrence_flat(d: float, gap: float) -> float:
@@ -281,32 +281,31 @@ def opposite_sides_terminal_l(cone: ConeParameter, gap: float, l_hi: float = 4.0
 # --- nu scans ----------------------------------------------------------------
 
 
+# nu_extremum's objectives: each maps the margin |X| - sqrt(P_A P_B) to the value minimized
+NU_OBJECTIVES = {
+    "response_correlation_gap": abs,
+    "concurrence": lambda margin: -2.0 * max(0.0, margin),
+}
+
+
 def nu_extremum(objective: str, config: PairConfig, bracket: Bracket, tol: float = 1e-4,
                 quad_tol: float = DEFAULT_TOL) -> float:
-    """Extremal deficit-angle parameter per the objective selector.
+    """Extremal deficit-angle parameter per the objective selector, a NU_OBJECTIVES key.
 
-    "response_correlation_gap" minimizes the unsigned separation
-    |sqrt(P_A P_B) - |X|| between the transition probability and the
-    correlation magnitude; "concurrence" maximizes the concurrence (both
-    read _margin); any other selector raises InvalidParameter.  The
-    bracket must contain a single extremum (verified post hoc by sampling;
-    NotUnimodal otherwise).
+    "response_correlation_gap" minimizes |sqrt(P_A P_B) - |X||, and
+    "concurrence" maximizes the concurrence; any other selector raises
+    InvalidParameter.  The bracket must contain a single extremum (verified
+    post hoc by sampling; NotUnimodal otherwise).
     """
     if bracket.lo < 1.0 or bracket.hi > NU_MAX:
         raise InvalidParameter(f"nu bracket must lie within [1, {NU_MAX:g}]")
-
-    def margin(nu):
-        return _margin(config.alignment, ConeParameter(nu), config.l, config.d, config.gap,
-                       quad_tol)
-
-    if objective == "response_correlation_gap":
-        def fn(nu):
-            return abs(margin(nu))
-    elif objective == "concurrence":
-        def fn(nu):
-            return -2.0 * max(0.0, margin(nu))
-    else:
+    transform = NU_OBJECTIVES.get(objective)
+    if transform is None:
         raise InvalidParameter(f"unknown objective selector {objective!r}")
+
+    def fn(nu):
+        return transform(_margin(config.alignment, ConeParameter(nu), config.l, config.d,
+                                 config.gap, quad_tol))
 
     return minimize_scalar(fn, bracket, tol=tol)
 
@@ -362,9 +361,9 @@ def _sweep_row(alignment: Alignment, value: float, l: float, d: float, gap: floa
         geo = pair_f_arguments(alignment, cone, l, d)
         if not overlap_mask(d, geo.image_args).any():
             p_a, p_b, x = _evaluate(alignment, cone, l, d, gap, tol, geo)
-            p_a, p_b, abs_x = p_a.total, p_b.total, abs(x.total)
-            concurrence_value = 2.0 * max(0.0, abs_x - math.sqrt(p_a * p_b))
-            return SweepRow(value, p_a, p_b, abs_x, concurrence_value, diverged=False)
+            abs_x, geo_mean = _observables(p_a, p_b, x)
+            return SweepRow(value, p_a.total, p_b.total, abs_x, 2.0 * max(0.0, abs_x - geo_mean),
+                            diverged=False)
     return SweepRow(param=value, p_a=None, p_b=None, abs_x=None, concurrence=None, diverged=True)
 
 

@@ -38,7 +38,8 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidParameter
-from .geometry import ConeParameter, PairConfig, Alignment, coefficient_breakpoints, image_terms
+from .geometry import (ConeParameter, PairConfig, Alignment, check_gap, check_length,
+                       coefficient_breakpoints, image_terms)
 from .quadrature import integrate_adaptive, integrate_pv, integrate_semi_infinite
 
 SQRT_PI = math.sqrt(math.pi)
@@ -98,6 +99,7 @@ def p0_oracle(gap: float) -> float:
     """
     if gap < 0:
         raise InvalidParameter("gap must be >= 0")
+    check_gap(gap)
     cutoff = 40.0
 
     def integrand(s):
@@ -128,6 +130,8 @@ def p1_oracle(rho: float, cone: ConeParameter, gap: float) -> float:
     all poles handled in one call so nearly coincident image poles surface as
     PolesTooClose.  At rho < _SMALL_RHO the p0-style reduction 2 sum w_m P0 applies.
     """
+    check_length("rho", rho)
+    check_gap(gap)
     terms = image_terms(cone)
     if not terms:
         return 0.0
@@ -149,6 +153,8 @@ def p1_oracle(rho: float, cone: ConeParameter, gap: float) -> float:
 
 def p1_oracle_terms(rho: float, cone: ConeParameter, gap: float):
     """Per-image (m, weight, delta part, PV part) decomposition for term-wise checks."""
+    check_length("rho", rho)
+    check_gap(gap)
     out = []
     for t in image_terms(cone):
         a = rho * t.sin_term
@@ -177,6 +183,8 @@ def p2_oracle(rho: float, cone: ConeParameter, gap: float) -> float:
              + (pi/c) e^{-c^2/4} sin(g c) ],   c = 2 rho cosh(zeta/2).
     Identically zero at integer nu.  rho must be positive.
     """
+    check_length("rho", rho)
+    check_gap(gap)
     if cone.is_integer:
         return 0.0
     if rho <= 0:
@@ -203,6 +211,8 @@ def x0_oracle(d: float, gap: float) -> complex:
     """
     if d <= 0:
         raise InvalidParameter("d must be > 0")
+    check_length("d", d, positive=True)
+    check_gap(gap)
 
     pv = integrate_pv(_gaussian, [d], tol=_PV_TOL)
     prefactor = math.exp(-gap * gap)
@@ -275,6 +285,8 @@ def p0_epsilon_regulated(gap: float, epsilon: float) -> float:
     """
     if epsilon <= 0:
         raise InvalidParameter("epsilon must be > 0")
+    check_gap(gap)
+    check_length("epsilon", epsilon, positive=True)
 
     def integrand(s):
         s = np.asarray(s, dtype=float)

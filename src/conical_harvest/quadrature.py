@@ -439,8 +439,10 @@ def minimize_scalar(objective, bracket, tol=1e-8):
 
     Bounded Brent search, then a post-hoc sampling check on 33 evenly spaced
     points: if the sampled curve shows a second distinct local minimum the
-    unimodality precondition was violated and NotUnimodal is raised.
+    unimodality precondition was violated and NotUnimodal is raised.  Raises
+    InvalidParameter unless tol is finite and > 0.
     """
+    check_tolerance(tol, "root")
     # imported here, not at module level: scipy.optimize adds ~23 MB of memory
     # and ~0.15 s to every import of the CLI, and nothing else needs it
     from scipy.optimize import minimize_scalar as _minimize_scalar

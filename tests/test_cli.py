@@ -14,7 +14,8 @@ import conical_harvest
 from conical_harvest import cli
 from conical_harvest._version import __version__
 from conical_harvest.cli import main
-from conical_harvest.entanglement import concurrence_flat, opposite_sides_terminal_l, sweep
+from conical_harvest.entanglement import (NU_OBJECTIVES, concurrence_flat, opposite_sides_terminal_l,
+                                          sweep)
 from conical_harvest.errors import DivergentOverlap, InvalidParameter, QuadratureFailure
 from conical_harvest.geometry import Alignment, ConeParameter
 from conical_harvest.serialize import SWEEP_COLUMNS, format_number
@@ -36,6 +37,18 @@ def test_compute_on_string_scaling():
         payload["concurrence_per_lambda2"] - 3.0 * concurrence_flat(0.5, 0.1)) < 1e-10
     assert payload["breakdowns"]["P_A"]["integral"] == 0.0
     assert payload["image_terms"][0]["m"] == 1
+
+
+def test_compute_json_has_no_diverged_key():
+    # compute raises at an overlap, so a success never diverged
+    payload = json.loads(invoke("compute", "--alignment", "orthogonal", "--nu", "2.5", "--l", "0.3",
+                                "--d", "0.7", "--gap", "0.2").output)
+    assert "diverged" not in payload and payload["concurrence_per_lambda2"] > 0.0
+
+
+def test_nuscan_objective_choices_are_the_library_table():
+    (option,) = [p for p in main.commands["nuscan"].params if p.name == "objective"]
+    assert list(option.type.choices) == list(NU_OBJECTIVES)
 
 
 def test_compute_flat_matches_closed_form():

@@ -11,6 +11,7 @@ from conical_harvest.entanglement import (
     DmaxResult,
     SweepRow,
     _evaluate,
+    _margin,
     _scan_margins,
     concurrence,
     concurrence_flat,
@@ -30,6 +31,7 @@ from conical_harvest.geometry import (
     pair_f_arguments,
     radial_distances,
 )
+from conical_harvest.presets import build_figure
 from conical_harvest.quadrature import DEFAULT_TOL, Bracket, find_root_bracketed
 from conical_harvest.response import image_response, p_flat
 
@@ -44,7 +46,6 @@ def test_concurrence_on_string_scaling():
     result = concurrence(config(Alignment.PARALLEL, 0.0, 0.5), ConeParameter(3.0))
     assert result.concurrence == pytest.approx(3.0 * concurrence_flat(0.5, GAP), abs=1e-8)
     assert result.abs_x == pytest.approx(3.0 * abs(x_flat(0.5, GAP)), rel=1e-12)
-    assert not result.diverged
 
 
 def test_concurrence_flat_reduction():
@@ -1012,3 +1013,64 @@ def test_d_max_refuses_a_length_whose_square_overflows():
         d_max(Alignment.PARALLEL, ConeParameter(3.0), l=0.5, gap=GAP, d_hi=1e200)
     with pytest.raises(InvalidParameter, match="^l must be at most"):
         d_max(Alignment.PARALLEL, ConeParameter(3.0), l=1e200, gap=GAP)
+
+
+# --- one rule for P_B, for (|X|, sqrt(P_A P_B)) and for the tolerances ----------
+
+
+PAIR_POINTS = [(0.5, 1.2, GAP), (0.5, 1.0, GAP), (0.1, 0.5, 1.5)]
+
+
+@pytest.mark.parametrize("l, d, gap", PAIR_POINTS)
+@pytest.mark.parametrize("alignment", list(Alignment))
+def test_response_pair_reuses_a_for_b_exactly_where_concurrence_does(alignment, l, d, gap):
+    # opposite sides at d = 2l puts both detectors at rho = l
+    l = 0.0 if alignment is Alignment.FLAT else l
+    pair, cone = config(alignment, l, d, gap), ConeParameter(3.0)
+    a, b = response_pair(pair, cone)
+    result = concurrence(pair, cone)
+    assert (b is a) is (result.response_b is result.response_a)
+    rho_a, rho_b = radial_distances(alignment, l, d)
+    assert (b is a) is (rho_a == rho_b)
+
+
+@pytest.mark.parametrize("nu", [3.0, 2.5])
+@pytest.mark.parametrize("l, d, gap", PAIR_POINTS)
+@pytest.mark.parametrize("alignment", list(Alignment))
+def test_concurrence_observables_give_the_search_margin_bit_for_bit(alignment, l, d, gap, nu):
+    l = 0.0 if alignment is Alignment.FLAT else l
+    cone = ConeParameter(nu)
+    result = concurrence(config(alignment, l, d, gap), cone)
+    assert result.abs_x - result.geo_mean_p == _margin(alignment, cone, l, d, gap, DEFAULT_TOL)
+    assert result.concurrence == 2.0 * max(0.0, result.abs_x - result.geo_mean_p)
+
+
+def test_concurrence_result_has_no_diverged_field():
+    assert "diverged" not in {f.name for f in dataclasses.fields(entanglement.ConcurrenceResult)}
+
+
+PARALLEL_NU3 = (config(Alignment.PARALLEL, 0.5, 1.0, 0.1), ConeParameter(3.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda tol: concurrence(*PARALLEL_NU3, tol=tol),
+    lambda tol: x_string(*PARALLEL_NU3, tol=tol),
+    lambda tol: response.p_string(0.5, ConeParameter(3.0), 0.1, tol=tol),
+    lambda tol: d_max(Alignment.PARALLEL, ConeParameter(3.0), 0.5, 0.1, grid_n=32, quad_tol=tol),
+    lambda tol: opposite_sides_terminal_l(ConeParameter(3.0), 0.1, grid_n=32, quad_tol=tol),
+    lambda tol: build_figure("fig8a", tol=tol),
+], ids=["concurrence", "x_string", "p_string", "d_max", "terminal_l", "fig8a"])
+@pytest.mark.parametrize("tol", [NAN, -1.0, 0.0, INF])
+def test_a_bad_quadrature_tolerance_is_refused_at_integer_nu(call, tol):
+    # integer nu runs no zeta integral, so expand checks tol itself
+    with pytest.raises(InvalidParameter, match="^quadrature tolerance tol must be finite and > 0"):
+        call(tol)
+
+
+@pytest.mark.parametrize("tol", [NAN, -1.0, 0.0, INF])
+def test_nu_extremum_refuses_a_bad_search_tolerance_before_any_margin(tol, monkeypatch):
+    calls = _spy_margin_points(monkeypatch)
+    with pytest.raises(InvalidParameter, match="^root tolerance tol must be finite and > 0"):
+        nu_extremum("concurrence", config(Alignment.PARALLEL, 0.5, 1.0), Bracket(2.0, 4.0),
+                    tol=tol)
+    assert not calls

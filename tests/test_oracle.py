@@ -202,6 +202,31 @@ def test_oracle_refuses_an_input_outside_its_representation(call, message):
         call()
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: oracle.p0_oracle(NAN), "gap must be finite and >= 0"),
+    (lambda: oracle.p0_oracle(INF), "gap must be finite and >= 0"),
+    (lambda: oracle.p1_oracle(-1.0, ConeParameter(3.0), 0.1), "rho must be finite and >= 0"),
+    (lambda: oracle.p1_oracle(1.0, ConeParameter(3.0), NAN), "gap must be finite and >= 0"),
+    (lambda: oracle.p1_oracle_terms(NAN, ConeParameter(3.0), 0.1), "rho must be finite and >= 0"),
+    (lambda: oracle.p2_oracle(NAN, ConeParameter(2.5), 0.1), "rho must be finite and >= 0"),
+    (lambda: oracle.p2_oracle(NAN, ConeParameter(3.0), 0.1), "rho must be finite and >= 0"),
+    (lambda: oracle.p2_oracle(0.5, ConeParameter(2.5), NAN), "gap must be finite and >= 0"),
+    (lambda: oracle.x0_oracle(1.0, NAN), "gap must be finite and >= 0"),
+    (lambda: oracle.x0_oracle(1.0, -1.0), "gap must be finite and >= 0"),
+    (lambda: oracle.x0_oracle(NAN, 0.1), "d must be finite and > 0"),
+    (lambda: oracle.x0_oracle(INF, 0.1), "d must be finite and > 0"),
+    (lambda: oracle.p0_epsilon_regulated(0.1, NAN), "epsilon must be finite and > 0"),
+    (lambda: oracle.p0_epsilon_regulated(NAN, 0.1), "gap must be finite and >= 0"),
+])
+def test_oracle_refuses_a_non_finite_or_negative_input_by_name(call, message):
+    # a bad input, not a numerical failure: no QuadratureFailure, no tolerance blamed
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}"):
+        call()
+
+
 def test_run_verification_refuses_an_unknown_profile():
     with pytest.raises(ValueError, match="^unknown profile 'bogus'$"):
         verification.run_verification("bogus")

@@ -556,6 +556,12 @@ def test_minimize_not_unimodal():
         minimize_scalar(two_wells, Bracket(0.0, 4.0), tol=1e-8)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+def test_minimize_refuses_a_bad_tolerance_before_any_evaluation(tol):
+    with pytest.raises(InvalidParameter, match="^root tolerance tol must be finite and > 0"):
+        minimize_scalar(_never, Bracket(0.0, 5.0), tol=tol)
+
+
 def test_bracket_validation():
     with pytest.raises(InvalidParameter):
         Bracket(2.0, 1.0)
