@@ -184,20 +184,20 @@ def _scan_margins(alignment: Alignment, cone: ConeParameter, l, d: np.ndarray,
     the remaining batch, so at non-integer nu one zeta integral (one row for
     each P of a scalar radial distance, else one per point, and X per point)
     serves the whole scan, its rows sharing one adaptive subdivision.  The
-    caller validates the parameters.  Masked points get margin None; their d
-    values are returned as skipped.
+    caller validates the parameters.  Returns a float array with NaN at the
+    masked points, and the masked points' d values as skipped.
     """
     geo = pair_f_arguments(alignment, cone, l, d)
     ok = ~overlap_mask(d, geo.image_args).any(axis=0)
     l_ok, d_ok = l[ok] if getattr(l, "ndim", 0) else l, d[ok]
+    margins = np.full(d.shape, np.nan)
     if not ok.all():
         if not ok.any():
-            return [None] * d.size, d.tolist()
+            return margins, d.tolist()
         geo = pair_f_arguments(alignment, cone, l_ok, d_ok)
 
-    margins = np.full(d.shape, None, dtype=object)
-    margins[ok] = _margin(alignment, cone, l_ok, d_ok, gap, tol, geo).tolist()
-    return list(margins), d[~ok].tolist()
+    margins[ok] = _margin(alignment, cone, l_ok, d_ok, gap, tol, geo)
+    return margins, d[~ok].tolist()
 
 
 def _scan_crossing(alignment: Alignment, cone: ConeParameter, gap: float, at: Callable,
@@ -212,9 +212,9 @@ def _scan_crossing(alignment: Alignment, cone: ConeParameter, gap: float, at: Ca
     Brent refines its last sign change from the scan's margins at the two
     bracket ends, running _margin inside the bracket only.  At integer nu
     those margins are the scalar ones bit for bit (no zeta integral runs), at
-    non-integer nu within 1e-14.  No sign change gives hi if the last valid
-    margin is positive, else None.  l and d never decrease along a line, so
-    validating its two ends validates every point.
+    non-integer nu within 1e-14.  No sign change gives hi if the last margin
+    that is not NaN (masked) is positive, else None.  l and d never decrease
+    along a line, so validating its two ends validates every point.
     """
     check_length(name, hi, positive=True)
     if not 2 <= grid_n <= MAX_SWEEP_POINTS:
@@ -230,12 +230,12 @@ def _scan_crossing(alignment: Alignment, cone: ConeParameter, gap: float, at: Ca
 
     last = find_last_sign_change(margins)
     if last is None:
-        valid = [m for m in margins if m is not None]
-        root = float(grid[-1]) if valid and valid[-1] > 0.0 else None
+        valid = margins[~np.isnan(margins)]
+        root = float(grid[-1]) if valid.size and valid[-1] > 0.0 else None
     else:
         root = find_root_from_ends(lambda t: _margin(alignment, cone, *at(t), gap, quad_tol),
                                    Bracket(float(grid[last]), float(grid[last + 1])),
-                                   margins[last], margins[last + 1], tol=tol)
+                                   float(margins[last]), float(margins[last + 1]), tol=tol)
     return root, tuple(skipped)
 
 

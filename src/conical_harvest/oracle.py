@@ -120,6 +120,13 @@ def p0_oracle(gap: float) -> float:
     return -body / (4.0 * math.pi ** 1.5) - gap / (4.0 * SQRT_PI)
 
 
+def _check_cone(cone) -> None:
+    # a plain number has no image_count, and its is_integer is a bound method
+    # (always truthy), so only a ConeParameter is accepted
+    if not isinstance(cone, ConeParameter):
+        raise InvalidParameter(f"cone must be a ConeParameter, got {cone!r}")
+
+
 def p1_oracle(rho: float, cone: ConeParameter, gap: float) -> float:
     """Image-sum response from the PV integral with poles at 2 rho sin(m pi/nu).
 
@@ -130,6 +137,7 @@ def p1_oracle(rho: float, cone: ConeParameter, gap: float) -> float:
     all poles handled in one call so nearly coincident image poles surface as
     PolesTooClose.  At rho < _SMALL_RHO the p0-style reduction 2 sum w_m P0 applies.
     """
+    _check_cone(cone)
     check_length("rho", rho)
     check_gap(gap)
     terms = image_terms(cone)
@@ -153,6 +161,7 @@ def p1_oracle(rho: float, cone: ConeParameter, gap: float) -> float:
 
 def p1_oracle_terms(rho: float, cone: ConeParameter, gap: float):
     """Per-image (m, weight, delta part, PV part) decomposition for term-wise checks."""
+    _check_cone(cone)
     check_length("rho", rho)
     check_gap(gap)
     out = []
@@ -183,6 +192,7 @@ def p2_oracle(rho: float, cone: ConeParameter, gap: float) -> float:
              + (pi/c) e^{-c^2/4} sin(g c) ],   c = 2 rho cosh(zeta/2).
     Identically zero at integer nu.  rho must be positive.
     """
+    _check_cone(cone)
     check_length("rho", rho)
     check_gap(gap)
     if cone.is_integer:
@@ -245,6 +255,7 @@ def xp_oracle(config: PairConfig, cone: ConeParameter) -> complex:
     (e^{-g^2}/2 pi^(3/2)) int coef(zeta) [PV - i pi e^{-D^2/4}/(2D)] dzeta with
     D(zeta)^2 = d^2 + 2 l^2 (1 + cosh zeta).
     """
+    _check_cone(cone)
     if config.alignment is not Alignment.PARALLEL:
         raise InvalidParameter("xp_oracle covers the parallel alignment only")
     d, l, gap = config.d, config.l, config.gap

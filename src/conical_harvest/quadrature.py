@@ -424,12 +424,12 @@ def find_root_from_ends(objective, bracket, f_lo, f_hi, tol=1e-12):
 def find_last_sign_change(values):
     """Index i of the last adjacent pair (i, i+1) of ``values`` with a sign change; None if none.
 
-    Entries that are None (skipped points) never participate in a pair.
+    Entries that are NaN (skipped points; None converts to NaN) never
+    participate in a pair.
     """
-    present = np.array([v is not None for v in values], dtype=bool)
-    v = np.array([0.0 if v is None else v for v in values], dtype=float)
+    v = np.asarray(values, dtype=float)
     a, b = v[:-1], v[1:]
-    change = present[:-1] & present[1:] & ((a == 0.0) | (np.sign(a) != np.sign(b)))
+    change = ~np.isnan(a) & ~np.isnan(b) & ((a == 0.0) | (np.sign(a) != np.sign(b)))
     hits = np.flatnonzero(change)
     return int(hits[-1]) if hits.size else None
 

@@ -260,8 +260,7 @@ def test_fig11_opposite_dominates_flat_until_terminal():
             terminal_seen = True  # beyond l0 ~ 2.219 no harvesting at any d >= 2l
             continue
         assert not terminal_seen  # the empty tail is contiguous
-        if float(opp[1]) < 7.9:   # ignore scan-ceiling saturation
-            assert float(opp[1]) >= float(flat[1])
+        assert float(opp[1]) >= float(flat[1])
     assert terminal_seen
     first_empty = next(float(r[0]) for r in rows("fig11_opposite.csv") if r[1] == "")
     assert abs(first_empty - 2.25) < 0.06  # grid point just past l0 = 2.219

@@ -220,8 +220,10 @@ def test_opposite_terminal_distance_is_none_when_every_symmetric_point_overlaps(
     # at nu = 2 each symmetric point d = 2l sits on its partner's image, so the
     # scan masks every point
     l = np.linspace(0.5, 2.0, 4)
-    assert _scan_margins(Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(2.0), l, 2.0 * l,
-                         GAP, DEFAULT_TOL) == ([None] * 4, (2.0 * l).tolist())
+    margins, skipped = _scan_margins(Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(2.0), l,
+                                     2.0 * l, GAP, DEFAULT_TOL)
+    assert margins.shape == (4,) and np.isnan(margins).all()
+    assert skipped == (2.0 * l).tolist()
     assert opposite_sides_terminal_l(ConeParameter(2.0), GAP) is None
 
 
@@ -439,9 +441,9 @@ def test_batched_scan_margins_match_scalar_concurrence(alignment, nu):
         want = _scalar_margin(alignment, cone, float(li), float(di))
         if want is None:
             expected_skipped.append(float(di))
-            assert got is None
+            assert math.isnan(got)
         else:
-            assert got is not None and abs(got - want) <= 1e-14, (li, di, got, want)
+            assert not math.isnan(got) and abs(got - want) <= 1e-14, (li, di, got, want)
             if nu.is_integer():
                 # no zeta integral: the scan's bracket margins are the scalar ones
                 assert got == want, (li, di, got, want)
@@ -453,7 +455,7 @@ def test_batched_scan_reports_overlap_points_as_skipped():
     d = np.array([1.2, 1.5, 2.0])
     margins, skipped = _scan_margins(Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(4.0),
                                      np.full(3, 0.6), d, GAP, DEFAULT_TOL)
-    assert margins[0] is None and all(m is not None for m in margins[1:])
+    assert math.isnan(margins[0]) and not np.isnan(margins[1:]).any()
     assert skipped == [1.2]
 
 
@@ -499,6 +501,20 @@ def test_terminal_l_equals_brent_on_a_scalar_reference_scan():
 
     expected = _reference_root(margin, np.linspace(l_hi / grid_n, l_hi, grid_n), 1e-6)
     assert opposite_sides_terminal_l(cone, GAP, l_hi=l_hi, grid_n=grid_n) == expected
+
+
+def test_d_max_on_the_default_grid_with_a_masked_first_point_equals_brent_on_a_scalar_scan():
+    # opposite sides at nu = 4: the scan's first point d = 2l sits on an image,
+    # so its margin is NaN and the bracket search must step over it
+    alignment, cone, l = Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(4.0), 0.6
+    result = d_max(alignment, cone, l=l, gap=GAP)
+    grid = np.linspace(2.0 * l, 8.0, 512)
+    assert result.skipped == (grid[0],)
+
+    def margin(d):
+        return _scalar_margin(alignment, cone, l, d)
+
+    assert result.value == _reference_root(margin, grid, 1e-6)
 
 
 def _spy_margin_points(monkeypatch):
@@ -975,7 +991,7 @@ def test_expand_never_calls_a_checked_kernel(alignment, nu, monkeypatch):
     assert concurrence(pair, cone).abs_x == pytest.approx(abs(x_string(pair, cone).total), rel=1e-10)
     margins, _ = _scan_margins(alignment, cone, np.full(4, 0.5), np.linspace(1.0, 4.0, 4), GAP,
                                DEFAULT_TOL)
-    assert None not in margins
+    assert not np.isnan(margins).any()
     assert d_max(alignment, cone, l=0.5, gap=GAP, grid_n=64).value is not None
 
 

@@ -227,6 +227,18 @@ def test_oracle_refuses_a_non_finite_or_negative_input_by_name(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, got", [
+    (lambda: oracle.p1_oracle(1.0, 3, 0.1), "3"),
+    (lambda: oracle.p1_oracle_terms(1.0, 3.0, 0.1), "3.0"),
+    # a float's is_integer is a bound method, always truthy: this returned 0.0
+    (lambda: oracle.p2_oracle(1.0, 2.5, 0.1), "2.5"),
+    (lambda: oracle.xp_oracle(PairConfig(Alignment.PARALLEL, l=0.5, d=1.0, gap=0.1), 3.0), "3.0"),
+], ids=["p1", "p1-terms", "p2", "xp"])
+def test_oracle_refuses_a_cone_that_is_not_a_cone_parameter(call, got):
+    with pytest.raises(InvalidParameter, match=f"^cone must be a ConeParameter, got {got}$"):
+        call()
+
+
 def test_run_verification_refuses_an_unknown_profile():
     with pytest.raises(ValueError, match="^unknown profile 'bogus'$"):
         verification.run_verification("bogus")

@@ -541,6 +541,21 @@ def test_last_sign_change_skips_gaps():
     assert find_last_sign_change([1.0, 2.0, 3.0]) is None
 
 
+def test_last_sign_change_skips_nan_gaps_in_a_float_array():
+    nan = math.nan
+    assert find_last_sign_change(np.array([1.0, -1.0, nan, 1.0, -1.0, -0.5])) == 3
+    assert find_last_sign_change(np.array([1.0, nan, -1.0, -2.0])) is None
+    assert find_last_sign_change(np.array([nan, nan])) is None
+
+
+def test_a_nan_end_is_never_a_bracket():
+    nan = math.nan
+    # np.sign(nan) differs from every sign, so only the NaN test keeps these out
+    for values, last in (([0.0, nan], None), ([nan, -1.0, 1.0], 1), ([nan, -1.0, -1.0], None),
+                         ([-1.0, 1.0, nan], 0), ([1.0, 1.0, nan], None)):
+        assert find_last_sign_change(values) == last, values
+
+
 def test_minimize_quadratic():
     assert minimize_scalar(lambda x: (x - 2.0) ** 2, Bracket(0.0, 5.0), tol=1e-10) == pytest.approx(2.0, abs=1e-6)
 
