@@ -5,7 +5,9 @@ subcommand's click options are the only declaration of its keys, types,
 defaults and required flags.  ``--config FILE`` reads line-oriented
 ``key = value`` defaults (UTF-8, ``#`` comments) whose keys are the command's
 long option names; click checks file values exactly like flags, a flag
-overrides the file, and any other key is rejected by name.
+overrides the file, and any other key is rejected by name.  ``verify`` has no
+config file and no grid selector: it runs all 39 checks of
+verification.run_verification, as text or ``--json``.
 
 Every subcommand runs through ``_Command.invoke``, the one place where library
 failures become click errors: InvalidParameter and UnknownPreset are usage
@@ -327,16 +329,14 @@ def figure_cmd(name, list_presets, tol, out):
 
 
 @main.command(name="verify")
-@click.option("--profile", type=click.Choice(["default", "fast"]), default="default")
 @click.option("--json", "as_json", is_flag=True, help="emit the report as JSON")
 @out_option
-def verify_cmd(profile, as_json, out):
+def verify_cmd(as_json, out):
     """Run the oracle grid and analytic-identity suite; exit 0 iff all pass."""
-    reports, ok = run_verification(profile)
+    reports, ok = run_verification()
     if as_json:
         payload = {
             "version": __version__,
-            "profile": profile,
             "all_passed": ok,
             "checks": [{**asdict(r), "production": _complex_to_json(r.production),
                         "oracle": _complex_to_json(r.oracle)} for r in reports],
@@ -344,7 +344,7 @@ def verify_cmd(profile, as_json, out):
         _emit(_json_text(payload), out)
     else:
         width = max(len(r.quantity) for r in reports)
-        lines = [f"conical-harvest v{__version__} verification ({profile} profile)"]
+        lines = [f"conical-harvest v{__version__} verification"]
         for r in reports:
             status = "PASS" if r.passed else "FAIL"
             lines.append(f"{status}  {r.quantity:<{width}}  rel_dev={r.rel_deviation:.3e}  "

@@ -28,6 +28,8 @@ from .geometry import (
     NU_MAX,
     PairConfig,
     breaks_opposite_sides_rule,
+    check_alignment,
+    check_cone,
     check_gap,
     check_length,
     f_arguments,
@@ -378,11 +380,14 @@ def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence
     opposite-sides family; it is refused on any other axis and beside a
     fixed d).  A row at a detector/image overlap or off the opposite-sides
     constraint d >= 2l is flagged, never aborting the sweep; a
-    QuadratureFailure is raised.  A bad ``tol``, and a fixed parameter, axis
-    value or coupled d that breaks its parameter's rule (l, d, gap and nu:
-    _row; d_over_l finite and > 0), raise InvalidParameter before any row.
+    QuadratureFailure is raised.  An alignment that is not an Alignment, a
+    cone that is not a ConeParameter, a bad ``tol``, and a fixed parameter,
+    axis value or coupled d that breaks its parameter's rule (l, d, gap and
+    nu: _row; d_over_l finite and > 0), raise InvalidParameter before any row.
     ``threads`` is accepted for compatibility and has no effect.
     """
+    check_alignment(alignment)
+    check_cone(cone)
     if axis not in SWEEP_AXES:
         raise InvalidParameter(f"axis must be one of {SWEEP_AXES}")
     check_tolerance(tol, "quadrature")

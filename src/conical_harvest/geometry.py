@@ -74,6 +74,12 @@ class ConeParameter:
         return int(math.floor(self.nu / 2.0))
 
 
+def check_cone(cone) -> None:
+    """Raise InvalidParameter unless cone is a ConeParameter, not, say, a plain nu."""
+    if not isinstance(cone, ConeParameter):
+        raise InvalidParameter(f"cone must be a ConeParameter, got {cone!r}")
+
+
 def check_length(name: str, value: float, positive: bool = False) -> None:
     """Raise InvalidParameter unless a length is finite, >= 0 (> 0 if positive), <= MAX_LENGTH."""
     if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
@@ -110,6 +116,13 @@ class Alignment(enum.Enum):
 BOUNDARY_ALIGNMENTS = (Alignment.BOUNDARY_PARALLEL, Alignment.BOUNDARY_ORTHOGONAL)
 
 
+def check_alignment(alignment) -> None:
+    """Raise InvalidParameter unless alignment is an Alignment, not, say, its name."""
+    if not isinstance(alignment, Alignment):
+        raise InvalidParameter(f"alignment must be an Alignment, got {alignment!r}; "
+                               f"Alignment.from_string converts a name")
+
+
 def breaks_opposite_sides_rule(alignment: Alignment, l, d) -> bool:
     """Whether an opposite-sides pair breaks d >= 2l > 0 (a nan is check_length's to name)."""
     return alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES and (l <= 0.0 or d < 2.0 * l)
@@ -131,6 +144,7 @@ class PairConfig:
     gap: float
 
     def __post_init__(self):
+        check_alignment(self.alignment)
         check_length("l", self.l)
         check_gap(self.gap)
         if breaks_opposite_sides_rule(self.alignment, self.l, self.d):
@@ -154,6 +168,7 @@ def image_terms(cone: ConeParameter) -> Tuple[ImageTerm, ...]:
 
     Empty for nu < 2 (the image sum has no contribution there).
     """
+    check_cone(cone)
     return tuple(ImageTerm(m=m, weight=0.5 if m == cone.nu / 2.0 else 1.0,
                            sin_term=math.sin(m * math.pi / cone.nu))
                  for m in range(1, cone.image_count + 1))

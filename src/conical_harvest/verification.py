@@ -1,11 +1,11 @@
 """Standard validation grid: oracle/production comparisons plus analytic identities.
 
 This is the one place production closed forms and their integral-representation
-oracles meet.  Every check is a GridPoint row, run in the verify profiles it
-names and judged by oracle.compare.  The standard grid has thirteen
+oracles meet.  Every check is a GridPoint row, judged by oracle.compare, and
+every run checks all 39 rows.  The standard grid has thirteen
 oracle/production points (three P0, three P1, two P2, two X0, three X_P) at
 the honest tolerances the principal-value and nested quadratures can
-sustain; the identity grid holds exact identities (nu * P0 at the string,
+sustain; the identity grid holds 26 exact identities (nu * P0 at the string,
 flat reduction, both zeta-coefficient branches' integrals, kernel two-path
 agreement, boundary limits, regulator extrapolation, divergence handling).
 """
@@ -26,9 +26,6 @@ from .quadrature import integrate_semi_infinite
 from .response import p_boundary, p_flat, p_string
 from .special import response_kernel, response_kernel_direct
 
-_BOTH = ("fast", "default")
-_DEFAULT = ("default",)
-
 
 @dataclass(frozen=True)
 class GridPoint:
@@ -36,34 +33,31 @@ class GridPoint:
     tolerance: float
     production: Callable[[], complex]
     reference: Callable[[], complex]
-    profiles: Tuple[str, ...]  # the verify profiles that run this row
 
 
 def _standard_grid() -> List[GridPoint]:
     points = [GridPoint(f"P0(gap={g:g})", 1e-8, lambda g=g: p_flat(g),
-                        lambda g=g: oracle.p0_oracle(g), _BOTH)
+                        lambda g=g: oracle.p0_oracle(g))
               for g in (0.0, 0.1, 1.0)]
     points += [GridPoint(f"P1(rho={r:g}, nu={n:g}, gap={g:g})", 1e-6,
                          lambda r=r, n=n, g=g: p_string(r, ConeParameter(n), g).p_images,
-                         lambda r=r, n=n, g=g: oracle.p1_oracle(r, ConeParameter(n), g), _BOTH)
+                         lambda r=r, n=n, g=g: oracle.p1_oracle(r, ConeParameter(n), g))
                for r, n, g in ((1.0, 3.0, 0.1), (0.5, 4.0, 0.1), (2.0, 2.0, 0.5))]
     points += [GridPoint(f"P2(rho={r:g}, nu={n:g}, gap={g:g})", 1e-5,
                          lambda r=r, n=n, g=g: p_string(r, ConeParameter(n), g).p_integral,
-                         lambda r=r, n=n, g=g: oracle.p2_oracle(r, ConeParameter(n), g), _DEFAULT)
+                         lambda r=r, n=n, g=g: oracle.p2_oracle(r, ConeParameter(n), g))
                for r, n, g in ((1.0, 2.5, 0.1), (0.3, 1.5, 0.1))]
     points += [GridPoint(f"X0(d={d:g}, gap={g:g})", 1e-8, lambda d=d, g=g: x_flat(d, g),
-                         lambda d=d, g=g: oracle.x0_oracle(d, g), _BOTH)
+                         lambda d=d, g=g: oracle.x0_oracle(d, g))
                for d, g in ((1.0, 0.1), (4.0, 0.5))]
     # integer-nu X_P at 1e-6; the nested non-integer variants at the honest 1e-5,
     # and at 1e-6 where the zeta part is a third of |X|, so a fault in it alone shows
-    for l, d, n, g, tol, profiles in ((0.5, 0.5, 3.0, 0.1, 1e-6, _BOTH),
-                                      (1.0, 1.0, 2.5, 0.1, 1e-5, _DEFAULT),
-                                      (0.1, 2.0, 1.5, 0.1, 1e-6, _DEFAULT)):
+    for l, d, n, g, tol in ((0.5, 0.5, 3.0, 0.1, 1e-6), (1.0, 1.0, 2.5, 0.1, 1e-5),
+                            (0.1, 2.0, 1.5, 0.1, 1e-6)):
         config = PairConfig(Alignment.PARALLEL, l=l, d=d, gap=g)
         points.append(GridPoint(f"X_P(l={l:g}, d={d:g}, nu={n:g}, gap={g:g})", tol,
                                 lambda c=config, n=n: x_string(c, ConeParameter(n)).total,
-                                lambda c=config, n=n: oracle.xp_oracle(c, ConeParameter(n)),
-                                profiles))
+                                lambda c=config, n=n: oracle.xp_oracle(c, ConeParameter(n))))
     return points
 
 
@@ -90,63 +84,63 @@ def _identity_grid() -> List[GridPoint]:
     # string-point response identity P(0, nu) = nu P0
     points = [GridPoint(f"identity P(rho=0, nu={n:g}) = nu*P0", 1e-6,
                         lambda n=n: p_string(0.0, ConeParameter(n), gap).total,
-                        lambda n=n: n * p_flat(gap), _BOTH if n in (2.0, 2.5) else _DEFAULT)
+                        lambda n=n: n * p_flat(gap))
               for n in (1.5, 2.0, 2.5, 3.0, 11.0)]
-    # flat reduction at nu = 1
-    for d in (0.5, 2.0):
+    # flat reduction at nu = 1 (x is X's and C0's separation d, P's distance rho)
+    for x in (0.5, 2.0):
         points += [
-            GridPoint(f"identity nu=1 reduction X(d={d:g})", 1e-12,
-                      lambda d=d: x_string(PairConfig(Alignment.PARALLEL, l=1.0, d=d, gap=gap),
+            GridPoint(f"identity nu=1 reduction X(d={x:g})", 1e-12,
+                      lambda x=x: x_string(PairConfig(Alignment.PARALLEL, l=1.0, d=x, gap=gap),
                                            ConeParameter(1.0)).total,
-                      lambda d=d: x_flat(d, gap), _BOTH),
-            GridPoint(f"identity nu=1 reduction P(d={d:g})", 1e-12,
-                      lambda: p_string(1.0, ConeParameter(1.0), gap).total,
-                      lambda: p_flat(gap), _BOTH),
-            GridPoint(f"identity C0(d={d:g}) closed form vs assembled", 1e-12,
-                      lambda d=d: 2.0 * max(0.0, abs(x_flat(d, gap)) - p_flat(gap)),
-                      lambda d=d: concurrence_flat(d, gap), _BOTH)]
+                      lambda x=x: x_flat(x, gap)),
+            GridPoint(f"identity nu=1 reduction P(rho={x:g})", 1e-12,
+                      lambda x=x: p_string(x, ConeParameter(1.0), gap).total,
+                      lambda: p_flat(gap)),
+            GridPoint(f"identity C0(d={x:g}) closed form vs assembled", 1e-12,
+                      lambda x=x: 2.0 * max(0.0, abs(x_flat(x, gap)) - p_flat(gap)),
+                      lambda x=x: concurrence_flat(x, gap))]
     # X_P(l=0) = nu X0
     points.append(GridPoint(
         "identity X_P(l=0, nu=3) = 3 X0", 1e-10,
         lambda: x_string(PairConfig(Alignment.PARALLEL, l=0.0, d=0.5, gap=gap),
                          ConeParameter(3.0)).total,
-        lambda: 3.0 * x_flat(0.5, gap), _BOTH))
+        lambda: 3.0 * x_flat(0.5, gap)))
     # a production zeta-coefficient branch (nu, beta, m) integrates to m ((beta mod 2) - 1)/2
     branches = [(n, n, 2) for n in (1.3, 2.5, 3.7, 9.2)] + [(n, 2 * n, 1) for n in (1.3, 2.7, 5.9)]
     points += [GridPoint(f"identity zeta integral (nu={n:g}, beta={b:g}, m={m})", 1e-8,
                          lambda n=n, b=b, m=m: integrate_semi_infinite(
                              zeta_coefficient(n, b, m), tail_rate=n, tol=1e-10).value[0],
-                         lambda b=b, m=m: m * (b % 2.0 - 1.0) / 2.0,
-                         _BOTH if n in (2.5, 2.7) else _DEFAULT)
+                         lambda b=b, m=m: m * (b % 2.0 - 1.0) / 2.0)
                for n, b, m in branches]
-    # kernel two-path agreement, on a coarser grid in the fast profile
-    points += [GridPoint("identity kernel two-path agreement", 1e-12,
-                         lambda n_a=n_a, n_g=n_g: float(max(
-                             abs(response_kernel(a, g) - response_kernel_direct(a, g))
-                             for a in np.linspace(0.0, 5.0, n_a)
-                             for g in np.linspace(0.0, 3.0, n_g))),
-                         lambda: 0.0, profiles)
-               for n_a, n_g, profiles in ((6, 4, ("fast",)), (20, 20, _DEFAULT))]
+    # kernel two-path agreement on a 20 x 20 (a, gap) grid
+    points.append(GridPoint("identity kernel two-path agreement", 1e-12,
+                            lambda: float(max(
+                                abs(response_kernel(a, g) - response_kernel_direct(a, g))
+                                for a in np.linspace(0.0, 5.0, 20)
+                                for g in np.linspace(0.0, 3.0, 20))),
+                            lambda: 0.0))
     # boundary limits (the far-field tail decays as 1/l^2, to 4.4e-9 at 3000 sigma)
     points += [GridPoint("identity P_bd(l->0) = 0", 1e-12, lambda: p_boundary(1e-9, gap),
-                         lambda: 0.0, _BOTH),
+                         lambda: 0.0),
                GridPoint("identity P_bd(l=3000) = P0", 1e-7, lambda: p_boundary(3000.0, gap),
-                         lambda: p_flat(gap), _BOTH)]
+                         lambda: p_flat(gap))]
     # Sokhotski-Plemelj regulator extrapolation against the closed form
     points += [GridPoint(f"p0_epsilon_extrapolation(gap={g:g})", 1e-4, lambda g=g: p_flat(g),
-                         lambda g=g: oracle.p0_epsilon_extrapolated(g),
-                         _BOTH if g == 0.1 else _DEFAULT)
+                         lambda g=g: oracle.p0_epsilon_extrapolated(g))
                for g in (0.0, 0.1, 1.0)]
     # divergence handling: symmetric opposite-sides at even nu must refuse
     points.append(GridPoint("identity even-nu overlap raises / odd-nu finite", 0.0,
-                            lambda: _overlap_outcomes(gap), lambda: 2.0, _BOTH))
+                            lambda: _overlap_outcomes(gap), lambda: 2.0))
     return points
 
 
 def run_verification(profile: str = "default") -> Tuple[List[OracleReport], bool]:
-    """Run the profile's rows of the oracle and identity grids; returns (reports, all_passed)."""
-    if profile not in _BOTH:
+    """Run every row of the oracle and identity grids; returns (reports, all_passed).
+
+    ``profile`` names the one grid, "default"; any other value is refused.
+    """
+    if profile != "default":
         raise ValueError(f"unknown profile {profile!r}")
     reports = [compare(p.quantity, p.production(), p.reference(), p.tolerance)
-               for p in _standard_grid() + _identity_grid() if profile in p.profiles]
+               for p in _standard_grid() + _identity_grid()]
     return reports, all(r.passed for r in reports)

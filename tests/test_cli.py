@@ -384,24 +384,33 @@ def test_nuscan_reports_a_failed_search_on_one_line(args, message):
     assert result.output.startswith(message)
 
 
-def test_verify_fast_profile_passes():
-    result = invoke("verify", "--profile", "fast")
+def test_verify_passes_all_39_checks():
+    result = invoke("verify")
     assert result.exit_code == 0
-    assert "all checks passed" in result.output
+    lines = result.output.splitlines()
+    assert lines[0] == f"conical-harvest v{__version__} verification"
+    assert lines[-1] == "all checks passed (39/39)"
+
+
+def test_verify_has_no_profile_option():
+    # verify runs one grid; --profile (default | fast) is gone
+    result = runner.invoke(main, ["verify", "--profile", "fast"])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == "Error: No such option '--profile'."
 
 
 def test_verify_detects_injected_fault():
-    result = runner.invoke(main, ["verify", "--profile", "fast"],
-                           env={"CONICAL_HARVEST_FAULT_SCALE_P1": "1.0001"})
+    result = runner.invoke(main, ["verify"], env={"CONICAL_HARVEST_FAULT_SCALE_P1": "1.0001"})
     assert result.exit_code == 1
     assert "FAIL" in result.output
 
 
 def test_verify_json_report(tmp_path):
     out = tmp_path / "report.json"
-    result = invoke("verify", "--profile", "fast", "--json", "--out", str(out))
+    result = invoke("verify", "--json", "--out", str(out))
     assert result.exit_code == 0
     payload = json.loads(out.read_text())
+    assert list(payload) == ["version", "all_passed", "checks"]
     assert payload["all_passed"] is True
     assert all("quantity" in check for check in payload["checks"])
 
@@ -409,14 +418,14 @@ def test_verify_json_report(tmp_path):
 def test_out_into_a_missing_directory_is_a_one_line_file_error(tmp_path):
     # it ended in a FileNotFoundError traceback after the whole computation
     out = tmp_path / "missing" / "report.txt"
-    result = runner.invoke(main, ["verify", "--profile", "fast", "--out", str(out)])
+    result = runner.invoke(main, ["verify", "--out", str(out)])
     assert result.exit_code == 1
     assert not isinstance(result.exception, FileNotFoundError)
     assert result.output == f"Error: Could not open file '{out}': No such file or directory\n"
 
 
 def test_verify_json_checks_carry_the_report_fields_in_order():
-    payload = json.loads(invoke("verify", "--profile", "fast", "--json").output)
+    payload = json.loads(invoke("verify", "--json").output)
     assert {tuple(check) for check in payload["checks"]} == {
         ("quantity", "production", "oracle", "abs_deviation", "rel_deviation", "tolerance",
          "passed")}
@@ -679,7 +688,7 @@ def test_figure_out_under_a_regular_file_is_a_one_line_file_error(tmp_path):
 def test_verify_reports_a_failed_production_call_on_one_error_line(exc, line, monkeypatch):
     # the exception escaped verify unconverted
     monkeypatch.setattr(cli, "run_verification", _raise(exc))
-    result = runner.invoke(main, ["verify", "--profile", "fast"])
+    result = runner.invoke(main, ["verify"])
     assert result.exit_code == (2 if isinstance(exc, InvalidParameter) else 1)
     assert result.output.splitlines()[-1] == line
     assert len(result.output.splitlines()) == (4 if isinstance(exc, InvalidParameter) else 1)
@@ -690,7 +699,7 @@ def test_an_output_error_without_a_file_name_names_the_out_path(tmp_path, monkey
     monkeypatch.setattr(cli.Path, "write_text",
                         _raise(OSError(errno.ENOSPC, "No space left on device")))
     out = tmp_path / "report.txt"
-    result = runner.invoke(main, ["verify", "--profile", "fast", "--out", str(out)])
+    result = runner.invoke(main, ["verify", "--out", str(out)])
     assert result.exit_code == 1
     assert result.output == f"Error: Could not open file '{out}': No space left on device\n"
 
@@ -698,7 +707,7 @@ def test_an_output_error_without_a_file_name_names_the_out_path(tmp_path, monkey
 def test_a_closed_stdout_is_left_to_click(monkeypatch):
     # click ends a closed pipe quietly with exit 1; it is not an output-file error
     monkeypatch.setattr(cli, "run_verification", _raise(BrokenPipeError(errno.EPIPE, "Broken pipe")))
-    result = runner.invoke(main, ["verify", "--profile", "fast"])
+    result = runner.invoke(main, ["verify"])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output == ""

@@ -1090,3 +1090,35 @@ def test_nu_extremum_refuses_a_bad_search_tolerance_before_any_margin(tol, monke
         nu_extremum("concurrence", config(Alignment.PARALLEL, 0.5, 1.0), Bracket(2.0, 4.0),
                     tol=tol)
     assert not calls
+
+
+@pytest.mark.parametrize("call", [
+    lambda: d_max("opposite", ConeParameter(3.0), l=0.5, gap=0.1),
+    lambda: concurrence(PairConfig("orthogonal", 0.5, 1.2, 0.1), ConeParameter(3.0)),
+    lambda: sweep("orthogonal", ConeParameter(3.0), "d", [0.5, 1.0], l=0.1, gap=GAP),
+], ids=["d_max", "concurrence", "sweep"])
+def test_an_alignment_name_is_refused_not_read_as_parallel(call, monkeypatch):
+    # a name string was the parallel case: d_max 1.6009 (opposite sides 2.6633),
+    # |X| 0.25738 (orthogonal 0.19826), and parallel sweep rows
+    rows = []
+    monkeypatch.setattr(entanglement, "_sweep_row", lambda *args: rows.append(args))
+    with pytest.raises(InvalidParameter, match=r"^alignment must be an Alignment, got '\w+'; "
+                                               r"Alignment\.from_string converts a name$"):
+        call()
+    assert not rows
+
+
+@pytest.mark.parametrize("call", [
+    lambda: concurrence(PairConfig(Alignment.PARALLEL, 0.5, 1.2, 0.1), 3.0),
+    lambda: x_string(PairConfig(Alignment.PARALLEL, 0.5, 1.2, 0.1), 3.0),
+    lambda: response.p_string(0.5, 3.0, 0.1),
+    lambda: d_max(Alignment.PARALLEL, 3.0, l=0.5, gap=0.1),
+    lambda: sweep(Alignment.PARALLEL, 3.0, "d", [0.5, 1.0], l=0.1, gap=GAP),
+    lambda: sweep(Alignment.BOUNDARY_PARALLEL, 3.0, "d", [0.5, 1.0], l=0.1, gap=GAP),
+    lambda: image_terms(3.0),
+], ids=["concurrence", "x_string", "p_string", "d_max", "sweep", "sweep-boundary",
+        "image_terms"])
+def test_a_cone_that_is_not_a_cone_parameter_is_refused(call):
+    # each failed with AttributeError: 'float' object has no attribute 'image_count' (or 'nu')
+    with pytest.raises(InvalidParameter, match="^cone must be a ConeParameter, got 3.0$"):
+        call()

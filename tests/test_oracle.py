@@ -239,12 +239,41 @@ def test_oracle_refuses_a_cone_that_is_not_a_cone_parameter(call, got):
         call()
 
 
+def test_xp_oracle_refuses_a_config_that_is_not_a_pair_config():
+    # it raised AttributeError: 'NoneType' object has no attribute 'alignment'
+    with pytest.raises(InvalidParameter, match="^config must be a PairConfig, got None$"):
+        oracle.xp_oracle(None, ConeParameter(3.0))
+
+
 def test_run_verification_refuses_an_unknown_profile():
     with pytest.raises(ValueError, match="^unknown profile 'bogus'$"):
         verification.run_verification("bogus")
 
 
-@pytest.mark.parametrize("profile", ["fast", "default"])
+def test_run_verification_refuses_the_retired_fast_profile():
+    # verify runs one grid; its 25-row "fast" subset is gone
+    with pytest.raises(ValueError, match="^unknown profile 'fast'$"):
+        verification.run_verification("fast")
+
+
+def test_the_nu1_reduction_p_rows_evaluate_at_their_own_rho(monkeypatch):
+    # both rows evaluated p_string(1.0, nu=1, gap) under names d=0.5 and d=2
+    seen = []
+
+    def spy(rho, cone, gap, *args, **kwargs):
+        if cone.nu == 1.0:
+            seen.append(rho)
+        return p_string(rho, cone, gap, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "p_string", spy)
+    reports, passed = verification.run_verification()
+    assert passed
+    assert seen == [0.5, 2.0]
+    assert [r.quantity for r in reports if "reduction P" in r.quantity] == [
+        "identity nu=1 reduction P(rho=0.5)", "identity nu=1 reduction P(rho=2)"]
+
+
+@pytest.mark.parametrize("profile", ["default"])
 def test_every_passed_verify_check_is_within_its_tolerance(profile):
     reports, passed = verification.run_verification(profile)
     assert passed
@@ -411,7 +440,6 @@ def test_verification_catches_a_fault_in_x_zeta_integrals_alone(monkeypatch):
     ("default", {"identity zeta integral (nu=1.3, beta=2.6, m=1)",
                  "identity zeta integral (nu=2.7, beta=5.4, m=1)",
                  "identity zeta integral (nu=5.9, beta=11.8, m=1)"}),
-    ("fast", {"identity zeta integral (nu=2.7, beta=5.4, m=1)"}),
 ])
 def test_verification_catches_a_fault_in_the_opposite_sides_branch_alone(profile, failing,
                                                                          monkeypatch):
