@@ -6,6 +6,11 @@ splits into the flat term, a sum over floor(nu/2) rotated images (the m = nu/2
 term carrying weight 1/2 exactly at even integer nu), and a residual integral
 over zeta whose coefficient is one formula on branch data (zeta_branches,
 zeta_coefficient), vanishing identically where a branch's beta is an integer.
+Its denominator is taken as -2 (sinh^2(nu zeta/2) + sin^2(b/2)), b the
+branch angle reduced to [-pi, pi], which does not cancel near a resonance
+(b -> 0); there the coefficient is a peak at zeta = 0 of width
+2|sin(b/2)|/nu, and coefficient_breakpoints starts the integral on
+geometric panels from that width out to the decay length 1/nu.
 
 By the method of images every alignment is one of these image sets
 (``image_set``): flat spacetime is nu = 1, which has no images, and a
@@ -31,10 +36,6 @@ INTEGER_SNAP_TOL = 1e-12
 # Largest length (sigma units) accepted: the image arguments square lengths,
 # and below this bound their squares stay finite.
 MAX_LENGTH = 1e100
-
-# Coefficient peak near a vanishing-denominator nu: force subdivision on
-# [0, 10*delta] when |1 - cos(angle)| falls below this.
-_PEAK_THRESHOLD = 0.1
 
 
 def _snap(value: float) -> float:
@@ -237,11 +238,22 @@ def zeta_branches(nu: float, opposite: bool = False) -> Tuple[Tuple[float, float
 
 @functools.lru_cache(maxsize=256)
 def zeta_coefficient(nu: float, beta: float, multiplicity: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Linet's zeta-coefficient branch m nu sin(beta pi) / (2 pi [cos(beta pi) - cosh(nu zeta)])."""
-    s, c = math.sin(beta * math.pi), math.cos(beta * math.pi)
+    """Linet's zeta-coefficient branch m nu sin(beta pi) / (2 pi [cos(beta pi) - cosh(nu zeta)]).
+
+    With b = beta pi reduced to [-pi, pi] (exactly: pi (beta - 2 round(beta/2))),
+    cos b - cosh x = -2 (sinh^2(x/2) + sin^2(b/2)), so the branch is
+    scale / (u^2 + h) with u = sinh(nu zeta/2), h = sin^2(b/2) and
+    scale = -m nu sin(b) / (4 pi).  Near a resonance (b -> 0) this keeps every
+    digit of the peak at zeta = 0, where cos b - cosh x cancels.
+    """
+    b = math.pi * (beta - 2.0 * round(beta / 2.0))
+    h = math.sin(b / 2.0) ** 2
+    scale = -multiplicity * nu * math.sin(b) / (4.0 * math.pi)
+    half_nu = nu / 2.0
 
     def coefficient(zeta):
-        return multiplicity * nu * s / (2.0 * np.pi * (c - np.cosh(nu * np.asarray(zeta))))
+        u = np.sinh(half_nu * np.asarray(zeta))
+        return scale / (u * u + h)
 
     return coefficient
 
@@ -252,16 +264,20 @@ def opposite_sides_coefficient(nu): return zeta_coefficient(nu, 2.0 * nu, 1)
 
 
 def coefficient_breakpoints(nu: float, angle: float) -> Tuple[float, ...]:
-    """Forced subdivision [0, 10*delta] when cos(angle) approaches 1.
+    """Start edges delta, 4 delta, 16 delta, ... below the decay length 1/nu.
 
-    Near such nu the coefficient develops a peak at zeta = 0 of width
-    delta = sqrt(2|1 - cos(angle)|)/nu that defeats naive adaptivity.
+    A branch with angle beta pi, reduced to b in [-pi, pi], has a peak at
+    zeta = 0 of width delta = 2|sin(b/2)|/nu (zeta_coefficient's u^2 = h).
+    Geometric panels from delta out to 1/nu, where tail_edges takes over,
+    resolve the peak and its 1/zeta^2 shoulders from the first pass.  No
+    edges where delta >= 1/nu (no peak) or b = 0 (the branch vanishes).
     """
-    gap = abs(1.0 - math.cos(angle))
-    if 0.0 < gap < _PEAK_THRESHOLD:
-        delta = math.sqrt(2.0 * gap) / nu
-        return (10.0 * delta,)
-    return ()
+    delta = 2.0 * abs(math.sin(math.remainder(angle, 2.0 * math.pi) / 2.0)) / nu
+    edges = []
+    while 0.0 < delta < 1.0 / nu:
+        edges.append(delta)
+        delta *= 4.0
+    return tuple(edges)
 
 
 def point_rows(x):

@@ -632,11 +632,14 @@ def test_dmax_scan_size_above_the_sweep_cap_is_a_usage_error(extra, monkeypatch)
      "--lo", "0.5", "--hi", "1", "--n", "2"),
     ("compute", "--alignment", "parallel", "--l", "0.5", "--d", "1", "--gap", "0.1"),
 ])
-def test_a_numerical_failure_exits_1_on_one_line(args):
-    # at nu = 2 + 1e-11 the zeta integrand is not finite near zeta = 0; dmax
-    # printed the usage text and exited 2, compute ended in a traceback and
-    # sweep flagged every row diverged
-    result = invoke(*args, "--nu", "2.00000000001")
+def test_a_numerical_failure_exits_1_on_one_line(args, monkeypatch):
+    # a zeta coefficient that is not finite makes the integrator raise
+    # QuadratureFailure from the zeta integral; dmax printed the usage text
+    # and exited 2, compute ended in a traceback and sweep flagged every row
+    # diverged
+    monkeypatch.setattr("conical_harvest.correlation.zeta_coefficient",
+                        lambda *branch: lambda zeta: np.full(np.shape(zeta), np.nan))
+    result = invoke(*args, "--nu", "2.5")
     assert result.exit_code == 1, result.output
     assert len(result.output.splitlines()) == 1
     assert result.output.startswith("Error: numerical failure: integrand returned non-finite values")

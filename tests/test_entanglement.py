@@ -319,11 +319,14 @@ def test_sweep_flags_divergent_rows():
     assert diverged_row.concurrence is None and diverged_row.p_a is None
 
 
-def test_sweep_raises_a_numerical_failure_instead_of_flagging_its_rows():
-    # at nu = 2 + 1e-11 the zeta coefficient is 0/0 near zeta = 0, so the
-    # integrand is not finite there; both rows were flagged diverged=True
+def test_sweep_raises_a_numerical_failure_instead_of_flagging_its_rows(monkeypatch):
+    # a zeta coefficient that is not finite makes the integrator raise
+    # QuadratureFailure from the zeta integral; both rows were flagged
+    # diverged=True
+    monkeypatch.setattr(correlation, "zeta_coefficient",
+                        lambda *branch: lambda zeta: np.full(np.shape(zeta), np.nan))
     with pytest.raises(QuadratureFailure, match="non-finite values"):
-        sweep(Alignment.PARALLEL, ConeParameter(2.0 + 1e-11), "d", [0.5, 1.0], l=0.5, gap=GAP)
+        sweep(Alignment.PARALLEL, ConeParameter(2.5), "d", [0.5, 1.0], l=0.5, gap=GAP)
 
 
 @pytest.mark.parametrize("error", [QuadratureFailure("stub"), InvalidParameter("stub")])
