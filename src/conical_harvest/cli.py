@@ -6,7 +6,7 @@ defaults and required flags.  ``--config FILE`` reads line-oriented
 ``key = value`` defaults (UTF-8, ``#`` comments) whose keys are the command's
 long option names; click checks file values exactly like flags, a flag
 overrides the file, and any other key is rejected by name.  ``verify`` has no
-config file and no grid selector: it runs all 39 checks of
+config file and no grid selector: it runs all 42 checks of
 verification.run_verification, as text or ``--json``.
 
 Every subcommand runs through ``_Command.invoke``, the one place where library

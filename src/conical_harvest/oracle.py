@@ -11,9 +11,17 @@ come from the response kernel and aux_f (Faddeeva closed forms), so a match
 between the two routes validates those closed forms, whereas an oracle that
 called them would only compare the code with itself.
 
-The nested P2 and non-integer X_P integrals take a PV s-integral at every
-node of an outer zeta integral, with a pole c(zeta) that moves from node to
-node.  Rescaling s = c t,
+The total response P has a second route that shares nothing with the first:
+Linet's massless Wightman function on the cone (B. Linet, PRD 35, 536
+(1987)), analytic in nu, summed by the trapezoid rule on a contour shifted
+below the real axis (p_closed_form_oracle).  It has no image sum, no zeta
+integral and no principal value, and the sum converges geometrically
+(Trefethen & Weideman, SIAM Review 56, 385 (2014)).  P2, the zeta-integral
+part, is that total less the P0 and P1 oracles.
+
+The non-integer X_P integral takes a PV s-integral at every node of an outer
+zeta integral, with a pole c(zeta) that moves from node to node.  Rescaling
+s = c t,
 
     PV int_0^inf n(s)/(s^2 - c^2) ds = (1/c) PV int_0^inf n(c t)/(t^2 - 1) dt,
 
@@ -37,18 +45,20 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, ToleranceNotMet
 from .geometry import (ConeParameter, PairConfig, Alignment, check_cone, check_gap,
                        check_length, coefficient_breakpoints, image_terms)
-from .quadrature import integrate_adaptive, integrate_pv, integrate_semi_infinite
+from .quadrature import _POLE_FLOOR, integrate_adaptive, integrate_pv, integrate_semi_infinite
 
 SQRT_PI = math.sqrt(math.pi)
-# Below this rho p1_oracle takes the rho -> 0 reduction: its smallest pole,
-# 2 rho sin(pi/nu) >= 2 rho sin(pi/64) = 0.098 rho, would fall below
-# integrate_pv's accuracy floor 1e-5.  The reduction is off by O(rho^2).
-_SMALL_RHO = 1.1e-4
 _OUTER_TOL = 1e-8
 _PV_TOL = 1e-10
+# p_closed_form_oracle's trapezoid rule: step, nodes x = h j with |x| <= 14
+# (e^{-x^2/4} < 1e-21 beyond), and the largest relative change when every
+# other node is dropped
+_TRAPEZOID_STEP = 0.1
+_TRAPEZOID_NODES = _TRAPEZOID_STEP * np.arange(-140, 141)
+_TRAPEZOID_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -121,14 +131,18 @@ def p0_oracle(gap: float) -> float:
 
 
 def p1_oracle(rho: float, cone: ConeParameter, gap: float) -> float:
-    """Image-sum response from the PV integral with poles at 2 rho sin(m pi/nu).
+    """Image-sum response, one PV integral per image with its pole at 2 rho sin(m pi/nu).
 
     Per image (weight w_m, a_m = rho sin(m pi/nu)):
         delta part  -(1/4 sqrt(pi)) w_m e^{-a_m^2} sin(2 g a_m)/a_m
-        PV part     -(1/pi^(3/2)) PV int_0^inf cos(g s) e^{-s^2/4}
-                                      sum_m w_m/(s^2 - 4 a_m^2) ds
-    all poles handled in one call so nearly coincident image poles surface as
-    PolesTooClose.  At rho < _SMALL_RHO the p0-style reduction 2 sum w_m P0 applies.
+        PV part     -(1/pi^(3/2)) w_m PV int_0^inf cos(g s) e^{-s^2/4}/(s^2 - 4 a_m^2) ds
+    as p1_oracle_terms lists them.  The poles are distinct, but at large nu
+    and small rho adjacent ones crowd to 2 rho (1 - cos(pi/nu)) apart, where
+    one integral over all of them raised PolesTooClose or ran out of panels
+    (nu 32 to 64, rho 1.1e-4 to 7.6e-4), so each pole has its own.  When the
+    smallest pole falls below integrate_pv's accuracy floor the rho -> 0
+    reduction 2 sum w_m P0 applies; it is off by O(rho^2), under 3e-9
+    relative at that floor.
     """
     check_cone(cone)
     check_length("rho", rho)
@@ -136,24 +150,13 @@ def p1_oracle(rho: float, cone: ConeParameter, gap: float) -> float:
     terms = image_terms(cone)
     if not terms:
         return 0.0
-    if rho < _SMALL_RHO:
+    if 2.0 * rho * min(t.sin_term for t in terms) < _POLE_FLOOR:
         return 2.0 * sum(t.weight for t in terms) * p0_oracle(gap)
-
-    delta = 0.0
-    poles = []
-    weights = []
-    for t in terms:
-        a = rho * t.sin_term
-        delta += -t.weight * math.exp(-a * a) * math.sin(2.0 * gap * a) / (4.0 * SQRT_PI * a)
-        poles.append(2.0 * a)
-        weights.append(t.weight)
-
-    pv = integrate_pv(_gaussian_cos(gap), poles, tol=_PV_TOL, weights=weights)
-    return delta - pv.value / math.pi ** 1.5
+    return sum(delta + pv for _, _, delta, pv in p1_oracle_terms(rho, cone, gap))
 
 
 def p1_oracle_terms(rho: float, cone: ConeParameter, gap: float):
-    """Per-image (m, weight, delta part, PV part) decomposition for term-wise checks."""
+    """Per-image (m, weight, delta part, PV part) decomposition of p1_oracle."""
     check_cone(cone)
     check_length("rho", rho)
     check_gap(gap)
@@ -177,13 +180,55 @@ def _same_side_raw_coefficient(nu):
     return coefficient
 
 
-def p2_oracle(rho: float, cone: ConeParameter, gap: float) -> float:
-    """Residual-integral response via the nested zeta / PV(s) representation.
+def _wightman_coincident(u, rho, nu):
+    """Linet's Wightman function W(u) at coincident points rho_A = rho_B = rho.
 
-    P2 = (nu/4 pi^(5/2)) int_0^inf dzeta sin(nu pi)/(cosh(nu zeta) - cos(nu pi))
-         * [ 2 PV int_0^inf cos(g s) e^{-s^2/4}/(s^2 - c^2) ds
-             + (pi/c) e^{-c^2/4} sin(g c) ],   c = 2 rho cosh(zeta/2).
-    Identically zero at integer nu.  rho must be positive.
+    W = nu sinh(nu eta) / (8 pi^2 rho^2 sinh(eta) (cosh(nu eta) - 1)) with
+    cosh(eta) = 1 - u^2/(2 rho^2), for complex u below the real axis.  There
+    eta = 2 i theta with theta = arcsin(u/(2 rho)), so
+        W = -nu cot(nu theta) / (4 pi^2 u sqrt(4 rho^2 - u^2)),
+    and cot(nu theta) = i (1 + Q)/(1 - Q) with Q = e^{-2 i nu theta} =
+    e^{-nu eta}, |Q| < 1: nothing overflows at small rho, where Q underflows
+    to 0, and 1 - Q = -expm1(-2 i nu theta) keeps its digits at large rho,
+    where theta -> u/(2 rho).  The form with e^eta = w + sqrt(w^2 - 1) and
+    Q = exp(-nu log e^eta) lost them there: 6e-10 at rho = 1e6, NaN from
+    rho = 1e20.
+    """
+    exponent = -2j * nu * np.arcsin(u / (2.0 * rho))
+    cot = 1j * (1.0 + np.exp(exponent)) / -np.expm1(exponent)
+    return -nu * cot / (4.0 * math.pi ** 2 * u * np.sqrt(4.0 * rho * rho - u * u))
+
+
+def p_closed_form_oracle(rho: float, cone: ConeParameter, gap: float) -> float:
+    """Total response P = P0 + P1 + P2 from Linet's closed-form Wightman function.
+
+    P = Re sqrt(pi) int e^{-u^2/4 - i g u} W(u) du along u = x - i c, below
+    W's singularities on the real axis, with c = max(1, 2 g): at c = 2 g the
+    contour passes the Gaussian's saddle, where |e^{-u^2/4 - i g u}| =
+    e^{-x^2/4 - g^2}, and it stays at least 1 from the real axis.  The
+    trapezoid rule with h = 0.1 on |x| <= 14 (281 nodes) converges
+    geometrically, like e^{-2 pi c/h}; the sum over every other node (step
+    2 h) is its error estimate, and ToleranceNotMet is raised when the two
+    differ by more than 1e-9 relative.  rho must be positive.
+    """
+    check_cone(cone)
+    check_length("rho", rho, positive=True)
+    check_gap(gap)
+    u = _TRAPEZOID_NODES - 1j * max(1.0, 2.0 * gap)
+    # one exponential: at large g the Gaussian alone overflows, e^{-i g u} underflows
+    f = np.exp(-u * u / 4.0 - 1j * gap * u) * _wightman_coincident(u, rho, cone.nu)
+    fine = SQRT_PI * _TRAPEZOID_STEP * float(f.sum().real)
+    coarse = SQRT_PI * 2.0 * _TRAPEZOID_STEP * float(f[::2].sum().real)
+    if not abs(fine - coarse) <= _TRAPEZOID_RTOL * abs(fine):
+        raise ToleranceNotMet(fine, abs(fine - coarse), _TRAPEZOID_RTOL * abs(fine), f.size)
+    return fine
+
+
+def p2_oracle(rho: float, cone: ConeParameter, gap: float) -> float:
+    """Zeta-integral response: the closed-form total less the P0 and P1 oracles.
+
+    P2 = P - P0 - P1, with P from p_closed_form_oracle and P0, P1 from their
+    PV representations.  Identically zero at integer nu.  rho must be positive.
     """
     check_cone(cone)
     check_length("rho", rho)
@@ -192,17 +237,8 @@ def p2_oracle(rho: float, cone: ConeParameter, gap: float) -> float:
         return 0.0
     if rho <= 0:
         raise InvalidParameter("p2_oracle requires rho > 0 (use the rho=0 reduction)")
-    coefficient = _same_side_raw_coefficient(cone.nu)
-    numerator = _gaussian_cos(gap)
-
-    def outer(zetas):
-        c = 2.0 * rho * np.cosh(zetas / 2.0)
-        delta = np.pi / c * np.exp(-c * c / 4.0) * np.sin(gap * c)
-        return coefficient(zetas) * (2.0 * _rescaled_pv(numerator, c) + delta)
-
-    breakpoints = coefficient_breakpoints(cone.nu, cone.nu * math.pi)
-    vals = integrate_semi_infinite(outer, cone.nu, _OUTER_TOL, breakpoints=breakpoints).value
-    return cone.nu / (4.0 * math.pi ** 2.5) * float(vals[0])
+    return (p_closed_form_oracle(rho, cone, gap) - p0_oracle(gap)
+            - p1_oracle(rho, cone, gap))
 
 
 def x0_oracle(d: float, gap: float) -> complex:

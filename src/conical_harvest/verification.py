@@ -2,10 +2,11 @@
 
 This is the one place production closed forms and their integral-representation
 oracles meet.  Every check is a GridPoint row, judged by oracle.compare, and
-every run checks all 39 rows.  The standard grid has thirteen
-oracle/production points (three P0, three P1, two P2, two X0, three X_P) at
-the honest tolerances the principal-value and nested quadratures can
-sustain; the identity grid holds 26 exact identities (nu * P0 at the string,
+every run checks all 42 rows.  The standard grid has sixteen
+oracle/production points (three P0, three P1, two P2, three total P against
+the closed-form Wightman function, two X0, three X_P) at the honest
+tolerances the principal-value, nested and contour quadratures can sustain;
+the identity grid holds 26 exact identities (nu * P0 at the string,
 flat reduction, both zeta-coefficient branches' integrals, kernel two-path
 agreement, boundary limits, regulator extrapolation, divergence handling).
 """
@@ -43,10 +44,17 @@ def _standard_grid() -> List[GridPoint]:
                          lambda r=r, n=n, g=g: p_string(r, ConeParameter(n), g).p_images,
                          lambda r=r, n=n, g=g: oracle.p1_oracle(r, ConeParameter(n), g))
                for r, n, g in ((1.0, 3.0, 0.1), (0.5, 4.0, 0.1), (2.0, 2.0, 0.5))]
-    points += [GridPoint(f"P2(rho={r:g}, nu={n:g}, gap={g:g})", 1e-5,
+    points += [GridPoint(f"P2(rho={r:g}, nu={n:g}, gap={g:g})", 1e-8,
                          lambda r=r, n=n, g=g: p_string(r, ConeParameter(n), g).p_integral,
                          lambda r=r, n=n, g=g: oracle.p2_oracle(r, ConeParameter(n), g))
                for r, n, g in ((1.0, 2.5, 0.1), (0.3, 1.5, 0.1))]
+    # the total P against the closed form: just off an integer (where p_string
+    # once returned 0.14147 for 0.10387), near the string with 31 images, and
+    # at gap 3 on the contour through the Gaussian's saddle
+    points += [GridPoint(f"P(rho={r:g}, nu={n:.13g}, gap={g:g}) closed form", 1e-10,
+                         lambda r=r, n=n, g=g: p_string(r, ConeParameter(n), g).total,
+                         lambda r=r, n=n, g=g: oracle.p_closed_form_oracle(r, ConeParameter(n), g))
+               for r, n, g in ((1.0, 2.0 + 1e-12, 0.1), (1e-3, 63.5, 0.1), (1.0, 2.5, 3.0))]
     points += [GridPoint(f"X0(d={d:g}, gap={g:g})", 1e-8, lambda d=d, g=g: x_flat(d, g),
                          lambda d=d, g=g: oracle.x0_oracle(d, g))
                for d, g in ((1.0, 0.1), (4.0, 0.5))]

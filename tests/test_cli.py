@@ -384,12 +384,12 @@ def test_nuscan_reports_a_failed_search_on_one_line(args, message):
     assert result.output.startswith(message)
 
 
-def test_verify_passes_all_39_checks():
+def test_verify_passes_all_42_checks():
     result = invoke("verify")
     assert result.exit_code == 0
     lines = result.output.splitlines()
     assert lines[0] == f"conical-harvest v{__version__} verification"
-    assert lines[-1] == "all checks passed (39/39)"
+    assert lines[-1] == "all checks passed (42/42)"
 
 
 def test_verify_has_no_profile_option():

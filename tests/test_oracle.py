@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conical_harvest import correlation, oracle, quadrature, verification
-from conical_harvest.errors import InvalidParameter
+from conical_harvest.errors import InvalidParameter, ToleranceNotMet
 from conical_harvest.correlation import x_flat, x_string
 from conical_harvest.geometry import (
     NU_MAX,
@@ -114,10 +114,10 @@ def test_x0_oracle_refuses_a_separation_below_the_pv_accuracy_floor(d):
         oracle.x0_oracle(d, 0.1)
 
 
-@pytest.mark.parametrize("nu", [3.0, 9.5, 24.0])
+@pytest.mark.parametrize("nu", [3.0, 9.5, 24.0, NU_MAX])
 def test_p1_oracle_never_passes_a_pole_below_the_pv_accuracy_floor(nu, monkeypatch):
-    # the smallest pole 2 rho sin(pi/nu) of any nu <= NU_MAX stays above the floor
-    assert 2.0 * oracle._SMALL_RHO * math.sin(math.pi / NU_MAX) >= quadrature._POLE_FLOOR
+    # the reduction takes over where the smallest pole 2 rho sin(pi/nu) meets the floor
+    switch = quadrature._POLE_FLOOR / (2.0 * math.sin(math.pi / nu))
     poles = []
 
     def recording(numerator, pv_poles, **kwargs):
@@ -126,11 +126,63 @@ def test_p1_oracle_never_passes_a_pole_below_the_pv_accuracy_floor(nu, monkeypat
 
     monkeypatch.setattr(oracle, "integrate_pv", recording)
     cone = ConeParameter(nu)
-    # just below the switch the rho -> 0 reduction applies, from it the PV integral
-    for rho in (0.99 * oracle._SMALL_RHO, oracle._SMALL_RHO, 1e-3):
+    # just below the switch the rho -> 0 reduction applies, just above it the PV integrals
+    for rho in (0.99 * switch, 1.01 * switch, 1e-3):
         production = p_string(rho, cone, 0.1).p_images
         assert oracle.p1_oracle(rho, cone, 0.1) == pytest.approx(production, rel=1e-6)
     assert poles and min(poles) >= quadrature._POLE_FLOOR
+
+
+@pytest.mark.parametrize("nu, rho", [
+    (40.0, 1.1e-4), (40.0, 1.5e-4), (63.5, 1.1e-4), (63.5, 1.5e-4), (64.0, 1.1e-4),
+    (64.0, 1.5e-4), (64.0, 3e-4), (63.5, 3e-4), (63.5, 6e-4), (60.3, 7.6e-4)])
+def test_p1_oracle_matches_production_where_crowded_poles_failed_one_pv_integral(nu, rho):
+    # one integral over all image poles raised PolesTooClose at the first seven
+    # points and ran out of panels (ToleranceNotMet) at the last three
+    production = p_string(rho, ConeParameter(nu), 0.1).p_images
+    assert oracle.p1_oracle(rho, ConeParameter(nu), 0.1) == pytest.approx(production, rel=1e-6)
+
+
+def test_p_closed_form_oracle_is_continuous_across_an_integer():
+    # p_string once returned 0.14147 at nu = 2 + 1e-12
+    for nu in (2.0, 2.0 + 1e-12):
+        assert oracle.p_closed_form_oracle(1.0, ConeParameter(nu), 0.1) == pytest.approx(
+            0.10387014358842, rel=1e-12)
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.1, 1.0, 3.0])
+def test_p_closed_form_oracle_reduces_to_p0_at_nu_1(gap):
+    assert oracle.p_closed_form_oracle(0.7, ConeParameter(1.0), gap) == pytest.approx(
+        oracle.p0_oracle(gap), rel=1e-10)
+
+
+def test_p_closed_form_oracle_uses_no_quadrature(monkeypatch):
+    # an independent route: a sum on fixed nodes, no integrator of the package
+    def refuse(*args, **kwargs):
+        raise AssertionError("p_closed_form_oracle called an integrator")
+
+    for name in ("integrate_adaptive", "integrate_pv", "integrate_semi_infinite"):
+        monkeypatch.setattr(oracle, name, refuse)
+    production = p_string(1.0, ConeParameter(2.5), 0.1).total
+    assert oracle.p_closed_form_oracle(1.0, ConeParameter(2.5), 0.1) == pytest.approx(
+        production, rel=1e-10)
+
+
+def test_p_closed_form_oracle_raises_when_halving_the_step_moves_the_sum(monkeypatch):
+    # at h = 0.6 the contour's distance 1 from the singularities no longer
+    # makes the trapezoid error negligible, and the 2h sum exposes it
+    monkeypatch.setattr(oracle, "_TRAPEZOID_STEP", 0.6)
+    monkeypatch.setattr(oracle, "_TRAPEZOID_NODES", 0.6 * np.arange(-24, 25))
+    with pytest.raises(ToleranceNotMet):
+        oracle.p_closed_form_oracle(1.0, ConeParameter(2.5), 0.1)
+
+
+@pytest.mark.parametrize("rho, nu, gap", [(1.0, 2.5, 0.1), (0.3, 1.5, 0.1), (1e-3, 63.5, 0.1),
+                                          (2.0, 3.7, 1.0), (1.0, 2.5, 3.0)])
+def test_p2_oracle_is_the_closed_form_less_p0_and_p1(rho, nu, gap):
+    cone = ConeParameter(nu)
+    production = p_string(rho, cone, gap).p_integral
+    assert oracle.p2_oracle(rho, cone, gap) == pytest.approx(production, rel=1e-8)
 
 
 def test_x0_oracle_exact_delta_term():
@@ -214,6 +266,12 @@ NAN, INF = math.nan, math.inf
     (lambda: oracle.p2_oracle(NAN, ConeParameter(2.5), 0.1), "rho must be finite and >= 0"),
     (lambda: oracle.p2_oracle(NAN, ConeParameter(3.0), 0.1), "rho must be finite and >= 0"),
     (lambda: oracle.p2_oracle(0.5, ConeParameter(2.5), NAN), "gap must be finite and >= 0"),
+    (lambda: oracle.p_closed_form_oracle(0.0, ConeParameter(2.5), 0.1),
+     "rho must be finite and > 0"),
+    (lambda: oracle.p_closed_form_oracle(INF, ConeParameter(2.5), 0.1),
+     "rho must be finite and > 0"),
+    (lambda: oracle.p_closed_form_oracle(1.0, ConeParameter(2.5), -1.0),
+     "gap must be finite and >= 0"),
     (lambda: oracle.x0_oracle(1.0, NAN), "gap must be finite and >= 0"),
     (lambda: oracle.x0_oracle(1.0, -1.0), "gap must be finite and >= 0"),
     (lambda: oracle.x0_oracle(NAN, 0.1), "d must be finite and > 0"),
@@ -232,8 +290,9 @@ def test_oracle_refuses_a_non_finite_or_negative_input_by_name(call, message):
     (lambda: oracle.p1_oracle_terms(1.0, 3.0, 0.1), "3.0"),
     # a float's is_integer is a bound method, always truthy: this returned 0.0
     (lambda: oracle.p2_oracle(1.0, 2.5, 0.1), "2.5"),
+    (lambda: oracle.p_closed_form_oracle(1.0, 2.5, 0.1), "2.5"),
     (lambda: oracle.xp_oracle(PairConfig(Alignment.PARALLEL, l=0.5, d=1.0, gap=0.1), 3.0), "3.0"),
-], ids=["p1", "p1-terms", "p2", "xp"])
+], ids=["p1", "p1-terms", "p2", "p-closed-form", "xp"])
 def test_oracle_refuses_a_cone_that_is_not_a_cone_parameter(call, got):
     with pytest.raises(InvalidParameter, match=f"^cone must be a ConeParameter, got {got}$"):
         call()
@@ -296,19 +355,6 @@ def _per_node_nested(nu, inner, rows):
                                    breakpoints=coefficient_breakpoints(nu, nu * math.pi)).value
 
 
-def _per_node_p2(rho, nu, gap):
-    def numerator(s):
-        s = np.asarray(s, dtype=float)
-        return np.cos(gap * s) * np.exp(-s * s / 4.0)
-
-    def inner(zeta):
-        c = 2.0 * rho * math.cosh(zeta / 2.0)
-        pv = integrate_pv(numerator, [c], tol=1e-10).value
-        return 2.0 * pv + math.pi / c * math.exp(-c * c / 4.0) * math.sin(gap * c)
-
-    return nu / (4.0 * math.pi ** 2.5) * float(_per_node_nested(nu, inner, 1)[0])
-
-
 def _per_node_xp(l, d, nu, gap):
     def numerator(u):
         return np.exp(-np.asarray(u, dtype=float) ** 2 / 4.0)
@@ -337,8 +383,6 @@ def _per_node_xp(l, d, nu, gap):
 def test_batched_nested_oracles_match_the_per_node_loop(nu, rho):
     gap, d = 0.1, 1.0
     cone = ConeParameter(nu)
-    want = _per_node_p2(rho, nu, gap)
-    assert abs(oracle.p2_oracle(rho, cone, gap) - want) <= 1e-12 * abs(want)
     want = _per_node_xp(rho, d, nu, gap)
     got = oracle.xp_oracle(PairConfig(Alignment.PARALLEL, l=rho, d=d, gap=gap), cone)
     assert abs(got - want) <= 1e-12 * abs(want)
@@ -373,10 +417,6 @@ def test_nested_oracles_run_one_pv_call_per_outer_pass(nu, monkeypatch):
     # call hands all of that pass's new nodes to a single integrate_pv
     counts = _count_outer_passes(monkeypatch)
     cone = ConeParameter(nu)
-    oracle.p2_oracle(0.7, cone, 0.1)
-    assert counts["pv"] == counts["outer"] < counts["panels"]
-
-    counts.update(pv=0, outer=0, panels=0)
     oracle.xp_oracle(PairConfig(Alignment.PARALLEL, l=0.7, d=1.0, gap=0.1), cone)
     # beside the outer passes: X0's pole and, from nu = 2 on, the image poles
     assert counts["pv"] == counts["outer"] + 1 + (nu >= 2.0)
@@ -392,9 +432,6 @@ def test_nested_oracles_outer_integral_takes_at_most_two_passes(nu, gap, monkeyp
     cone = ConeParameter(nu)
     for rho in (0.3, 2.0):
         counts.update(outer=0)
-        oracle.p2_oracle(rho, cone, gap)
-        assert 1 <= counts["outer"] <= 2, ("P2", rho)
-        counts.update(outer=0)
         oracle.xp_oracle(PairConfig(Alignment.PARALLEL, l=rho, d=1.0, gap=gap), cone)
         assert 1 <= counts["outer"] <= 2, ("X_P", rho)
 
@@ -402,7 +439,8 @@ def test_nested_oracles_outer_integral_takes_at_most_two_passes(nu, gap, monkeyp
 def test_verification_catches_a_fault_in_the_zeta_integrals(monkeypatch):
     # production's P_integral and X's zeta part both come from
     # correlation._zeta_integrals; a 1e-4 fault there must fail the nested
-    # oracle points (P2, non-integer X_P) and leave every other grid point passing
+    # oracle points (P2, non-integer X_P), the closed-form total P at non-integer
+    # nu, and leave every other grid point passing
     zeta_integrals = correlation._zeta_integrals
 
     def faulty(*args, **kwargs):
@@ -414,6 +452,8 @@ def test_verification_catches_a_fault_in_the_zeta_integrals(monkeypatch):
     assert not passed
     assert {q for q in failed if not q.startswith("identity")} == {
         "P2(rho=1, nu=2.5, gap=0.1)", "P2(rho=0.3, nu=1.5, gap=0.1)",
+        "P(rho=1, nu=2.000000000001, gap=0.1) closed form",
+        "P(rho=0.001, nu=63.5, gap=0.1) closed form", "P(rho=1, nu=2.5, gap=3) closed form",
         "X_P(l=1, d=1, nu=2.5, gap=0.1)", "X_P(l=0.1, d=2, nu=1.5, gap=0.1)"}
     # P(0) = nu P0 at non-integer nu holds a zeta integral too
     assert {q for q in failed if q.startswith("identity")} == {
