@@ -15,7 +15,6 @@ from .errors import (
     NoSignChange,
     NotUnimodal,
     OverflowDomain,
-    PolesTooClose,
     QuadratureFailure,
     ToleranceNotMet,
     UnknownPreset,
@@ -52,7 +51,6 @@ __all__ = [
     "NotUnimodal",
     "OverflowDomain",
     "PairConfig",
-    "PolesTooClose",
     "QuadratureFailure",
     "ResponseBreakdown",
     "SweepTable",

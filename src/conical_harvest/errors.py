@@ -55,10 +55,6 @@ class ToleranceNotMet(QuadratureFailure):
         )
 
 
-class PolesTooClose(QuadratureFailure):
-    """Principal-value poles too close together to excise."""
-
-
 class NoSignChange(ConicalHarvestError):
     """Root bracket endpoints do not have opposite signs."""
 

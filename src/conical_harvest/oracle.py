@@ -107,8 +107,6 @@ def p0_oracle(gap: float) -> float:
          - g/(4 sqrt(pi)).
     The integrand's -2/s^2 far tail is added analytically beyond s = 40.
     """
-    if gap < 0:
-        raise InvalidParameter("gap must be >= 0")
     check_gap(gap)
     cutoff = 40.0
 
@@ -136,13 +134,10 @@ def p1_oracle(rho: float, cone: ConeParameter, gap: float) -> float:
     Per image (weight w_m, a_m = rho sin(m pi/nu)):
         delta part  -(1/4 sqrt(pi)) w_m e^{-a_m^2} sin(2 g a_m)/a_m
         PV part     -(1/pi^(3/2)) w_m PV int_0^inf cos(g s) e^{-s^2/4}/(s^2 - 4 a_m^2) ds
-    as p1_oracle_terms lists them.  The poles are distinct, but at large nu
-    and small rho adjacent ones crowd to 2 rho (1 - cos(pi/nu)) apart, where
-    one integral over all of them raised PolesTooClose or ran out of panels
-    (nu 32 to 64, rho 1.1e-4 to 7.6e-4), so each pole has its own.  When the
-    smallest pole falls below integrate_pv's accuracy floor the rho -> 0
-    reduction 2 sum w_m P0 applies; it is off by O(rho^2), under 3e-9
-    relative at that floor.
+    as p1_oracle_terms lists them, one integral per image.  When the smallest
+    pole falls below integrate_pv's accuracy floor the rho -> 0 reduction
+    2 sum w_m P0 applies; it is off by O(rho^2), under 3e-9 relative at that
+    floor.
     """
     check_cone(cone)
     check_length("rho", rho)
@@ -171,11 +166,15 @@ def p1_oracle_terms(rho: float, cone: ConeParameter, gap: float):
 
 def _same_side_raw_coefficient(nu):
     # sin(nu pi)/(cosh(nu zeta) - cos(nu pi)); written independently of the
-    # production coefficient helper on purpose.
-    s, c = math.sin(nu * math.pi), math.cos(nu * math.pi)
+    # production coefficient helper on purpose.  With the exact e = nu - 2k
+    # (k = round(nu/2)), cosh x = 1 + 2 sinh^2(x/2) and cos(nu pi) =
+    # 1 - 2 sin^2(e pi/2), so the denominator has no cancellation near an even
+    # nu, where cosh - cos leaves the integral too little precision to converge.
+    e = nu - 2.0 * round(nu / 2.0)
+    s, h = math.sin(math.pi * e), math.sin(0.5 * math.pi * e) ** 2
 
     def coefficient(zeta):
-        return s / (np.cosh(nu * np.asarray(zeta)) - c)
+        return s / (2.0 * (np.sinh(0.5 * nu * np.asarray(zeta)) ** 2 + h))
 
     return coefficient
 
@@ -248,8 +247,6 @@ def x0_oracle(d: float, gap: float) -> complex:
          - i (1/4 d sqrt(pi)) e^{-g^2 - d^2/4}.
     A d below integrate_pv's accuracy floor (1e-5) is refused with its pole.
     """
-    if d <= 0:
-        raise InvalidParameter("d must be > 0")
     check_length("d", d, positive=True)
     check_gap(gap)
 
@@ -279,8 +276,8 @@ def xp_oracle(config: PairConfig, cone: ConeParameter) -> complex:
 
     X_P1 image m contributes (e^{-g^2}/pi^(3/2)) w_m [PV - i pi e^{-D^2/4}/(2D)]
     with D_m^2 = d^2 + 4 l^2 sin^2(m pi/nu); the image PV parts run as one
-    multi-pole integral so coincident poles surface as PolesTooClose.  For
-    non-integer nu the zeta part adds
+    integrate_pv call with a pole D_m per image.  For non-integer nu the zeta
+    part adds
     (e^{-g^2}/2 pi^(3/2)) int coef(zeta) [PV - i pi e^{-D^2/4}/(2D)] dzeta with
     D(zeta)^2 = d^2 + 2 l^2 (1 + cosh zeta).
     """
@@ -325,8 +322,6 @@ def p0_epsilon_regulated(gap: float, epsilon: float) -> float:
     The integrand's real part is even in s, so the fold 2 int_0^inf applies;
     the 1/eps^2-high peak at s = 0 is resolved by forced breakpoints.
     """
-    if epsilon <= 0:
-        raise InvalidParameter("epsilon must be > 0")
     check_gap(gap)
     check_length("epsilon", epsilon, positive=True)
 

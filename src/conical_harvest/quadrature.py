@@ -8,13 +8,14 @@ passes, not of panels.  Semi-infinite integrals are truncated at a point where
 the caller-supplied exponential tail bound drops below tol/10 and start on
 geometric panels that halve toward 0 down to one decay length, so an
 exponentially decaying integrand needs one or two passes.
-Principal-value integrals over [0, inf) use pole-symmetric subtraction inside a
-finite excision window plus an exact log term, with the power-law far tail
-mapped to a finite interval by u -> 1/u; windows, smooth segments and tail run
-as one adaptive integral.  Every integrator takes a components axis: an
-integrand returning (k, n) instead of (n,) integrates k functions on one
-shared subdivision, which is how a batch of points (a scan axis, the new nodes
-of an oracle's outer pass) costs one adaptive integral instead of k.  Every
+Principal-value integrals over [0, inf) rescale every pole to t = 1 and use
+pole-symmetric subtraction inside one excision window about it plus an exact
+log term, with the power-law far tail mapped to a finite interval by t -> 1/t;
+window, smooth segments and tail run as one adaptive integral.  Every
+integrator takes a components axis: an integrand returning (k, n) instead of
+(n,) integrates k functions on one shared subdivision, which is how a batch of
+points (a scan axis, the new nodes of an oracle's outer pass) costs one
+adaptive integral instead of k.  Every
 integrator returns a ``QuadratureResult``.  Every integrand is real: a complex
 one raises InvalidParameter rather than lose its imaginary part, and a caller
 with a complex integrand stacks its real and imaginary parts as rows.
@@ -30,8 +31,8 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import (InvalidParameter, NoSignChange, NotUnimodal, PolesTooClose,
-                     QuadratureFailure, ToleranceNotMet)
+from .errors import (InvalidParameter, NoSignChange, NotUnimodal, QuadratureFailure,
+                     ToleranceNotMet)
 
 # Gauss-Kronrod 15-point nodes/weights (positive half) and the embedded
 # 7-point Gauss weights; standard QUADPACK values.
@@ -237,24 +238,14 @@ integrate_semi_infinite_complex = integrate_semi_infinite
 
 # --- principal value -------------------------------------------------------
 
-_POLE_SEP_FLOOR = 1e-6
 # Smallest accepted pole: rounding in the subtracted numerator grows like 1/c.
 # Against mpmath, PV int_0^inf cos(g s) e^{-s^2/4}/(s^2 - c^2) ds (g = 0, 1.5)
 # is off by 1.5e-10 to 2.9e-10 at c = 1e-6, by at most 4.6e-12 at c = 1e-5.
 _POLE_FLOOR = 1e-5
-
-
-def _excision_widths(poles):
-    # half-width min(c/2, 1, |c - other|/12) per pole c: finite and > 0 for the
-    # floor-separated poles of at least _POLE_FLOOR that integrate_pv accepts
-    widths = []
-    for i, c in enumerate(poles):
-        w = min(c / 2.0, 1.0)
-        for j, other in enumerate(poles):
-            if j != i:
-                w = min(w, abs(c - other) / 12.0)
-        widths.append(w)
-    return widths
+# the exact part of the excision window [1/2, 3/2] about t = 1:
+# PV int_{1/2}^{3/2} dt/(t^2 - 1) = ln(3/5)/2
+_WINDOW_LOG = 0.5 * np.log((2.0 - 0.5) / (2.0 + 0.5))
+_FAR_LO = 6.0
 
 
 def integrate_pv(numerator, poles, tol=DEFAULT_PV_TOL, weights=None):
@@ -262,75 +253,63 @@ def integrate_pv(numerator, poles, tol=DEFAULT_PV_TOL, weights=None):
 
     ``numerator`` maps a node array of shape (n,) to real values of shape (n,)
     for one integral or (k, n) for k numerators sharing the poles (a
-    components axis): all k integrals then run on one adaptive subdivision,
-    the error test applies to the worst component, and the result's value and
-    error are length-k arrays instead of floats.  A complex numerator raises
-    InvalidParameter.
+    components axis): all k integrals then share one subdivision, the error
+    test applies to the worst component, and value and error are length-k
+    arrays instead of floats.  A complex numerator raises InvalidParameter.
 
-    Each simple pole pair +-c_j is handled by pole-symmetric subtraction inside
-    a window [c-w, c+w]: there the pole's term is (n(s) - n(c)) q/(s^2 - c^2),
-    and the singular part contributes the exact n(c) q/(2c) ln[(2c-w)/(2c+w)].
-    Outside all windows the full integrand is smooth.  The far tail beyond
-    far_lo = 2 max(c) + 4 is mapped by s = 1/v onto [0, 1/far_lo], so constant
-    numerators are handled exactly (PV int ds/(s^2-c^2) = 0 there).  The
-    windows, the segments between them and the mapped tail lie side by side
-    on [0, far_lo + 1/far_lo], which one ``integrate_adaptive`` call covers
-    with breakpoints at every window edge, every pole and far_lo; so the
-    numerator runs once per refinement pass, plus once at the poles, and
-    ``tol`` bounds the error of the whole PV integral.  Poles must be finite
-    and at least _POLE_FLOOR = 1e-5, below which rounding outgrows a tol of
-    1e-10 (InvalidParameter otherwise), and adjacent ones at least
-    _POLE_SEP_FLOOR (1 + max c) apart (PolesTooClose otherwise); ``tol`` must
-    be finite and > 0.
+    s = c_j t puts every pole at t = 1: the integral is PV int_0^inf
+    g(t)/(t^2 - 1) dt with g(t) = sum_j (q_j/c_j) n(c_j t), one numerator call
+    on the points c_j t of every pole.  Inside the window [1/2, 3/2] g(1) is
+    subtracted and added back exactly as g(1) ln(3/5)/2; beyond t = 6 the tail
+    is mapped by t = 1/v onto [0, 1/6].  One integrate_adaptive call covers
+    [0, 6 + 1/6], so the numerator runs once at the poles and once per pass,
+    ``tol`` bounds the whole integral, and ``evaluations`` counts the
+    numerator's points in the passes (one per pole and node).  Poles may
+    crowd or coincide; each must be finite and at least _POLE_FLOOR = 1e-5,
+    below which rounding outgrows a tol of 1e-10 (InvalidParameter).  That
+    rounding grows with sum_j |q_j|/c_j, unseen by the error estimate: the 31
+    poles 2 rho sin(m pi/63.5) at rho 3e-4 (3e-5 to 6e-4) miss tol 1e-10 by
+    2e-10.  ``tol`` must be finite and > 0.
     """
     check_tolerance(tol, "quadrature")
-    poles = [float(c) for c in poles]
-    if not poles:
+    poles = np.array(poles, dtype=float)
+    if poles.size == 0:
         raise InvalidParameter("at least one pole is required")
     if not all(math.isfinite(c) and c >= _POLE_FLOOR for c in poles):
         raise InvalidParameter(f"poles must be finite and normal, at least {_POLE_FLOOR:g} "
-                               f"(integrate_pv's accuracy floor), got {poles}")
+                               f"(integrate_pv's accuracy floor), got {poles.tolist()}")
     if weights is None:
-        weights = [1.0] * len(poles)
-    if len(weights) != len(poles):
+        weights = np.ones(poles.size)
+    if len(weights) != poles.size:
         raise InvalidParameter("weights must match poles")
-    order = np.argsort(poles)
-    poles = [poles[i] for i in order]
-    weights = [float(weights[i]) for i in order]
+    scale = np.asarray(weights, dtype=float) / poles
 
-    for a, b in zip(poles[:-1], poles[1:]):
-        if b - a < _POLE_SEP_FLOOR * (1.0 + poles[-1]):
-            raise PolesTooClose(f"poles {a} and {b} closer than the excision floor")
-    widths = _excision_widths(poles)
+    def g(t):
+        s = np.multiply.outer(poles, t).ravel()
+        y = _real(numerator(s), s.min(), s.max())
+        return scale @ y.reshape(y.shape[:-1] + (poles.size, -1))
 
-    n_c = _real(numerator(np.array(poles)), poles[0], poles[-1])     # (..., poles)
-    n_c_rows = np.moveaxis(n_c, -1, 0)[..., None]      # per pole, broadcast against the nodes
-    far_lo = 2.0 * poles[-1] + 4.0
-    hi = far_lo + 1.0 / far_lo
+    g_1 = g(np.ones(1))[..., 0]
+    hi = _FAR_LO + 1.0 / _FAR_LO
 
     def integrand(x):
-        far = x > far_lo
-        v = np.where(far, hi - x, 0.0)          # v = 1/s on the mapped tail
+        far = x > _FAR_LO
+        v = np.where(far, hi - x, 0.0)          # v = 1/t on the mapped tail
         tail = v > 0.0                          # rounding can put a tail node on v = 0
-        s = x.copy()
-        s[tail] = 1.0 / v[tail]
-        n = numerator(s)
-        total = 0.0
-        for c, w, q, nc in zip(poles, widths, weights, n_c_rows):
-            # s^2 - c^2 before the tail, (s^2 - c^2) v^2 = 1 - (c v)^2 on it
-            rational = q / np.where(far, 1.0 - (c * v) ** 2, x * x - c * c)
-            total = total + (n - np.where(np.abs(x - c) < w, nc, 0.0)) * rational
+        t = x.copy()
+        t[tail] = 1.0 / v[tail]
+        # t^2 - 1 before the tail, (t^2 - 1) v^2 = 1 - v^2 on it
+        rational = 1.0 / np.where(far, 1.0 - v ** 2, x * x - 1.0)
+        total = (g(t) - np.where(np.abs(x - 1.0) < 0.5, g_1[..., None], 0.0)) * rational
         return np.where(far & ~tail, 0.0, total)
 
-    # a breakpoint at each pole keeps every node off the removable 0/0 there
-    breakpoints = [far_lo] + [e for c, w in zip(poles, widths) for e in (c - w, c, c + w)]
-    value, err, evals = integrate_adaptive(integrand, 0.0, hi, tol, breakpoints=breakpoints)
-    log_terms = np.array([q / (2.0 * c) * np.log((2.0 * c - w) / (2.0 * c + w))
-                          for c, w, q in zip(poles, widths, weights)])
-    value = value + n_c @ log_terms
-    if n_c.ndim == 1:
+    # the breakpoint at t = 1 keeps every node off the removable 0/0 there
+    value, err, evals = integrate_adaptive(integrand, 0.0, hi, tol,
+                                           breakpoints=(0.5, 1.0, 1.5, _FAR_LO))
+    value = value + g_1 * _WINDOW_LOG
+    if g_1.ndim == 0:
         value, err = float(value[0]), float(err[0])
-    return QuadratureResult(value, err, evals)
+    return QuadratureResult(value, err, evals * poles.size)
 
 
 # --- root finding and minimization ----------------------------------------

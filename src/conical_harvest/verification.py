@@ -2,11 +2,11 @@
 
 This is the one place production closed forms and their integral-representation
 oracles meet.  Every check is a GridPoint row, judged by oracle.compare, and
-every run checks all 42 rows.  The standard grid has sixteen
-oracle/production points (three P0, three P1, two P2, three total P against
-the closed-form Wightman function, two X0, three X_P) at the honest
-tolerances the principal-value, nested and contour quadratures can sustain;
-the identity grid holds 26 exact identities (nu * P0 at the string,
+every run checks every row; the README states the row counts, and a test
+holds them to this grid.  The standard grid has the oracle/production points
+(P0, P1, P2, the total P against the closed-form Wightman function, X0, X_P)
+at the honest tolerances the principal-value, nested and contour quadratures
+can sustain; the identity grid holds exact identities (nu * P0 at the string,
 flat reduction, both zeta-coefficient branches' integrals, kernel two-path
 agreement, boundary limits, regulator extrapolation, divergence handling).
 """
