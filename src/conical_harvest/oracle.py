@@ -19,22 +19,20 @@ integral and no principal value, and the sum converges geometrically
 (Trefethen & Weideman, SIAM Review 56, 385 (2014)).  P2, the zeta-integral
 part, is that total less the P0 and P1 oracles.
 
-The non-integer X_P integral takes a PV s-integral at every node of an outer
-zeta integral, with a pole c(zeta) that moves from node to node.  Rescaling
-s = c t,
+Every X term is one Sokhotski-Plemelj term of a distance D,
 
-    PV int_0^inf n(s)/(s^2 - c^2) ds = (1/c) PV int_0^inf n(c t)/(t^2 - 1) dt,
+    T(D) = PV int_0^inf e^{-s^2/4}/(s^2 - D^2) ds - i pi e^{-D^2/4}/(2 D),
 
-puts every node's pole at t = 1.  The outer integral is
-integrate_semi_infinite's, the truncation and geometric start panels
-(quadrature.tail_edges) that production's zeta integrals use.  It calls its
-integrand once per refinement pass, on the nodes of every panel that pass
-adds, so all those inner integrals run as one integrate_pv call with a
-components axis (one row n(c_i t) per node).  From those start panels the
-outer integral mostly ends in its first pass, so one integrate_pv call, and
-takes at most two over nu in [1.15, 9.22] and gap in {0.1, 1}.  The
-t-tolerance is _PV_TOL * min(c): after the division by c_i each inner
-s-integral still meets _PV_TOL.
+taken for an array of D at once (_sokhotski_plemelj): one integrate_pv call
+with a pole per D, each of which meets _PV_TOL.  X0 takes it at d, X_P's
+images at D_m, and the non-integer X_P integral at D(zeta) on every node of
+an outer zeta integral.  The outer integral is integrate_semi_infinite's,
+the truncation and geometric start panels (quadrature.tail_edges) that
+production's zeta integrals use.  It calls its integrand once per refinement
+pass, on the nodes of every panel that pass adds, so all those inner
+integrals run as one integrate_pv call.  From those start panels the outer
+integral mostly ends in its first pass, so one integrate_pv call, and takes
+at most two over nu in [1.15, 9.22] and gap in {0.1, 1}.
 
 All values per lambda^2, lengths in sigma units, gap g = Omega*sigma.
 """
@@ -134,10 +132,10 @@ def p1_oracle(rho: float, cone: ConeParameter, gap: float) -> float:
     Per image (weight w_m, a_m = rho sin(m pi/nu)):
         delta part  -(1/4 sqrt(pi)) w_m e^{-a_m^2} sin(2 g a_m)/a_m
         PV part     -(1/pi^(3/2)) w_m PV int_0^inf cos(g s) e^{-s^2/4}/(s^2 - 4 a_m^2) ds
-    as p1_oracle_terms lists them, one integral per image.  When the smallest
-    pole falls below integrate_pv's accuracy floor the rho -> 0 reduction
-    2 sum w_m P0 applies; it is off by O(rho^2), under 3e-9 relative at that
-    floor.
+    as p1_oracle_terms lists them, one integral per image, all in one
+    integrate_pv call.  When the smallest pole falls below integrate_pv's
+    accuracy floor the rho -> 0 reduction 2 sum w_m P0 applies; it is off by
+    O(rho^2), under 3e-9 relative at that floor.
     """
     check_cone(cone)
     check_length("rho", rho)
@@ -155,13 +153,14 @@ def p1_oracle_terms(rho: float, cone: ConeParameter, gap: float):
     check_cone(cone)
     check_length("rho", rho)
     check_gap(gap)
-    out = []
-    for t in image_terms(cone):
-        a = rho * t.sin_term
-        delta = -t.weight * math.exp(-a * a) * math.sin(2.0 * gap * a) / (4.0 * SQRT_PI * a)
-        pv = integrate_pv(_gaussian_cos(gap), [2.0 * a], tol=_PV_TOL, weights=[t.weight])
-        out.append((t.m, t.weight, delta, -pv.value / math.pi ** 1.5))
-    return out
+    terms = image_terms(cone)
+    if not terms:
+        return []
+    a = rho * np.array([t.sin_term for t in terms])
+    pv = integrate_pv(_gaussian_cos(gap), 2.0 * a, tol=_PV_TOL).value
+    delta = -np.exp(-a * a) * np.sin(2.0 * gap * a) / (4.0 * SQRT_PI * a)
+    return [(t.m, t.weight, t.weight * float(dm), -t.weight * float(pm) / math.pi ** 1.5)
+            for t, dm, pm in zip(terms, delta, pv)]
 
 
 def _same_side_raw_coefficient(nu):
@@ -240,45 +239,36 @@ def p2_oracle(rho: float, cone: ConeParameter, gap: float) -> float:
             - p1_oracle(rho, cone, gap))
 
 
+def _sokhotski_plemelj(big_d):
+    """T(D) = PV int_0^inf e^{-s^2/4}/(s^2 - D^2) ds - i pi e^{-D^2/4}/(2 D) for every D.
+
+    One integrate_pv call with a pole per D; a complex scalar for a scalar D,
+    a complex array for an array.
+    """
+    pv = integrate_pv(_gaussian, big_d, tol=_PV_TOL).value
+    return pv - 1j * np.pi * _gaussian(big_d) / (2.0 * np.asarray(big_d))
+
+
 def x0_oracle(d: float, gap: float) -> complex:
     """Flat correlation from its PV representation plus the exact delta term.
 
-    X0 = (e^{-g^2}/2 pi^(3/2)) PV int_0^inf e^{-u^2/4}/(u^2 - d^2) du
-         - i (1/4 d sqrt(pi)) e^{-g^2 - d^2/4}.
-    A d below integrate_pv's accuracy floor (1e-5) is refused with its pole.
+    X0 = (e^{-g^2}/2 pi^(3/2)) T(d): the real part is the PV integral, the
+    imaginary part -(1/4 d sqrt(pi)) e^{-g^2 - d^2/4}.  A d below
+    integrate_pv's accuracy floor (1e-5) is refused with its pole.
     """
     check_length("d", d, positive=True)
     check_gap(gap)
-
-    pv = integrate_pv(_gaussian, [d], tol=_PV_TOL)
-    prefactor = math.exp(-gap * gap)
-    real = prefactor * pv.value / (2.0 * math.pi ** 1.5)
-    imag = -prefactor * math.exp(-d * d / 4.0) / (4.0 * d * SQRT_PI)
-    return complex(real, imag)
-
-
-def _rescaled_pv(numerator, poles):
-    """PV int_0^inf n(s)/(s^2 - c^2) ds for every c in ``poles``, in one integrate_pv call.
-
-    Each integral is rescaled by s = c t to the shared pole t = 1 (see the
-    module docstring); the t-tolerance _PV_TOL * min(c) keeps every s-integral
-    within _PV_TOL.
-    """
-    def rows(t):
-        return numerator(np.multiply.outer(poles, t))
-
-    pv = integrate_pv(rows, [1.0], tol=_PV_TOL * float(poles.min())).value
-    return pv / poles
+    return complex(math.exp(-gap * gap) / (2.0 * math.pi ** 1.5) * _sokhotski_plemelj(d))
 
 
 def xp_oracle(config: PairConfig, cone: ConeParameter) -> complex:
     """Parallel-alignment correlation from the PV representation, term by term.
 
-    X_P1 image m contributes (e^{-g^2}/pi^(3/2)) w_m [PV - i pi e^{-D^2/4}/(2D)]
-    with D_m^2 = d^2 + 4 l^2 sin^2(m pi/nu); the image PV parts run as one
-    integrate_pv call with a pole D_m per image.  For non-integer nu the zeta
-    part adds
-    (e^{-g^2}/2 pi^(3/2)) int coef(zeta) [PV - i pi e^{-D^2/4}/(2D)] dzeta with
+    X_P = X0 + (e^{-g^2}/pi^(3/2)) sum_m w_m T(D_m) with D_m^2 = d^2 +
+    4 l^2 sin^2(m pi/nu), the images in one integrate_pv call.  For
+    non-integer nu the zeta part adds
+    -(nu e^{-g^2}/2 pi^(5/2)) int c(zeta) T(D(zeta)) dzeta with
+    c = sin(nu pi)/(cosh(nu zeta) - cos(nu pi)) and
     D(zeta)^2 = d^2 + 2 l^2 (1 + cosh zeta).
     """
     check_cone(cone)
@@ -292,20 +282,18 @@ def xp_oracle(config: PairConfig, cone: ConeParameter) -> complex:
 
     terms = image_terms(cone)
     if terms:
-        poles = [math.sqrt(d * d + 4.0 * l * l * t.sin_term ** 2) for t in terms]
-        weights = [t.weight for t in terms]
-        pv = integrate_pv(_gaussian, poles, tol=_PV_TOL, weights=weights).value
-        delta = sum(-math.pi * w * math.exp(-D * D / 4.0) / (2.0 * D)
-                    for w, D in zip(weights, poles))
-        total += prefactor / math.pi ** 1.5 * complex(pv, delta)
+        sin_terms = np.array([t.sin_term for t in terms])
+        weights = np.array([t.weight for t in terms])
+        big_d = np.sqrt(d * d + 4.0 * l * l * sin_terms ** 2)
+        total += prefactor / math.pi ** 1.5 * complex(weights @ _sokhotski_plemelj(big_d))
 
     if not cone.is_integer:
         coefficient = _same_side_raw_coefficient(cone.nu)
 
         def outer(zetas):
-            big_d = np.sqrt(d * d + 2.0 * l * l * (1.0 + np.cosh(zetas)))
-            delta = -np.pi * _gaussian(big_d) / (2.0 * big_d)
-            return coefficient(zetas) * np.stack([_rescaled_pv(_gaussian, big_d), delta])
+            term = coefficient(zetas) * _sokhotski_plemelj(
+                np.sqrt(d * d + 2.0 * l * l * (1.0 + np.cosh(zetas))))
+            return np.stack([term.real, term.imag])
 
         breakpoints = coefficient_breakpoints(cone.nu, cone.nu * math.pi)
         vals = integrate_semi_infinite(outer, cone.nu, _OUTER_TOL, breakpoints=breakpoints).value

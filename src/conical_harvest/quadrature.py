@@ -8,17 +8,19 @@ passes, not of panels.  Semi-infinite integrals are truncated at a point where
 the caller-supplied exponential tail bound drops below tol/10 and start on
 geometric panels that halve toward 0 down to one decay length, so an
 exponentially decaying integrand needs one or two passes.
-Principal-value integrals over [0, inf) rescale every pole to t = 1 and use
+integrate_adaptive and integrate_semi_infinite take a components axis: an
+integrand returning (k, n) instead of (n,) integrates k functions on one
+shared subdivision, which is how a batch of points (a scan axis, the new
+nodes of an oracle's outer pass) costs one adaptive integral instead of k.
+A principal-value integral over [0, inf) rescales its pole to t = 1 and uses
 pole-symmetric subtraction inside one excision window about it plus an exact
 log term, with the power-law far tail mapped to a finite interval by t -> 1/t;
-window, smooth segments and tail run as one adaptive integral.  Every
-integrator takes a components axis: an integrand returning (k, n) instead of
-(n,) integrates k functions on one shared subdivision, which is how a batch of
-points (a scan axis, the new nodes of an oracle's outer pass) costs one
-adaptive integral instead of k.  Every
-integrator returns a ``QuadratureResult``.  Every integrand is real: a complex
-one raises InvalidParameter rather than lose its imaginary part, and a caller
-with a complex integrand stacks its real and imaginary parts as rows.
+integrate_pv takes an array of poles as such a components axis, one row per
+pole, so each pole's integral meets ``tol`` and all of them cost one adaptive
+integral.  Every integrator returns a ``QuadratureResult``.  Every integrand
+is real: a complex one raises InvalidParameter rather than lose its imaginary
+part, and a caller with a complex integrand stacks its real and imaginary
+parts as rows.
 Brent's root search needs only the two end values of its bracket:
 ``find_root_from_ends`` takes them from a caller that already holds them, as
 the d_max scan does, so such a root depends on the caller's end values, and
@@ -79,8 +81,8 @@ class QuadratureResult(NamedTuple):
 
     ``integrate_adaptive`` and ``integrate_semi_infinite`` give length-k
     arrays (one per component row, k = 1 for one integrand); ``integrate_pv``
-    gives floats for one integrand and length-k arrays for a components axis
-    of k integrands sharing one subdivision.  It unpacks as
+    gives floats for a scalar pole and length-p arrays for p poles.  It
+    unpacks as
     ``value, error_estimate, evaluations``.
     """
 
@@ -248,48 +250,41 @@ _WINDOW_LOG = 0.5 * np.log((2.0 - 0.5) / (2.0 + 0.5))
 _FAR_LO = 6.0
 
 
-def integrate_pv(numerator, poles, tol=DEFAULT_PV_TOL, weights=None):
-    """PV int_0^inf numerator(s) * sum_j q_j / (s^2 - c_j^2) ds, as one adaptive integral.
+def integrate_pv(numerator, poles, tol=DEFAULT_PV_TOL):
+    """PV int_0^inf numerator(s)/(s^2 - c^2) ds for every pole c, in one adaptive integral.
 
-    ``numerator`` maps a node array of shape (n,) to real values of shape (n,)
-    for one integral or (k, n) for k numerators sharing the poles (a
-    components axis): all k integrals then share one subdivision, the error
-    test applies to the worst component, and value and error are length-k
-    arrays instead of floats.  A complex numerator raises InvalidParameter.
+    ``poles`` is a scalar or a 1-D array of p poles, and the value and error
+    are floats or length-p arrays to match.  ``numerator`` maps a node array
+    of shape (n,) to real values of shape (n,); a complex numerator raises
+    InvalidParameter.
 
-    s = c_j t puts every pole at t = 1: the integral is PV int_0^inf
-    g(t)/(t^2 - 1) dt with g(t) = sum_j (q_j/c_j) n(c_j t), one numerator call
-    on the points c_j t of every pole.  Inside the window [1/2, 3/2] g(1) is
-    subtracted and added back exactly as g(1) ln(3/5)/2; beyond t = 6 the tail
-    is mapped by t = 1/v onto [0, 1/6].  One integrate_adaptive call covers
-    [0, 6 + 1/6], so the numerator runs once at the poles and once per pass,
-    ``tol`` bounds the whole integral, and ``evaluations`` counts the
-    numerator's points in the passes (one per pole and node).  Poles may
-    crowd or coincide; each must be finite and at least _POLE_FLOOR = 1e-5,
-    below which rounding outgrows a tol of 1e-10 (InvalidParameter).  That
-    rounding grows with sum_j |q_j|/c_j, unseen by the error estimate: the 31
-    poles 2 rho sin(m pi/63.5) at rho 3e-4 (3e-5 to 6e-4) miss tol 1e-10 by
-    2e-10.  ``tol`` must be finite and > 0.
+    s = c t puts the pole at t = 1: each integral is PV int_0^inf
+    g_c(t)/(t^2 - 1) dt with g_c(t) = n(c t)/c, and the rows g_c are the
+    components of one integrate_adaptive call, so one numerator call on the
+    points c t of every pole serves all of them.  Inside the window
+    [1/2, 3/2] g_c(1) is subtracted and added back exactly as
+    g_c(1) ln(3/5)/2; beyond t = 6 the tail is mapped by t = 1/v onto
+    [0, 1/6].  The numerator runs once at the poles and once per pass, ``tol``
+    bounds each pole's integral, and ``evaluations`` counts the numerator's
+    points in the passes (poles x nodes).  Poles may crowd or coincide; each
+    must be finite and at least _POLE_FLOOR = 1e-5, below which rounding
+    outgrows a tol of 1e-10 (InvalidParameter, as for a 2-D or empty
+    ``poles``).  ``tol`` must be finite and > 0.
     """
     check_tolerance(tol, "quadrature")
-    poles = np.array(poles, dtype=float)
-    if poles.size == 0:
-        raise InvalidParameter("at least one pole is required")
-    if not all(math.isfinite(c) and c >= _POLE_FLOOR for c in poles):
+    scalar = np.ndim(poles) == 0
+    c = np.array(poles, dtype=float, ndmin=1)
+    if c.ndim != 1 or c.size == 0:
+        raise InvalidParameter(f"poles must be a scalar or a non-empty 1-D array, got {poles!r}")
+    if not all(math.isfinite(x) and x >= _POLE_FLOOR for x in c):
         raise InvalidParameter(f"poles must be finite and normal, at least {_POLE_FLOOR:g} "
-                               f"(integrate_pv's accuracy floor), got {poles.tolist()}")
-    if weights is None:
-        weights = np.ones(poles.size)
-    if len(weights) != poles.size:
-        raise InvalidParameter("weights must match poles")
-    scale = np.asarray(weights, dtype=float) / poles
+                               f"(integrate_pv's accuracy floor), got {c.tolist()}")
 
     def g(t):
-        s = np.multiply.outer(poles, t).ravel()
-        y = _real(numerator(s), s.min(), s.max())
-        return scale @ y.reshape(y.shape[:-1] + (poles.size, -1))
+        s = np.multiply.outer(c, t).ravel()
+        return _real(numerator(s), s.min(), s.max()).reshape(c.size, t.size) / c[:, None]
 
-    g_1 = g(np.ones(1))[..., 0]
+    g_1 = g(np.ones(1))
     hi = _FAR_LO + 1.0 / _FAR_LO
 
     def integrand(x):
@@ -300,16 +295,16 @@ def integrate_pv(numerator, poles, tol=DEFAULT_PV_TOL, weights=None):
         t[tail] = 1.0 / v[tail]
         # t^2 - 1 before the tail, (t^2 - 1) v^2 = 1 - v^2 on it
         rational = 1.0 / np.where(far, 1.0 - v ** 2, x * x - 1.0)
-        total = (g(t) - np.where(np.abs(x - 1.0) < 0.5, g_1[..., None], 0.0)) * rational
+        total = (g(t) - np.where(np.abs(x - 1.0) < 0.5, g_1, 0.0)) * rational
         return np.where(far & ~tail, 0.0, total)
 
     # the breakpoint at t = 1 keeps every node off the removable 0/0 there
     value, err, evals = integrate_adaptive(integrand, 0.0, hi, tol,
                                            breakpoints=(0.5, 1.0, 1.5, _FAR_LO))
-    value = value + g_1 * _WINDOW_LOG
-    if g_1.ndim == 0:
+    value = value + g_1[:, 0] * _WINDOW_LOG
+    if scalar:
         value, err = float(value[0]), float(err[0])
-    return QuadratureResult(value, err, evals * poles.size)
+    return QuadratureResult(value, err, evals * c.size)
 
 
 # --- root finding and minimization ----------------------------------------

@@ -241,6 +241,26 @@ def test_parallel_oracles_answer_every_accepted_input(nu, l, d, gap):
     assert p1 == pytest.approx(p_string(l, cone, gap).p_images, rel=1e-6)
 
 
+# lengths in [1e-5, 10]: uniform, or log-uniform so that the draw reaches the
+# PV pole floor 1e-5 as often as 10
+_LENGTHS = st.floats(1e-5, 10.0) | st.floats(-5.0, 1.0).map(lambda e: max(1e-5, 10.0 ** e))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(nu=st.floats(1.0, NU_MAX) | st.integers(1, int(NU_MAX)).map(float),
+       l=_LENGTHS, d=_LENGTHS, gap=st.floats(0.0, 3.0))
+# many image poles of 1e-5 to 1e-4: their weighted sum, one integrand row,
+# ran out of panels (ToleranceNotMet after 122,805 evaluations)
+@example(nu=56.0, l=3.857e-5, d=4.093e-5, gap=2.721)
+@example(nu=64.0, l=1e-5, d=1.2e-5, gap=1.0)
+@example(nu=31.0, l=2e-5, d=2e-5, gap=2.0)
+def test_xp_oracle_answers_down_to_the_pv_pole_floor(nu, l, d, gap):
+    cone, config = ConeParameter(nu), PairConfig(Alignment.PARALLEL, l=l, d=d, gap=gap)
+    x = oracle.xp_oracle(config, cone)
+    assert math.isfinite(x.real) and math.isfinite(x.imag)
+    assert x == pytest.approx(x_string(config, cone).total, rel=1e-6)
+
+
 def test_xp_oracle_rejects_other_alignments():
     config = PairConfig(Alignment.ORTHOGONAL_SAME_SIDE, l=0.5, d=0.5, gap=0.1)
     with pytest.raises(Exception):
@@ -396,7 +416,7 @@ def _per_node_xp(l, d, nu, gap):
 
     def inner(zeta):
         big_d = math.sqrt(d * d + 2.0 * l * l * (1.0 + math.cosh(zeta)))
-        pv = integrate_pv(numerator, [big_d], tol=1e-10).value
+        pv = integrate_pv(numerator, big_d, tol=1e-10).value
         return [pv, -math.pi * math.exp(-big_d * big_d / 4.0) / (2.0 * big_d)]
 
     prefactor = math.exp(-gap * gap)
@@ -405,7 +425,7 @@ def _per_node_xp(l, d, nu, gap):
     if terms:
         poles = [math.sqrt(d * d + 4.0 * l * l * t.sin_term ** 2) for t in terms]
         weights = [t.weight for t in terms]
-        pv = integrate_pv(numerator, poles, tol=1e-10, weights=weights).value
+        pv = float(np.dot(weights, integrate_pv(numerator, poles, tol=1e-10).value))
         delta = sum(-math.pi * w * math.exp(-p * p / 4.0) / (2.0 * p)
                     for w, p in zip(weights, poles))
         total += prefactor / math.pi ** 1.5 * complex(pv, delta)

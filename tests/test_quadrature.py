@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -168,10 +169,11 @@ def test_pv_full_line_against_epsilon_excision_richardson():
 def test_pv_multi_pole_matches_sum_of_single_poles():
     def numerator(u):
         return np.exp(-np.asarray(u, dtype=float) ** 2 / 4.0)
-    combined = integrate_pv(numerator, [0.7, 2.0], tol=1e-11, weights=[1.0, 0.5])
-    single = (integrate_pv(numerator, [0.7], tol=1e-11).value
-              + 0.5 * integrate_pv(numerator, [2.0], tol=1e-11).value)
+    combined = integrate_pv(numerator, [0.7, 2.0], tol=1e-11)
+    single = [integrate_pv(numerator, c, tol=1e-11).value for c in (0.7, 2.0)]
     assert combined.value == pytest.approx(single, abs=1e-9)
+    assert np.dot([1.0, 0.5], combined.value) == pytest.approx(
+        single[0] + 0.5 * single[1], abs=1e-9)
 
 
 def _gaussian(u):
@@ -179,13 +181,12 @@ def _gaussian(u):
 
 
 def _gaussian_pv_dawson(poles):
-    # sum_j PV int_0^inf e^{-u^2/4}/(u^2 - c_j^2) du = -sum_j (sqrt(pi)/c_j) D(c_j/2)
-    return sum(-math.sqrt(math.pi) / c * dawsn(c / 2.0) for c in poles)
+    # PV int_0^inf e^{-u^2/4}/(u^2 - c^2) du = -(sqrt(pi)/c) D(c/2), per pole
+    poles = np.asarray(poles, dtype=float)
+    return -math.sqrt(math.pi) / poles * dawsn(poles / 2.0)
 
 
-# at tol 1e-10 the 31 poles miss by 2.0e-10: rounding in g(t) - g(1), of
-# order 1e-16 sum_j 1/c_j = 1.4e-11 per node, is past what |Kronrod - Gauss| sees
-@pytest.mark.parametrize("tol", [1e-8, 1e-9])
+@pytest.mark.parametrize("tol", [1e-8, 1e-9, 1e-10])
 @pytest.mark.parametrize("poles", [
     # the 31 image poles 2 rho sin(m pi/nu) at nu 63.5, rho 3e-4: the smallest
     # 2.97e-5, the closest pair 1.83e-6 apart; per-pole windows ran out of panels
@@ -195,8 +196,9 @@ def _gaussian_pv_dawson(poles):
 ], ids=["image-poles-nu-63.5", "1e-9-apart"])
 def test_pv_crowded_poles_meet_tol_against_dawson(poles, tol):
     res = integrate_pv(_gaussian, poles, tol=tol)
-    assert res.error_estimate <= tol
-    assert abs(res.value - _gaussian_pv_dawson(poles)) <= tol
+    assert res.value.shape == res.error_estimate.shape == (len(poles),)
+    assert np.all(res.error_estimate <= tol)
+    assert np.all(np.abs(res.value - _gaussian_pv_dawson(poles)) <= tol)
 
 
 # neighbours of a pole_sets list sit 0.9 to 1000 such steps times (1 + top) apart
@@ -230,8 +232,8 @@ def test_pv_any_accepted_pole_set_matches_the_closed_form(poles):
             integrate_pv(_gaussian, poles)
         return
     res = integrate_pv(_gaussian, poles)
-    assert res.error_estimate <= 1e-8
-    assert abs(res.value - _gaussian_pv_dawson(poles)) <= 1e-8
+    assert np.all(res.error_estimate <= 1e-8)
+    assert np.all(np.abs(res.value - _gaussian_pv_dawson(poles)) <= 1e-8)
 
 
 def test_pv_refuses_a_pole_whose_half_underflows():
@@ -258,8 +260,9 @@ def test_pv_refuses_a_pole_below_its_accuracy_floor(c):
     # at tol 1e-10 the error was 1.5e-10 at c = 1e-6, 1.4e-8 at 1e-8 and
     # 1.2e-7 at 1e-9, with nothing reported; 1e-20 ran out of panels and
     # 1e-160 overflowed
-    for poles in ([c], [c, 1.0]):
-        with pytest.raises(InvalidParameter, match="accuracy floor"):
+    for poles in (c, [c], [c, 1.0]):
+        named = re.escape(f"accuracy floor), got {np.atleast_1d(poles).tolist()}")
+        with pytest.raises(InvalidParameter, match=named):
             integrate_pv(lambda s: np.exp(-s * s / 4.0), poles, tol=1e-10)
 
 
@@ -270,50 +273,41 @@ def test_pv_validation():
         integrate_pv(lambda u: np.ones_like(u), [], tol=1e-8)
 
 
-# --- the components axis -------------------------------------------------------
+# --- one integral per pole -------------------------------------------------------
 
 
-def _gaussian_rows(widths, freqs):
-    """Numerator with one row cos(b_i s) e^{-s^2/a_i} per (a_i, b_i)."""
-    widths = np.asarray(widths, dtype=float)[:, None]
-    freqs = np.asarray(freqs, dtype=float)[:, None]
-
-    def rows(s):
-        s = np.asarray(s, dtype=float)
-        return np.cos(freqs * s) * np.exp(-s * s / widths)
-
-    return rows
-
-
-def test_pv_components_match_scalar_calls():
-    widths, freqs = (4.0, 1.0, 9.0, 0.5), (0.0, 0.3, 2.0, 1.1)
-    poles, weights, tol = [0.7, 2.0], [1.0, 0.5], 1e-10
-    batch = integrate_pv(_gaussian_rows(widths, freqs), poles, tol=tol, weights=weights)
-    assert batch.value.shape == batch.error_estimate.shape == (len(widths),)
-    assert np.all(batch.error_estimate <= tol)
-    for i, (a, b) in enumerate(zip(widths, freqs)):
-        single = integrate_pv(lambda s: _gaussian_rows([a], [b])(s)[0], poles, tol=tol,
-                              weights=weights)
-        assert abs(batch.value[i] - single.value) <= tol
-        assert single.error_estimate <= tol
-
-
-def test_pv_one_row_numerator_still_returns_floats():
-    res = integrate_pv(lambda u: np.exp(-np.asarray(u, dtype=float) ** 2 / 4.0), [1.0], tol=1e-10)
+def test_pv_scalar_pole_gives_floats_and_an_array_gives_arrays():
+    res = integrate_pv(_gaussian, 1.0, tol=1e-10)
     assert type(res.value) is float and type(res.error_estimate) is float
-    # a (1, n) numerator is a batch of one: arrays, with the same value
-    batch = integrate_pv(_gaussian_rows([4.0], [0.0]), [1.0], tol=1e-10)
-    assert batch.value.shape == (1,) and abs(batch.value[0] - res.value) <= 1e-10
+    batch = integrate_pv(_gaussian, [0.7, 1.0, 2.0], tol=1e-10)
+    assert batch.value.shape == batch.error_estimate.shape == (3,)
+    assert abs(batch.value[1] - res.value) <= 1e-10
+    one = integrate_pv(_gaussian, [1.0], tol=1e-10)
+    assert one.value.shape == one.error_estimate.shape == (1,)
 
 
-def test_pv_components_raise_as_one_row_does():
-    rows = _gaussian_rows((1.0, 2.0), (0.0, 0.0))
-    with pytest.raises(InvalidParameter):
-        integrate_pv(rows, [-1.0], tol=1e-8)
-    with pytest.raises(InvalidParameter):
-        integrate_pv(rows, [], tol=1e-8)
-    with pytest.raises(InvalidParameter):
-        integrate_pv(rows, [1.0], tol=1e-8, weights=[1.0, 2.0])
+def test_pv_evaluations_count_poles_times_nodes(monkeypatch):
+    nodes = []
+    original = quadrature.integrate_adaptive
+
+    def recording_adaptive(*args, **kwargs):
+        result = original(*args, **kwargs)
+        nodes.append(result.evaluations)
+        return result
+
+    monkeypatch.setattr(quadrature, "integrate_adaptive", recording_adaptive)
+    poles = [0.5, 1.5, 3.0, 4.0]
+    res = integrate_pv(_gaussian, poles, tol=1e-10)
+    assert len(nodes) == 1 and res.evaluations == len(poles) * nodes[0]
+
+
+@pytest.mark.parametrize("poles", [[[1.0, 2.0]], np.ones((2, 2)), [], np.array([])],
+                         ids=["nested-list", "2-d", "empty-list", "empty-array"])
+def test_pv_refuses_poles_that_are_not_a_scalar_or_a_1d_array(poles):
+    with pytest.raises(InvalidParameter, match="poles must be a scalar or a non-empty 1-D array, "
+                                               r"got .*\[") as info:
+        integrate_pv(_gaussian, poles, tol=1e-8)
+    assert repr(poles) in str(info.value)
 
 
 def test_semi_infinite_components_match_scalar_calls():
@@ -449,7 +443,7 @@ def test_pv_calls_its_numerator_once_per_pass(monkeypatch):
 
     monkeypatch.setattr(quadrature, "integrate_adaptive", counting_adaptive)
     numerator, calls = _recording(lambda u: np.cos(3.0 * u) * np.exp(-u * u / 4.0))
-    res = integrate_pv(numerator, [0.5, 2.0, 3.5], tol=1e-10, weights=[1.0, -0.5, 2.0])
+    res = integrate_pv(numerator, [0.5, 2.0, 3.5], tol=1e-10)
     assert adaptive_calls[0] == 1 and passes[0] > 1
     # one call at the poles, then one per pass
     assert len(calls) == passes[0] + 1
@@ -463,12 +457,14 @@ def test_pv_three_poles_match_single_poles_and_dawson():
         return np.exp(-np.asarray(u, dtype=float) ** 2 / 4.0)
 
     poles, weights, tol = [0.5, 1.5, 3.0], [1.0, -0.5, 2.0], 1e-10
-    combined = integrate_pv(numerator, poles, tol=tol, weights=weights)
-    assert combined.error_estimate <= tol
-    single = sum(q * integrate_pv(numerator, [c], tol=tol).value for c, q in zip(poles, weights))
-    dawson = sum(-q * math.sqrt(math.pi) / c * dawsn(c / 2.0) for c, q in zip(poles, weights))
-    assert abs(combined.value - single) <= tol
-    assert abs(combined.value - dawson) <= tol
+    each = integrate_pv(numerator, poles, tol=tol)
+    assert np.all(each.error_estimate <= tol)
+    single = [integrate_pv(numerator, c, tol=tol).value for c in poles]
+    assert np.all(np.abs(each.value - single) <= tol)
+    assert np.all(np.abs(each.value - _gaussian_pv_dawson(poles)) <= tol)
+    combined = np.dot(weights, each.value)
+    assert abs(combined - np.dot(weights, single)) <= tol
+    assert abs(combined - np.dot(weights, _gaussian_pv_dawson(poles))) <= tol
 
 
 @pytest.mark.parametrize("rate", [float("inf"), float("nan")])
