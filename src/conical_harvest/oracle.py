@@ -24,11 +24,13 @@ Every X term is one Sokhotski-Plemelj term of a distance D,
     T(D) = PV int_0^inf e^{-s^2/4}/(s^2 - D^2) ds - i pi e^{-D^2/4}/(2 D),
 
 taken for an array of D at once (_sokhotski_plemelj): one integrate_pv call
-with a pole per D, each of which meets _PV_TOL.  X0 takes it at d, X_P's
-images at D_m, and the non-integer X_P integral at D(zeta) on every node of
-an outer zeta integral.  The outer integral is integrate_semi_infinite's,
-the truncation and geometric start panels (quadrature.tail_edges) that
-production's zeta integrals use.  It calls its integrand once per refinement
+with a pole per D, each of which meets _PV_TOL.  X0 and X_P's images are one
+weighted pole set, D_0 = d with weight 1/2 and the images D_m with their
+weights w_m, so X_P's image sum, X0 included, is one integrate_pv call and
+X0 is the set without images.  The non-integer X_P integral takes T at
+D(zeta) on every node of an outer zeta integral.  The outer integral is
+integrate_semi_infinite's, the truncation and geometric start panels
+(quadrature.tail_edges) that production's zeta integrals use.  It calls its integrand once per refinement
 pass, on the nodes of every panel that pass adds, so all those inner
 integrals run as one integrate_pv call.  From those start panels the outer
 integral mostly ends in its first pass, so one integrate_pv call, and takes
@@ -249,24 +251,38 @@ def _sokhotski_plemelj(big_d):
     return pv - 1j * np.pi * _gaussian(big_d) / (2.0 * np.asarray(big_d))
 
 
+def _direct_and_images(d, gap, l=0.0, terms=()):
+    """(e^{-g^2}/pi^(3/2)) sum_m w_m T(D_m) over one pole set, in one integrate_pv call.
+
+    D_0 = d with w_0 = 1/2 is X0; each image term adds D_m^2 = d^2 +
+    4 l^2 sin^2(m pi/nu) with its weight w_m.  With no terms it is X0 alone.
+    """
+    sin_terms = np.array([t.sin_term for t in terms])
+    big_d = np.concatenate(([d], np.sqrt(d * d + 4.0 * l * l * sin_terms ** 2)))
+    weights = np.array([0.5] + [t.weight for t in terms])
+    return complex(math.exp(-gap * gap) / math.pi ** 1.5
+                   * (weights @ _sokhotski_plemelj(big_d)))
+
+
 def x0_oracle(d: float, gap: float) -> complex:
     """Flat correlation from its PV representation plus the exact delta term.
 
-    X0 = (e^{-g^2}/2 pi^(3/2)) T(d): the real part is the PV integral, the
-    imaginary part -(1/4 d sqrt(pi)) e^{-g^2 - d^2/4}.  A d below
-    integrate_pv's accuracy floor (1e-5) is refused with its pole.
+    X0 = (e^{-g^2}/2 pi^(3/2)) T(d), the no-image case of X_P's pole sum: the
+    real part is the PV integral, the imaginary part
+    -(1/4 d sqrt(pi)) e^{-g^2 - d^2/4}.  A d below integrate_pv's accuracy
+    floor (1e-5) is refused with its pole.
     """
     check_length("d", d, positive=True)
     check_gap(gap)
-    return complex(math.exp(-gap * gap) / (2.0 * math.pi ** 1.5) * _sokhotski_plemelj(d))
+    return _direct_and_images(d, gap)
 
 
 def xp_oracle(config: PairConfig, cone: ConeParameter) -> complex:
     """Parallel-alignment correlation from the PV representation, term by term.
 
-    X_P = X0 + (e^{-g^2}/pi^(3/2)) sum_m w_m T(D_m) with D_m^2 = d^2 +
-    4 l^2 sin^2(m pi/nu), the images in one integrate_pv call.  For
-    non-integer nu the zeta part adds
+    X_P = (e^{-g^2}/pi^(3/2)) sum_m w_m T(D_m) over the pole set D_0 = d,
+    w_0 = 1/2 (X0) and D_m^2 = d^2 + 4 l^2 sin^2(m pi/nu) (the images), all
+    in one integrate_pv call.  For non-integer nu the zeta part adds
     -(nu e^{-g^2}/2 pi^(5/2)) int c(zeta) T(D(zeta)) dzeta with
     c = sin(nu pi)/(cosh(nu zeta) - cos(nu pi)) and
     D(zeta)^2 = d^2 + 2 l^2 (1 + cosh zeta).
@@ -277,15 +293,7 @@ def xp_oracle(config: PairConfig, cone: ConeParameter) -> complex:
     if config.alignment is not Alignment.PARALLEL:
         raise InvalidParameter("xp_oracle covers the parallel alignment only")
     d, l, gap = config.d, config.l, config.gap
-    prefactor = math.exp(-gap * gap)
-    total = x0_oracle(d, gap)
-
-    terms = image_terms(cone)
-    if terms:
-        sin_terms = np.array([t.sin_term for t in terms])
-        weights = np.array([t.weight for t in terms])
-        big_d = np.sqrt(d * d + 4.0 * l * l * sin_terms ** 2)
-        total += prefactor / math.pi ** 1.5 * complex(weights @ _sokhotski_plemelj(big_d))
+    total = _direct_and_images(d, gap, l, image_terms(cone))
 
     if not cone.is_integer:
         coefficient = _same_side_raw_coefficient(cone.nu)
@@ -299,7 +307,8 @@ def xp_oracle(config: PairConfig, cone: ConeParameter) -> complex:
         vals = integrate_semi_infinite(outer, cone.nu, _OUTER_TOL, breakpoints=breakpoints).value
         # sin/(cosh - cos) carries the opposite sign of the production
         # coefficient, hence the leading minus.
-        total += -cone.nu / (2.0 * math.pi ** 2.5) * prefactor * complex(vals[0], vals[1])
+        total += (-cone.nu / (2.0 * math.pi ** 2.5) * math.exp(-gap * gap)
+                  * complex(vals[0], vals[1]))
 
     return total
 

@@ -78,7 +78,9 @@ class ResponseBreakdown:
 def p_flat(gap: float) -> float:
     """Flat-spacetime transition probability P0 per lambda^2."""
     check_gap(gap)
-    return (math.exp(-gap * gap) - SQRT_PI * gap * _erfc_real(gap)) / (4.0 * math.pi)
+    tail = _erfc_real(gap)
+    # sqrt(pi) g overflows past g ~ 1e308, where erfc(g), and so the product, is 0
+    return (math.exp(-gap * gap) - (SQRT_PI * gap * tail if tail else 0.0)) / (4.0 * math.pi)
 
 
 def _kernel_over_nodes(a, gap):

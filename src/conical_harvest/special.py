@@ -124,7 +124,9 @@ def response_kernel_limit(gap):
     From the series of w at purely imaginary argument:
     lim K/a = (2/sqrt(pi)) e^{-g^2} - 2 g erfc(g).
     """
-    return 2.0 / SQRT_PI * np.exp(-gap * gap) - 2.0 * gap * _erfc_real(gap)
+    tail = _erfc_real(gap)
+    # 2 g overflows past g ~ 1e308, where erfc(g), and so the product, is 0
+    return 2.0 / SQRT_PI * np.exp(-gap * gap) - (2.0 * gap * tail if tail else 0.0)
 
 
 def aux_f(z, gap):

@@ -473,9 +473,23 @@ def test_nested_oracles_run_one_pv_call_per_outer_pass(nu, monkeypatch):
     counts = _count_outer_passes(monkeypatch)
     cone = ConeParameter(nu)
     oracle.xp_oracle(PairConfig(Alignment.PARALLEL, l=0.7, d=1.0, gap=0.1), cone)
-    # beside the outer passes: X0's pole and, from nu = 2 on, the image poles
-    assert counts["pv"] == counts["outer"] + 1 + (nu >= 2.0)
+    # beside the outer passes: one call for X0's pole and the image poles together
+    assert counts["pv"] == counts["outer"] + 1
     assert counts["outer"] < counts["panels"]
+
+
+@pytest.mark.parametrize("nu", [3.0, 4.0])
+def test_xp_oracle_at_integer_nu_runs_one_pv_call(nu, monkeypatch):
+    # no zeta integral at integer nu: X0's pole and every image pole share one call
+    counts = _count_outer_passes(monkeypatch)
+    oracle.xp_oracle(PairConfig(Alignment.PARALLEL, l=0.7, d=1.0, gap=0.1), ConeParameter(nu))
+    assert counts == {"pv": 1, "outer": 0, "panels": 0}
+
+
+@pytest.mark.parametrize("d, gap", [(1e-5, 0.0), (0.2, 0.5), (1.0, 0.1), (4.0, 1.5)])
+def test_xp_oracle_at_nu_1_is_x0_oracle(d, gap):
+    config = PairConfig(Alignment.PARALLEL, l=0.7, d=d, gap=gap)
+    assert oracle.xp_oracle(config, ConeParameter(1.0)) == oracle.x0_oracle(d, gap)
 
 
 @pytest.mark.parametrize("gap", [0.1, 1.0])

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ def test_p_flat_frozen_values():
 
 def test_p_flat_large_gap_and_monotone():
     assert p_flat(10.0) < 1e-5
+    # sqrt(pi) g overflows at the largest float; erfc(g) is 0 there, and so is P0
+    assert p_flat(sys.float_info.max) == 0.0
     gaps = np.linspace(0.0, 4.0, 17)
     values = [p_flat(g) for g in gaps]
     assert all(a > b for a, b in zip(values, values[1:]))

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -129,6 +130,8 @@ def test_kernel_small_argument_limit():
         a = 1e-6
         assert response_kernel(a, gap) / a == pytest.approx(
             response_kernel_limit(gap), rel=1e-6)
+    # 2 g overflows at the largest float; erfc(g) is 0 there, and so is the limit
+    assert response_kernel_limit(sys.float_info.max) == 0.0
 
 
 def test_kernel_direct_path_overflows_out_of_domain():
