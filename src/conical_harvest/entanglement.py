@@ -7,17 +7,21 @@ harvesting-achievable separation d_max, extremal deficit-angle parameter).
 One evaluator (``_evaluate``) serves a pair, a sweep row and a scan: it hands the image
 expansions of P_A, P_B (unless rho_B = rho_A) and X to one correlation.expand
 call, so at non-integer nu one concurrence, or the d_max scan's whole grid,
-runs a single zeta integral on one adaptive subdivision.  ``_observables``
-reads (|X|, sqrt(P_A P_B)) off it, and every search (the d_max scan, its
-Brent steps, nu_extremum) reads its margin from ``_margin``.
+runs a single zeta integral on one adaptive subdivision.  A sweep first
+expands once each response that several of its rows share (on a d axis P at
+the fixed l), through response.image_response as p_string does, and each
+row hands only its own parts to the evaluator.  ``_observables`` reads
+(|X|, sqrt(P_A P_B)) off it, and every search (the d_max scan, its Brent
+steps, nu_extremum) reads its margin from ``_margin``.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import erfc as _erfc_real
+from scipy.special import erfcx
 
 from .correlation import AUX_F, CorrelationBreakdown, _x0, check_overlap, expand, overlap_mask
 from .errors import InvalidParameter
@@ -45,8 +49,8 @@ from .quadrature import (
     find_root_from_ends,
     minimize_scalar,
 )
-from .response import ResponseBreakdown, response_breakdown, response_part
-from .special import SQRT_PI, faddeeva_w
+from .response import ResponseBreakdown, image_response, response_breakdown, response_part
+from .special import SQRT_PI, TINY, faddeeva_w
 
 MAX_SWEEP_POINTS = 100_000
 
@@ -63,57 +67,75 @@ class ConcurrenceResult:
     correlation: CorrelationBreakdown
 
 
-def _response_parts(alignment: Alignment, cone: ConeParameter, l, d):
-    """[P_A's correlation.expand part], and P_B's unless rho_B = rho_A, on the pair's images."""
-    seen, terms = image_set(alignment, cone)
+def _radii(alignment: Alignment, l, d):
+    """(rho_A,), or (rho_A, rho_B) unless rho_B = rho_A: the distances whose responses a pair expands."""
     rho_a, rho_b = radial_distances(alignment, l, d)
     # a scalar beside an array (a d_max scan's fixed l beside l + d) is not the same
     array = getattr(rho_a, "ndim", 0) or getattr(rho_b, "ndim", 0)
     same = np.array_equal(rho_a, rho_b) if array else rho_a == rho_b
-    parts = [response_part(rho_a, seen, terms)]
-    if not same:
-        parts.append(response_part(rho_b, seen, terms))
-    return parts
+    return (rho_a,) if same else (rho_a, rho_b)
 
 
 def response_pair(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL):
     """(ResponseBreakdown_A, ResponseBreakdown_B) for any alignment, each expanded on its own.
 
     A boundary's subtracted image sits in p_images, flat has none, and B is
-    A's breakdown itself where their radial distances agree.
+    A's breakdown itself where their radial distances agree.  Each is
+    response.image_response's, as a sweep's shared responses are.
     """
-    pair = [response_breakdown(expand([part], config.gap, tol)[0], config.gap)
-            for part in _response_parts(config.alignment, cone, config.l, config.d)]
+    seen, terms = image_set(config.alignment, cone)
+    pair = [image_response(rho, seen, terms, config.gap, tol)
+            for rho in _radii(config.alignment, config.l, config.d)]
     return pair[0], pair[-1]
 
 
 def _evaluate(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: float,
-              geo: FArguments):
+              geo: FArguments, shared: Optional[dict] = None):
     """(response_a, response_b, correlation) from one correlation.expand call.
 
     ``l``, ``d`` are scalars or arrays of validated points (a scan's l may
     stay a scalar beside an array d) and ``geo`` their pair_f_arguments.  The
-    parts are _response_parts' (A's breakdown reused where rho_B = rho_A)
+    parts are P at each of _radii (A's breakdown reused where rho_B = rho_A)
     and X's, so their zeta integrals share one adaptive subdivision, each row
     within ``tol``.  A scalar radial distance gives its P as one point,
-    however many points X has.  The caller applied the overlap rule
-    (check_overlap, or overlap_mask), so ``geo`` is overlap-free.
+    however many points X has.  ``shared`` maps the radial distances that
+    several sweep rows hold to their responses, expanded once for all of
+    them (_shared_responses): those are taken as they are, not expanded
+    again.  The caller applied the overlap rule (check_overlap, or
+    overlap_mask), so ``geo`` is overlap-free.
     """
-    parts = _response_parts(alignment, cone, l, d)
-    same = len(parts) == 1
+    seen, terms = image_set(alignment, cone)
+    radii = _radii(alignment, l, d)
+    if shared:
+        known = [shared.get(rho) for rho in radii]
+        radii = [rho for rho, response in zip(radii, known) if response is None]
+    parts = [response_part(rho, seen, terms) for rho in radii]
     parts.append((AUX_F, geo))
     expansions = expand(parts, gap, tol)
-    response_a = response_breakdown(expansions[0], gap)
-    response_b = response_a if same else response_breakdown(expansions[1], gap)
-    return response_a, response_b, CorrelationBreakdown(_x0(d, gap), *expansions[-1])
+    responses = [response_breakdown(expansion, gap) for expansion in expansions[:-1]]
+    if shared:
+        fresh = iter(responses)
+        responses = [next(fresh) if response is None else response for response in known]
+    return responses[0], responses[-1], CorrelationBreakdown(_x0(d, gap), *expansions[-1])
 
 
 def _observables(response_a, response_b, correlation: CorrelationBreakdown):
     """(|X|, sqrt(P_A P_B)) of an _evaluate result, NumPy floats or arrays."""
     x = correlation.total
+    p_a, p_b = response_a.total, response_b.total
+    product = p_a * p_b
+    geo_mean = np.sqrt(product)
+    # below the smallest normal double the product loses digits (from about
+    # 1e-324 all of them) while each P is normal, as from gap ~ 18.6: there
+    # the roots are taken apart, and everywhere else sqrt(P_A P_B) keeps its bits
+    if not getattr(product, "ndim", 0):
+        if product < TINY:
+            geo_mean = np.sqrt(p_a) * np.sqrt(p_b)
+    elif product.min() < TINY:
+        geo_mean = np.where(product < TINY, np.sqrt(p_a) * np.sqrt(p_b), geo_mean)
     # np.hypot is the libm hypot behind Python's abs(complex); np.abs on a
     # complex array may take a SIMD path that differs in the last bit
-    return np.hypot(x.real, x.imag), np.sqrt(response_a.total * response_b.total)
+    return np.hypot(x.real, x.imag), geo_mean
 
 
 def _margin(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: float,
@@ -150,7 +172,8 @@ def concurrence_flat(d: float, gap: float) -> float:
 
     C0 = max{ (e^{-g^2}/2 sqrt(pi)) [ |w(-d/2)|/d + e^{g^2} g erfc(g)
               - 1/sqrt(pi) ], 0 }
-    using e^{-d^2/4}|Erfc(id/2)| = |w(-d/2)| for overflow-free evaluation.
+    using e^{-d^2/4}|Erfc(id/2)| = |w(-d/2)| and e^{g^2} erfc(g) = erfcx(g)
+    for overflow-free evaluation, so every accepted gap gives a finite value.
     Refuses the separations x_flat refuses: a d/2 overlap (check_overlap)
     as a divergence, a d that geometry.check_length refuses and a gap that
     geometry.check_gap refuses by name.
@@ -158,8 +181,8 @@ def concurrence_flat(d: float, gap: float) -> float:
     check_gap(gap)
     check_length("d", d, positive=True)
     check_overlap(d, ())
-    bracket = (abs(faddeeva_w(-d / 2.0)) / d
-               + math.exp(gap * gap) * gap * _erfc_real(gap) - 1.0 / SQRT_PI)
+    # e^{g^2} erfc(g) as erfcx(g): e^{g^2} alone overflows from g ~ 26.6
+    bracket = abs(faddeeva_w(-d / 2.0)) / d + gap * erfcx(gap) - 1.0 / SQRT_PI
     return max(math.exp(-gap * gap) / (2.0 * SQRT_PI) * bracket, 0.0)
 
 
@@ -356,17 +379,48 @@ def _row(axis: str, value: float, l: Optional[float], d: Optional[float],
     return row["l"], row["d"], row["gap"], ConeParameter(value) if axis == "nu" else cone
 
 
+def _row_geometry(alignment: Alignment, l: float, d: float, cone: ConeParameter):
+    """X's pair_f_arguments at a sweep row, or None where the row is flagged.
+
+    A row is flagged at an overlap (overlap_mask) or off the opposite sides'
+    d >= 2l > 0.
+    """
+    if breaks_opposite_sides_rule(alignment, l, d):
+        return None
+    geo = pair_f_arguments(alignment, cone, l, d)
+    return None if overlap_mask(d, geo.image_args).any() else geo
+
+
+def _shared_responses(alignment: Alignment, axis: str, inputs, geos, tol: float) -> dict:
+    """{rho: response} of the radial distances two or more unflagged rows hold, each expanded once.
+
+    Only the d and l axes hold gap and cone fixed, so only their rows share a
+    response: on a d axis rho_A = l on every row, and rho_B where rho_B = l.
+    Each is response.image_response's, as response_pair's and p_string's
+    are.  A row counts each of its distances once (_radii), so a row whose
+    rho_B = rho_A shares nothing with itself.
+    """
+    if axis not in ("d", "l"):
+        return {}
+    holders = Counter(rho for (l, d, _, _), geo in zip(inputs, geos) if geo is not None
+                      for rho in _radii(alignment, l, d))
+    _, _, gap, cone = inputs[0]
+    seen, terms = image_set(alignment, cone)
+    return {rho: image_response(rho, seen, terms, gap, tol)
+            for rho, rows in holders.items() if rows > 1}
+
+
 def _sweep_row(alignment: Alignment, value: float, l: float, d: float, gap: float,
-               cone: ConeParameter, tol: float) -> SweepRow:
-    """One _evaluate call, or a flagged row at an overlap or off the opposite sides' d >= 2l > 0."""
-    if not breaks_opposite_sides_rule(alignment, l, d):
-        geo = pair_f_arguments(alignment, cone, l, d)
-        if not overlap_mask(d, geo.image_args).any():
-            p_a, p_b, x = _evaluate(alignment, cone, l, d, gap, tol, geo)
-            abs_x, geo_mean = _observables(p_a, p_b, x)
-            return SweepRow(value, p_a.total, p_b.total, abs_x, 2.0 * max(0.0, abs_x - geo_mean),
-                            diverged=False)
-    return SweepRow(param=value, p_a=None, p_b=None, abs_x=None, concurrence=None, diverged=True)
+               cone: ConeParameter, tol: float, geo: Optional[FArguments],
+               shared: dict) -> SweepRow:
+    """One _evaluate call given the sweep's shared responses, or a flagged row where geo is None."""
+    if geo is None:
+        return SweepRow(param=value, p_a=None, p_b=None, abs_x=None, concurrence=None,
+                        diverged=True)
+    p_a, p_b, x = _evaluate(alignment, cone, l, d, gap, tol, geo, shared)
+    abs_x, geo_mean = _observables(p_a, p_b, x)
+    return SweepRow(value, p_a.total, p_b.total, abs_x, 2.0 * max(0.0, abs_x - geo_mean),
+                    diverged=False)
 
 
 def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence[float],
@@ -384,7 +438,13 @@ def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence
     cone that is not a ConeParameter, a bad ``tol``, and a fixed parameter,
     axis value or coupled d that breaks its parameter's rule (l, d, gap and
     nu: _row; d_over_l finite and > 0), raise InvalidParameter before any row.
-    ``threads`` is accepted for compatibility and has no effect.
+    Each response that two or more unflagged rows hold (on a d axis P at the
+    fixed l, and P_B where rho_B = l) is expanded once for the sweep
+    (_shared_responses), and equals p_string's bit for bit; each row hands
+    only its own parts, X and any unshared P, to one _evaluate call.  The
+    nu and gap axes, and l axes whose rows share no radial distance, run
+    every row as one concurrence, bit for bit.  ``threads`` is accepted for
+    compatibility and has no effect.
     """
     check_alignment(alignment)
     check_cone(cone)
@@ -409,6 +469,10 @@ def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence
     if not all(math.isfinite(v) for v in values):
         raise InvalidParameter(f"{axis} axis values must be finite")
     inputs = [_row(axis, v, l, d, gap, d_over_l, cone) for v in values]
-    rows = tuple(_sweep_row(alignment, v, *row, tol) for v, row in zip(values, inputs))
+    geos = [_row_geometry(alignment, row_l, row_d, row_cone)
+            for row_l, row_d, _, row_cone in inputs]
+    shared = _shared_responses(alignment, axis, inputs, geos, tol)
+    rows = tuple(_sweep_row(alignment, v, *row, tol, geo, shared)
+                 for v, row, geo in zip(values, inputs, geos))
     return SweepTable(axis=axis, alignment=alignment, nu=None if axis == "nu" else cone.nu,
                       fixed=fixed, rows=rows)

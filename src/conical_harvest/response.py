@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import erfc as _erfc_real
+from scipy.special import erfc as _erfc_real, erfcx
 
 from .correlation import Kernel, expand
 from .geometry import (
@@ -49,7 +49,7 @@ from .geometry import (
     image_terms,
 )
 from .quadrature import DEFAULT_TOL
-from .special import SQRT_PI, response_kernel_formula, response_kernel_limit
+from .special import SQRT_PI, TINY, response_kernel_formula, response_kernel_limit
 
 # Below this kernel argument the analytic a -> 0 limit replaces the 0/0 ratio.
 SMALL_ARGUMENT = 1e-8
@@ -78,9 +78,15 @@ class ResponseBreakdown:
 def p_flat(gap: float) -> float:
     """Flat-spacetime transition probability P0 per lambda^2."""
     check_gap(gap)
+    head = math.exp(-gap * gap)
+    if head < TINY:
+        # from g ~ 26.6 e^{-g^2} is subnormal, and the difference of the two
+        # subnormal terms would keep none of P0's digits: factor it out, with
+        # e^{g^2} erfc(g) = erfcx(g) (g erfcx(g) -> 1/sqrt(pi) stays finite)
+        return head * (max(1.0 - SQRT_PI * (gap * erfcx(gap)), 0.0) / (4.0 * math.pi))
     tail = _erfc_real(gap)
     # sqrt(pi) g overflows past g ~ 1e308, where erfc(g), and so the product, is 0
-    return (math.exp(-gap * gap) - (SQRT_PI * gap * tail if tail else 0.0)) / (4.0 * math.pi)
+    return (head - (SQRT_PI * gap * tail if tail else 0.0)) / (4.0 * math.pi)
 
 
 def _kernel_over_nodes(a, gap):

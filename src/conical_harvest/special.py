@@ -28,6 +28,10 @@ from .errors import DivergentArgument, InvalidParameter, OverflowDomain
 
 SQRT_PI = np.sqrt(np.pi)
 
+# The smallest normal double: a value below it keeps fewer digits, and a
+# product of two such values none.
+TINY = float(np.finfo(float).tiny)
+
 # Divergence cutoff for aux_f (sigma units).  The point-detector model breaks
 # down when a detector overlaps an image; refuse rather than return huge numbers.
 EPS_DIV = 1e-10

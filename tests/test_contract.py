@@ -7,18 +7,31 @@ that geometry's validators accept.  A call must return a finite value or
 raise DivergentOverlap (a detector on an image of its partner) or
 InvalidParameter (an input outside the representation, such as opposite sides
 with d < 2l).  A numerical failure (ToleranceNotMet, QuadratureFailure) or
-any other error breaks the contract.  Time bounds and a closed-form sample of
-the values are not checked here.
+any other error breaks the contract.  Short d and l sweeps over the same
+draw hold the contract row by row: each row is finite or flagged exactly
+where the point raises DivergentOverlap or breaks the opposite-sides rule,
+and each unflagged row agrees with the point's concurrence, whose responses
+the sweep may have expanded once for several rows.  concurrence_flat, the
+flat pair's closed form, is finite at every accepted gap and agrees with the
+flat pair's concurrence.  Time bounds are not checked here.
 """
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conical_harvest.entanglement import concurrence, d_max
+from conical_harvest.entanglement import concurrence, concurrence_flat, d_max, sweep
 from conical_harvest.errors import DivergentOverlap, InvalidParameter
-from conical_harvest.geometry import MAX_LENGTH, NU_MAX, Alignment, ConeParameter, PairConfig
+from conical_harvest.geometry import (
+    MAX_LENGTH,
+    NU_MAX,
+    Alignment,
+    ConeParameter,
+    PairConfig,
+    breaks_opposite_sides_rule,
+)
 
 NEAR_INTEGER = st.builds(lambda k, j, sign: k + sign * 10.0 ** -j,
                          st.integers(1, int(NU_MAX)), st.integers(1, 12),
@@ -63,3 +76,60 @@ def test_d_max_is_finite_or_a_labelled_error(point):
     except (DivergentOverlap, InvalidParameter):
         return
     assert result.value is None or 0.0 < result.value <= 8.0, (point, result.value)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(POSITIVE_LENGTHS, GAPS)
+def test_concurrence_flat_is_finite_and_agrees_with_the_flat_pair(d, gap):
+    try:
+        value = concurrence_flat(d, gap)
+    except DivergentOverlap:
+        return
+    assert math.isfinite(value) and value >= 0.0, (d, gap, value)
+    pair = concurrence(PairConfig(Alignment.FLAT, l=0.0, d=d, gap=gap), ConeParameter(1.0))
+    # absolute at the scale of the terms: near d_max the concurrence is a small difference
+    if pair.concurrence >= np.finfo(float).tiny:
+        assert abs(value - pair.concurrence) <= 1e-12 * pair.abs_x, (d, gap, value, pair)
+
+
+@st.composite
+def short_sweeps(draw):
+    """(alignment, nu, axis, values, fixed) of a 4-8 row d or l sweep at one accepted point."""
+    alignment, nu, l, d, gap = draw(accepted_points())
+    axis = draw(st.sampled_from(["d", "l"]))
+    n = draw(st.integers(4, 8))
+    if axis == "d":
+        fixed = {"l": l, "gap": gap}
+        values = draw(st.lists(POSITIVE_LENGTHS, min_size=n - 1, max_size=n - 1)) + [d]
+    else:
+        fixed = {"d": d, "gap": gap}
+        values = draw(st.lists(LENGTHS, min_size=n - 1, max_size=n - 1)) + [l]
+    return alignment, nu, axis, draw(st.permutations(values)), fixed
+
+
+def _close(a, b, rel):
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(short_sweeps())
+def test_a_sweep_row_is_its_point_or_flagged_where_the_point_is_refused(drawn):
+    alignment, nu, axis, values, fixed = drawn
+    cone = ConeParameter(nu)
+    table = sweep(alignment, cone, axis, values, **fixed)
+    for value, row in zip(values, table.rows):
+        l, d = (value, fixed["d"]) if axis == "l" else (fixed["l"], value)
+        if breaks_opposite_sides_rule(alignment, l, d):
+            assert row.diverged, (drawn, value)
+            continue
+        try:
+            one = concurrence(PairConfig(alignment, l=l, d=d, gap=fixed["gap"]), cone)
+        except DivergentOverlap:
+            assert row.diverged, (drawn, value)
+            continue
+        assert not row.diverged, (drawn, value)
+        got = (row.p_a, row.p_b, row.abs_x, row.concurrence)
+        assert all(math.isfinite(v) for v in got), (drawn, value, got)
+        want = (one.response_a.total, one.response_b.total, one.abs_x)
+        assert all(_close(a, b, 1e-12) for a, b in zip(got, want)), (drawn, value, got, want)
+        assert abs(row.concurrence - one.concurrence) <= 1e-10 * one.abs_x, (drawn, value, got)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -86,6 +87,41 @@ def test_concurrence_flat_two_paths_and_edges():
     d_next = np.nextafter(2e-10, 1.0)
     assert math.isfinite(concurrence_flat(d_next, GAP))
     assert math.isfinite(abs(x_flat(d_next, GAP)))
+
+
+def _flat_concurrence_reference(d, gap):
+    """2 max(0, |X0| - P0) at 50 digits, X0 and P0 from mp.erfc."""
+    with mp.workdps(50):
+        d, gap = mp.mpf(d), mp.mpf(gap)
+        x0 = (mp.exp(-gap * gap) * abs(mp.exp(-d * d / 4) * mp.erfc(1j * d / 2))
+              / (4 * mp.sqrt(mp.pi) * d))
+        p0 = (mp.exp(-gap * gap) - mp.sqrt(mp.pi) * gap * mp.erfc(gap)) / (4 * mp.pi)
+        return float(2 * max(0, x0 - p0))
+
+
+@pytest.mark.parametrize("gap", [5.0, 12.0, 20.0, 26.0])
+def test_flat_concurrence_holds_its_digits_at_a_large_gap(gap):
+    # from gap ~ 18.6 P0^2 fell below the smallest normal double and the
+    # concurrence dropped its P term: 7.7e-4 off at gap 20
+    want = _flat_concurrence_reference(1.0, gap)
+    got = concurrence(config(Alignment.FLAT, 0.0, 1.0, gap), ConeParameter(1.0)).concurrence
+    assert got == pytest.approx(concurrence_flat(1.0, gap), rel=1e-12, abs=0.0)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert concurrence_flat(1.0, gap) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("gap", [27.0, 30.0, 1e154, 1e308])
+def test_concurrence_flat_is_finite_at_any_large_gap(gap):
+    # e^{g^2} overflowed from gap ~ 26.6 (OverflowError), and from ~1.3e154
+    # e^{g^2} g erfc(g) was inf * 0, a nan
+    assert math.isfinite(concurrence_flat(1.0, gap))
+
+
+def test_a_large_gap_pair_keeps_its_geometric_mean_response():
+    # P_A = P_B = 5.7e-178 here, and sqrt(P_A P_B) read 0.0
+    result = concurrence(config(Alignment.PARALLEL, 0.5, 1.0, gap=20.0), ConeParameter(3.0))
+    assert result.response_b is result.response_a
+    assert result.geo_mean_p == pytest.approx(result.response_a.total, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("d", [1.5e-10, 2e-10])
@@ -390,6 +426,90 @@ def test_sweep_gap_axis_rows_equal_pointwise_concurrence(nu):
         one = concurrence(config(Alignment.PARALLEL, 0.3, 0.5, gap), ConeParameter(nu))
         assert row == SweepRow(param=gap, p_a=one.response_a.total, p_b=one.response_b.total,
                                abs_x=one.abs_x, concurrence=one.concurrence, diverged=False)
+
+
+NO_SHARED_DISTANCE_SWEEPS = [
+    # (alignment, axis, values, fixed): rows whose radial distances all differ
+    (Alignment.PARALLEL, "nu", [1.0, 2.5, 3.0, 3.7], {"l": 0.3, "d": 0.5, "gap": GAP}),
+    (Alignment.ORTHOGONAL_SAME_SIDE, "nu", [2.5, 3.7], {"l": 0.3, "d": 0.5, "gap": GAP}),
+    (Alignment.ORTHOGONAL_OPPOSITE_SIDES, "nu", [2.5, 3.7], {"l": 0.3, "d": 0.8, "gap": GAP}),
+    (Alignment.BOUNDARY_ORTHOGONAL, "nu", [2.5, 3.7], {"l": 0.3, "d": 0.5, "gap": GAP}),
+    (Alignment.PARALLEL, "l", [0.1, 0.4, 0.7], {"d": 0.5, "gap": GAP}),
+    (Alignment.ORTHOGONAL_SAME_SIDE, "l", [0.1, 0.4, 0.7], {"d": 0.5, "gap": GAP}),
+    (Alignment.ORTHOGONAL_OPPOSITE_SIDES, "l", [0.2, 0.5, 0.9], {"d_over_l": 2.5, "gap": GAP}),
+    (Alignment.BOUNDARY_PARALLEL, "l", [0.1, 0.4, 0.7], {"d": 0.5, "gap": GAP}),
+]
+
+
+@pytest.mark.parametrize("nu", [3.0, 2.5])
+@pytest.mark.parametrize("alignment, axis, values, fixed", NO_SHARED_DISTANCE_SWEEPS)
+def test_sweep_rows_that_share_no_radial_distance_equal_pointwise_concurrence(
+        alignment, axis, values, fixed, nu):
+    # as on a gap axis: no response is shared, so every row is one concurrence
+    table = sweep(alignment, ConeParameter(nu), axis, values, **fixed)
+    for value, row in zip(values, table.rows):
+        point = dict(fixed, **{axis: value})
+        d = point["d"] if "d" in point else point["d_over_l"] * point["l"]
+        one = concurrence(config(alignment, point["l"], d, point["gap"]),
+                          ConeParameter(point.get("nu", nu)))
+        assert row == SweepRow(param=value, p_a=one.response_a.total, p_b=one.response_b.total,
+                               abs_x=one.abs_x, concurrence=one.concurrence, diverged=False)
+
+
+@pytest.mark.parametrize("nu", [2.0, 2.5, 3.7, 2.04])
+@pytest.mark.parametrize("alignment", list(Alignment))
+def test_a_d_sweep_shares_the_response_at_its_fixed_l(alignment, nu):
+    # P_A = P(l) on every row, and P_B where rho_B = l: each is response_pair's
+    # (p_string's) float, expanded once for the sweep; on opposite sides at
+    # nu 2.04 a row's own zeta integral moved P_A in its last bits
+    l, cone = 0.5, ConeParameter(nu)
+    lo = 2.0 * l if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES else 0.05
+    values = np.linspace(lo, lo + 3.0, 12)
+    table = sweep(alignment, cone, "d", values, l=l, gap=GAP)
+    shared = response_pair(config(alignment, l, values[0]), cone)[0].total
+    rows = [row for row in table.rows if not row.diverged]
+    assert len(rows) >= len(values) - 1
+    for row in rows:
+        assert row.p_a == shared
+        if radial_distances(alignment, l, row.param)[1] == l:
+            assert row.p_b == shared
+        else:   # expanded with the row's X, so within tol
+            own = response_pair(config(alignment, l, row.param), cone)[1].total
+            assert row.p_b == pytest.approx(own, rel=1e-12)
+
+
+def test_an_l_sweep_shares_a_radial_distance_that_two_rows_hold():
+    # rho_B = l + d of the first row is rho_A = l of the second
+    cone = ConeParameter(2.5)
+    table = sweep(Alignment.ORTHOGONAL_SAME_SIDE, cone, "l", [0.25, 0.75], d=0.5, gap=GAP)
+    first, second = table.rows
+    shared = response_pair(config(Alignment.ORTHOGONAL_SAME_SIDE, 0.75, 0.5), cone)[0].total
+    assert first.p_b == second.p_a == shared
+
+
+def _spy_expand(monkeypatch):
+    """Record the kernels of every correlation.expand call, the responses' and the rows'."""
+    calls = []
+
+    def spy(parts, *args, **kwargs):
+        calls.append([kernel for kernel, _ in parts])
+        return correlation.expand(parts, *args, **kwargs)
+
+    monkeypatch.setattr(response, "expand", spy)
+    monkeypatch.setattr(entanglement, "expand", spy)
+    return calls
+
+
+@pytest.mark.parametrize("alignment, row_parts", [
+    (Alignment.PARALLEL, [correlation.AUX_F]),
+    (Alignment.ORTHOGONAL_SAME_SIDE, [response.P_KERNEL, correlation.AUX_F]),
+])
+def test_a_d_sweep_expands_its_shared_response_once(alignment, row_parts, monkeypatch):
+    calls = _spy_expand(monkeypatch)
+    table = sweep(alignment, ConeParameter(2.5), "d", np.linspace(0.05, 3.05, 60), l=0.3, gap=GAP)
+    assert not any(row.diverged for row in table.rows)
+    # P(l) once, then one call per row with only the row's own parts
+    assert calls == [[response.P_KERNEL]] + [row_parts] * 60
 
 
 def test_sweep_threads_deterministic():

@@ -32,6 +32,15 @@ def test_p_flat_large_gap_and_monotone():
         p_flat(-0.1)
 
 
+@pytest.mark.parametrize("gap, want", [
+    # (1/4 pi) [e^{-g^2} - sqrt(pi) g erfc(g)] from mpmath at 50 digits
+    (26.0, 1.5338485822664158e-298), (26.6, 2.88187294979e-312), (26.75, 9.53584507e-316),
+])
+def test_p_flat_keeps_its_digits_where_e_to_the_minus_gap_squared_is_subnormal(gap, want):
+    # the difference of two subnormal terms read 1.37e-312 at gap 26.75
+    assert p_flat(gap) == pytest.approx(want, rel=1e-12, abs=1e-323)
+
+
 @pytest.mark.parametrize("nu", [1.5, 2.0, 2.5, 3.0, 11.0])
 def test_on_string_identity(nu):
     total = p_string(0.0, ConeParameter(nu), GAP).total
