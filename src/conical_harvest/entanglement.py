@@ -7,16 +7,14 @@ harvesting-achievable separation d_max, extremal deficit-angle parameter).
 One evaluator (``_evaluate``) serves a pair, a sweep row and a scan: it hands the image
 expansions of P_A, P_B (unless rho_B = rho_A) and X to one correlation.expand
 call, so at non-integer nu one concurrence, or the d_max scan's whole grid,
-runs a single zeta integral on one adaptive subdivision.  A sweep first
-expands once each response that several of its rows share (on a d axis P at
-the fixed l), through response.image_response as p_string does, and each
-row hands only its own parts to the evaluator.  ``_observables`` reads
-(|X|, sqrt(P_A P_B)) off it, and every search (the d_max scan, its Brent
-steps, nu_extremum) reads its margin from ``_margin``.
+runs a single zeta integral on one adaptive subdivision.  A d sweep first
+expands P at its fixed l once, through response.image_response as p_string
+does, and each row hands only its own parts to the evaluator.
+``_observables`` reads (|X|, sqrt(P_A P_B)) off it, and every search (the
+d_max scan, its Brent steps, nu_extremum) reads its margin from ``_margin``.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -81,7 +79,7 @@ def response_pair(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_
 
     A boundary's subtracted image sits in p_images, flat has none, and B is
     A's breakdown itself where their radial distances agree.  Each is
-    response.image_response's, as a sweep's shared responses are.
+    response.image_response's, as a d sweep's P(l) is.
     """
     seen, terms = image_set(config.alignment, cone)
     pair = [image_response(rho, seen, terms, config.gap, tol)
@@ -90,7 +88,7 @@ def response_pair(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_
 
 
 def _evaluate(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: float,
-              geo: FArguments, shared: Optional[dict] = None):
+              geo: FArguments, response_a: Optional[ResponseBreakdown] = None):
     """(response_a, response_b, correlation) from one correlation.expand call.
 
     ``l``, ``d`` are scalars or arrays of validated points (a scan's l may
@@ -98,25 +96,22 @@ def _evaluate(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: 
     parts are P at each of _radii (A's breakdown reused where rho_B = rho_A)
     and X's, so their zeta integrals share one adaptive subdivision, each row
     within ``tol``.  A scalar radial distance gives its P as one point,
-    however many points X has.  ``shared`` maps the radial distances that
-    several sweep rows hold to their responses, expanded once for all of
-    them (_shared_responses): those are taken as they are, not expanded
+    however many points X has.  A given ``response_a`` (a d sweep's P at its
+    fixed l, expanded once for all its rows) is taken as it is, not expanded
     again.  The caller applied the overlap rule (check_overlap, or
     overlap_mask), so ``geo`` is overlap-free.
     """
     seen, terms = image_set(alignment, cone)
     radii = _radii(alignment, l, d)
-    if shared:
-        known = [shared.get(rho) for rho in radii]
-        radii = [rho for rho, response in zip(radii, known) if response is None]
-    parts = [response_part(rho, seen, terms) for rho in radii]
+    parts = [] if response_a is not None else [response_part(radii[0], seen, terms)]
+    if len(radii) == 2:
+        parts.append(response_part(radii[1], seen, terms))
     parts.append((AUX_F, geo))
     expansions = expand(parts, gap, tol)
-    responses = [response_breakdown(expansion, gap) for expansion in expansions[:-1]]
-    if shared:
-        fresh = iter(responses)
-        responses = [next(fresh) if response is None else response for response in known]
-    return responses[0], responses[-1], CorrelationBreakdown(_x0(d, gap), *expansions[-1])
+    if response_a is None:
+        response_a = response_breakdown(expansions[0], gap)
+    response_b = response_a if len(radii) == 1 else response_breakdown(expansions[-2], gap)
+    return response_a, response_b, CorrelationBreakdown(_x0(d, gap), *expansions[-1])
 
 
 def _observables(response_a, response_b, correlation: CorrelationBreakdown):
@@ -391,33 +386,14 @@ def _row_geometry(alignment: Alignment, l: float, d: float, cone: ConeParameter)
     return None if overlap_mask(d, geo.image_args).any() else geo
 
 
-def _shared_responses(alignment: Alignment, axis: str, inputs, geos, tol: float) -> dict:
-    """{rho: response} of the radial distances two or more unflagged rows hold, each expanded once.
-
-    Only the d and l axes hold gap and cone fixed, so only their rows share a
-    response: on a d axis rho_A = l on every row, and rho_B where rho_B = l.
-    Each is response.image_response's, as response_pair's and p_string's
-    are.  A row counts each of its distances once (_radii), so a row whose
-    rho_B = rho_A shares nothing with itself.
-    """
-    if axis not in ("d", "l"):
-        return {}
-    holders = Counter(rho for (l, d, _, _), geo in zip(inputs, geos) if geo is not None
-                      for rho in _radii(alignment, l, d))
-    _, _, gap, cone = inputs[0]
-    seen, terms = image_set(alignment, cone)
-    return {rho: image_response(rho, seen, terms, gap, tol)
-            for rho, rows in holders.items() if rows > 1}
-
-
 def _sweep_row(alignment: Alignment, value: float, l: float, d: float, gap: float,
                cone: ConeParameter, tol: float, geo: Optional[FArguments],
-               shared: dict) -> SweepRow:
-    """One _evaluate call given the sweep's shared responses, or a flagged row where geo is None."""
+               response_l: Optional[ResponseBreakdown]) -> SweepRow:
+    """One _evaluate call (given a d sweep's P(l)), or a flagged row where geo is None."""
     if geo is None:
         return SweepRow(param=value, p_a=None, p_b=None, abs_x=None, concurrence=None,
                         diverged=True)
-    p_a, p_b, x = _evaluate(alignment, cone, l, d, gap, tol, geo, shared)
+    p_a, p_b, x = _evaluate(alignment, cone, l, d, gap, tol, geo, response_l)
     abs_x, geo_mean = _observables(p_a, p_b, x)
     return SweepRow(value, p_a.total, p_b.total, abs_x, 2.0 * max(0.0, abs_x - geo_mean),
                     diverged=False)
@@ -438,13 +414,12 @@ def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence
     cone that is not a ConeParameter, a bad ``tol``, and a fixed parameter,
     axis value or coupled d that breaks its parameter's rule (l, d, gap and
     nu: _row; d_over_l finite and > 0), raise InvalidParameter before any row.
-    Each response that two or more unflagged rows hold (on a d axis P at the
-    fixed l, and P_B where rho_B = l) is expanded once for the sweep
-    (_shared_responses), and equals p_string's bit for bit; each row hands
-    only its own parts, X and any unshared P, to one _evaluate call.  The
-    nu and gap axes, and l axes whose rows share no radial distance, run
-    every row as one concurrence, bit for bit.  ``threads`` is accepted for
-    compatibility and has no effect.
+    On a d axis with two or more unflagged rows, P at the fixed l (P_A on
+    every row, and P_B where rho_B = l) is expanded once for the sweep and
+    equals p_string's bit for bit; each row hands only its own parts, X and
+    any P_B at rho_B != l, to one _evaluate call.  The l, nu and gap axes,
+    where no radial distance repeats, run every row as one concurrence, bit
+    for bit.  ``threads`` is accepted for compatibility and has no effect.
     """
     check_alignment(alignment)
     check_cone(cone)
@@ -471,8 +446,11 @@ def sweep(alignment: Alignment, cone: ConeParameter, axis: str, values: Sequence
     inputs = [_row(axis, v, l, d, gap, d_over_l, cone) for v in values]
     geos = [_row_geometry(alignment, row_l, row_d, row_cone)
             for row_l, row_d, _, row_cone in inputs]
-    shared = _shared_responses(alignment, axis, inputs, geos, tol)
-    rows = tuple(_sweep_row(alignment, v, *row, tol, geo, shared)
+    response_l = None
+    if axis == "d" and sum(geo is not None for geo in geos) > 1:
+        row_l, _, _, _ = inputs[0]
+        response_l = image_response(row_l, *image_set(alignment, cone), gap, tol)
+    rows = tuple(_sweep_row(alignment, v, *row, tol, geo, response_l)
                  for v, row, geo in zip(values, inputs, geos))
     return SweepTable(axis=axis, alignment=alignment, nu=None if axis == "nu" else cone.nu,
                       fixed=fixed, rows=rows)

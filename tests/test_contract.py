@@ -10,8 +10,8 @@ with d < 2l).  A numerical failure (ToleranceNotMet, QuadratureFailure) or
 any other error breaks the contract.  Short d and l sweeps over the same
 draw hold the contract row by row: each row is finite or flagged exactly
 where the point raises DivergentOverlap or breaks the opposite-sides rule,
-and each unflagged row agrees with the point's concurrence, whose responses
-the sweep may have expanded once for several rows.  concurrence_flat, the
+and each unflagged row agrees with the point's concurrence, though a d
+sweep expands P at its fixed l once for all its rows.  concurrence_flat, the
 flat pair's closed form, is finite at every accepted gap and agrees with the
 flat pair's concurrence.  Time bounds are not checked here.
 """

@@ -428,8 +428,8 @@ def test_sweep_gap_axis_rows_equal_pointwise_concurrence(nu):
                                abs_x=one.abs_x, concurrence=one.concurrence, diverged=False)
 
 
-NO_SHARED_DISTANCE_SWEEPS = [
-    # (alignment, axis, values, fixed): rows whose radial distances all differ
+L_AND_NU_SWEEPS = [
+    # (alignment, axis, values, fixed): axes that share no response
     (Alignment.PARALLEL, "nu", [1.0, 2.5, 3.0, 3.7], {"l": 0.3, "d": 0.5, "gap": GAP}),
     (Alignment.ORTHOGONAL_SAME_SIDE, "nu", [2.5, 3.7], {"l": 0.3, "d": 0.5, "gap": GAP}),
     (Alignment.ORTHOGONAL_OPPOSITE_SIDES, "nu", [2.5, 3.7], {"l": 0.3, "d": 0.8, "gap": GAP}),
@@ -442,10 +442,10 @@ NO_SHARED_DISTANCE_SWEEPS = [
 
 
 @pytest.mark.parametrize("nu", [3.0, 2.5])
-@pytest.mark.parametrize("alignment, axis, values, fixed", NO_SHARED_DISTANCE_SWEEPS)
-def test_sweep_rows_that_share_no_radial_distance_equal_pointwise_concurrence(
+@pytest.mark.parametrize("alignment, axis, values, fixed", L_AND_NU_SWEEPS)
+def test_l_and_nu_sweep_rows_equal_pointwise_concurrence(
         alignment, axis, values, fixed, nu):
-    # as on a gap axis: no response is shared, so every row is one concurrence
+    # as on a gap axis, no response is shared, so every row is one concurrence
     table = sweep(alignment, ConeParameter(nu), axis, values, **fixed)
     for value, row in zip(values, table.rows):
         point = dict(fixed, **{axis: value})
@@ -476,15 +476,6 @@ def test_a_d_sweep_shares_the_response_at_its_fixed_l(alignment, nu):
         else:   # expanded with the row's X, so within tol
             own = response_pair(config(alignment, l, row.param), cone)[1].total
             assert row.p_b == pytest.approx(own, rel=1e-12)
-
-
-def test_an_l_sweep_shares_a_radial_distance_that_two_rows_hold():
-    # rho_B = l + d of the first row is rho_A = l of the second
-    cone = ConeParameter(2.5)
-    table = sweep(Alignment.ORTHOGONAL_SAME_SIDE, cone, "l", [0.25, 0.75], d=0.5, gap=GAP)
-    first, second = table.rows
-    shared = response_pair(config(Alignment.ORTHOGONAL_SAME_SIDE, 0.75, 0.5), cone)[0].total
-    assert first.p_b == second.p_a == shared
 
 
 def _spy_expand(monkeypatch):
