@@ -5,10 +5,10 @@ correlation with itself, so both are a direct term plus one image expansion
 over the images the point set sees:
 2 sum_m' w_m k(z_m) + int_0^inf coef(zeta) k(z(zeta)) dzeta.  One geometry
 builder supplies z_m, z(zeta) and coef for both (image_f_arguments; P is its
-d = 0 case).  X = f(d/2) + the expansion of k = aux_f; P is in the response
-module.  A reflecting boundary is the subtracted nu = 2 image (weight -1/2,
-so X_images = -f(z_1)), and flat spacetime is nu = 1 with no images; both
-have a vanishing zeta coefficient.
+d = 0 case).  X = f(d/2) + the expansion of k = aux_f, with f(d/2) its m = 0
+entry; P is in the response module.  A reflecting boundary is the subtracted
+nu = 2 image (weight -1/2, so X_images = -f(z_1)), and flat spacetime is
+nu = 1 with no images; both have a vanishing zeta coefficient.
 
 ``expand`` takes several such expansions (parts: a kernel and a point set)
 and runs all their zeta integrals as one integral: the rows of P_A,
@@ -16,9 +16,9 @@ P_B and X share one adaptive subdivision, which is how one concurrence, or
 one d_max scan batch, costs a single integrate_semi_infinite call.  Each
 part's image sum is likewise one call of its kernel's unchecked formula, on
 all of its image arguments stacked (shape (k,) for one point, (k, n) for a
-batch of n points): the parameters were validated where they entered
-(PairConfig, check_length, check_gap), so no image re-validates them, and X's
-overlaps were refused (check_overlap).  X0 is aux_f's formula alone (``_x0``).
+batch of n points), X's d/2 among them: the parameters were validated where
+they entered (PairConfig, check_length, check_gap), so no image re-validates
+them, and X's overlaps, d/2 included, were refused (check_overlap).
 """
 
 from dataclasses import dataclass
@@ -30,6 +30,8 @@ from .errors import DivergentOverlap, InvalidParameter
 from .geometry import (
     BOUNDARY_ALIGNMENTS,
     BOUNDARY_CONE,
+    FLAT_CONE,
+    Alignment,
     ConeParameter,
     FArguments,
     PairConfig,
@@ -37,6 +39,7 @@ from .geometry import (
     check_length,
     coefficient_breakpoints,
     f_arguments,
+    pair_f_arguments,
     zeta_coefficient,
 )
 from .quadrature import DEFAULT_TOL, check_tolerance, integrate_semi_infinite
@@ -87,34 +90,27 @@ def x_flat(d, gap: float):
     for value in np.ravel(d):
         check_length("d", float(value), positive=True)
     check_gap(gap)
-    check_overlap(d, ())
-    return _x0(d, gap)
+    geo = pair_f_arguments(Alignment.FLAT, FLAT_CONE, 0.0, d)
+    check_overlap(geo.image_args)
+    return expand([(AUX_F, geo)], gap)[0][0]
 
 
-def _x0(d, gap: float):
-    """X0 = aux_f's formula at d/2, for separations validated and overlap-checked by the caller."""
-    out = aux_f_formula(np.asarray(d / 2.0, dtype=float), gap)
-    return complex(out) if out.ndim == 0 else out
-
-
-def overlap_mask(d, image_args) -> np.ndarray:
+def overlap_mask(image_args) -> np.ndarray:
     """Overlap flags of X's arguments d/2, z_1..z_k: shape (1 + k,), or (1 + k, n) for n points.
 
     An argument at or below EPS_DIV, where aux_f diverges, puts a detector on
-    its partner or an image of it.  Single points raise; scans and sweeps mask.
+    its partner (m = 0) or an image of it.  Single points raise; scans and sweeps mask.
     """
-    return np.array([d / 2.0, *(z_m for _, _, z_m in image_args)]) <= EPS_DIV
+    return np.array([z_m for _, _, z_m in image_args]) <= EPS_DIV
 
 
-def check_overlap(d, image_args) -> None:
-    """Raise DivergentOverlap at a flagged d/2 (no image index), else at the first image, point."""
-    mask = overlap_mask(d, image_args)
+def check_overlap(image_args) -> None:
+    """Raise DivergentOverlap at the first flagged entry, point; d/2 (m = 0) has no image index."""
+    mask = overlap_mask(image_args)
     if mask.any():
         row, *point = np.argwhere(mask)[0]
-        if row == 0:
-            raise DivergentOverlap(float(np.asarray(d / 2.0)[tuple(point)]))
-        m, _, z_m = image_args[row - 1]
-        raise DivergentOverlap(float(np.asarray(z_m)[tuple(point)]), m)
+        m, _, z_m = image_args[row]
+        raise DivergentOverlap(float(np.asarray(z_m)[tuple(point)]), m or None)
 
 
 def x_string(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL) -> CorrelationBreakdown:
@@ -124,17 +120,17 @@ def x_string(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TOL) 
     pair at even integer nu) raises DivergentOverlap with the image index.
     """
     geo = f_arguments(config, cone)
-    check_overlap(config.d, geo.image_args)
-    expansion = expand([(AUX_F, geo)], config.gap, tol)[0]
-    return CorrelationBreakdown(_x0(config.d, config.gap), *expansion)
+    check_overlap(geo.image_args)
+    return CorrelationBreakdown(*expand([(AUX_F, geo)], config.gap, tol)[0])
 
 
 def expand(parts: Sequence[Tuple[Kernel, FArguments]], gap: float, tol: float = DEFAULT_TOL):
-    """(images, integral, image_terms) of each part's image expansion of kernel(z, gap).
+    """(direct, images, integral, image_terms) of each part's image expansion of kernel(z, gap).
 
     A part is a (kernel, geo) pair: a Kernel and the point set's FArguments.
-    image_terms holds (m, w_m, z_m, 2 w_m formula(z_m)) per geo.image_args
-    entry, and images is their sum over kernel.scale (_image_sum).  integral
+    direct is the m = 0 entry's term (X0; P has none, so its kernel's zero),
+    image_terms (m, w_m, z_m, 2 w_m formula(z_m)) per image m >= 1, and images
+    their sum, direct and images over kernel.scale (_image_sum).  integral
     is int_0^inf coef(zeta) k(z(zeta)) dzeta, or the kernel's zero where
     coef vanishes.  The integrals of all parts run in one
     integrate_semi_infinite call with the union of their breakpoints and the
@@ -151,39 +147,40 @@ def expand(parts: Sequence[Tuple[Kernel, FArguments]], gap: float, tol: float = 
     expansions = []
     live = []       # the parts whose zeta integral does not vanish
     for kernel, geo in parts:
-        images, terms = _image_sum(kernel, geo.image_args, gap)
+        direct, images, terms = _image_sum(kernel, geo.image_args, gap)
         if not geo.zeta_vanishes:
             live.append(len(expansions))
-        expansions.append((images / kernel.scale, kernel.zero, terms))
+        expansions.append([direct / kernel.scale, images / kernel.scale, kernel.zero, terms])
     if live:
-        integrals = _zeta_integrals([parts[i] for i in live], gap, tol)
-        for i, integral in zip(live, integrals):
-            images, _, terms = expansions[i]
-            expansions[i] = (images, integral, terms)
+        for i, integral in zip(live, _zeta_integrals([parts[j] for j in live], gap, tol)):
+            expansions[i][2] = integral
     return expansions
 
 
 def _image_sum(kernel: Kernel, image_args, gap: float):
-    """(sum_m 2 w_m formula(z_m), terms) from one kernel.formula call on the stacked z_m.
+    """(direct, sum_m 2 w_m formula(z_m), terms) from one kernel.formula call on the stacked z_m.
 
-    The arguments stack to shape (k,) for one point, whose values and terms
-    are Python numbers, and (k, n) for a batch of n points, whose are arrays.
-    The terms are added in image order, as one call per image would add
-    them.
+    The m = 0 entry, if any, is the direct term.  The arguments stack to shape
+    (k,) for one point, whose values and terms are Python numbers, and (k, n)
+    for a batch of n points, whose are arrays.  The terms are added in image
+    order, as one call per image would add them.
     """
     if not image_args:
-        return kernel.zero, ()
+        return kernel.zero, kernel.zero, ()
     z = np.array([z_m for _, _, z_m in image_args])
     values = kernel.formula(z, gap)
     if values.ndim == 1:
         values = values.tolist()
-    images = kernel.zero
+    direct = images = kernel.zero
     terms = []
     for (m, weight, z_m), value in zip(image_args, values):
         term = 2.0 * weight * value
+        if m == 0:
+            direct = term
+            continue
         images += term
         terms.append((m, weight, z_m, term))
-    return images, tuple(terms)
+    return direct, images, tuple(terms)
 
 
 def _zeta_integrals(parts: Sequence[Tuple[Kernel, FArguments]], gap: float, tol: float):

@@ -21,9 +21,10 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import erfcx
 
-from .correlation import AUX_F, CorrelationBreakdown, _x0, check_overlap, expand, overlap_mask
+from .correlation import AUX_F, CorrelationBreakdown, check_overlap, expand, overlap_mask
 from .errors import InvalidParameter
 from .geometry import (
+    FLAT_CONE,
     Alignment,
     ConeParameter,
     FArguments,
@@ -111,7 +112,7 @@ def _evaluate(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: 
     if response_a is None:
         response_a = response_breakdown(expansions[0], gap)
     response_b = response_a if len(radii) == 1 else response_breakdown(expansions[-2], gap)
-    return response_a, response_b, CorrelationBreakdown(_x0(d, gap), *expansions[-1])
+    return response_a, response_b, CorrelationBreakdown(*expansions[-1])
 
 
 def _observables(response_a, response_b, correlation: CorrelationBreakdown):
@@ -138,7 +139,7 @@ def _margin(alignment: Alignment, cone: ConeParameter, l, d, gap: float, tol: fl
     """Every search's margin |X| - sqrt(P_A P_B); geo is a masked scan's, else l, d's, checked."""
     if geo is None:
         geo = pair_f_arguments(alignment, cone, l, d)
-        check_overlap(d, geo.image_args)
+        check_overlap(geo.image_args)
     abs_x, geo_mean = _observables(*_evaluate(alignment, cone, l, d, gap, tol, geo))
     return abs_x - geo_mean
 
@@ -153,7 +154,7 @@ def concurrence(config: PairConfig, cone: ConeParameter, tol: float = DEFAULT_TO
     flags such a row instead.
     """
     geo = f_arguments(config, cone)
-    check_overlap(config.d, geo.image_args)
+    check_overlap(geo.image_args)
     resp_a, resp_b, corr = _evaluate(config.alignment, cone, config.l, config.d, config.gap,
                                      tol, geo)
     abs_x, geo_mean = _observables(resp_a, resp_b, corr)
@@ -175,7 +176,7 @@ def concurrence_flat(d: float, gap: float) -> float:
     """
     check_gap(gap)
     check_length("d", d, positive=True)
-    check_overlap(d, ())
+    check_overlap(pair_f_arguments(Alignment.FLAT, FLAT_CONE, 0.0, d).image_args)
     # e^{g^2} erfc(g) as erfcx(g): e^{g^2} alone overflows from g ~ 26.6
     bracket = abs(faddeeva_w(-d / 2.0)) / d + gap * erfcx(gap) - 1.0 / SQRT_PI
     return max(math.exp(-gap * gap) / (2.0 * SQRT_PI) * bracket, 0.0)
@@ -208,7 +209,7 @@ def _scan_margins(alignment: Alignment, cone: ConeParameter, l, d: np.ndarray,
     masked points, and the masked points' d values as skipped.
     """
     geo = pair_f_arguments(alignment, cone, l, d)
-    ok = ~overlap_mask(d, geo.image_args).any(axis=0)
+    ok = ~overlap_mask(geo.image_args).any(axis=0)
     l_ok, d_ok = l[ok] if getattr(l, "ndim", 0) else l, d[ok]
     margins = np.full(d.shape, np.nan)
     if not ok.all():
@@ -273,7 +274,7 @@ def d_max(alignment: Alignment, cone: ConeParameter, l: float, gap: float,
     scan's at integer nu and depends on the batch margins, which agree with
     scalar ones to 1e-14, at non-integer nu.  Overlap-divergent scan points
     are skipped and reported.  Returns d_hi itself when the margin is still
-    positive at the scan ceiling.
+    positive at the scan ceiling; None where every margin underflows to 0.0 (gap ~ 28).
     """
     start = 2.0 * l if alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES else None
     return DmaxResult(*_scan_crossing(alignment, cone, gap, lambda d: (l, d), "d_hi", d_hi, start,
@@ -291,8 +292,8 @@ def opposite_sides_terminal_l(cone: ConeParameter, gap: float, l_hi: float = 4.0
     along d = 2l, l from l_hi/grid_n to l_hi, refined from the scan's bracket
     margins as d_max is (bit-identical to a scalar scan's root at integer nu,
     margins within 1e-14 of scalar ones at non-integer nu).  None when even
-    the smallest scanned l cannot harvest, or when every symmetric point
-    diverges (even integer nu).
+    the smallest scanned l cannot harvest (every margin 0.0 from gap ~ 28),
+    or when every symmetric point diverges (even integer nu).
     """
     return _scan_crossing(Alignment.ORTHOGONAL_OPPOSITE_SIDES, cone, gap, lambda l: (l, 2.0 * l),
                           "l_hi", l_hi, None, grid_n, tol, quad_tol)[0]
@@ -383,7 +384,7 @@ def _row_geometry(alignment: Alignment, l: float, d: float, cone: ConeParameter)
     if breaks_opposite_sides_rule(alignment, l, d):
         return None
     geo = pair_f_arguments(alignment, cone, l, d)
-    return None if overlap_mask(d, geo.image_args).any() else geo
+    return None if overlap_mask(geo.image_args).any() else geo
 
 
 def _sweep_row(alignment: Alignment, value: float, l: float, d: float, gap: float,

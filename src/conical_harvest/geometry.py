@@ -17,8 +17,8 @@ By the method of images every alignment is one of these image sets
 perfectly reflecting plane is the nu = 2 cone (deficit angle pi) with its one
 image subtracted instead of added.  One builder (``image_f_arguments``)
 expands two points over the images they see: X a detector with its partner
-(``pair_f_arguments``), P a detector with itself (d = 0, rho_A = rho_B); see
-correlation.expand.
+(``pair_f_arguments``, d/2 first as m = 0), P a detector with itself (d = 0,
+rho_A = rho_B); see correlation.expand.
 """
 
 import enum
@@ -214,8 +214,8 @@ def radial_pair(config: PairConfig) -> Tuple[float, float]:
 class FArguments:
     """One point set's image expansion: image arguments and the zeta-integral pieces.
 
-    image_args holds (m, weight, z_m).  zeta_argument maps an array of zeta to
-    z(zeta), one row per point for a batch of points; zeta_branches holds one
+    image_args holds (m, weight, z_m), X's d/2 first (m = 0).  zeta_argument
+    maps an array of zeta to z(zeta), one row per point for a batch; zeta_branches holds one
     (nu, beta, multiplicity) per non-vanishing branch of the integral's
     coefficient, the sum of zeta_coefficient(*branch).  Where every branch
     vanishes the builders leave both unset (zeta_vanishes).
@@ -297,24 +297,24 @@ def f_arguments(config: PairConfig, cone: ConeParameter) -> FArguments:
 
 
 def pair_f_arguments(alignment: Alignment, cone: ConeParameter, l, d) -> FArguments:
-    """X's image_f_arguments: the images the alignment sees, at its radial distances.
+    """X's image_f_arguments: d/2 as the m = 0 entry, then the images the alignment sees.
 
     ``l`` and ``d`` are scalars or equal-shape 1-D arrays of validated points.
     """
     seen, terms = image_set(alignment, cone)
     rho_a, rho_b = radial_distances(alignment, l, d)
     return image_f_arguments(seen, terms, rho_a, rho_b, d,
-                             opposite=alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES)
+                             opposite=alignment is Alignment.ORTHOGONAL_OPPOSITE_SIDES, direct=True)
 
 
 def image_f_arguments(cone: ConeParameter, terms: Tuple[ImageTerm, ...], rho_a, rho_b, d,
-                      opposite: bool = False) -> FArguments:
+                      opposite: bool = False, direct: bool = False) -> FArguments:
     """Image arguments and zeta-integral pieces of two points at radial distances rho_A, rho_B.
 
     ``cone`` and ``terms`` are an image set (image_set); ``rho_a``, ``rho_b``
     and ``d`` are scalars or equal-shape 1-D arrays of validated points.  For
     arrays each z_m is an array, and zeta_argument maps a node array of zeta
-    to one row per point (see point_rows).
+    to one row per point (see point_rows).  ``direct`` lists X0's (0, 1/2, d/2) first.
     Same side (parallel / orthogonal pairs, and P, a detector with itself:
     rho_A = rho_B = rho, d = 0):
         z_m    = sqrt(d^2/4 + rho_A rho_B sin^2(m pi / nu))
@@ -328,15 +328,16 @@ def image_f_arguments(cone: ConeParameter, terms: Tuple[ImageTerm, ...], rho_a, 
     """
     product, quarter_d2 = rho_a * rho_b, d * d / 4.0
     sqrt = np.sqrt if getattr(product, "ndim", 0) or getattr(d, "ndim", 0) else math.sqrt
+    head = ((0, 0.5, d / 2.0),) if direct else ()
     if opposite:
         offset = (d / 2.0 - rho_a) ** 2
         cosines = [math.cos(term.m * math.pi / cone.nu) for term in terms]
-        image_args = tuple((term.m, term.weight, sqrt(offset + product * cos * cos))
-                           for term, cos in zip(terms, cosines))
+        image_args = head + tuple((term.m, term.weight, sqrt(offset + product * cos * cos))
+                                  for term, cos in zip(terms, cosines))
     else:
-        image_args = tuple((term.m, term.weight,
-                            sqrt(quarter_d2 + product * term.sin_term * term.sin_term))
-                           for term in terms)
+        image_args = head + tuple((term.m, term.weight,
+                                   sqrt(quarter_d2 + product * term.sin_term * term.sin_term))
+                                  for term in terms)
     branches = zeta_branches(cone.nu, opposite)
     if not branches:
         return FArguments(image_args)

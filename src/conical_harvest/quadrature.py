@@ -341,7 +341,8 @@ def _brentq(f, xpre, xcur, fpre, fcur, xtol):
             else:
                 dpre = (fpre - fcur) / (xpre - xcur)                      # extrapolate
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                denom = dblk * dpre * (fblk - fpre)   # 0: C's inf/NaN step fails, so bisect
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry                                     # good short step
             else:
@@ -398,12 +399,12 @@ def find_root_from_ends(objective, bracket, f_lo, f_hi, tol=1e-12):
 def find_last_sign_change(values):
     """Index i of the last adjacent pair (i, i+1) of ``values`` with a sign change; None if none.
 
-    Entries that are NaN (skipped points; None converts to NaN) never
-    participate in a pair.
+    Signs differ or exactly one value is 0, so exact zeros hold none; entries
+    that are NaN (skipped points; None converts to NaN) never participate.
     """
     v = np.asarray(values, dtype=float)
     a, b = v[:-1], v[1:]
-    change = ~np.isnan(a) & ~np.isnan(b) & ((a == 0.0) | (np.sign(a) != np.sign(b)))
+    change = ~np.isnan(a) & ~np.isnan(b) & (np.sign(a) != np.sign(b))
     hits = np.flatnonzero(change)
     return int(hits[-1]) if hits.size else None
 

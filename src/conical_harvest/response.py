@@ -16,12 +16,14 @@ even-integer half-weight rule.  z_m = sqrt(rho^2 sin^2(m pi/nu)) and
 z(zeta) = sqrt(rho^2 (1 + cosh zeta)/2) are the pair builder's arguments at
 d = 0, rho_A = rho_B = rho (geometry.image_f_arguments).  At vanishing kernel
 argument the finite limit K/a -> klim(g) is substituted, which makes
-P(rho=0) = nu * P0 exact.  The image sum is one call of K/a's unchecked
-formula (``_kernel_over_nodes``) on all z_m stacked, as the zeta integrand
-is on its nodes: rho and gap are validated where they enter (p_string,
-p_boundary, PairConfig), not per image.  A reflecting boundary is the
-nu = 2 image set with the image weight -1/2 (geometry.image_set), and flat
-spacetime is nu = 1, so every alignment runs this one expansion.
+P(rho=0) = nu * P0 exact: both read special.p0_bracket, and P0 is no entry of
+P's list, so only a detector on the string or the wall takes the limit.  The
+image sum is one call of K/a's unchecked formula (``_kernel_over_nodes``) on
+all z_m stacked, as the zeta integrand is on its nodes: rho and gap are
+validated where they enter (p_string, p_boundary, PairConfig), not per
+image.  A reflecting boundary is the nu = 2 image set with the image weight
+-1/2 (geometry.image_set), and flat spacetime is nu = 1, so every alignment
+runs this one expansion.
 ``image_response`` expands one detector on its own; entanglement.concurrence
 hands the parts of both detectors, with X's, to one correlation.expand call
 and assembles each with ``response_breakdown``.  A scalar rho is one point
@@ -35,7 +37,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import erfc as _erfc_real, erfcx
 
 from .correlation import Kernel, expand
 from .geometry import (
@@ -49,7 +50,7 @@ from .geometry import (
     image_terms,
 )
 from .quadrature import DEFAULT_TOL
-from .special import SQRT_PI, TINY, response_kernel_formula, response_kernel_limit
+from .special import SQRT_PI, p0_bracket, response_kernel_formula, response_kernel_limit
 
 # Below this kernel argument the analytic a -> 0 limit replaces the 0/0 ratio.
 SMALL_ARGUMENT = 1e-8
@@ -76,17 +77,9 @@ class ResponseBreakdown:
 
 
 def p_flat(gap: float) -> float:
-    """Flat-spacetime transition probability P0 per lambda^2."""
+    """Flat-spacetime transition probability P0 = special.p0_bracket(g)/(4 pi) per lambda^2."""
     check_gap(gap)
-    head = math.exp(-gap * gap)
-    if head < TINY:
-        # from g ~ 26.6 e^{-g^2} is subnormal, and the difference of the two
-        # subnormal terms would keep none of P0's digits: factor it out, with
-        # e^{g^2} erfc(g) = erfcx(g) (g erfcx(g) -> 1/sqrt(pi) stays finite)
-        return head * (max(1.0 - SQRT_PI * (gap * erfcx(gap)), 0.0) / (4.0 * math.pi))
-    tail = _erfc_real(gap)
-    # sqrt(pi) g overflows past g ~ 1e308, where erfc(g), and so the product, is 0
-    return (head - (SQRT_PI * gap * tail if tail else 0.0)) / (4.0 * math.pi)
+    return p0_bracket(gap) / (4.0 * math.pi)
 
 
 def _kernel_over_nodes(a, gap):
@@ -120,14 +113,12 @@ def response_part(rho, cone: ConeParameter, terms: Tuple[ImageTerm, ...]):
 
 
 def response_breakdown(expansion, gap: float) -> ResponseBreakdown:
-    """ResponseBreakdown from a response_part's (images, integral, terms).
+    """ResponseBreakdown, P0 from p_flat, of a response_part's (direct, images, integral, terms).
 
     Honours the FAULT_ENV verification hook, which scales P_images.
     """
-    images, integral, _ = expansion
-    fault = os.environ.get(FAULT_ENV)
-    if fault is not None:
-        images *= float(fault)
+    _, images, integral, _ = expansion
+    images *= float(os.environ.get(FAULT_ENV, 1.0))
     return ResponseBreakdown(p_flat=p_flat(gap), p_images=images, p_integral=integral)
 
 

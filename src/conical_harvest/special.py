@@ -15,14 +15,17 @@ units.  Every public quantity is per lambda^2.
 
 Each kernel is one formula (``response_kernel_formula``, ``aux_f_formula``);
 the public ``response_kernel`` and ``aux_f`` are input checks plus that
-formula.  correlation.expand calls the formulas directly, once per image
-sum on the stacked image arguments and once per pass on the zeta nodes:
-both come from parameters that were validated once, where they entered, and
-the quadrature still refuses a non-finite value.
+formula, and P0 and K's a -> 0 limit both read ``p0_bracket``.
+correlation.expand calls the formulas directly, once per image sum on the
+stacked image arguments and once per pass on the zeta nodes: both come from
+parameters that were validated once, where they entered, and the quadrature
+still refuses a non-finite value.
 """
 
+import math
+
 import numpy as np
-from scipy.special import erf as _erf_scipy, erfc as _erfc_real, wofz as _wofz
+from scipy.special import erf as _erf_scipy, erfc as _erfc_real, erfcx as _erfcx, wofz as _wofz
 
 from .errors import DivergentArgument, InvalidParameter, OverflowDomain
 
@@ -122,15 +125,21 @@ def response_kernel_direct(a, gap):
     return float(out) if out.ndim == 0 else out
 
 
-def response_kernel_limit(gap):
-    """Finite limit of K(a, g)/a for a -> 0.
-
-    From the series of w at purely imaginary argument:
-    lim K/a = (2/sqrt(pi)) e^{-g^2} - 2 g erfc(g).
-    """
+def p0_bracket(gap):
+    """e^{-g^2} - sqrt(pi) g erfc(g) at a validated gap: 4 pi P0, and sqrt(pi)/2 lim K/a."""
+    head = math.exp(-gap * gap)
+    if head < TINY:
+        # from g ~ 26.6 e^{-g^2} is subnormal, and a difference of two subnormal
+        # terms keeps no digits: factor it out, e^{g^2} erfc(g) = erfcx(g) finite
+        return head * max(1.0 - SQRT_PI * (gap * _erfcx(gap)), 0.0)
     tail = _erfc_real(gap)
-    # 2 g overflows past g ~ 1e308, where erfc(g), and so the product, is 0
-    return 2.0 / SQRT_PI * np.exp(-gap * gap) - (2.0 * gap * tail if tail else 0.0)
+    # sqrt(pi) g overflows past g ~ 1e308, where erfc(g), and so the product, is 0
+    return head - (SQRT_PI * gap * tail if tail else 0.0)
+
+
+def response_kernel_limit(gap):
+    """K(a, g)/a's a -> 0 limit, (2/sqrt(pi)) p0_bracket(g) (w's series at imaginary argument)."""
+    return 2.0 / SQRT_PI * p0_bracket(gap)
 
 
 def aux_f(z, gap):

@@ -266,21 +266,69 @@ def test_fig11_opposite_dominates_flat_until_terminal():
     assert abs(first_empty - 2.25) < 0.06  # grid point just past l0 = 2.219
 
 
-# SHA-256 over (file name, CSV text) of every preset, in sorted(FIGURES) order
-FIGURES_SHA256 = "82add3808429221917fb21ead9472670862486d0da65ec380599e5b64d0480f1"
+# SHA-256 of each preset's CSV text, by file name, for every preset in FIGURES
+FIGURES_SHA256 = {
+    "fig10a_opposite.csv": "85a7457109050d49019ae758560354ed6431321bc470a124426db01b53f12979",
+    "fig10b_opposite.csv": "e8a95b30810929ae96fe2ac8fc1897873a56139363900535659aa1bd4e1759ef",
+    "fig10c_opposite.csv": "de857ff792ef5e933a877827f6d58f2a0e84fe76670ea3dc30d2e0844f6147c0",
+    "fig10d_opposite.csv": "fb94e49e77ff3c9075ae537ebb49926343071e78d7ad359a0c42d391de6b3010",
+    "fig11_opposite.csv": "d6cdd2acf43e6cebd790378efb8858725e4a5418d8a82b67b55842267352583c",
+    "fig11_flat.csv": "c41fad56c95877f853dfe9f5b4466eece78856823295f7ad27430ba30558f636",
+    "fig3a_nu2.csv": "616ff8622af9eaebbed99a3788a3b988a5fab8b182de0862a86bdc7b01f6273a",
+    "fig3a_nu3.csv": "04f28ec2719488e3092e27dd6dafef80189e7ecff1abfe2e8eedbf97ea084dfa",
+    "fig3a_nu11.csv": "36ea6351d9a5327aba94349161b925d9343f123cee3c4e33f3c32450c44cf916",
+    "fig3a_flat.csv": "ad8c47484487ac463b9f14a7aba4a7fbbae8e49ea7649ca27d498f8d3347aa00",
+    "fig3b_string.csv": "e548497054ea57a1301f6342014d262ed2e9a25e2f913306c3aeffd5ee972156",
+    "fig4a_parallel.csv": "f1bd1bf3ef47220b51b5a6566acfd7cf4766b9de52b52e9c745f40ba7c791c5d",
+    "fig4a_orthogonal.csv": "4e9967635b20d40bf965ed51d37c89623ac978b0ef36032136b59cffe9ce537b",
+    "fig4a_flat.csv": "d6efd552d98220fc32cdbf494ce9ce180575681869ee38a37a416e5586caed78",
+    "fig4b_parallel.csv": "bde8da42c0849d5ad37eef3c9e87aa88ea8a1d2d89e3e4318f1a781353372816",
+    "fig4b_orthogonal.csv": "6a9b7fbca6fa4ddc627033ea69707dfe39884024b1fec090cbc9208ab6ef88fd",
+    "fig4b_flat.csv": "d6efd552d98220fc32cdbf494ce9ce180575681869ee38a37a416e5586caed78",
+    "fig5a_parallel.csv": "b7517cec7b4b290f1f37dce96ac6786d4ac7a754cc031ba134bc6c32e2d0a885",
+    "fig5a_orthogonal.csv": "b71b9b7518fef52f3b7f3312a5847463df72eedd25d1f5d6f79048be1f4bc0f5",
+    "fig5a_boundary-parallel.csv": "85ae05de8bcb1b9baac8b6711e6328a0e863b9be287b515c7164efb68708739a",
+    "fig5a_boundary-orthogonal.csv": "6b86435e517c05675db53a60541468c93c221f2ff33afea1b3307faa6ad0a1cb",
+    "fig5a_flat.csv": "11866cc210eb4b1f2ac228feb63a976221023564ed45ecf55c468f6e0bc54371",
+    "fig5b_parallel.csv": "d613796c9e7d6d904e61058de3dfa9701471c245c4f4edd81d91a580530deed7",
+    "fig5b_orthogonal.csv": "bd1b3397cf15531a94020b4cc9c69fd286b34ceb5754209e29c1aa28f6d99d20",
+    "fig5b_boundary-parallel.csv": "85ae05de8bcb1b9baac8b6711e6328a0e863b9be287b515c7164efb68708739a",
+    "fig5b_boundary-orthogonal.csv": "6b86435e517c05675db53a60541468c93c221f2ff33afea1b3307faa6ad0a1cb",
+    "fig5b_flat.csv": "11866cc210eb4b1f2ac228feb63a976221023564ed45ecf55c468f6e0bc54371",
+    "fig6a_parallel.csv": "4d6abd2c82c2f5b7475703d20c1393655e2a7488bf6d58264919bd5b9dd60356",
+    "fig6a_orthogonal.csv": "1a5a82ac7090d5d15abfee549273f40781b3da2a0a961ffcbfd7597ebb4bd7b4",
+    "fig6b_parallel.csv": "d5b5fe9029f4557bd1e25c5641cac256462229a5aa8f73152b48d73f782521f4",
+    "fig6b_orthogonal.csv": "c65e2885073770ca25b1b6f33b0ddab275ca435dcfa5187b461b1bb502554790",
+    "fig7_parallel.csv": "84892fad8a1737bbfe796e158dab78c7df91ac3e75d9883bbe836e887502321b",
+    "fig8a_parallel.csv": "58eb9b743264dc0b68c1e7ff5526a82484c43e38109d3bd38a21e01df79a2d87",
+    "fig8a_orthogonal.csv": "23874f0c5773fce28e8f81e016d6d911696d12c753ca359d3fcbfa8f89ad42d4",
+    "fig8a_boundary-parallel.csv": "5bbaf1048000a151bda56fe9405daf99fd6742c86fc46fdaec35b30c9df01955",
+    "fig8a_boundary-orthogonal.csv": "19a9afb5d1ab906240bf9d75714be381af3e91c0a67ef7a297c0dcbe884765d8",
+    "fig8a_flat.csv": "54000476c6ed1d4496b3e22f869fabbce91e44cc6b7a0a509acd8a8f5548e02a",
+    "fig8b_parallel.csv": "7cfd8cf1c3d088b5296d3d74100d9cb0609fec85aee13169de4af4277dcc238b",
+    "fig8b_orthogonal.csv": "1307c6fecde18b021b90d950749f1a55e6b79f4d0f1e51c3d1c7197ba390641d",
+    "fig8b_boundary-parallel.csv": "b3a398ef4d8a2e24ef43d7d73c323bc95e0ead0450e0f10703d47cc12f13950e",
+    "fig8b_boundary-orthogonal.csv": "6497a5e076ba99dbc328b47aca96b863ee7f8140fc074f7a222d17578c9ae15f",
+    "fig8b_flat.csv": "b8c79c7635c752668ae0d157f22522eeee1c6e4ddc0d2d63a8f03a11eeac83bc",
+    "fig9a_nu3.csv": "a7103ab37d2bb8d2f605e2168fbe9b8dd5ff5ed7c8637c134281f7f8f4dca386",
+    "fig9a_nu2.5.csv": "b4f0dcc0db021bdb2cc5d7cc78aa29942ff3807317b4b121ac582033059f7aa1",
+    "fig9a_flat.csv": "6352f3cc6718e84b8aaefc24c499a1940ea8ac22b68aa7609ac45404a4340850",
+    "fig9b_nu2.csv": "e1e5cc5e37b93f83da8e9be45f3442364fe6f6542fef4be7a8ca601743209bc5",
+    "fig9b_nu4.csv": "06c2517d70f53c74cff6c7ddbbd80b543519ebb9e897e5ad9a6e049ff754bb4f",
+    "fig9b_flat.csv": "5790c965b86bb76e4a08ed6364f8afb0be67797ac4094d6ca815d6a87cc81355",
+}
 
 
 def test_every_figure_preset_reproduces_its_pinned_csvs():
     # a change that moves any figure value in its 12 printed digits must say
-    # so and pin the new digest
+    # so and pin the new digests of the files it moved, which the failure names
     from conical_harvest.presets import FIGURES, build_figure
 
-    digest = hashlib.sha256()
-    for name in sorted(FIGURES):
-        for filename, text in build_figure(name):
-            digest.update(filename.encode())
-            digest.update(text.encode())
-    assert digest.hexdigest() == FIGURES_SHA256
+    digests = {filename: hashlib.sha256(text.encode()).hexdigest()
+               for name in sorted(FIGURES) for filename, text in build_figure(name)}
+    assert sorted(digests) == sorted(FIGURES_SHA256)
+    moved = sorted(name for name, digest in digests.items() if digest != FIGURES_SHA256[name])
+    assert not moved, f"figure CSVs moved: {moved}"
 
 
 def test_dmax_single_point():

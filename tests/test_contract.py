@@ -14,12 +14,16 @@ and each unflagged row agrees with the point's concurrence, though a d
 sweep expands P at its fixed l once for all its rows.  concurrence_flat, the
 flat pair's closed form, is finite at every accepted gap and agrees with the
 flat pair's concurrence.  Time bounds are not checked here.
+
+hypothesis mixes constants it finds in the loaded modules into its draws, so
+the derandomized draw differs with what else the session imported; the points
+that a draw found only in some sessions are pinned as examples.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conical_harvest.entanglement import concurrence, concurrence_flat, d_max, sweep
@@ -69,6 +73,8 @@ def test_concurrence_is_finite_or_a_labelled_error(point):
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(accepted_points())
+# near the wall at a large gap: Brent's extrapolation step once divided 0/0 here
+@example((Alignment.BOUNDARY_ORTHOGONAL, 1.0, 1e-9, 1.0, 15.0))
 def test_d_max_is_finite_or_a_labelled_error(point):
     alignment, nu, l, _, gap = point
     try:
@@ -80,6 +86,7 @@ def test_d_max_is_finite_or_a_labelled_error(point):
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(POSITIVE_LENGTHS, GAPS)
+@example(1.0, 26.75)   # e^{-g^2} subnormal, where P0 lost its digits
 def test_concurrence_flat_is_finite_and_agrees_with_the_flat_pair(d, gap):
     try:
         value = concurrence_flat(d, gap)

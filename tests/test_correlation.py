@@ -94,9 +94,9 @@ def test_batch_overlap_raises_with_the_first_overlapping_image_and_point():
     l, d = np.array([0.5, 1.0, 0.7]), np.array([1.5, 2.0, 1.4])
     geo = pair_f_arguments(Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(4.0), l, d)
     with pytest.raises(DivergentOverlap) as info:
-        check_overlap(d, geo.image_args)
+        check_overlap(geo.image_args)
     assert info.value.image_index == 2
-    assert info.value.argument == geo.image_args[1][2][1]
+    assert info.value.argument == geo.image_args[2][2][1]   # after d/2 (m = 0) and m = 1
 
 
 def test_parallel_exceeds_orthogonal_at_small_separation():
@@ -203,13 +203,16 @@ def test_boundary_is_the_subtracted_nu2_image(boundary, twin, l, d, gap):
 def test_x_string_lists_its_image_terms(alignment, nu):
     config = PairConfig(alignment, l=0.4, d=1.1, gap=GAP)
     breakdown = x_string(config, ConeParameter(nu))
+    # the direct term is the m = 0 entry at d/2, 2 (1/2) f(d/2) = X0; the images follow
+    direct, *image_args = f_arguments(config, ConeParameter(nu)).image_args
+    assert direct == (0, 0.5, config.d / 2.0)
+    assert breakdown.x_flat == aux_f(config.d / 2.0, GAP) == x_flat(config.d, GAP)
     images = 0.0 + 0.0j
-    for (m, weight, z, term), (m_geo, weight_geo, z_geo) in zip(
-            breakdown.image_terms, f_arguments(config, ConeParameter(nu)).image_args):
+    for (m, weight, z, term), (m_geo, weight_geo, z_geo) in zip(breakdown.image_terms, image_args):
         assert (m, weight, z) == (m_geo, weight_geo, z_geo)
         assert term == 2.0 * weight * aux_f(z, GAP)
         images += term
-    assert len(breakdown.image_terms) == len(f_arguments(config, ConeParameter(nu)).image_args)
+    assert len(breakdown.image_terms) == len(image_args)
     assert images == breakdown.x_images
 
 
@@ -250,7 +253,7 @@ def test_x_integral_is_the_two_row_integral_bit_for_bit(alignment, nu):
     cone = ConeParameter(nu)
 
     def x_integral(geo):
-        return expand([(AUX_F, geo)], GAP, DEFAULT_TOL)[0][1]
+        return expand([(AUX_F, geo)], GAP, DEFAULT_TOL)[0][2]
 
     geo = f_arguments(PairConfig(alignment, l=0.5, d=1.3, gap=GAP), cone)
     one = x_integral(geo)

@@ -240,6 +240,26 @@ def test_d_max_none_when_no_harvesting():
     assert result.value is None
 
 
+@pytest.mark.parametrize("gap", [28.0, 40.0])
+def test_margins_that_underflow_to_zero_hold_no_crossing(gap):
+    # from gap ~ 28 every margin is 0.0 and the concurrence exactly 0: a (0, 0)
+    # pair counted as a sign change and returned grid[-2] (7.984375, 3.9921875)
+    for alignment in (Alignment.PARALLEL, Alignment.FLAT):
+        assert d_max(alignment, ConeParameter(3.0), 0.5, gap).value is None
+        assert concurrence(config(alignment, 0.5, 4.0, gap), ConeParameter(3.0)).concurrence == 0.0
+    assert opposite_sides_terminal_l(ConeParameter(3.0), gap) is None
+
+
+def test_d_max_near_the_wall_at_a_large_gap_is_its_neighbours_without_a_warning():
+    # P_bd at l = 1e-9 is P0 less the image's kernel limit, which now reads P0's
+    # bracket: it cancels to 0 as at l = 1e-6, where the limit's own copy left
+    # 2.7e-115 and put a crossing at 4.1198 (Brent's extrapolation then divided
+    # 0/0); the pytest settings make a RuntimeWarning an error
+    cone = ConeParameter(1.0)
+    value = d_max(Alignment.BOUNDARY_ORTHOGONAL, cone, 1e-9, 15.0).value
+    assert value == d_max(Alignment.BOUNDARY_ORTHOGONAL, cone, 1e-6, 15.0).value == 8.0
+
+
 def test_d_max_skips_divergent_symmetric_points():
     # opposite-sides scan starts at d = 2l; at even nu that point overlaps
     result = d_max(Alignment.ORTHOGONAL_OPPOSITE_SIDES, ConeParameter(4.0), l=0.6, gap=GAP)
@@ -675,9 +695,9 @@ def test_d_max_tests_each_scan_point_and_each_brent_step_for_overlap_once(monkey
     tested = []
 
     def spy(rule):
-        def recorded(d, image_args):
-            tested.extend(np.ravel(d).tolist())
-            return rule(d, image_args)
+        def recorded(image_args):
+            tested.extend(np.ravel(image_args[0][2]).tolist())   # d/2, the m = 0 entry
+            return rule(image_args)
         return recorded
 
     monkeypatch.setattr(entanglement, "overlap_mask", spy(entanglement.overlap_mask))
@@ -686,7 +706,8 @@ def test_d_max_tests_each_scan_point_and_each_brent_step_for_overlap_once(monkey
     grid_n = 64
     d_max(Alignment.PARALLEL, ConeParameter(3.0), l=0.5, gap=GAP, grid_n=grid_n)
     assert steps
-    assert tested == np.linspace(8.0 / grid_n, 8.0, grid_n).tolist() + [d for _, d in steps]
+    assert tested == ((np.linspace(8.0 / grid_n, 8.0, grid_n) / 2.0).tolist()
+                      + [d / 2.0 for _, d in steps])
 
 
 def test_terminal_l_refines_from_the_scan_margins_at_its_bracket_ends(monkeypatch):
@@ -1061,9 +1082,9 @@ def test_concurrence_evaluates_each_image_sum_in_one_formula_call(alignment, nu,
                                                                   monkeypatch):
     calls = _count_image_formula_calls(monkeypatch)
     concurrence(config(alignment, 0.5, 1.3), ConeParameter(nu))
-    # parts: P_A, P_B unless rho_B = rho_A, then X
+    # parts: P_A, P_B unless rho_B = rho_A, then X, whose direct term d/2 is its m = 0 entry
     parts = 2 if alignment is Alignment.PARALLEL else 3
-    assert [call.shape for call in calls] == [(images,)] * parts
+    assert [call.shape for call in calls] == [(images,)] * (parts - 1) + [(images + 1,)]
     geo = pair_f_arguments(alignment, ConeParameter(nu), 0.5, 1.3)
     assert calls[-1].tolist() == [z for _, _, z in geo.image_args]
 
@@ -1076,7 +1097,8 @@ def test_scan_batch_evaluates_each_image_sum_in_one_formula_call(alignment, nu, 
     _scan_margins(alignment, ConeParameter(nu), 0.5, np.linspace(1.0, 4.0, 6), GAP, DEFAULT_TOL)
     parts = 2 if alignment is Alignment.PARALLEL else 3
     images = int(nu // 2)
-    assert [call.shape for call in calls] == [(images,)] + [(images, 6)] * (parts - 1)
+    assert [call.shape for call in calls] == ([(images,)] + [(images, 6)] * (parts - 2)
+                                              + [(images + 1, 6)])
 
 
 @pytest.mark.parametrize("nu", [3.0, 5.7])

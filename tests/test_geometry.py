@@ -105,10 +105,12 @@ def test_image_set_per_alignment(nu):
 def test_f_arguments_boundary_reflected_image():
     par = f_arguments(PairConfig(Alignment.BOUNDARY_PARALLEL, l=0.3, d=0.8, gap=0.1),
                       ConeParameter(2.5))
-    assert par.image_args == ((1, -0.5, math.sqrt(0.16 + 0.09)),) and par.zeta_vanishes
+    assert par.image_args == ((0, 0.5, 0.4), (1, -0.5, math.sqrt(0.16 + 0.09)))
+    assert par.zeta_vanishes
     orth = f_arguments(PairConfig(Alignment.BOUNDARY_ORTHOGONAL, l=0.3, d=0.8, gap=0.1),
                        ConeParameter(2.5))
-    ((m, weight, z),) = orth.image_args
+    (direct, (m, weight, z)) = orth.image_args
+    assert direct == (0, 0.5, 0.4)
     assert (m, weight) == (1, -0.5) and z == pytest.approx(0.4 + 0.3, rel=1e-15)
     assert orth.zeta_vanishes
 
@@ -150,14 +152,15 @@ def test_alignment_from_string():
 
 def test_f_arguments_parallel_on_string():
     geo = f_arguments(PairConfig(Alignment.PARALLEL, l=0.0, d=0.8, gap=0.1), ConeParameter(3.0))
-    assert geo.image_args == ((1, 1.0, pytest.approx(0.4)),)
+    assert geo.image_args == ((0, 0.5, 0.4), (1, 1.0, pytest.approx(0.4)))
     assert geo.zeta_vanishes  # integer nu
 
 
 def test_f_arguments_opposite_symmetric():
     geo = f_arguments(PairConfig(Alignment.ORTHOGONAL_OPPOSITE_SIDES, l=1.0, d=2.0, gap=0.1),
                       ConeParameter(3.0))
-    (m, weight, z), = geo.image_args
+    (direct, (m, weight, z)) = geo.image_args
+    assert direct == (0, 0.5, 1.0)   # d/2
     assert (m, weight) == (1, 1.0)
     assert z == pytest.approx(math.cos(math.pi / 3))  # = 0.5
 

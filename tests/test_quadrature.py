@@ -546,6 +546,13 @@ def test_last_sign_change_skips_nan_gaps_in_a_float_array():
     assert find_last_sign_change(np.array([nan, nan])) is None
 
 
+def test_a_run_of_exact_zeros_is_no_sign_change():
+    # margins that underflow to 0.0 (from gap ~ 28) made (0, 0) a crossing
+    assert find_last_sign_change([0.0, 0.0, 0.0]) is None
+    assert find_last_sign_change([1.0, 0.0, 0.0]) == 0
+    assert find_last_sign_change([0.0, 0.0, -1.0]) == 1
+
+
 def test_a_nan_end_is_never_a_bracket():
     nan = math.nan
     # np.sign(nan) differs from every sign, so only the NaN test keeps these out
@@ -617,6 +624,25 @@ def test_brent_port_matches_scipy_brentq_with_two_fewer_calls():
         calls.clear()
         assert find_root_bracketed(counted, Bracket(lo, hi), tol=tol) == expected
         assert len(calls) == info.function_calls
+
+
+@pytest.mark.parametrize("shape", [lambda x: math.exp(x) - 2.0, lambda x: x ** 3 - 0.3,
+                                   lambda x: math.cos(x) - 0.2, lambda x: 1.0 / (1.0 + x) - 0.4])
+def test_brent_bisects_where_the_extrapolation_denominator_underflows(shape):
+    # at values ~1e-110 the product d_blk d_pre (f_blk - f_pre) underflows to 0:
+    # plain floats raised ZeroDivisionError, NumPy floats warned of 0/0; SciPy's
+    # C routine takes its inf/NaN step as failed and bisects, and so does the port
+    from scipy.optimize import brentq
+
+    from conical_harvest.quadrature import _brentq
+
+    def f(x):
+        return 1e-110 * shape(x)
+
+    expected = brentq(f, 0.0, 3.0, xtol=1e-6, rtol=8.881784197001252e-16)
+    assert _brentq(f, 0.0, 3.0, f(0.0), f(3.0), xtol=1e-6) == expected
+    assert _brentq(lambda x: np.float64(f(x)), 0.0, 3.0, np.float64(f(0.0)),
+                   np.float64(f(3.0)), xtol=1e-6) == expected
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])

@@ -47,6 +47,17 @@ def test_on_string_identity(nu):
     assert total == pytest.approx(nu * p_flat(GAP), rel=1e-7)
 
 
+@pytest.mark.parametrize("nu", [3.0, 11.0])
+@pytest.mark.parametrize("gap, rel", [(0.0, 1e-12), (0.1, 1e-12), (1.5, 1e-12), (5.0, 1e-12),
+                                      (12.0, 1e-12), (20.0, 1e-12), (26.0, 1e-12),
+                                      (26.5, 1e-12), (26.7, 1e-9)])
+def test_on_string_identity_where_p0_is_subnormal(nu, gap, rel):
+    # the kernel's a -> 0 limit and P0 read one bracket (special.p0_bracket); the
+    # limit's own copy lost every digit at gap 26.7 (ratio ~953 at nu 3, ~1,299 at 11)
+    total = p_string(0.0, ConeParameter(nu), gap).total
+    assert total == pytest.approx(nu * p_flat(gap), rel=rel, abs=0.0)
+
+
 def test_on_string_identity_spec_value():
     # nu=3: total = 3 * 0.0662671830 = 0.1988015491
     assert p_string(0.0, ConeParameter(3.0), GAP).total == pytest.approx(0.1988015, abs=1e-7)
